@@ -23,13 +23,15 @@ Config sections (keys shown with defaults where sensible)::
                         tau_grid = 1e2, 1e4, 1e6, 1e8
     [inequalities]      kinds = poincare, radial_sobolev, bounded_sobolev
                         q = 3.0   radii = 1, 2, 4   n_random = 4
-    [sweep]             alphas = 0.4, 0.5, 0.7
+    [sweep]             alphas = 0.4, 0.5, 0.7   (power or zygmund weight;
+                        beta and c stay as configured)
                         ps = 2.0   ms = 2.0
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import configparser
 import csv
 import math
@@ -79,8 +81,34 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+#: arithmetic allowed in config expressions
+_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+             ast.Pow, ast.UAdd, ast.USub)
+
+
+def _expr_node_ok(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id == "s" or node.id in _EXPR_NAMES
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and callable(_EXPR_NAMES.get(node.func.id))
+    return isinstance(node, (ast.Expression, ast.Load, ast.UnaryOp, ast.BinOp) + _EXPR_OPS)
+
+
 def _compile_expr(expr: str):
-    code = compile(expr, "<config>", "eval")
+    """Compile a config expression in ``s`` built only from numbers, the
+    names in _EXPR_NAMES, arithmetic and calls of whitelisted functions."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise InvalidParameterError(f"cannot parse expression {expr!r}: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if not _expr_node_ok(node):
+            raise InvalidParameterError(
+                f"expression {expr!r} uses {type(node).__name__}, which is not allowed"
+            )
+    code = compile(tree, "<config>", "eval")
 
     def fn(s):
         return eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, s=s))
@@ -269,7 +297,15 @@ def _solver_config(cfg, allow_unweighted: bool,
     eq = build_equation(cfg)
     if override:
         if "alpha" in override:
-            w = weights.make_power_weight(override["alpha"])
+            if w.kind == weights.KIND_POWER:
+                w = weights.make_power_weight(override["alpha"])
+            elif w.kind == weights.KIND_ZYGMUND:
+                w = weights.make_zygmund_weight(override["alpha"], w.params["beta"],
+                                                w.params["c"])
+            else:
+                raise InvalidParameterError(
+                    f"an alpha sweep needs a power or zygmund weight, got {w.kind}"
+                )
         eq = weights.EquationParams(dim_n=eq.dim_n,
                                     p=override.get("p", eq.p),
                                     m=override.get("m", eq.m))

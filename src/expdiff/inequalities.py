@@ -161,10 +161,8 @@ def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
         ext = np.array([])
     tail_bp = np.concatenate([grid, ext])
     dual_f = _dual_density(pair)
-    segs = np.empty(tail_bp.size - 1)
-    for k in range(tail_bp.size - 1):
-        segs[k], _ = quadrature.adaptive(dual_f, float(tail_bp[k]), float(tail_bp[k + 1]),
-                                         rel_tol=1e-11, abs_floor=1e-300)
+    segs, _ = quadrature.panels(dual_f, tail_bp[:-1], tail_bp[1:], rel_tol=1e-11,
+                                abs_floor=1e-300)
     stub, _ = quadrature.adaptive(dual_f, float(tail_bp[-1]),
                                   2.0 * float(tail_bp[-1]), rel_tol=1e-9,
                                   abs_floor=1e-300)

@@ -14,7 +14,7 @@ at the left endpoint, with a doubling check on the cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,17 +45,12 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """One of the two radial densities, bound to a weight and dimension.
-
-    The per-(faces,weight) cell volume cache is write-once and safe for
-    concurrent readers.
-    """
+    """One of the two radial densities, bound to a weight and dimension."""
 
     weight: WeightSpec
     dim_n: int
     direction: str = GROWING
     p: float | None = None
-    _cell_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.direction not in (GROWING, DECAYING_TAIL):
@@ -148,54 +143,24 @@ def integrate_with_error(meas: RadialMeasure, h: Callable, a: float, b: float,
 
     if a == 0.0:
         bp = quadrature.geometric_breakpoints(0.0, b)
-        total = 0.0
-        total_err = 0.0
-        for k in range(1, bp.size):
-            seg, err = quadrature.adaptive(f, bp[k - 1], bp[k], rel_tol=rel_tol,
-                                           abs_floor=rel_tol * (abs(total) + 1e-300))
-            total += seg
-            total_err += err
-        return total, total_err
+        segs, errs = quadrature.panels(f, bp[:-1], bp[1:], rel_tol)
+        return float(np.sum(segs)), float(np.sum(errs))
     return quadrature.adaptive(f, a, b, rel_tol=rel_tol)
 
 
 def cell_weighted_volumes(meas: RadialMeasure, faces: np.ndarray) -> np.ndarray:
     """omega_{N-1} * int_cell r**(N-1) exp(g) dr for every cell of the mesh.
 
-    Vectorized fixed-order panels with a 10/20-point disagreement check;
-    cells that fail the check (in practice only the one touching r = 0)
-    fall back to adaptive quadrature.  Results are cached per face array.
+    One ``quadrature.panels`` pass over the cells; in practice only the
+    cell touching r = 0 needs its adaptive fallback.
     """
     if meas.direction != GROWING:
         raise InvalidParameterError("cell volumes are defined for the growing measure")
     faces = np.asarray(faces, dtype=float)
-    key = faces.tobytes()
-    cached = meas._cell_cache.get(key)
-    if cached is not None:
-        return cached
     if faces.ndim != 1 or faces.size < 2 or np.any(np.diff(faces) <= 0):
         raise InvalidParameterError("faces must be a strictly increasing 1-d array")
-    lo = faces[:-1]
-    hi = faces[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-
-    def panel(order):
-        x, wts = np.polynomial.legendre.leggauss(order)
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = meas.density(nodes.ravel()).reshape(nodes.shape)
-        return half * (vals @ wts)
-
-    fine = panel(20)
-    coarse = panel(10)
-    bad = np.abs(fine - coarse) > 1e-12 * np.abs(fine)
-    for i in np.nonzero(bad)[0]:
-        fine[i], _ = integrate_with_error(meas, lambda r: np.ones_like(r),
-                                          float(lo[i]), float(hi[i]),
-                                          rel_tol=1e-12)
-    vols = sphere_area(meas.dim_n) * fine
-    meas._cell_cache[key] = vols
-    return vols
+    vols, _ = quadrature.panels(meas.density, faces[:-1], faces[1:], rel_tol=1e-12)
+    return sphere_area(meas.dim_n) * vols
 
 
 def mass(meas: RadialMeasure, faces: np.ndarray, u: np.ndarray) -> float:

@@ -1,11 +1,15 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Composite Gauss-Legendre quadrature: batched fixed panels with a
+local adaptive fallback.
 
-All integrands are expected to be vectorized over numpy arrays.  The
-global strategy keeps a worklist of panels with per-panel error
-estimates (order-10 vs order-20 rule difference) and refines the worst
-panel until the summed estimate meets the relative tolerance.  This is
-the single quadrature primitive behind the smoothed weight exponent,
-the weighted radial measures and the inequality criteria.
+All integrands are expected to be vectorized over numpy arrays.  Each
+panel carries an error estimate, the difference of its 10- and
+20-point rules.  ``panels`` integrates many panels at once, calling the
+integrand once per rule on all nodes, and hands only the panels whose
+estimate misses the tolerance to ``adaptive``.  ``adaptive`` keeps a
+worklist of sub-panels and refines the worst one until the summed
+estimate meets the relative tolerance.  Every integral over a partition
+(cumulative integrals, graded breakpoints, cell volumes, criterion
+tails) goes through ``panels``.
 """
 
 from __future__ import annotations
@@ -29,12 +33,22 @@ def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[order]
 
 
-def gl_fixed(f: Callable, a: float, b: float, order: int = 20) -> float:
-    """Single fixed-order Gauss-Legendre panel on [a, b]."""
+def gl_fixed(f: Callable, a, b, order: int = 20):
+    """Fixed-order Gauss-Legendre rule on the panel [a, b].
+
+    ``a`` and ``b`` may be equal-shape numpy arrays of panel ends; f is
+    then called once on all their nodes and the result has their shape.
+    """
     x, w = _nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
+    if not isinstance(half, np.ndarray):
+        # one panel, as in each refinement of ``adaptive``: the batch
+        # reshaping below would double the cost of a refinement
+        return half * float(np.dot(w, f(mid + half * x)))
+    nodes = mid[..., None] + half[..., None] * x
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return half * (vals @ w)
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
@@ -104,6 +118,26 @@ def adaptive(
     return total_val, total_err
 
 
+def panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
+           abs_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f over the panels [lo_k, hi_k] of two 1-d arrays.
+
+    One batched 10/20-point pass covers every panel.  A panel whose two
+    rules differ by more than ``max(rel_tol * |value|, abs_floor)`` is
+    integrated again by ``adaptive`` with the same tolerance, so each
+    returned value meets the tolerance on its own panel.  Returns
+    (values, error estimates).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    values = gl_fixed(f, lo, hi, order=20)
+    errors = np.abs(values - gl_fixed(f, lo, hi, order=10))
+    for k in np.flatnonzero(errors > np.maximum(rel_tol * np.abs(values), abs_floor)):
+        values[k], errors[k] = adaptive(f, float(lo[k]), float(hi[k]),
+                                        rel_tol=rel_tol, abs_floor=abs_floor)
+    return values, errors
+
+
 def cumulative(
     f: Callable,
     breakpoints: np.ndarray,
@@ -111,23 +145,16 @@ def cumulative(
 ) -> np.ndarray:
     """Cumulative integrals ``I_k = int_{b_0}^{b_k} f`` along sorted breakpoints.
 
-    Each consecutive segment is integrated adaptively; the result has the
-    same length as ``breakpoints`` with I_0 = 0.
+    Each consecutive segment is one panel of ``panels``; the result has
+    the same length as ``breakpoints`` with I_0 = 0.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 1:
         raise ValueError("breakpoints must be a 1-d array")
     if np.any(np.diff(bp) < 0):
         raise ValueError("breakpoints must be sorted ascending")
-    out = np.empty(bp.size)
-    out[0] = 0.0
-    acc = 0.0
-    for k in range(1, bp.size):
-        seg, _ = adaptive(f, bp[k - 1], bp[k], rel_tol=rel_tol,
-                          abs_floor=rel_tol * (abs(acc) + 1e-300))
-        acc += seg
-        out[k] = acc
-    return out
+    segs, _ = panels(f, bp[:-1], bp[1:], rel_tol)
+    return np.concatenate([[0.0], np.cumsum(segs)])
 
 
 def geometric_breakpoints(a: float, b: float, n_decades_inner: int = 12) -> np.ndarray:

@@ -6,7 +6,7 @@ on [0, r_max] with zero-flux boundaries.  The scheme is conservative:
 cell averages are updated from face fluxes weighted by the measure
 r^(N-1) e^g, so the weighted mass telescopes exactly.  The time step is
 adaptive, from a Gershgorin bound on the frozen-coefficient update (see
-the stability note in ``_stable_dt``).
+the stability note in ``_explicit_kernel``).
 
 An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
 exists solely to calibrate the scheme against classical self-similar
@@ -210,108 +210,58 @@ def _flux_terms(u: np.ndarray, inv_dc: np.ndarray, eq: EquationParams,
     return d_fac, s
 
 
-def _stable_dt(d_fac: np.ndarray, face_coeffs: np.ndarray, inv_dc: np.ndarray,
-               inv_vols: np.ndarray, p: float, cfl: float) -> float:
-    """Gershgorin bound on the explicit update of the frozen-coefficient
-    operator: with face conductances c_f = w_f * max(p-1, 1) * D_f / dc_f,
-    forward Euler is stable for dt <= 1 / max_i (sum of adjacent c_f / V_i).
-    In the unweighted uniform case this is the classical dr^2/(2 (p-1) D)
-    rule; unlike that literal rule it also accounts for the face-to-volume
+def _explicit_kernel(grid: RadialGrid,
+                     config: SolverConfig) -> Callable[[SolverState, float], None]:
+    """The explicit conservative update on ``grid``, as a function
+    ``update(state, t_target)`` that advances the state in place by one
+    stable step, shortened to end exactly at ``t_target`` if it would
+    pass it.
+
+    Stability: with face conductances c_f = w_f * max(p-1, 1) * D_f / dc_f,
+    forward Euler on the frozen-coefficient operator is stable for
+    dt <= 1 / max_i (sum of adjacent c_f / V_i) (Gershgorin).  In the
+    unweighted uniform case this is the classical dr^2/(2 (p-1) D) rule;
+    unlike that literal rule it also accounts for the face-to-volume
     weight ratio, which grows near r = 0 (curvature) and wherever e^g
-    climbs across a cell.
+    climbs across a cell.  A state without flux steps by t_end * 1e-3.
     """
-    conduct = face_coeffs * (max(p - 1.0, 1.0) * inv_dc) * d_fac
-    rate = np.zeros(inv_vols.size)
-    rate[:-1] += conduct * inv_vols[:-1]
-    rate[1:] += conduct * inv_vols[1:]
-    peak = float(rate.max())
-    if peak <= 0.0:
-        return math.inf
-    return cfl / peak
-
-
-def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One explicit conservative update; chooses its own stable dt."""
-    grid = state.grid
-    inv_dc = 1.0 / np.diff(grid.centers)
-    inv_vols = 1.0 / grid.cell_weighted_volumes
-    d_fac, s = _flux_terms(state.u, inv_dc, config.eq, config.regularization_eps)
-    dt = _stable_dt(d_fac, grid.face_coeffs, inv_dc, inv_vols, config.eq.p,
-                    config.cfl_safety)
-    if not math.isfinite(dt):
-        dt = config.t_end * 1e-3
-    if dt < 1e-15 * config.t_end:
-        raise StiffnessError(
-            f"stable dt {dt:.3e} underflowed at t={state.t:.6g}; "
-            "coarsen the grid or change parameters"
-        )
-    flux = grid.face_coeffs * d_fac * s
-    dudt = np.empty_like(state.u)
-    dudt[0] = flux[0]
-    dudt[1:-1] = flux[1:] - flux[:-1]
-    dudt[-1] = -flux[-1]
-    dudt *= inv_vols
-    state.u += dt * dudt
-    neg = state.u < 0.0
-    if np.any(neg):
-        clip = float(-np.dot(state.u[neg], grid.cell_weighted_volumes[neg]))
-        state.clipped_mass += clip
-        state.max_step_clip = max(state.max_step_clip, clip)
-        state.u[neg] = 0.0
-    state.t += dt
-    state.last_dt = dt
-    return state
-
-
-def _advance(state: SolverState, config: SolverConfig, t_target: float) -> None:
-    """Advance in place to exactly ``t_target`` (tight loop version of
-    ``step`` with the time step capped at the remaining interval)."""
-    grid = state.grid
     eq = config.eq
-    p, m = eq.p, eq.m
     eps = config.regularization_eps
     cfl = config.cfl_safety
-    inv_dc = 1.0 / np.diff(grid.centers)
-    inv_vols = 1.0 / grid.cell_weighted_volumes
+    t_floor = 1e-15 * config.t_end
+    idle_dt = 1e-3 * config.t_end
     face_w = grid.face_coeffs
     vols = grid.cell_weighted_volumes
-    cond_scale = face_w * (max(p - 1.0, 1.0) * inv_dc)
-    t = state.t
-    u = state.u
-    t_floor = 1e-15 * config.t_end
-    fast_pm = (p == 2.0 and m == 2.0)
-    dudt = np.empty_like(u)
-    rate = np.empty_like(u)
-    while t < t_target:
-        if fast_pm:
-            ubar = 0.5 * (u[1:] + u[:-1])
-            np.maximum(ubar, 0.0, out=ubar)
-            d_fac = ubar
-            s = (u[1:] - u[:-1]) * inv_dc
-        else:
-            d_fac, s = _flux_terms(u, inv_dc, eq, eps)
+    inv_dc = 1.0 / np.diff(grid.centers)
+    inv_vols = 1.0 / vols
+    cond_scale = face_w * (max(eq.p - 1.0, 1.0) * inv_dc)
+    rate = np.empty_like(vols)
+    dudt = np.empty_like(vols)
+
+    def update(state: SolverState, t_target: float) -> None:
+        u = state.u
+        d_fac, s = _flux_terms(u, inv_dc, eq, eps)
         conduct = cond_scale * d_fac
         rate[:] = 0.0
         rate[:-1] += conduct * inv_vols[:-1]
         rate[1:] += conduct * inv_vols[1:]
         peak = rate.max()
-        dt = cfl / peak if peak > 0.0 else (t_target - t)
+        dt = cfl / peak if peak > 0.0 else idle_dt
         if dt < t_floor:
-            state.t = t
             raise StiffnessError(
-                f"stable dt {dt:.3e} underflowed at t={t:.6g}; "
+                f"stable dt {dt:.3e} underflowed at t={state.t:.6g}; "
                 "coarsen the grid or change parameters"
             )
-        if t + dt >= t_target:
-            dt = t_target - t
-            t = t_target
+        if state.t + dt >= t_target:
+            dt = t_target - state.t
+            state.t = t_target
         else:
-            t += dt
+            state.t += dt
         flux = face_w * d_fac * s
         dudt[0] = flux[0]
         dudt[1:-1] = flux[1:] - flux[:-1]
         dudt[-1] = -flux[-1]
-        dudt *= inv_vols
+        np.multiply(dudt, inv_vols, out=dudt)
         u += dt * dudt
         if u.min() < 0.0:
             neg = u < 0.0
@@ -320,7 +270,21 @@ def _advance(state: SolverState, config: SolverConfig, t_target: float) -> None:
             state.max_step_clip = max(state.max_step_clip, clip)
             u[neg] = 0.0
         state.last_dt = dt
-    state.t = t
+
+    return update
+
+
+def step(state: SolverState, config: SolverConfig) -> SolverState:
+    """One explicit conservative update; chooses its own stable dt."""
+    _explicit_kernel(state.grid, config)(state, math.inf)
+    return state
+
+
+def _advance(state: SolverState, config: SolverConfig, t_target: float) -> None:
+    """Advance in place to exactly ``t_target``."""
+    update = _explicit_kernel(state.grid, config)
+    while state.t < t_target:
+        update(state, t_target)
 
 
 def default_output_times(t_end: float, n: int = 61, decades: float = 4.0) -> np.ndarray:

@@ -39,6 +39,9 @@ KIND_UNWEIGHTED = "unweighted"
 ENVELOPE_RTOL = 1e-10
 #: |g(s) - z| <= INVERT_RTOL * max(1, z) for the inverse
 INVERT_RTOL = 1e-12
+#: radii per batched 20-point anchor-panel evaluation; bounds the
+#: temporaries of g to 512 * 20 nodes each
+PRIMITIVE_BATCH = 512
 #: relative finite-difference step for monotonicity checks
 FD_REL_STEP = 1e-5
 #: relative truncation tolerance for finite-difference slopes
@@ -105,43 +108,29 @@ class WeightSpec:
         Anchors are ~10 per decade over [1e-12, 1e16]; a single 20-point
         panel from the nearest anchor then recovers int_0^s g to machine
         precision for arbitrary s (g is smooth between anchors; the
-        branch point at 0 sits inside the first adaptive stub).
+        branch point at 0 sits inside the first panel, [0, 1e-12]).
         """
         anchors = self._cache.get("anchors")
         if anchors is None:
             s_grid = np.geomspace(1e-12, 1e16, 281)
-            stub, _ = quadrature.adaptive(self.g_eval, 0.0, s_grid[0], rel_tol=1e-13)
-            cum = quadrature.cumulative(self.g_eval, s_grid, rel_tol=1e-13) + stub
+            cum = quadrature.cumulative(self.g_eval, np.concatenate([[0.0], s_grid]),
+                                        rel_tol=1e-13)[1:]
             anchors = (s_grid, cum)
             self._cache["anchors"] = anchors
         return anchors
 
     def g_primitive(self, s: float, rel_tol: float = 1e-12) -> float:
-        """int_0^s g(z) dz (closed form for powers, anchored panels else).
-
-        Near 0 the integrand is graded geometrically: g(z) <= g(1) * z**alpha1
-        for z < 1 keeps the stub benign.
-        """
-        if s < 0:
-            raise InvalidParameterError("primitive requires s >= 0")
-        if s == 0.0:
-            return 0.0
-        if self.kind == KIND_POWER:
-            a = self.params["alpha"]
-            return s ** (a + 1.0) / (a + 1.0)
-        if self.kind == KIND_UNWEIGHTED:
-            return 0.0
-        s_grid, cum = self._primitive_anchors()
-        if s < s_grid[0]:
-            val, _ = quadrature.adaptive(self.g_eval, 0.0, s, rel_tol=rel_tol)
-            return val
-        if s > s_grid[-1]:
-            raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")
-        idx = int(np.searchsorted(s_grid, s, side="right") - 1)
-        return float(cum[idx]) + quadrature.gl_fixed(self.g_eval, float(s_grid[idx]), s)
+        """int_0^s g(z) dz; one point of ``g_primitive_many``."""
+        return float(self.g_primitive_many(s, rel_tol=rel_tol)[0])
 
     def g_primitive_many(self, ss: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-        """Vectorized primitive over an array of radii."""
+        """int_0^s g(z) dz over an array of radii (closed form for powers,
+        anchored panels else).
+
+        Radii below the first anchor share one cumulative pass over
+        breakpoints graded geometrically toward 0, where g(z) <= g(1) *
+        z**alpha1 for z < 1 keeps the branch point benign.
+        """
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
         if np.any(ss < 0):
             raise InvalidParameterError("primitive requires s >= 0")
@@ -150,7 +139,22 @@ class WeightSpec:
             return np.power(ss, a + 1.0) / (a + 1.0)
         if self.kind == KIND_UNWEIGHTED:
             return np.zeros_like(ss)
-        return np.array([self.g_primitive(float(s), rel_tol=rel_tol) for s in ss])
+        s_grid, cum = self._primitive_anchors()
+        if np.any(ss > s_grid[-1]):
+            raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")
+        out = np.zeros_like(ss)
+        low = (ss > 0.0) & (ss < s_grid[0])
+        if np.any(low):
+            s_low = ss[low]
+            bp = np.union1d(quadrature.geometric_breakpoints(0.0, float(s_low.max())), s_low)
+            out[low] = quadrature.cumulative(self.g_eval, bp, rel_tol=rel_tol)[
+                np.searchsorted(bp, s_low)]
+        high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
+        idx = np.searchsorted(s_grid, ss[high], side="right") - 1
+        for k in range(0, high.size, PRIMITIVE_BATCH):
+            i, j = high[k:k + PRIMITIVE_BATCH], idx[k:k + PRIMITIVE_BATCH]
+            out[i] = cum[j] + quadrature.gl_fixed(self.g_eval, s_grid[j], ss[i])
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Command line front end: config validation, outputs, determinism."""
 
+import configparser
+
 import numpy as np
 import pytest
 
-from expdiff import cli
+from expdiff import cli, weights
+from expdiff.errors import InvalidParameterError
 
 POWER_INI = """
 [weight]
@@ -240,3 +243,70 @@ def test_missing_config(tmp_path):
     rc = cli.main(["simulate", "--config", str(tmp_path / "none.ini"),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+SWEEP_SECTIONS = """
+[grid]
+r_max = 40
+n_cells = 200
+[simulate]
+t_end = 1e4
+"""
+
+SWEEP_OVERRIDE = {"alpha": 0.4, "p": 2.0, "m": 2.0, "t_end": 1e4}
+
+
+def _cfg(text):
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cfg.read_string(text)
+    return cfg
+
+
+def test_sweep_keeps_zygmund_weight():
+    scfg = cli._solver_config(_cfg(ZYGMUND_INI + SWEEP_SECTIONS), False,
+                              override=SWEEP_OVERRIDE)
+    assert scfg.weight.kind == "zygmund"
+    assert scfg.weight.params == {"alpha": 0.4, "beta": 1.0, "c": 2.0}
+    assert scfg.weight.alpha2 == pytest.approx(1.4)
+
+
+@pytest.mark.parametrize("weight_section", [
+    "[weight]\nkind = unweighted\n",
+    "[weight]\nkind = custom\ng_expr = s\ng_prime_expr = 1 + 0 * s\n"
+    "alpha1 = 1\nalpha2 = 1\n",
+])
+def test_sweep_refuses_weight_without_alpha(weight_section):
+    cfg = _cfg(weight_section + "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
+               + SWEEP_SECTIONS)
+    kind = cfg["weight"]["kind"]
+    with pytest.raises(InvalidParameterError, match=kind):
+        cli._solver_config(cfg, True, override=SWEEP_OVERRIDE)
+
+
+@pytest.mark.parametrize("expr", [
+    "s.__class__.__name__",
+    "(1).__class__.__mro__[-1].__subclasses__()",
+    "pi(2)",
+    "exp(s, out=s)",
+    "__import__('os')",
+])
+def test_expression_sandbox_rejects(expr):
+    with pytest.raises(InvalidParameterError):
+        cli._compile_expr(expr)
+
+
+def test_readme_custom_weight_example():
+    cfg = _cfg("""
+[weight]
+kind = custom
+g_expr = sqrt(s) * log(2 + s)
+g_prime_expr = 0.5 / sqrt(s) * log(2 + s) + sqrt(s) / (2 + s)
+alpha1 = 0.5
+alpha2 = 1.5
+""")
+    w = cli.build_weight(cfg)
+    samples = np.geomspace(1e-3, 1e3, 200)
+    assert weights.validate_envelope(w, samples).passed
+    ref = weights.make_zygmund_weight(0.5, 1.0, 2.0)
+    np.testing.assert_allclose(w.g(samples), ref.g(samples), rtol=1e-15)
+    np.testing.assert_allclose(w.gp(samples), ref.gp(samples), rtol=1e-14)

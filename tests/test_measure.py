@@ -108,7 +108,7 @@ class TestMass:
             M.mass(growing_n3, faces, u)
 
     def test_cell_volume_accuracy(self, growing_n3):
-        # each cached volume equals a direct adaptive quadrature to 1e-10
+        # each volume equals a direct adaptive quadrature to 1e-10
         faces = np.linspace(0.0, 2.0, 17)
         vols = M.cell_weighted_volumes(growing_n3, faces)
         omega = M.sphere_area(3)
@@ -117,9 +117,3 @@ class TestMass:
                                          float(faces[i]), float(faces[i + 1]),
                                          rel_tol=1e-12)
             assert vols[i] == pytest.approx(direct, rel=1e-10)
-
-    def test_volume_cache_reused(self, growing_n3):
-        faces = np.linspace(0.0, 1.0, 21)
-        v1 = M.cell_weighted_volumes(growing_n3, faces)
-        v2 = M.cell_weighted_volumes(growing_n3, faces)
-        assert v1 is v2

@@ -7,6 +7,7 @@ expressions.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,19 @@ class TestSmoothedExponent:
         prim = zygmund.g_primitive(s)
         assert g_s * s / (zygmund.alpha2 + 1.0) <= prim * (1 + 1e-12)
         assert prim <= g_s * s / (zygmund.alpha1 + 1.0) * (1 + 1e-12)
+
+    def test_primitive_many_oracle(self, zygmund):
+        # mpmath 40-digit quadrature of int_0^s sqrt(z) log(2+z) dz; the
+        # points below 1e-12 sit under the first anchor of the table
+        mp.mp.dps = 40
+        ss = np.concatenate([[1e-15, 3e-14, 7e-13], np.geomspace(1e-12, 1e6, 19),
+                             [2.5e-3, 0.77, 4.2e5]])
+        got = zygmund.g_primitive_many(ss)
+        for s, val in zip(ss, got):
+            s_mp = mp.mpf(float(s))
+            nodes = [0, s_mp] if s <= 1 else [0, 1, mp.sqrt(s_mp), s_mp]
+            exact = mp.quad(lambda z: mp.sqrt(z) * mp.log(2 + z), nodes)
+            assert val == pytest.approx(float(exact), rel=1e-12), s
 
     def test_sandwich_bulk(self, zygmund):
         rng = np.random.default_rng(42)
