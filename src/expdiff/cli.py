@@ -19,6 +19,7 @@ Config sections (keys shown with defaults where sensible)::
                         n_outputs = 97   output_decades = 8
                         cfl_safety = 0.4  support_threshold_rel = 1e-12
                         normalize = false
+                        regularization_eps = 0
     [weight_check]      s_min = 1e-3  s_max = 1e3  n_samples = 200
                         tau_grid = 1e2, 1e4, 1e6, 1e8
     [inequalities]      kinds = poincare, radial_sobolev, bounded_sobolev
@@ -26,6 +27,7 @@ Config sections (keys shown with defaults where sensible)::
     [sweep]             alphas = 0.4, 0.5, 0.7   (power or zygmund weight;
                         beta and c stay as configured)
                         ps = 2.0   ms = 2.0
+                        t_ends = 1e6, 1e6, 1e6   (optional, one per alpha)
 """
 
 from __future__ import annotations
@@ -408,17 +410,21 @@ def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
 
 
 def _sweep_one(args):
+    """One sweep row; an ExpdiffError empties its numbers and is its status."""
     cfg_path, alpha, p, m, t_end, allow_unweighted = args
-    cfg = _load_config(cfg_path)
-    scfg = _solver_config(cfg, allow_unweighted,
-                          override={"alpha": alpha, "p": p, "m": m,
-                                    "t_end": t_end})
-    traj = solver.run(scfg)
-    rep = solver.fit_rates(traj, solver.SUPPORT_ENVELOPE, scfg.weight, scfg.eq)
-    sup_rep = solver.fit_rates(traj, solver.SUP_ENVELOPE, scfg.weight, scfg.eq)
+    try:
+        cfg = _load_config(cfg_path)
+        scfg = _solver_config(cfg, allow_unweighted,
+                              override={"alpha": alpha, "p": p, "m": m,
+                                        "t_end": t_end})
+        traj = solver.run(scfg)
+        rep = solver.fit_rates(traj, solver.SUPPORT_ENVELOPE, scfg.weight, scfg.eq)
+        sup_rep = solver.fit_rates(traj, solver.SUP_ENVELOPE, scfg.weight, scfg.eq)
+    except ExpdiffError as exc:
+        return (alpha, p, m, "", "", "", "", "", "", str(exc))
     return (alpha, p, m, traj.mass0, rep.slope, rep.target_slope,
             abs(rep.slope - rep.target_slope) / abs(rep.target_slope),
-            rep.c_fit, sup_rep.band_max / sup_rep.band_min)
+            rep.c_fit, sup_rep.band_max / sup_rep.band_min, "ok")
 
 
 def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
@@ -442,12 +448,13 @@ def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
     meta = {"seed": seed, "jobs_invariant": "aggregation ordered by config"}
     write_csv(out / "sweep.csv",
               ["alpha", "p", "m", "mass0", "support_slope", "target_slope",
-               "slope_rel_err", "c_fit", "sup_band_ratio"],
+               "slope_rel_err", "c_fit", "sup_band_ratio", "status"],
               results, meta)
     for row in results:
-        print(f"alpha={row[0]:g} p={row[1]:g} m={row[2]:g}: "
-              f"slope={row[4]:.4f} target={row[5]:.4f} rel_err={row[6]:.3f}")
-    return 0
+        what = (f"slope={row[4]:.4f} target={row[5]:.4f} rel_err={row[6]:.3f}"
+                if row[-1] == "ok" else row[-1])
+        print(f"alpha={row[0]:g} p={row[1]:g} m={row[2]:g}: {what}")
+    return 0 if all(row[-1] == "ok" for row in results) else 1
 
 
 # ---------------------------------------------------------------------------

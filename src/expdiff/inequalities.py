@@ -69,16 +69,14 @@ class HardyPair:
     (int |v|^q w dr)^(1/q) <= C (int |v'|^p phi dr)^(1/p).
 
     Both our pairs share phi(r) = r**(N-1) exp(g(r)), whose dual
-    phi**(-1/(p-1)) is the decaying-tail density.
+    phi**(-1/(p-1)) is the decaying-tail density, so only w is stored.
     """
 
     w_density: Callable[[np.ndarray], np.ndarray]
-    phi_density: Callable[[np.ndarray], np.ndarray]
     q: float
     p: float
     weight: WeightSpec
     dim_n: int
-    w_scale: float = 1.0
 
     def __post_init__(self):
         if not (1.0 <= self.p <= self.q):
@@ -88,12 +86,8 @@ class HardyPair:
 
     def scaled(self, factor: float) -> "HardyPair":
         base = self.w_density
-        return HardyPair(
-            w_density=lambda r: factor * base(r),
-            phi_density=self.phi_density,
-            q=self.q, p=self.p, weight=self.weight, dim_n=self.dim_n,
-            w_scale=self.w_scale * factor,
-        )
+        return HardyPair(w_density=lambda r: factor * base(r),
+                         q=self.q, p=self.p, weight=self.weight, dim_n=self.dim_n)
 
 
 def poincare_pair(w: WeightSpec, eq: EquationParams) -> HardyPair:
@@ -104,16 +98,14 @@ def poincare_pair(w: WeightSpec, eq: EquationParams) -> HardyPair:
     def left(r):
         return lambda_many(w, r) ** p * grow.density(r)
 
-    return HardyPair(w_density=left, phi_density=grow.density,
-                     q=p, p=p, weight=w, dim_n=eq.dim_n)
+    return HardyPair(w_density=left, q=p, p=p, weight=w, dim_n=eq.dim_n)
 
 
 def sobolev_pair(w: WeightSpec, eq: EquationParams, q: float) -> HardyPair:
     """w = phi = r**(N-1) e^g with q in (p, Np/(N-p))."""
     _check_q_range(eq, q)
     grow = RadialMeasure(w, eq.dim_n, GROWING)
-    return HardyPair(w_density=grow.density, phi_density=grow.density,
-                     q=q, p=eq.p, weight=w, dim_n=eq.dim_n)
+    return HardyPair(w_density=grow.density, q=q, p=eq.p, weight=w, dim_n=eq.dim_n)
 
 
 def _check_q_range(eq: EquationParams, q: float) -> None:
@@ -131,14 +123,21 @@ class CriterionResult:
     samples: list  # [(r, A(r))]
 
 
+#: radii per level and levels of the zoom that refines the scanned argmax
+ZOOM_POINTS = 17
+ZOOM_LEVELS = 6
+
+
 def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
                         n_grid: int = 400) -> CriterionResult:
-    """Scan-and-refine estimate of the criterion supremum.
+    """Scan-and-zoom estimate of the criterion supremum.
 
     The profile A(r) is evaluated on a log-spaced grid (cumulative panel
-    integrals for the left factor, reverse-cumulative plus truncated
-    stub for the right tail), then refined by golden-section around the
-    discrete argmax.  Divergent tails raise CriterionInfiniteError.
+    integrals for the left factor, ``measure.tail_integrals`` of the dual
+    density for the right one).  Each zoom level then samples ZOOM_POINTS
+    equispaced radii between the neighbours of the best radius so far,
+    from one panel pass per factor; the best value of all is returned.
+    Divergent tails raise CriterionInfiniteError.
     """
     w = pair.weight
     p, q, n = pair.p, pair.q, pair.dim_n
@@ -151,68 +150,31 @@ def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
     r_lo = 1e-4
     grid = np.geomspace(r_lo, r_max, n_grid)
 
-    left_bp = np.concatenate([[0.0], grid])
-    left_cum = quadrature.cumulative(pair.w_density, left_bp, rel_tol=1e-11)[1:]
+    def profile_of(left, tails):
+        return left ** (1.0 / q) * tails ** ((p - 1.0) / p)
 
-    cutoff = measure._tail_cutoff(dual, float(grid[-1]))
-    if cutoff > grid[-1]:
-        ext = np.geomspace(grid[-1], cutoff, 40)[1:]
-    else:
-        ext = np.array([])
-    tail_bp = np.concatenate([grid, ext])
-    dual_f = _dual_density(pair)
-    segs, _ = quadrature.panels(dual_f, tail_bp[:-1], tail_bp[1:], rel_tol=1e-11,
-                                abs_floor=1e-300)
-    stub, _ = quadrature.adaptive(dual_f, float(tail_bp[-1]),
-                                  2.0 * float(tail_bp[-1]), rel_tol=1e-9,
-                                  abs_floor=1e-300)
-    # suffix sums right-to-left: adding small positives first avoids the
-    # catastrophic cancellation of total-minus-prefix at large r
-    suffix = np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]]) + stub
-    tails = suffix[: grid.size]
-
-    profile = left_cum ** (1.0 / q) * tails ** ((p - 1.0) / p)
+    left_cum = quadrature.cumulative(pair.w_density, np.concatenate([[0.0], grid]),
+                                     rel_tol=1e-11)[1:]
+    tails, _ = measure.tail_integrals(dual, np.ones_like, grid, rel_tol=1e-11)
+    profile = profile_of(left_cum, tails)
     j = int(np.argmax(profile))
     samples = list(zip(grid.tolist(), profile.tolist()))
+    best, best_r = float(profile[j]), float(grid[j])
 
-    def a_of(r: float) -> float:
-        k = int(np.searchsorted(tail_bp, r, side="right") - 1)
-        k = max(0, min(k, grid.size - 1))
-        dl, _ = quadrature.adaptive(pair.w_density, float(grid[k]), r, rel_tol=1e-11,
-                                    abs_floor=1e-11 * left_cum[k])
-        dt, _ = quadrature.adaptive(dual_f, r, float(tail_bp[k + 1]), rel_tol=1e-11,
-                                    abs_floor=1e-13 * max(suffix[k + 1], 1e-300))
-        return (left_cum[k] + dl) ** (1.0 / q) * (suffix[k + 1] + dt) ** ((p - 1.0) / p)
-
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, grid.size - 1)]
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = hi - gr * (hi - lo)
-    x2 = lo + gr * (hi - lo)
-    f1, f2 = a_of(x1), a_of(x2)
-    for _ in range(40):
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + gr * (hi - lo)
-            f2 = a_of(x2)
-        else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - gr * (hi - lo)
-            f1 = a_of(x1)
-    best_r = 0.5 * (lo + hi)
-    best = max(a_of(best_r), float(profile[j]))
+    x, left, right, k = grid, left_cum, tails, j
+    for _ in range(ZOOM_LEVELS):
+        lo, hi = max(k - 1, 0), min(k + 1, x.size - 1)
+        x_new = np.linspace(x[lo], x[hi], ZOOM_POINTS)
+        left = left[lo] + quadrature.cumulative(pair.w_density, x_new, rel_tol=1e-11)
+        segs, _ = quadrature.panels(dual.density, x_new[:-1], x_new[1:], rel_tol=1e-11,
+                                    abs_floor=1e-300)
+        right = right[hi] + np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
+        x = x_new
+        level = profile_of(left, right)
+        k = int(np.argmax(level))
+        if level[k] > best:
+            best, best_r = float(level[k]), float(x[k])
     return CriterionResult(beta_sup=best, argmax_r=best_r, samples=samples)
-
-
-def _dual_density(pair: HardyPair) -> Callable:
-    p = pair.p
-
-    def dual(r):
-        return np.asarray(pair.phi_density(r), dtype=float) ** (-1.0 / (p - 1.0))
-
-    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +190,8 @@ class PoincareConstants:
     numeric: float           # (kqp * beta_numeric)**p
 
 
-def poincare_constant(w: WeightSpec, eq: EquationParams,
-                      criterion: CriterionResult | None = None) -> PoincareConstants:
-    """Certified constant of the weighted Poincare inequality.
-
-    Requires the flux-monotonicity condition
-    (N-p)a1/(a1+1) + (p-1)(a1 - a2/(a2+1)) >= 0.  The closed form uses
-    c1 = (p-1)a1/(a2(a1+1)):  criterion_bound = (c1**(p-1)/a1)**(1/p).
-    A precomputed criterion scan may be passed to avoid rescanning.
-    """
+def _poincare_closed_form(w: WeightSpec, eq: EquationParams) -> tuple[float, float, float]:
+    """(criterion_bound, K(p,p), certified) of the weighted Poincare inequality."""
     cond = check_structural_conditions(w, eq)
     if not cond.flux_monotone_ok:
         raise PreconditionError(
@@ -246,14 +201,24 @@ def poincare_constant(w: WeightSpec, eq: EquationParams,
     c1 = (p - 1.0) * a1 / (a2 * (a1 + 1.0))
     bound = (c1 ** (p - 1.0) / a1) ** (1.0 / p)
     kk = k_qp(p, p)
-    crit = criterion if criterion is not None \
-        else hardy_criterion_sup(poincare_pair(w, eq))
+    return bound, kk, (kk * bound) ** p
+
+
+def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
+    """Certified constant of the weighted Poincare inequality.
+
+    Requires the flux-monotonicity condition
+    (N-p)a1/(a1+1) + (p-1)(a1 - a2/(a2+1)) >= 0.  The closed form uses
+    c1 = (p-1)a1/(a2(a1+1)):  criterion_bound = (c1**(p-1)/a1)**(1/p).
+    """
+    bound, kk, certified = _poincare_closed_form(w, eq)
+    beta = hardy_criterion_sup(poincare_pair(w, eq)).beta_sup
     return PoincareConstants(
         criterion_bound=bound,
-        beta_numeric=crit.beta_sup,
+        beta_numeric=beta,
         kqp=kk,
-        certified=(kk * bound) ** p,
-        numeric=(kk * crit.beta_sup) ** p,
+        certified=certified,
+        numeric=(kk * beta) ** eq.p,
     )
 
 
@@ -324,7 +289,7 @@ def bounded_sobolev_constant(w: WeightSpec, eq: EquationParams, q: float,
     p_star = n * p / (n - p)
     a = p * q / (q - p)
     theta = (q - p) / (p_star - p)
-    cp = poincare_constant(w, eq).certified
+    cp = _poincare_closed_form(w, eq)[2]
     c_grad = a2 * (a1 + 1.0) / a1
     c_one = talenti_constant(eq.dim_n, p) ** p * 2.0 ** (p - 1.0) * (
         1.0 + (c_grad / p) ** p * cp)
@@ -495,11 +460,9 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
     per_function = []
 
     if kind == POINCARE:
+        closed_bound, kk, certified = _poincare_closed_form(w, eq)
         crit = hardy_criterion_sup(poincare_pair(w, eq))
-        consts = poincare_constant(w, eq, criterion=crit)
-        certified = consts.certified
-        beta_sup, closed_bound, kk = crit.beta_sup, consts.criterion_bound, consts.kqp
-        samples = crit.samples
+        beta_sup, samples = crit.beta_sup, crit.samples
         for tf in family:
             lhs = measure.integrate(
                 grow, lambda r, tf=tf: lambda_many(w, r) ** p * tf.value(r) ** p,

@@ -104,6 +104,40 @@ def _tail_cutoff(meas: RadialMeasure, a: float) -> float:
     return hi
 
 
+def tail_integrals(meas: RadialMeasure, h: Callable, x: np.ndarray,
+                   rel_tol: float = INTEGRATE_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Tails ``int_{x_k}^inf h * density`` of the decaying measure at the
+    ascending points x, and conservative error estimates, from one panel
+    pass over the gaps of x, 39 geometric panels out to the truncation
+    point and the doubling check.  Suffix sums run right to left, which
+    avoids the cancellation of total-minus-prefix at large r.
+    """
+    if meas.direction != DECAYING_TAIL:
+        raise InvalidParameterError(
+            "infinite upper limit is only supported for the decaying tail"
+        )
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1 or x[0] < 0 or np.any(np.diff(x) < 0):
+        raise InvalidParameterError("tail points must be an ascending 1-d array >= 0")
+
+    def f(r):
+        return np.asarray(h(r), dtype=float) * meas.density(r)
+
+    start = max(float(x[-1]), 1e-300)
+    cutoff = _tail_cutoff(meas, start)
+    # the last panel, [cutoff, 2 cutoff], is the doubling check; a geometric
+    # series bounds the rest (each further doubling shrinks the integrand
+    # by at least the density collapse measured across that panel)
+    bp = np.concatenate([x, np.geomspace(start, cutoff, 40)[1:], [2.0 * cutoff]])
+    segs, errs = quadrature.panels(f, bp[:-1], bp[1:], rel_tol, abs_floor=1e-300)
+    d_ratio = float(meas.density(2.0 * cutoff)) / max(float(meas.density(cutoff)), 1e-300)
+    d_ratio = min(d_ratio, 0.5)
+    tail_bound = abs(segs[-1]) * d_ratio / (1.0 - d_ratio)
+    vals = np.cumsum(segs[::-1])[::-1][: x.size]
+    errs = np.cumsum(errs[::-1])[::-1][: x.size] + abs(segs[-1]) + tail_bound
+    return vals, errs
+
+
 def integrate(meas: RadialMeasure, h: Callable, a: float, b: float,
               rel_tol: float = INTEGRATE_RTOL) -> float:
     """Integral of h(r) * density(r) over (a, b); b may be inf for the
@@ -124,22 +158,8 @@ def integrate_with_error(meas: RadialMeasure, h: Callable, a: float, b: float,
         return np.asarray(h(r), dtype=float) * meas.density(r)
 
     if math.isinf(b):
-        if meas.direction != DECAYING_TAIL:
-            raise InvalidParameterError(
-                "infinite upper limit is only supported for the decaying tail"
-            )
-        cutoff = _tail_cutoff(meas, max(a, 1e-300))
-        val, err = quadrature.adaptive(f, a, cutoff, rel_tol=rel_tol)
-        # doubling check: integrate one more doubling explicitly, then bound
-        # the remainder by a geometric series (each further doubling shrinks
-        # the integrand by at least the density collapse just measured)
-        extra, err2 = quadrature.adaptive(f, cutoff, 2.0 * cutoff,
-                                          rel_tol=rel_tol,
-                                          abs_floor=rel_tol * abs(val))
-        d_ratio = float(meas.density(2.0 * cutoff)) / max(float(meas.density(cutoff)), 1e-300)
-        d_ratio = min(d_ratio, 0.5)
-        tail_bound = abs(extra) * d_ratio / (1.0 - d_ratio)
-        return val + extra, err + err2 + abs(extra) + tail_bound
+        vals, errs = tail_integrals(meas, h, np.array([a]), rel_tol=rel_tol)
+        return float(vals[0]), float(errs[0])
 
     if a == 0.0:
         bp = quadrature.geometric_breakpoints(0.0, b)

@@ -45,9 +45,10 @@ SUPPORT_THRESHOLD_REL = 1e-12
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Cell-centered uniform radial mesh with weighted cell volumes and
-    face coefficients omega * r^(N-1) e^g(r) at the interior faces."""
+    """Cell-centered uniform radial mesh for ``weight``, with weighted cell
+    volumes and face coefficients omega * r^(N-1) e^g(r) at the interior faces."""
 
+    weight: WeightSpec
     dim_n: int
     r_max: float
     n_cells: int
@@ -71,8 +72,8 @@ def make_grid(weight: WeightSpec, dim_n: int, r_max: float, n_cells: int) -> Rad
     omega = measure.sphere_area(dim_n)
     inner = faces[1:-1]
     face_coeffs = omega * meas.density(inner)
-    return RadialGrid(dim_n=dim_n, r_max=r_max, n_cells=n_cells, faces=faces,
-                      centers=centers, cell_weighted_volumes=vols,
+    return RadialGrid(weight=weight, dim_n=dim_n, r_max=r_max, n_cells=n_cells,
+                      faces=faces, centers=centers, cell_weighted_volumes=vols,
                       face_coeffs=face_coeffs)
 
 
@@ -110,7 +111,6 @@ class SolverConfig:
     t_end: float
     bump_radius: float = 1.0
     bump_height: float = 1.0
-    custom_profile: Callable[[np.ndarray], np.ndarray] | None = None
     output_times: Sequence[float] | None = None
     support_threshold_rel: float = SUPPORT_THRESHOLD_REL
     cfl_safety: float = 0.4
@@ -129,7 +129,7 @@ class SolverConfig:
             raise InvalidParameterError("cfl_safety must lie in (0, 1]")
         if not self.t_end > 0:
             raise InvalidParameterError("t_end must be positive")
-        if self.custom_profile is None and self.bump_radius > self.r_max / 8.0:
+        if self.bump_radius > self.r_max / 8.0:
             raise InvalidParameterError(
                 "bump radius must be at most r_max/8 to leave room for spreading"
             )
@@ -155,15 +155,8 @@ class Trajectory:
 
 def initial_state(config: SolverConfig) -> SolverState:
     grid = make_grid(config.weight, config.eq.dim_n, config.r_max, config.n_cells)
-    if config.custom_profile is not None:
-        u0 = np.asarray(config.custom_profile(grid.centers), dtype=float)
-        if u0.shape != grid.centers.shape:
-            raise InvalidParameterError("custom profile must map centers to cell averages")
-        if np.any(u0 < 0):
-            raise InvalidParameterError("initial data must be non-negative")
-    else:
-        core = 1.0 - (grid.centers / config.bump_radius) ** 2
-        u0 = config.bump_height * np.maximum(0.0, core)
+    core = 1.0 - (grid.centers / config.bump_radius) ** 2
+    u0 = config.bump_height * np.maximum(0.0, core)
     scale = 1.0
     mass_raw = float(np.dot(u0, grid.cell_weighted_volumes))
     if config.normalize:
@@ -435,7 +428,10 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_MAGIC = "expdiff-checkpoint-v1"
+CHECKPOINT_MAGIC = "expdiff-checkpoint-v2"
+#: header keys of a checkpoint that are SolverState float fields, in file order
+_CHECKPOINT_FLOATS = ("t", "mass0", "support_threshold", "clipped_mass",
+                      "max_step_clip", "scale_lambda", "last_dt")
 
 
 def save_checkpoint(path, state: SolverState) -> None:
@@ -443,40 +439,47 @@ def save_checkpoint(path, state: SolverState) -> None:
     grid = state.grid
     lines = [
         CHECKPOINT_MAGIC,
+        f"weight {grid.weight.label()}",
         f"dim_n {grid.dim_n}",
         f"r_max {grid.r_max:.17g}",
         f"n_cells {grid.n_cells}",
-        f"t {state.t:.17g}",
-        f"mass0 {state.mass0:.17g}",
-        f"support_threshold {state.support_threshold:.17g}",
-        f"clipped_mass {state.clipped_mass:.17g}",
-        f"max_step_clip {state.max_step_clip:.17g}",
-        "u",
     ]
+    lines.extend(f"{key} {getattr(state, key):.17g}" for key in _CHECKPOINT_FLOATS)
+    lines.append("u")
     lines.extend(f"{v:.17g}" for v in state.u)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(path, weight: WeightSpec) -> SolverState:
-    with open(path, encoding="utf-8") as fh:
+    """Read a checkpoint that ``save_checkpoint`` wrote for ``weight``;
+    InvalidParameterError for another format version, another weight
+    label, a truncated or malformed file, or a negative or non-finite u."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise InvalidParameterError(f"{path} is not a solver checkpoint")
-    head = {}
-    i = 1
-    while lines[i] != "u":
-        key, val = lines[i].split(maxsplit=1)
-        head[key] = val
-        i += 1
-    u = np.array([float(v) for v in lines[i + 1:] if v], dtype=float)
-    n_cells = int(head["n_cells"])
+        raise InvalidParameterError(f"{path} is not an {CHECKPOINT_MAGIC} file")
+    if "u" not in lines:
+        raise InvalidParameterError(f"{path} is truncated: it has no u line")
+    end = lines.index("u")
+    try:
+        head = {key: val for key, _, val in (line.partition(" ") for line in lines[1:end])}
+        dim_n, n_cells = int(head["dim_n"]), int(head["n_cells"])
+        r_max = float(head["r_max"])
+        values = {key: float(head[key]) for key in _CHECKPOINT_FLOATS}
+        u = np.array([float(v) for v in lines[end + 1:] if v], dtype=float)
+        label = head["weight"]
+    except KeyError as exc:
+        raise InvalidParameterError(f"{path} lacks the header key {exc}") from None
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path} is malformed: {exc}") from None
+    if label != weight.label():
+        raise InvalidParameterError(
+            f"{path} was saved for weight {label}, not {weight.label()}"
+        )
     if u.size != n_cells:
         raise InvalidParameterError("checkpoint cell count mismatch")
-    grid = make_grid(weight, int(head["dim_n"]), float(head["r_max"]), n_cells)
-    return SolverState(
-        grid=grid, t=float(head["t"]), u=u, mass0=float(head["mass0"]),
-        support_threshold=float(head["support_threshold"]),
-        clipped_mass=float(head["clipped_mass"]),
-        max_step_clip=float(head.get("max_step_clip", 0.0)),
-    )
+    if not np.all(np.isfinite(u) & (u >= 0)):
+        raise InvalidParameterError(f"{path} holds a negative or non-finite cell average")
+    grid = make_grid(weight, dim_n, r_max, n_cells)
+    return SolverState(grid=grid, u=u, **values)

@@ -103,7 +103,8 @@ class WeightSpec:
     # -- primitive of g and the smoothed exponent --------------------------
 
     def _primitive_anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached cumulative integral of g on a geometric anchor grid.
+        """Cached cumulative integral of g on a geometric anchor grid (or
+        the NumericFailureError of building it, raised again on each call).
 
         Anchors are ~10 per decade over [1e-12, 1e16]; a single 20-point
         panel from the nearest anchor then recovers int_0^s g to machine
@@ -113,10 +114,15 @@ class WeightSpec:
         anchors = self._cache.get("anchors")
         if anchors is None:
             s_grid = np.geomspace(1e-12, 1e16, 281)
-            cum = quadrature.cumulative(self.g_eval, np.concatenate([[0.0], s_grid]),
-                                        rel_tol=1e-13)[1:]
-            anchors = (s_grid, cum)
+            try:
+                cum = quadrature.cumulative(self.g_eval, np.concatenate([[0.0], s_grid]),
+                                            rel_tol=1e-13)[1:]
+                anchors = (s_grid, cum)
+            except NumericFailureError as exc:
+                anchors = exc.with_traceback(None)
             self._cache["anchors"] = anchors
+        if isinstance(anchors, NumericFailureError):
+            raise NumericFailureError(str(anchors), achieved=anchors.achieved)
         return anchors
 
     def g_primitive(self, s: float, rel_tol: float = 1e-12) -> float:

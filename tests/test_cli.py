@@ -1,6 +1,7 @@
 """Command line front end: config validation, outputs, determinism."""
 
 import configparser
+import csv
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ def test_sweep_independent_of_worker_count(power_cfg, tmp_path):
     a = (tmp_path / "j1" / "sweep.csv").read_bytes()
     b = (tmp_path / "j2" / "sweep.csv").read_bytes()
     assert a == b
+
+
+def test_sweep_keeps_rows_after_a_refusal(tmp_path):
+    # t_end = 20 leaves no large-time window, so the second fit is refused
+    path = tmp_path / "sw.ini"
+    path.write_text(POWER_INI.replace("alphas = 0.5", "alphas = 0.5, 0.5\nt_ends = 1e6, 20"))
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")])
+    assert rc == 1
+    lines = [l for l in (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    header, first, second = csv.reader(lines)
+    assert header[-1] == "status"
+    assert first[-1] == "ok" and float(first[4]) > 0
+    assert second[3:9] == [""] * 6
+    assert "large-time window" in second[-1]
 
 
 def test_unweighted_needs_flag(tmp_path):

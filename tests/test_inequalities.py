@@ -160,6 +160,16 @@ class TestBoundedSobolev:
         for s in np.linspace(0.05, big_r, 50):
             assert W.lambda_(w_half, float(s)) >= floor * (1 - 1e-12)
 
+    def test_no_criterion_scan(self, w_half, eq_ref, monkeypatch):
+        # the constant uses only the closed-form Poincare constant
+        def no_scan(*args, **kwargs):
+            raise AssertionError("bounded_sobolev_constant ran a criterion scan")
+
+        monkeypatch.setattr(I, "hardy_criterion_sup", no_scan)
+        c_total, lam_factor = I.bounded_sobolev_constant(w_half, eq_ref, 3.0, 2.0)
+        assert c_total == pytest.approx(1.670584981166962, rel=1e-14)
+        assert lam_factor == pytest.approx(2.0597671439071177, rel=1e-14)
+
     def test_alpha2_gate(self, eq_ref):
         z = W.make_zygmund_weight(0.5, 1.0, 2.0)
         with pytest.raises(PreconditionError):

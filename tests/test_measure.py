@@ -72,6 +72,20 @@ def test_tail_error_estimate_conservative(tail_n3):
         assert abs(val - exact) <= max(est, 1e-15 * exact)
 
 
+def test_tail_integrals_many_points(tail_n3):
+    # every tail of one pass matches mpmath and its own error estimate
+    mp.mp.dps = 40
+    x = np.array([0.3, 1.0, 2.5, 7.0, 40.0])
+    vals, errs = M.tail_integrals(tail_n3, ONES, x)
+    for a, val, est in zip(x, vals, errs):
+        exact = float(mp.quad(lambda z: z ** -2 * mp.exp(-mp.sqrt(z)),
+                              [a, 4 * a, 16 * a, mp.inf]))
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert abs(val - exact) <= max(est, 1e-15 * exact)
+    with pytest.raises(InvalidParameterError):
+        M.tail_integrals(tail_n3, ONES, x[::-1])
+
+
 def test_infinite_limit_needs_tail(growing_n3):
     with pytest.raises(InvalidParameterError):
         M.integrate(growing_n3, ONES, 0.0, math.inf)

@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 from expdiff import weights as W
 from expdiff.errors import (
     InvalidParameterError,
+    NumericFailureError,
     OutOfRangeError,
     PreconditionError,
 )
@@ -165,6 +166,26 @@ class TestSmoothedExponent:
     def test_requires_positive_s(self, power_half):
         with pytest.raises(InvalidParameterError):
             W.big_g(power_half, 0.0)
+
+    def test_failed_table_is_cached(self):
+        # g = e^s - 1 loses all digits near 0, so the anchor table cannot
+        # be built; a second call raises the same error without evaluating g
+        calls = []
+
+        def g(s):
+            calls.append(np.size(s))
+            return np.exp(s) - 1.0
+
+        w = W.make_custom_weight(g, np.exp, 1.0, 1.9)
+        with pytest.raises(NumericFailureError) as first:
+            w.g_primitive_many(np.array([0.5, 2.0]))
+        assert calls
+        calls.clear()
+        with pytest.raises(NumericFailureError) as second:
+            w.g_primitive_many(np.array([0.5, 2.0]))
+        assert calls == []
+        assert str(second.value) == str(first.value)
+        assert second.value.achieved == first.value.achieved
 
 
 class TestLambda:
