@@ -17,7 +17,6 @@ Config sections (keys shown with defaults where sensible)::
     [grid]              r_max = 40  n_cells = 800
     [simulate]          t_end = 1e6   bump_radius = 1   bump_height = 1
                         n_outputs = 97   output_decades = 8
-                        cfl_safety = 0.4  support_threshold_rel = 1e-12
                         normalize = false
                         regularization_eps = 0
     [weight_check]      s_min = 1e-3  s_max = 1e3  n_samples = 200
@@ -154,7 +153,7 @@ def _load_config(path: str) -> configparser.ConfigParser:
 # weight-check
 
 
-def cmd_weight_check(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
+def cmd_weight_check(cfg, out: Path, seed: int) -> int:
     w = build_weight(cfg)
     if not w.is_weighted:
         raise InvalidParameterError(
@@ -236,7 +235,7 @@ def cmd_weight_check(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
 # inequalities
 
 
-def cmd_inequalities(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
+def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     w = build_weight(cfg)
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
@@ -325,8 +324,6 @@ def _solver_config(cfg, allow_unweighted: bool,
         t_end=t_end, output_times=outs,
         bump_radius=sim.getfloat("bump_radius", fallback=1.0),
         bump_height=sim.getfloat("bump_height", fallback=1.0),
-        support_threshold_rel=sim.getfloat("support_threshold_rel", fallback=1e-12),
-        cfl_safety=sim.getfloat("cfl_safety", fallback=0.4),
         regularization_eps=sim.getfloat("regularization_eps", fallback=0.0),
         normalize=sim.getboolean("normalize", fallback=False),
         allow_unweighted=allow_unweighted,
@@ -478,9 +475,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.command == "weight-check":
-            return cmd_weight_check(cfg, out, args.seed, args.allow_unweighted)
+            return cmd_weight_check(cfg, out, args.seed)
         if args.command == "inequalities":
-            return cmd_inequalities(cfg, out, args.seed, args.allow_unweighted)
+            return cmd_inequalities(cfg, out, args.seed)
         if args.command == "simulate":
             return cmd_simulate(cfg, out, args.seed, args.allow_unweighted)
         return cmd_sweep(cfg, out, args.seed, args.allow_unweighted,

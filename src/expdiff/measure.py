@@ -172,7 +172,7 @@ def cell_weighted_volumes(meas: RadialMeasure, faces: np.ndarray) -> np.ndarray:
     """omega_{N-1} * int_cell r**(N-1) exp(g) dr for every cell of the mesh.
 
     One ``quadrature.panels`` pass over the cells; in practice only the
-    cell touching r = 0 needs its adaptive fallback.
+    cell touching r = 0 needs refinement.
     """
     if meas.direction != GROWING:
         raise InvalidParameterError("cell volumes are defined for the growing measure")

@@ -1,20 +1,17 @@
-"""Composite Gauss-Legendre quadrature: batched fixed panels with a
-local adaptive fallback.
+"""Composite Gauss-Legendre quadrature over batched panels.
 
 All integrands are expected to be vectorized over numpy arrays.  Each
 panel carries an error estimate, the difference of its 10- and
 20-point rules.  ``panels`` integrates many panels at once, calling the
-integrand once per rule on all nodes, and hands only the panels whose
-estimate misses the tolerance to ``adaptive``.  ``adaptive`` keeps a
-worklist of sub-panels and refines the worst one until the summed
-estimate meets the relative tolerance.  Every integral over a partition
-(cumulative integrals, graded breakpoints, cell volumes, criterion
-tails) goes through ``panels``.
+integrand once per rule on all nodes, and refines the panels that miss
+their tolerance level by level, with one batched rule pair per level
+for the sub-panels of all of them; ``adaptive`` is its one-panel call.
+Every integral over a partition (cumulative integrals, graded
+breakpoints, cell volumes, criterion tails) goes through ``panels``.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
@@ -23,8 +20,15 @@ from .errors import NumericFailureError
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-#: hard cap on the number of panels before giving up
+#: hard cap on the sub-panels one ``panels`` call may add before giving up
 MAX_PANELS = 20_000
+#: equal children of each split sub-panel
+CHILDREN = 4
+#: consecutive levels that cut a panel's error estimate by less than 5%
+#: before its integrand is taken to be noisy at the tolerance
+STALL_LEVELS = 16
+
+_SPLIT_POINTS = np.linspace(0.0, 1.0, CHILDREN + 1)
 
 
 def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -33,109 +37,98 @@ def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[order]
 
 
-def gl_fixed(f: Callable, a, b, order: int = 20):
-    """Fixed-order Gauss-Legendre rule on the panel [a, b].
-
-    ``a`` and ``b`` may be equal-shape numpy arrays of panel ends; f is
-    then called once on all their nodes and the result has their shape.
-    """
+def gl_fixed(f: Callable, a: np.ndarray, b: np.ndarray, order: int = 20) -> np.ndarray:
+    """Fixed-order Gauss-Legendre rule on the panels [a, b] of two
+    equal-shape arrays; f is called once on all their nodes and the
+    result has their shape."""
     x, w = _nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    if not isinstance(half, np.ndarray):
-        # one panel, as in each refinement of ``adaptive``: the batch
-        # reshaping below would double the cost of a refinement
-        return half * float(np.dot(w, f(mid + half * x)))
     nodes = mid[..., None] + half[..., None] * x
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     return half * (vals @ w)
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """Return (value, error estimate) from the 10/20 point rule pair."""
-    coarse = gl_fixed(f, a, b, order=10)
+def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of the 10/20-point rule pair on [a, b]."""
     fine = gl_fixed(f, a, b, order=20)
-    return fine, abs(fine - coarse)
-
-
-def adaptive(
-    f: Callable,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-12,
-    abs_floor: float = 0.0,
-    max_panels: int = MAX_PANELS,
-) -> tuple[float, float]:
-    """Integrate f over [a, b] to relative tolerance ``rel_tol``.
-
-    Returns (value, error_estimate).  Raises NumericFailureError (with
-    the achieved estimate attached) if the panel budget is exhausted.
-    """
-    if a == b:
-        return 0.0, 0.0
-    if b < a:
-        val, err = adaptive(f, b, a, rel_tol, abs_floor, max_panels)
-        return -val, err
-
-    val, err = _panel(f, a, b)
-    # heap entries: (-err, a, b, val); tie-break by interval bounds
-    heap = [(-err, a, b, val)]
-    total_val = val
-    total_err = err
-    n_panels = 1
-    stagnant = 0
-    while total_err > max(rel_tol * abs(total_val), abs_floor, 1e-300):
-        if n_panels >= max_panels or stagnant >= 64:
-            raise NumericFailureError(
-                f"quadrature did not converge on [{a:g}, {b:g}]: "
-                f"estimated error {total_err:.3e} after {n_panels} panels"
-                + (" (stalled; integrand may be noisy at this tolerance)"
-                   if stagnant >= 64 else ""),
-                achieved=total_err,
-            )
-        neg_err, pa, pb, pval = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # interval at floating point resolution; accept as is
-            heapq.heappush(heap, (0.0, pa, pb, pval))
-            total_err += neg_err  # remove this panel's error from the budget
-            if total_err <= max(rel_tol * abs(total_val), abs_floor, 1e-300):
-                break
-            continue
-        lval, lerr = _panel(f, pa, mid)
-        rval, rerr = _panel(f, mid, pb)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr + neg_err
-        # a split that barely reduces the estimate signals an integrand
-        # evaluated with cancellation noise: bail out before burning panels
-        if -neg_err > 0 and (lerr + rerr) > 0.95 * (-neg_err):
-            stagnant += 1
-        else:
-            stagnant = 0
-        heapq.heappush(heap, (-lerr, pa, mid, lval))
-        heapq.heappush(heap, (-rerr, mid, pb, rval))
-        n_panels += 1
-    return total_val, total_err
+    return fine, np.abs(fine - gl_fixed(f, a, b, order=10))
 
 
 def panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
            abs_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over the panels [lo_k, hi_k] of two 1-d arrays.
 
-    One batched 10/20-point pass covers every panel.  A panel whose two
-    rules differ by more than ``max(rel_tol * |value|, abs_floor)`` is
-    integrated again by ``adaptive`` with the same tolerance, so each
-    returned value meets the tolerance on its own panel.  Returns
-    (values, error estimates).
+    Each panel is refined until its error estimate is at most
+    ``max(rel_tol * |value|, abs_floor, 1e-300)``; a sub-panel too
+    narrow to split is accepted as it is and its error leaves the
+    estimate.  Returns (values, error estimates).  Raises
+    NumericFailureError, naming the worst unconverged panel, when the
+    call would add more than MAX_PANELS sub-panels or when a panel's
+    estimate stalls for STALL_LEVELS levels.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    values = gl_fixed(f, lo, hi, order=20)
-    errors = np.abs(values - gl_fixed(f, lo, hi, order=10))
-    for k in np.flatnonzero(errors > np.maximum(rel_tol * np.abs(values), abs_floor)):
-        values[k], errors[k] = adaptive(f, float(lo[k]), float(hi[k]),
-                                        rel_tol=rel_tol, abs_floor=abs_floor)
+    values, errors = _rule_pair(f, lo, hi)
+    n = values.size
+    floor = max(abs_floor, 1e-300)
+    tol = np.maximum(rel_tol * np.abs(values), floor)
+    # live sub-panels of the unconverged panels: owner, ends, value, error
+    own = np.flatnonzero(errors > tol)
+    a, b, sval, serr = lo[own], hi[own], values[own], errors[own]
+    stalled = np.zeros(n, dtype=int)
+    added = 0
+    while own.size:
+        count = np.bincount(own, minlength=n)
+        owners = np.flatnonzero(count)
+        edges = a[:, None] + (b - a)[:, None] * _SPLIT_POINTS
+        edges[:, -1] = b
+        serr[np.any(np.diff(edges, axis=1) <= 0.0, axis=1)] = 0.0  # too narrow to split
+        split = serr > tol[own] / count[own]
+        new = CHILDREN * np.count_nonzero(split)
+        stuck = owners[stalled[owners] >= STALL_LEVELS]
+        if added + new > MAX_PANELS or stuck.size:
+            worst = stuck if stuck.size else owners
+            k = worst[np.argmax(errors[worst] / tol[worst])]
+            raise NumericFailureError(
+                f"quadrature did not converge on [{lo[k]:g}, {hi[k]:g}]: "
+                f"estimated error {errors[k]:.3e} after {added} added sub-panels"
+                + (" (stalled; integrand may be noisy at this tolerance)"
+                   if stuck.size else ""),
+                achieved=float(errors[k]),
+            )
+        added += new
+        ca, cb = edges[split, :-1].ravel(), edges[split, 1:].ravel()
+        cval, cerr = _rule_pair(f, ca, cb)
+        own = np.concatenate([own[~split], np.repeat(own[split], CHILDREN)])
+        a, b = np.concatenate([a[~split], ca]), np.concatenate([b[~split], cb])
+        sval = np.concatenate([sval[~split], cval])
+        serr = np.concatenate([serr[~split], cerr])
+
+        old = errors[owners]
+        values[owners] = np.bincount(own, sval, minlength=n)[owners]
+        errors[owners] = np.bincount(own, serr, minlength=n)[owners]
+        tol = np.maximum(rel_tol * np.abs(values), floor)
+        # a level that barely cuts the estimate signals an integrand
+        # evaluated with cancellation noise: bail out before burning panels
+        stalled[owners] = np.where(errors[owners] > 0.95 * old, stalled[owners] + 1, 0)
+        live = errors[own] > tol[own]
+        own, a, b, sval, serr = own[live], a[live], b[live], sval[live], serr[live]
     return values, errors
+
+
+def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-12,
+             abs_floor: float = 0.0) -> tuple[float, float]:
+    """Integral of f over [a, b] (either order) to relative tolerance
+    ``rel_tol``: the one-panel call of ``panels``.  Returns (value,
+    error estimate)."""
+    if a == b:
+        return 0.0, 0.0
+    if b < a:
+        val, err = adaptive(f, b, a, rel_tol, abs_floor)
+        return -val, err
+    val, err = panels(f, np.array([a]), np.array([b]), rel_tol, abs_floor)
+    return float(val[0]), float(err[0])
 
 
 def cumulative(

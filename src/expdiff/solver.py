@@ -41,6 +41,8 @@ SUPPORT_ENVELOPE = "support_envelope"
 MASS_DRIFT_TOL = 1e-6
 #: fraction of sup(u0) below which a cell does not count as support
 SUPPORT_THRESHOLD_REL = 1e-12
+#: fraction of the Gershgorin-stable step taken by the explicit update
+CFL_SAFETY = 0.4
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,6 @@ class SolverConfig:
     bump_radius: float = 1.0
     bump_height: float = 1.0
     output_times: Sequence[float] | None = None
-    support_threshold_rel: float = SUPPORT_THRESHOLD_REL
-    cfl_safety: float = 0.4
     regularization_eps: float = 0.0
     allow_unweighted: bool = False
     normalize: bool = False
@@ -125,10 +125,12 @@ class SolverConfig:
                 "set allow_unweighted=True to use it"
             )
         self.eq.validate_with_weight(self.weight)
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise InvalidParameterError("cfl_safety must lie in (0, 1]")
         if not self.t_end > 0:
             raise InvalidParameterError("t_end must be positive")
+        for name in ("bump_height", "bump_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
         if self.bump_radius > self.r_max / 8.0:
             raise InvalidParameterError(
                 "bump radius must be at most r_max/8 to leave room for spreading"
@@ -165,7 +167,7 @@ def initial_state(config: SolverConfig) -> SolverState:
         scale = 1.0 / mass_raw
         u0 = u0 * scale
     mass0 = float(np.dot(u0, grid.cell_weighted_volumes))
-    threshold = config.support_threshold_rel * float(u0.max()) if u0.max() > 0 else 0.0
+    threshold = SUPPORT_THRESHOLD_REL * float(u0.max()) if u0.max() > 0 else 0.0
     return SolverState(grid=grid, t=0.0, u=u0, mass0=mass0,
                        support_threshold=threshold, scale_lambda=scale)
 
@@ -220,7 +222,6 @@ def _explicit_kernel(grid: RadialGrid,
     """
     eq = config.eq
     eps = config.regularization_eps
-    cfl = config.cfl_safety
     t_floor = 1e-15 * config.t_end
     idle_dt = 1e-3 * config.t_end
     face_w = grid.face_coeffs
@@ -239,7 +240,7 @@ def _explicit_kernel(grid: RadialGrid,
         rate[:-1] += conduct * inv_vols[:-1]
         rate[1:] += conduct * inv_vols[1:]
         peak = rate.max()
-        dt = cfl / peak if peak > 0.0 else idle_dt
+        dt = CFL_SAFETY / peak if peak > 0.0 else idle_dt
         if dt < t_floor:
             raise StiffnessError(
                 f"stable dt {dt:.3e} underflowed at t={state.t:.6g}; "

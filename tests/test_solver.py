@@ -102,6 +102,12 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             quick_config(r_max=8.0, bump_radius=2.0)
 
+    @pytest.mark.parametrize("bump", [dict(bump_height=-1.0), dict(bump_height=0.0),
+                                      dict(bump_height=math.nan), dict(bump_radius=0.0)])
+    def test_bump_must_be_positive(self, bump):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            quick_config(**bump)
+
     def test_unweighted_requires_flag(self, ):
         with pytest.raises(InvalidParameterError):
             S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0),
@@ -156,6 +162,27 @@ class TestUnweightedCalibration:
         assert slope == pytest.approx(-1.0 / 3.0, rel=0.10)
         drift = np.abs(traj.mass / traj.mass0 - 1.0).max()
         assert drift <= 1e-6
+
+    def test_barenblatt_exact_solution(self):
+        # the default bump (1 - r^2)_+ is the Barenblatt profile of
+        # u_t = (u u_x)_x at t0 = 1/6: u = T^(-1/3) (C - x^2 / (6 T^(2/3)))_+
+        # with T = t0 + t and C = 6^(-1/3); compare cell averages at t = 10
+        t_end, big_t, c = 10.0, 1.0 / 6.0 + 10.0, 6.0 ** (-1.0 / 3.0)
+        front = math.sqrt(6.0 * c) * big_t ** (1.0 / 3.0)
+        l1 = []
+        for n in (100, 200, 400):
+            cfg = S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0), weight=W.make_unweighted(),
+                                 r_max=8.0, n_cells=n, t_end=t_end, allow_unweighted=True)
+            st = S.initial_state(cfg)
+            S._advance(st, cfg, t_end)
+            x = np.minimum(st.grid.faces, front)
+            primitive = big_t ** (-1.0 / 3.0) * (c * x - x ** 3 / (18.0 * big_t ** (2.0 / 3.0)))
+            exact = np.diff(primitive) / st.grid.dr
+            l1.append(np.sum(np.abs(st.u - exact)) / np.sum(exact))
+            assert abs(st.support_radius() - front) <= 3.0 * st.grid.dr[0]
+        assert math.log2(l1[1] / l1[2]) >= 2.0
+        assert l1[2] <= 5.5e-5
+        assert st.sup() == pytest.approx(big_t ** (-1.0 / 3.0) * c, rel=2.6e-5)
 
 
 @pytest.fixture(scope="module")
