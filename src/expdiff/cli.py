@@ -358,22 +358,16 @@ def _fit_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
 
 
 def _envelope_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
-    rows = []
     if not scfg.weight.is_weighted:
-        return rows
+        return []
     par = env_mod.EnvelopeParams(eq=scfg.eq, weight=scfg.weight, mass0=traj.mass0)
-    for k in range(1, traj.times.size):
-        t = float(traj.times[k])
-        try:
-            se = env_mod.sup_envelope(par, t)
-            sup_ratio = traj.sup_u[k] / se
-        except ExpdiffError:
-            se, sup_ratio = math.nan, math.nan
-        re = env_mod.support_envelope(par, t)
-        rows.append((t, traj.sup_u[k], se, sup_ratio,
-                     traj.support_radius[k], re,
-                     traj.support_radius[k] / re if re > 0 else math.nan))
-    return rows
+    t, sup_u, radius = traj.times[1:], traj.sup_u[1:], traj.support_radius[1:]
+    late = par.large_time(t)
+    sup_env = np.full_like(t, math.nan)
+    sup_env[late] = env_mod.sup_envelope(par, t[late])
+    support_env = env_mod.support_envelope(par, t)
+    return list(zip(t, sup_u, sup_env, sup_u / sup_env,
+                    radius, support_env, radius / support_env))
 
 
 def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EnvelopeUndefinedError, InvalidParameterError, PreconditionError
 from .weights import (
     KIND_POWER,
@@ -50,34 +52,46 @@ class EnvelopeParams:
         if not self.weight.is_weighted:
             raise PreconditionError("envelopes are undefined for the unweighted mode")
 
-    def log_arg(self, t: float) -> float:
+    def log_arg(self, t):
         return t * self.mass0 ** self.eq.kappa
 
+    def large_time(self, t) -> np.ndarray:
+        """Mask of the times t > 0 with log(t * M**(p+m-3)) >= LOG_GATE,
+        where the large-time forms apply."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return (t > 0) & (np.log(self.log_arg(t)) >= LOG_GATE)
 
-def sup_envelope(par: EnvelopeParams, t: float) -> float:
-    """Decay envelope of the sup norm at time t (large-t validity gated)."""
-    if not t > 0:
+
+def sup_envelope(par: EnvelopeParams, t):
+    """Decay envelope of the sup norm at a time or an array of times, all
+    inside the large-time gate ``par.large_time``."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
         raise InvalidParameterError("requires t > 0")
-    arg = par.log_arg(t)
-    if arg <= 1.0 or math.log(arg) < LOG_GATE:
+    early = t[~par.large_time(t)]
+    if early.size:
         raise EnvelopeUndefinedError(
-            f"sup envelope needs log(t * mass**(p+m-3)) >= {LOG_GATE}, got t={t:g}"
+            f"sup envelope needs log(t * mass**(p+m-3)) >= {LOG_GATE}, got t={early[0]:g}"
         )
-    big_l = math.log(arg)
+    big_l = np.log(par.log_arg(t))
     kappa = par.eq.kappa
     s = invert_g(par.weight, big_l)
-    return (par.c_prefactor
-            * (s ** par.eq.p / big_l) ** (1.0 / kappa)
-            * t ** (-1.0 / kappa)
-            / par.mass0)
+    env = (par.c_prefactor
+           * (s ** par.eq.p / big_l) ** (1.0 / kappa)
+           * t ** (-1.0 / kappa)
+           / par.mass0)
+    return float(env) if t.ndim == 0 else env
 
 
-def support_envelope(par: EnvelopeParams, t: float) -> float:
-    """Support-radius envelope at time t >= 0 (defined for all t)."""
-    if t < 0:
+def support_envelope(par: EnvelopeParams, t):
+    """Support-radius envelope at a time or an array of times t >= 0
+    (defined for all t)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
         raise InvalidParameterError("requires t >= 0")
-    big_l = math.log(math.e + par.log_arg(t))
-    return par.c_prefactor * invert_g(par.weight, big_l)
+    env = par.c_prefactor * invert_g(par.weight, np.log(math.e + par.log_arg(t)))
+    return float(env) if t.ndim == 0 else env
 
 
 def power_sup_closed_form(par: EnvelopeParams, t: float) -> float:

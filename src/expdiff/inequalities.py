@@ -166,8 +166,7 @@ def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
         lo, hi = max(k - 1, 0), min(k + 1, x.size - 1)
         x_new = np.linspace(x[lo], x[hi], ZOOM_POINTS)
         left = left[lo] + quadrature.cumulative(pair.w_density, x_new, rel_tol=1e-11)
-        segs, _ = quadrature.panels(dual.density, x_new[:-1], x_new[1:], rel_tol=1e-11,
-                                    abs_floor=1e-300)
+        segs, _ = quadrature.panels(dual.density, x_new[:-1], x_new[1:], rel_tol=1e-11)
         right = right[hi] + np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
         x = x_new
         level = profile_of(left, right)
@@ -344,11 +343,9 @@ def f_profile_values(w: WeightSpec, eq: EquationParams, q: float,
     lam_grid = np.asarray(lam_grid, dtype=float)
     a = eq.p * q / (q - eq.p)
     base = invert_g(w, a) / a
-    vals = np.array([invert_g(w, a * lam) * math.exp(-lam) / (a * lam)
-                     for lam in lam_grid])
     return {
         "lam": lam_grid,
-        "f": vals,
+        "f": invert_g(w, a * lam_grid) * np.exp(-lam_grid) / (a * lam_grid),
         "bound_above_one": c4(w.alpha1) * base,
         "bound_below_one": c4(w.alpha2) * base,
     }

@@ -129,7 +129,7 @@ def tail_integrals(meas: RadialMeasure, h: Callable, x: np.ndarray,
     # series bounds the rest (each further doubling shrinks the integrand
     # by at least the density collapse measured across that panel)
     bp = np.concatenate([x, np.geomspace(start, cutoff, 40)[1:], [2.0 * cutoff]])
-    segs, errs = quadrature.panels(f, bp[:-1], bp[1:], rel_tol, abs_floor=1e-300)
+    segs, errs = quadrature.panels(f, bp[:-1], bp[1:], rel_tol)
     d_ratio = float(meas.density(2.0 * cutoff)) / max(float(meas.density(cutoff)), 1e-300)
     d_ratio = min(d_ratio, 0.5)
     tail_bound = abs(segs[-1]) * d_ratio / (1.0 - d_ratio)

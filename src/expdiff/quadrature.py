@@ -20,6 +20,8 @@ from .errors import NumericFailureError
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+#: absolute error every panel may keep, so that integrals of 0 converge
+ABS_FLOOR = 1e-300
 #: hard cap on the sub-panels one ``panels`` call may add before giving up
 MAX_PANELS = 20_000
 #: equal children of each split sub-panel
@@ -55,12 +57,12 @@ def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return fine, np.abs(fine - gl_fixed(f, a, b, order=10))
 
 
-def panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
-           abs_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
+           rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over the panels [lo_k, hi_k] of two 1-d arrays.
 
     Each panel is refined until its error estimate is at most
-    ``max(rel_tol * |value|, abs_floor, 1e-300)``; a sub-panel too
+    ``max(rel_tol * |value|, ABS_FLOOR)``; a sub-panel too
     narrow to split is accepted as it is and its error leaves the
     estimate.  Returns (values, error estimates).  Raises
     NumericFailureError, naming the worst unconverged panel, when the
@@ -71,8 +73,7 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
     hi = np.asarray(hi, dtype=float)
     values, errors = _rule_pair(f, lo, hi)
     n = values.size
-    floor = max(abs_floor, 1e-300)
-    tol = np.maximum(rel_tol * np.abs(values), floor)
+    tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
     # live sub-panels of the unconverged panels: owner, ends, value, error
     own = np.flatnonzero(errors > tol)
     a, b, sval, serr = lo[own], hi[own], values[own], errors[own]
@@ -108,7 +109,7 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
         old = errors[owners]
         values[owners] = np.bincount(own, sval, minlength=n)[owners]
         errors[owners] = np.bincount(own, serr, minlength=n)[owners]
-        tol = np.maximum(rel_tol * np.abs(values), floor)
+        tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
         # a level that barely cuts the estimate signals an integrand
         # evaluated with cancellation noise: bail out before burning panels
         stalled[owners] = np.where(errors[owners] > 0.95 * old, stalled[owners] + 1, 0)
@@ -117,17 +118,17 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
     return values, errors
 
 
-def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-12,
-             abs_floor: float = 0.0) -> tuple[float, float]:
+def adaptive(f: Callable, a: float, b: float,
+             rel_tol: float = 1e-12) -> tuple[float, float]:
     """Integral of f over [a, b] (either order) to relative tolerance
     ``rel_tol``: the one-panel call of ``panels``.  Returns (value,
     error estimate)."""
     if a == b:
         return 0.0, 0.0
     if b < a:
-        val, err = adaptive(f, b, a, rel_tol, abs_floor)
+        val, err = adaptive(f, b, a, rel_tol)
         return -val, err
-    val, err = panels(f, np.array([a]), np.array([b]), rel_tol, abs_floor)
+    val, err = panels(f, np.array([a]), np.array([b]), rel_tol)
     return float(val[0]), float(err[0])
 
 

@@ -135,6 +135,13 @@ class SolverConfig:
             raise InvalidParameterError(
                 "bump radius must be at most r_max/8 to leave room for spreading"
             )
+        if not 2.0 * self.n_cells * self.bump_radius > self.r_max:
+            # the bump is sampled at cell centres: a smaller one samples to u0 = 0
+            raise InvalidParameterError(
+                "bump_radius must be finite and positive and exceed the first cell "
+                f"centre r_max/(2 n_cells), got {self.bump_radius} with "
+                f"r_max={self.r_max}, n_cells={self.n_cells}"
+            )
 
 
 @dataclass(frozen=True)
@@ -162,12 +169,10 @@ def initial_state(config: SolverConfig) -> SolverState:
     scale = 1.0
     mass_raw = float(np.dot(u0, grid.cell_weighted_volumes))
     if config.normalize:
-        if not mass_raw > 0:
-            raise InvalidParameterError("cannot normalize zero initial mass")
         scale = 1.0 / mass_raw
         u0 = u0 * scale
     mass0 = float(np.dot(u0, grid.cell_weighted_volumes))
-    threshold = SUPPORT_THRESHOLD_REL * float(u0.max()) if u0.max() > 0 else 0.0
+    threshold = SUPPORT_THRESHOLD_REL * float(u0.max())
     return SolverState(grid=grid, t=0.0, u=u0, mass0=mass0,
                        support_threshold=threshold, scale_lambda=scale)
 
@@ -315,13 +320,12 @@ def run(config: SolverConfig) -> Trajectory:
                 f"numerical support reached r_max={boundary_face:g} at t={state.t:g}; "
                 "enlarge r_max"
             )
-        if state.mass0 > 0:
-            drift = abs(masses[-1] / state.mass0 - 1.0)
-            if drift > MASS_DRIFT_TOL:
-                raise MassConservationError(
-                    f"relative mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g} "
-                    f"at t={state.t:g}"
-                )
+        drift = abs(masses[-1] / state.mass0 - 1.0)
+        if drift > MASS_DRIFT_TOL:
+            raise MassConservationError(
+                f"relative mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g} "
+                f"at t={state.t:g}"
+            )
     return Trajectory(
         times=np.asarray(times), sup_u=np.asarray(sups),
         support_radius=np.asarray(supports), mass=np.asarray(masses),
@@ -351,15 +355,6 @@ class FitReport:
         return self.band_max / self.band_min if self.band_min > 0 else math.inf
 
 
-def _large_time_window(traj: Trajectory, eq: EquationParams) -> np.ndarray:
-    t = traj.times
-    gate = traj.mass0 ** eq.kappa
-    with np.errstate(divide="ignore"):
-        ok = np.where((t > 0) & (np.log(np.maximum(t * gate, 1e-300))
-                                 >= env_mod.LOG_GATE))[0]
-    return ok
-
-
 def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
               eq: EquationParams) -> FitReport:
     """Fit the large-time window of a trajectory against the predicted
@@ -375,7 +370,8 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
         raise InvalidParameterError(f"unknown fit model {model!r}")
     if not weight.is_weighted:
         raise FitRefusedError("envelope fits are undefined without a weight")
-    idx = _large_time_window(traj, eq)
+    par = env_mod.EnvelopeParams(eq=eq, weight=weight, mass0=traj.mass0)
+    idx = np.flatnonzero(par.large_time(traj.times))
     if idx.size < 5:
         raise FitRefusedError("too few samples in the large-time window")
     t_all = traj.times[idx]
@@ -388,8 +384,7 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
     idx = idx[keep]
     t = t_all[keep]
     last = t >= t[-1] / 10.0
-    kappa = eq.kappa
-    log_arg = np.log(math.e + t * traj.mass0 ** kappa)
+    log_arg = np.log(math.e + par.log_arg(t))
 
     if model == SUPPORT_ENVELOPE:
         radius = traj.support_radius[idx]
@@ -398,8 +393,7 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
         x = np.log(log_arg)
         y = np.log(radius)
         slope = float(np.polyfit(x, y, 1)[0])
-        ginv = np.array([invert_g(weight, z) for z in log_arg])
-        c_series = radius / ginv
+        c_series = radius / invert_g(weight, log_arg)
         c_last = c_series[last]
         c_fit = float(np.exp(np.mean(np.log(c_last))))
         target = 1.0 / weight.alpha1 if weight.alpha1 == weight.alpha2 else math.nan
@@ -410,10 +404,7 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
             extras={"c_series_spread": float(c_last.max() / c_last.min())},
         )
 
-    par = env_mod.EnvelopeParams(eq=eq, weight=weight, mass0=traj.mass0)
-    envelope = np.array([env_mod.sup_envelope(par, float(tt)) for tt in t])
-    sup = traj.sup_u[idx]
-    ratio = sup / envelope
+    ratio = traj.sup_u[idx] / env_mod.sup_envelope(par, t)
     r_last = ratio[last]
     slope = float(np.polyfit(np.log(t[last]), np.log(r_last), 1)[0])
     c_fit = float(np.exp(np.mean(np.log(r_last))))

@@ -39,6 +39,8 @@ KIND_UNWEIGHTED = "unweighted"
 ENVELOPE_RTOL = 1e-10
 #: |g(s) - z| <= INVERT_RTOL * max(1, z) for the inverse
 INVERT_RTOL = 1e-12
+#: largest radius the inverse brackets; targets beyond g(INVERT_CAP) are refused
+INVERT_CAP = 1e21
 #: radii per batched 20-point anchor-panel evaluation; bounds the
 #: temporaries of g to 512 * 20 nodes each
 PRIMITIVE_BATCH = 512
@@ -53,7 +55,6 @@ class WeightSpec:
     """Immutable weight exponent with declared envelope exponents.
 
     ``g_eval`` and ``g_prime`` must be vectorized over numpy arrays.
-    ``g_inverse`` is an optional closed-form inverse (set for powers).
     All operations are pure, so instances are safe to share across
     threads.
     """
@@ -63,8 +64,6 @@ class WeightSpec:
     alpha2: float
     g_eval: Callable[[np.ndarray], np.ndarray]
     g_prime: Callable[[np.ndarray], np.ndarray]
-    domain_cap: float = 1e15
-    g_inverse: Callable[[float], float] | None = None
     params: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -220,7 +219,7 @@ class EquationParams:
 # constructors
 
 
-def make_power_weight(alpha: float, domain_cap: float = 1e15) -> WeightSpec:
+def make_power_weight(alpha: float) -> WeightSpec:
     """g(s) = s**alpha; saturates the envelope with alpha1 = alpha2 = alpha."""
     if not alpha > 0:
         raise InvalidParameterError(f"power exponent must be positive, got {alpha}")
@@ -233,14 +232,11 @@ def make_power_weight(alpha: float, domain_cap: float = 1e15) -> WeightSpec:
 
     return WeightSpec(
         kind=KIND_POWER, alpha1=alpha, alpha2=alpha,
-        g_eval=g, g_prime=gp, domain_cap=domain_cap,
-        g_inverse=lambda z: z ** (1.0 / alpha),
-        params={"alpha": alpha},
+        g_eval=g, g_prime=gp, params={"alpha": alpha},
     )
 
 
-def make_zygmund_weight(alpha: float, beta: float, c: float,
-                        domain_cap: float = 1e15) -> WeightSpec:
+def make_zygmund_weight(alpha: float, beta: float, c: float) -> WeightSpec:
     """g(s) = s**alpha * log(c + s)**beta with alpha1 = alpha, alpha2 = alpha + beta."""
     if not alpha > 0:
         raise InvalidParameterError(f"requires alpha > 0, got {alpha}")
@@ -262,13 +258,12 @@ def make_zygmund_weight(alpha: float, beta: float, c: float,
 
     return WeightSpec(
         kind=KIND_ZYGMUND, alpha1=alpha, alpha2=alpha + beta,
-        g_eval=g, g_prime=gp, domain_cap=domain_cap,
-        params={"alpha": alpha, "beta": beta, "c": c},
+        g_eval=g, g_prime=gp, params={"alpha": alpha, "beta": beta, "c": c},
     )
 
 
-def make_custom_weight(g: Callable, g_prime: Callable, alpha1: float, alpha2: float,
-                       domain_cap: float = 1e15) -> WeightSpec:
+def make_custom_weight(g: Callable, g_prime: Callable, alpha1: float,
+                       alpha2: float) -> WeightSpec:
     """Wrap user-supplied g, g' with *declared* envelope exponents.
 
     The exponents are validated against samples by ``validate_envelope``,
@@ -278,7 +273,7 @@ def make_custom_weight(g: Callable, g_prime: Callable, alpha1: float, alpha2: fl
         kind=KIND_CUSTOM, alpha1=alpha1, alpha2=alpha2,
         g_eval=lambda s: np.asarray(g(np.asarray(s, dtype=float)), dtype=float),
         g_prime=lambda s: np.asarray(g_prime(np.asarray(s, dtype=float)), dtype=float),
-        domain_cap=domain_cap, params={},
+        params={},
     )
 
 
@@ -341,6 +336,19 @@ class ConditionReport:
 # operations
 
 
+def _band_report(name: str, at: np.ndarray, value: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, rtol: float) -> ValidationReport:
+    """Report of lo <= value <= hi at the sample points ``at``, each
+    violation measured relative to the bound it violates."""
+    viol = np.maximum(np.maximum((lo - value) / lo, (value - hi) / hi), 0.0)
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
+    return ValidationReport(
+        name=name, passed=worst <= rtol, worst_violation=worst, tolerance=rtol,
+        detail={"worst_at": float(at[k]), "n_samples": int(viol.size)},
+    )
+
+
 def validate_envelope(w: WeightSpec, samples: Sequence[float],
                       rtol: float = ENVELOPE_RTOL) -> ValidationReport:
     """Check alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s on the sample grid.
@@ -353,20 +361,8 @@ def validate_envelope(w: WeightSpec, samples: Sequence[float],
     if s.ndim != 1 or s.size == 0 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise InvalidParameterError("samples must be a strictly positive sorted grid")
     ratio = w.g(s) / s
-    gp = w.gp(s)
-    low = w.alpha1 * ratio
-    high = w.alpha2 * ratio
-    viol_low = np.maximum(0.0, (low - gp) / low)
-    viol_high = np.maximum(0.0, (gp - high) / high)
-    worst = float(max(viol_low.max(), viol_high.max()))
-    worst_at = float(s[np.argmax(np.maximum(viol_low, viol_high))])
-    return ValidationReport(
-        name="envelope alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s",
-        passed=worst <= rtol,
-        worst_violation=worst,
-        tolerance=rtol,
-        detail={"worst_at": worst_at, "n_samples": int(s.size)},
-    )
+    return _band_report("envelope alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s", s,
+                        w.gp(s), w.alpha1 * ratio, w.alpha2 * ratio, rtol)
 
 
 def big_g(w: WeightSpec, s: float, rel_tol: float = 1e-12) -> float:
@@ -378,13 +374,9 @@ def big_g(w: WeightSpec, s: float, rel_tol: float = 1e-12) -> float:
 
 
 def lambda_(w: WeightSpec, s: float) -> float:
-    """lam(s) = G'(s) = (g(s) - G(s)) / s, with lam(0) = 0."""
-    _require_weighted(w, "lam")
-    if s < 0:
-        raise InvalidParameterError("requires s >= 0")
-    if s == 0.0:
-        return 0.0
-    return (float(w.g(s)) - big_g(w, s)) / s
+    """lam(s) = G'(s) = (g(s) - G(s)) / s, with lam(0) = 0; one point of
+    ``lambda_many``."""
+    return float(lambda_many(w, s)[0])
 
 
 def lambda_prime(w: WeightSpec, s: float) -> float:
@@ -396,67 +388,84 @@ def lambda_prime(w: WeightSpec, s: float) -> float:
 
 
 def lambda_many(w: WeightSpec, ss: np.ndarray) -> np.ndarray:
-    """Vectorized lam over an array of radii (0 allowed)."""
+    """Vectorized lam over an array of radii s >= 0."""
     _require_weighted(w, "lam")
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
+    prim = w.g_primitive_many(ss)  # refuses s < 0
     out = np.zeros_like(ss)
-    pos = ss > 0
-    if np.any(pos):
-        sp = ss[pos]
-        prim = w.g_primitive_many(sp)
-        out[pos] = (w.g(sp) - prim / sp) / sp
+    pos = ss != 0.0  # lam(0) = 0; a NaN radius gives NaN
+    sp = ss[pos]
+    out[pos] = (w.g(sp) - prim[pos] / sp) / sp
     return out
 
 
-def invert_g(w: WeightSpec, z: float) -> float:
-    """Unique s > 0 with g(s) = z (g is strictly increasing).
+def invert_g(w: WeightSpec, z):
+    """Unique s > 0 with g(s) = z (g is strictly increasing), for a float
+    or an array of targets z > 0; a float z gives a float.
 
-    Geometric bracket expansion, bisection, then Newton polish; accuracy
-    |g(s) - z| <= 1e-12 * max(1, z).
+    Closed form for powers.  Else one masked pass over all targets:
+    bracket expansion by doubling from [0, 1] up to INVERT_CAP, bisection
+    to a relative width of 1e-15, then at most four bracket-guarded
+    Newton steps; each target stops on its own, at
+    |g(s) - z| <= INVERT_RTOL * max(1, z).  OutOfRangeError for a target
+    beyond g(INVERT_CAP), NumericFailureError for one the polish misses.
     """
     _require_weighted(w, "inversion")
-    if not z > 0:
+    z_in = np.asarray(z, dtype=float)
+    z = np.atleast_1d(z_in)
+    if not np.all(z > 0):
         raise InvalidParameterError("requires z > 0")
-    if w.g_inverse is not None:
-        return float(w.g_inverse(z))
-    tol = INVERT_RTOL * max(1.0, z)
-    lo, hi = 0.0, 1.0
-    extension_cap = w.domain_cap * 1e6
-    while float(w.g(hi)) < z:
-        lo = hi
-        hi *= 2.0
-        if hi > extension_cap:
+    if w.kind == KIND_POWER:
+        s = np.power(z, 1.0 / w.params["alpha"])
+    else:
+        s = _invert_masked(w, z)
+    return float(s[0]) if z_in.ndim == 0 else s
+
+
+def _invert_masked(w: WeightSpec, z: np.ndarray) -> np.ndarray:
+    tol = INVERT_RTOL * np.maximum(1.0, z)
+    lo, hi = np.zeros_like(z), np.ones_like(z)
+    live = np.flatnonzero(w.g(hi) < z)
+    while live.size:
+        lo[live] = hi[live]
+        hi[live] *= 2.0
+        if hi[live[0]] > INVERT_CAP:  # every live target has the same hi
             raise OutOfRangeError(
-                f"inversion target z={z:g} exceeds g({extension_cap:g})"
+                f"inversion target z={z[live[0]]:g} exceeds g({INVERT_CAP:g})"
             )
+        live = live[w.g(hi[live]) < z[live]]
+    live = np.arange(z.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        mid = 0.5 * (lo[live] + hi[live])
+        keep = (mid > lo[live]) & (mid < hi[live])
+        live, mid = live[keep], mid[keep]
+        if not live.size:
             break
-        if float(w.g(mid)) < z:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
+        below = w.g(mid) < z[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        live = live[hi[live] - lo[live] > 1e-15 * hi[live]]
     s = 0.5 * (lo + hi)
-    # Newton polish (monotone g: guard the iterate inside the bracket)
+    live = np.arange(z.size)
     for _ in range(4):
-        err = float(w.g(s)) - z
-        if abs(err) <= tol:
-            return s
-        deriv = float(w.gp(s))
-        if not deriv > 0:
+        err = w.g(s[live]) - z[live]
+        off = np.abs(err) > tol[live]
+        live, err = live[off], err[off]
+        if not live.size:
             break
-        step = err / deriv
-        s_new = s - step
-        if not (lo <= s_new <= hi):
-            break
-        s = s_new
-    if abs(float(w.g(s)) - z) > tol:
+        deriv = w.gp(s[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s[live] - err / deriv
+        # monotone g: a step leaving the bracket ends that target's polish
+        ok = (deriv > 0) & (lo[live] <= s_new) & (s_new <= hi[live])
+        s[live[ok]] = s_new[ok]
+        live = live[ok]
+    resid = np.abs(w.g(s) - z)
+    bad = np.flatnonzero(resid > tol)
+    if bad.size:
+        k = bad[0]
         raise NumericFailureError(
-            f"inversion stalled at s={s:g} for z={z:g}",
-            achieved=abs(float(w.g(s)) - z),
+            f"inversion stalled at s={s[k]:g} for z={z[k]:g}", achieved=float(resid[k])
         )
     return s
 
@@ -507,17 +516,13 @@ def check_monotone_quantities(w: WeightSpec, eq: EquationParams,
     if np.any(s <= 0):
         raise InvalidParameterError("grid must be strictly positive")
     n, p = eq.dim_n, eq.p
-
-    def lam_vec(x):
-        return lambda_many(w, x)
-
     quantities = [
         ("lam^(p-1) s^(N-1) non-decreasing", +1,
-         lambda x: lam_vec(x) ** (p - 1.0) * x ** (n - 1.0)),
+         lambda x: lambda_many(w, x) ** (p - 1.0) * x ** (n - 1.0)),
         ("lam^-1 s^(-(N-1)/(p-1)) non-increasing", -1,
-         lambda x: lam_vec(x) ** -1.0 * x ** (-(n - 1.0) / (p - 1.0))),
+         lambda x: lambda_many(w, x) ** -1.0 * x ** (-(n - 1.0) / (p - 1.0))),
         ("lam^-1 s^(N-1) non-decreasing", +1,
-         lambda x: lam_vec(x) ** -1.0 * x ** (n - 1.0)),
+         lambda x: lambda_many(w, x) ** -1.0 * x ** (n - 1.0)),
         ("g(s) s^-alpha1 non-decreasing", +1,
          lambda x: w.g(x) * x ** (-w.alpha1)),
         ("g(s) s^-alpha2 non-increasing", -1,
@@ -545,16 +550,10 @@ def check_sandwich(w: WeightSpec, samples: Sequence[float],
     """g(s)s/(alpha2+1) <= int_0^s g <= g(s)s/(alpha1+1) on the samples."""
     _require_weighted(w, "the primitive sandwich")
     s = np.asarray(samples, dtype=float)
-    prim = w.g_primitive_many(s)
     gs = np.asarray(w.g(s), dtype=float) * s
-    lo = gs / (w.alpha2 + 1.0)
-    hi = gs / (w.alpha1 + 1.0)
-    viol = np.maximum((lo - prim) / lo, (prim - hi) / hi)
-    worst = float(np.max(np.maximum(viol, 0.0)))
-    return ValidationReport(
-        name="primitive sandwich g(s)s/(a2+1) <= int_0^s g <= g(s)s/(a1+1)",
-        passed=worst <= rtol, worst_violation=worst, tolerance=rtol,
-    )
+    return _band_report("primitive sandwich g(s)s/(a2+1) <= int_0^s g <= g(s)s/(a1+1)",
+                        s, w.g_primitive_many(s), gs / (w.alpha2 + 1.0),
+                        gs / (w.alpha1 + 1.0), rtol)
 
 
 def check_lambda_bounds(w: WeightSpec, samples: Sequence[float],
@@ -562,25 +561,18 @@ def check_lambda_bounds(w: WeightSpec, samples: Sequence[float],
     """a1/(a1+1) g(s)/s <= lam(s) <= a2/(a2+1) g(s)/s on the samples."""
     _require_weighted(w, "the lam bounds")
     s = np.asarray(samples, dtype=float)
-    lam = lambda_many(w, s)
     ratio = np.asarray(w.g(s), dtype=float) / s
-    lo = w.alpha1 / (w.alpha1 + 1.0) * ratio
-    hi = w.alpha2 / (w.alpha2 + 1.0) * ratio
-    viol = np.maximum((lo - lam) / lo, (lam - hi) / hi)
-    worst = float(np.max(np.maximum(viol, 0.0)))
-    return ValidationReport(
-        name="lam bounds a1/(a1+1) g/s <= lam <= a2/(a2+1) g/s",
-        passed=worst <= rtol, worst_violation=worst, tolerance=rtol,
-    )
+    return _band_report("lam bounds a1/(a1+1) g/s <= lam <= a2/(a2+1) g/s",
+                        s, lambda_many(w, s), w.alpha1 / (w.alpha1 + 1.0) * ratio,
+                        w.alpha2 / (w.alpha2 + 1.0) * ratio, rtol)
 
 
 def check_inversion_roundtrip(w: WeightSpec, zs: Sequence[float]) -> ValidationReport:
     """|g(ginv(z)) - z| <= 1e-12 max(1, z) on the samples."""
     _require_weighted(w, "inversion")
-    worst = 0.0
-    for z in np.asarray(zs, dtype=float):
-        s = invert_g(w, float(z))
-        worst = max(worst, abs(float(w.g(s)) - z) / max(1.0, z))
+    zs = np.asarray(zs, dtype=float)
+    rel = np.abs(w.g(invert_g(w, zs)) - zs) / np.maximum(1.0, zs)
+    worst = float(np.max(rel, initial=0.0))
     return ValidationReport(
         name="inversion round trip |g(ginv(z)) - z| <= tol * max(1, z)",
         passed=worst <= INVERT_RTOL, worst_violation=worst, tolerance=INVERT_RTOL,
@@ -593,22 +585,14 @@ def check_inverse_scaling(w: WeightSpec, pairs: Sequence[tuple[float, float]],
     ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1), and with the
     exponents swapped for lam < 1."""
     _require_weighted(w, "inverse scaling")
-    worst = 0.0
-    for z, lam in pairs:
-        base = invert_g(w, float(z))
-        scaled = invert_g(w, float(z * lam))
-        if lam > 1.0:
-            lo = base * lam ** (1.0 / w.alpha2)
-            hi = base * lam ** (1.0 / w.alpha1)
-        else:
-            lo = base * lam ** (1.0 / w.alpha1)
-            hi = base * lam ** (1.0 / w.alpha2)
-        worst = max(worst, (lo - scaled) / lo, (scaled - hi) / hi)
-    worst = max(worst, 0.0)
-    return ValidationReport(
-        name="inverse scaling ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1)",
-        passed=worst <= rtol, worst_violation=worst, tolerance=rtol,
-    )
+    z, lam = np.asarray(pairs, dtype=float).T
+    base = invert_g(w, z)
+    grow = lam > 1.0
+    lo = base * lam ** (1.0 / np.where(grow, w.alpha2, w.alpha1))
+    hi = base * lam ** (1.0 / np.where(grow, w.alpha1, w.alpha2))
+    return _band_report(
+        "inverse scaling ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1)",
+        z, invert_g(w, z * lam), lo, hi, rtol)
 
 
 def zygmund_inverse_asymptotics(alpha: float, beta: float, c: float,
@@ -629,10 +613,6 @@ def zygmund_inverse_asymptotics(alpha: float, beta: float, c: float,
         w = make_power_weight(alpha)
     else:
         w = make_zygmund_weight(alpha, beta, c)
-    out = []
-    for tau in taus:
-        s = invert_g(w, float(tau))
-        a_val = (s * alpha ** (-beta / alpha) * tau ** (-1.0 / alpha)
-                 * math.log(tau) ** (beta / alpha))
-        out.append((float(tau), float(a_val)))
-    return out
+    a_val = (invert_g(w, taus) * alpha ** (-beta / alpha) * taus ** (-1.0 / alpha)
+             * np.log(taus) ** (beta / alpha))
+    return list(zip(taus.tolist(), a_val.tolist()))

@@ -164,3 +164,18 @@ def test_sup_envelope_range_gate(eq_ref):
                            mass0=1.0)
     with pytest.raises(PreconditionError):
         E.require_sup_envelope_range(bad)
+
+
+def test_array_times_match_scalar_calls(par_zyg):
+    ts = np.geomspace(10.0, 1e12, 41)
+    sup = E.sup_envelope(par_zyg, ts)
+    support = E.support_envelope(par_zyg, ts)
+    assert np.array_equal(sup, [E.sup_envelope(par_zyg, float(t)) for t in ts])
+    assert np.array_equal(support, [E.support_envelope(par_zyg, float(t)) for t in ts])
+
+
+def test_array_gate_names_first_early_time(par_zyg):
+    ts = np.array([1e6, 1.001, 2.0, 1e8])
+    assert par_zyg.large_time(ts).tolist() == [True, False, False, True]
+    with pytest.raises(EnvelopeUndefinedError, match="t=1.001"):
+        E.sup_envelope(par_zyg, ts)

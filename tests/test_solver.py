@@ -102,8 +102,11 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             quick_config(r_max=8.0, bump_radius=2.0)
 
+    # bump_radius=0.05 lies below the first cell centre 40/(2*200) = 0.1, so
+    # the cell-centre samples of the bump would all be 0
     @pytest.mark.parametrize("bump", [dict(bump_height=-1.0), dict(bump_height=0.0),
-                                      dict(bump_height=math.nan), dict(bump_radius=0.0)])
+                                      dict(bump_height=math.nan), dict(bump_radius=0.0),
+                                      dict(bump_radius=0.05)])
     def test_bump_must_be_positive(self, bump):
         with pytest.raises(InvalidParameterError, match="finite and positive"):
             quick_config(**bump)
@@ -215,7 +218,7 @@ class TestFitRates:
         t = weighted_traj.times[1:]
         R = weighted_traj.support_radius[1:]
         arg = np.log(math.e + t * weighted_traj.mass0 ** eq_ref.kappa)
-        bound = 1.25 * rep.c_fit * np.array([W.invert_g(w_half, z) for z in arg])
+        bound = 1.25 * rep.c_fit * W.invert_g(w_half, arg)
         keep = t >= t[-1] / 10.0
         assert np.all(R[keep] <= bound[keep])
         assert weighted_traj.support_radius[-1] < weighted_traj.config.r_max

@@ -199,6 +199,12 @@ class TestLambda:
         assert W.lambda_(power_half, 0.0) == 0.0
         assert W.lambda_(zygmund, 0.0) == 0.0
 
+    def test_negative_radius_refused(self, zygmund):
+        with pytest.raises(InvalidParameterError):
+            W.lambda_many(zygmund, np.array([-1.0, 1.0]))
+        with pytest.raises(InvalidParameterError):
+            W.lambda_(zygmund, -1.0)
+
     def test_bounds_bulk(self, zygmund):
         rng = np.random.default_rng(7)
         ss = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000)))
@@ -250,10 +256,28 @@ class TestInversion:
         rep = W.check_inverse_scaling(zygmund, pairs)
         assert rep.passed, rep
 
-    def test_out_of_range(self):
-        w = W.make_zygmund_weight(0.5, 1.0, 2.0, domain_cap=10.0)
+    def test_out_of_range(self, zygmund):
+        # g(1e21) is about 1.5e12 for zygmund(0.5, 1, 2)
         with pytest.raises(OutOfRangeError):
-            W.invert_g(w, 1e12)
+            W.invert_g(zygmund, 1e14)
+
+    def test_array_out_of_range(self, zygmund):
+        with pytest.raises(OutOfRangeError, match="z=1e\\+14"):
+            W.invert_g(zygmund, np.array([0.5, 1e14, 3.0]))
+
+    @pytest.mark.parametrize("kind", ["zygmund", "custom"])
+    def test_array_matches_scalar_calls(self, zygmund, kind):
+        w = zygmund if kind == "zygmund" else W.make_custom_weight(
+            zygmund.g_eval, zygmund.g_prime, zygmund.alpha1, zygmund.alpha2)
+        zs = np.geomspace(1e-6, 1e6, 301)
+        out = W.invert_g(w, zs)
+        assert out.shape == zs.shape
+        assert np.array_equal(out, [W.invert_g(w, float(z)) for z in zs])
+        assert isinstance(W.invert_g(w, 2.0), float)
+
+    def test_power_array_closed_form(self, power_half):
+        zs = np.geomspace(1e-6, 1e6, 301)
+        assert np.allclose(W.invert_g(power_half, zs), zs ** 2.0, rtol=4e-16, atol=0.0)
 
     def test_requires_positive(self, zygmund):
         with pytest.raises(InvalidParameterError):
