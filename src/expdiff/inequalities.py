@@ -442,32 +442,56 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
+def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFunction],
+                  lam_power: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over (0, R_k) against the growing density of
+    lam**lam_power |v_k|**s and of |v_k'|**p, for every test function of
+    the family, from one ``quadrature.panels`` pass.  Its breakpoints are
+    the geometric grid to the largest radius merged with every support
+    radius, so each kink of a test function sits on a panel edge."""
+    if not family:
+        return np.zeros(0), np.zeros(0)
+    radii = np.array([tf.support_radius for tf in family], dtype=float)
+    bad = np.flatnonzero(~((radii > 0) & np.isfinite(radii)))
+    if bad.size:
+        raise InvalidParameterError(
+            f"test function {family[bad[0]].label} needs a finite support radius > 0")
+    grow = RadialMeasure(w, eq.dim_n, GROWING)
+    bp = np.union1d(quadrature.geometric_breakpoints(0.0, radii.max()), radii)
+
+    def integrand(r):
+        lam = lambda_many(w, r)[:, None] ** lam_power if lam_power else 1.0
+        left = lam * np.column_stack([np.abs(tf.value(r)) ** s for tf in family])
+        right = np.column_stack([np.abs(tf.deriv(r)) ** eq.p for tf in family])
+        inside = np.tile(r[:, None] < radii, 2)
+        return np.where(inside, np.hstack([left, right]), 0.0) * grow.density(r)[:, None]
+
+    sides, _ = quadrature.panels(integrand, bp[:-1], bp[1:], measure.INTEGRATE_RTOL)
+    total = sides.sum(axis=0)
+    return total[:len(family)], total[len(family):]
+
+
 def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
                       q: float | None = None, big_r: float | None = None,
                       family: Sequence[TestFunction] | None = None) -> InequalityReport:
     """Evaluate both sides per test function and compare the worst ratio
     against the certified constant.  The verdict fails loudly in the
-    report (never raises) if any ratio exceeds it beyond 1e-8 relative."""
+    report (never raises) if any ratio exceeds it beyond 1e-8 relative.
+    A kind only sets its constants and the numbers of one shared body:
+    the power of lam and the exponent of |v| on the left, the roots of
+    both sides, their scale and the lam(R) factor of the ball."""
     eq.validate_with_weight(w)
     if family is None:
         family = bump_family()
-    grow = RadialMeasure(w, eq.dim_n, GROWING)
-    omega = sphere_area(eq.dim_n)
     p = eq.p
-    per_function = []
+    scale, lam_factor = 1.0, 1.0
+    beta_sup, samples = math.nan, []
 
     if kind == POINCARE:
         closed_bound, kk, certified = _poincare_closed_form(w, eq)
         crit = hardy_criterion_sup(poincare_pair(w, eq))
         beta_sup, samples = crit.beta_sup, crit.samples
-        for tf in family:
-            lhs = measure.integrate(
-                grow, lambda r, tf=tf: lambda_many(w, r) ** p * tf.value(r) ** p,
-                0.0, tf.support_radius)
-            rhs = measure.integrate(
-                grow, lambda r, tf=tf: np.abs(tf.deriv(r)) ** p,
-                0.0, tf.support_radius)
-            per_function.append((tf.label, lhs, rhs, _ratio(lhs, rhs)))
+        lam_power, s, roots = p, p, (1.0, 1.0)
     elif kind == RADIAL_SOBOLEV:
         if q is None:
             raise InvalidParameterError("radial Sobolev requires q")
@@ -475,37 +499,27 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
         crit = hardy_criterion_sup(sobolev_pair(w, eq, q))
         beta_sup, closed_bound, kk = crit.beta_sup, certified, k_qp(q, p)
         samples = crit.samples
-        for tf in family:
-            lhs = measure.integrate(
-                grow, lambda r, tf=tf: tf.value(r) ** q,
-                0.0, tf.support_radius) ** (1.0 / q)
-            rhs = measure.integrate(
-                grow, lambda r, tf=tf: np.abs(tf.deriv(r)) ** p,
-                0.0, tf.support_radius) ** (1.0 / p)
-            per_function.append((tf.label, lhs, rhs, _ratio(lhs, rhs)))
+        lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)
     elif kind == BOUNDED_SOBOLEV:
         if q is None or big_r is None:
             raise InvalidParameterError("bounded-ball Sobolev requires q and R")
-        c_total, lam_factor = bounded_sobolev_constant(w, eq, q, big_r)
-        certified = c_total
-        beta_sup, closed_bound, kk = math.nan, c_total, k_qp(q, p)
-        samples = []
+        certified, lam_factor = bounded_sobolev_constant(w, eq, q, big_r)
+        closed_bound, kk = certified, k_qp(q, p)
         for tf in family:
             if tf.support_radius > big_r * (1.0 + 1e-12):
                 raise InvalidParameterError(
                     f"test function {tf.label} is not supported in the ball of radius {big_r:g}"
                 )
-            lhs = (omega * measure.integrate(
-                grow, lambda r, tf=tf: tf.value(r) ** q,
-                0.0, tf.support_radius)) ** (1.0 / q)
-            grad = (omega * measure.integrate(
-                grow, lambda r, tf=tf: np.abs(tf.deriv(r)) ** p,
-                0.0, tf.support_radius)) ** (1.0 / p)
-            rhs = grad * lam_factor
-            per_function.append((tf.label, lhs, rhs, _ratio(lhs, rhs)))
+        lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)
+        scale = sphere_area(eq.dim_n)
     else:
         raise InvalidParameterError(f"unknown inequality kind {kind!r}")
 
+    left, right = _family_sides(w, eq, family, lam_power, s)
+    lhs = (scale * left) ** roots[0]
+    rhs = (scale * right) ** roots[1] * lam_factor
+    per_function = [(tf.label, a, b, _ratio(a, b))
+                    for tf, a, b in zip(family, lhs.tolist(), rhs.tolist())]
     worst = max((r for *_, r in per_function), default=0.0)
     return InequalityReport(
         kind=kind,

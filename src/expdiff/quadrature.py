@@ -1,13 +1,16 @@
 """Composite Gauss-Legendre quadrature over batched panels.
 
-All integrands are expected to be vectorized over numpy arrays.  Each
-panel carries an error estimate, the difference of its 10- and
-20-point rules.  ``panels`` integrates many panels at once, calling the
-integrand once per rule on all nodes, and refines the panels that miss
-their tolerance level by level, with one batched rule pair per level
-for the sub-panels of all of them; ``adaptive`` is its one-panel call.
-Every integral over a partition (cumulative integrals, graded
-breakpoints, cell volumes, criterion tails) goes through ``panels``.
+All integrands are expected to be vectorized over numpy arrays.  An
+integrand maps n nodes to n values, or to an (n, m) array of m
+components (say, the m functions of a family on common breakpoints).
+Each panel carries an error estimate per component, the difference of
+its 10- and 20-point rules.  ``panels`` integrates many panels at once,
+calling the integrand once per rule on all nodes, and refines the
+panels that miss their tolerance in any component level by level, with
+one batched rule pair per level for the sub-panels of all of them;
+``adaptive`` is its one-panel call.  Every integral over a partition
+(cumulative integrals, graded breakpoints, cell volumes, criterion
+tails, test-function families) goes through ``panels``.
 """
 
 from __future__ import annotations
@@ -42,13 +45,21 @@ def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gl_fixed(f: Callable, a: np.ndarray, b: np.ndarray, order: int = 20) -> np.ndarray:
     """Fixed-order Gauss-Legendre rule on the panels [a, b] of two
     equal-shape arrays; f is called once on all their nodes and the
-    result has their shape."""
+    result has their shape, with f's component axis, if any, last."""
     x, w = _nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[..., None] + half[..., None] * x
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half * (vals @ w)
+    vals = np.asarray(f(nodes.ravel()), dtype=float)
+    # components first: (m, *nodes.shape), or nodes.shape for a scalar f
+    vals = vals.T.reshape(vals.shape[1:] + nodes.shape)
+    out = half * (vals @ w)
+    return np.moveaxis(out, 0, -1) if out.ndim > half.ndim else out
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """Per-panel values of shape (n,) or (n, m) as an (n, m) view."""
+    return np.atleast_2d(x.T).T
 
 
 def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,21 +72,27 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
            rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over the panels [lo_k, hi_k] of two 1-d arrays.
 
-    Each panel is refined until its error estimate is at most
-    ``max(rel_tol * |value|, ABS_FLOOR)``; a sub-panel too
-    narrow to split is accepted as it is and its error leaves the
-    estimate.  Returns (values, error estimates).  Raises
-    NumericFailureError, naming the worst unconverged panel, when the
-    call would add more than MAX_PANELS sub-panels or when a panel's
-    estimate stalls for STALL_LEVELS levels.
+    f maps n nodes to n values or to an (n, m) array of m components.
+    Each panel is refined until the error estimate of every component
+    is at most ``max(rel_tol * |value|, ABS_FLOOR)`` of that component;
+    a sub-panel too narrow to split is accepted as it is and its error
+    leaves the estimate.  Returns (values, error estimates), each of
+    shape (n_panels,) or (n_panels, m) as f's output.  A panel counts a
+    stalled level when none of its components that miss their tolerance
+    cut their estimate by 5%.  Raises NumericFailureError, naming the
+    worst unconverged panel over all components, when the call would add
+    more than MAX_PANELS sub-panels or when a panel's estimate stalls
+    for STALL_LEVELS levels.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     values, errors = _rule_pair(f, lo, hi)
-    n = values.size
+    shape = values.shape
+    values, errors = _columns(values), _columns(errors)
+    n, m = values.shape
     tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
     # live sub-panels of the unconverged panels: owner, ends, value, error
-    own = np.flatnonzero(errors > tol)
+    own = np.flatnonzero(np.any(errors > tol, axis=1))
     a, b, sval, serr = lo[own], hi[own], values[own], errors[own]
     stalled = np.zeros(n, dtype=int)
     added = 0
@@ -85,37 +102,40 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
         edges = a[:, None] + (b - a)[:, None] * _SPLIT_POINTS
         edges[:, -1] = b
         serr[np.any(np.diff(edges, axis=1) <= 0.0, axis=1)] = 0.0  # too narrow to split
-        split = serr > tol[own] / count[own]
+        split = np.any(serr > tol[own] / count[own, None], axis=1)
         new = CHILDREN * np.count_nonzero(split)
         stuck = owners[stalled[owners] >= STALL_LEVELS]
         if added + new > MAX_PANELS or stuck.size:
             worst = stuck if stuck.size else owners
-            k = worst[np.argmax(errors[worst] / tol[worst])]
+            k = worst[np.argmax(np.max(errors[worst] / tol[worst], axis=1))]
+            err_k = errors[k, np.argmax(errors[k] / tol[k])]
             raise NumericFailureError(
                 f"quadrature did not converge on [{lo[k]:g}, {hi[k]:g}]: "
-                f"estimated error {errors[k]:.3e} after {added} added sub-panels"
+                f"estimated error {err_k:.3e} after {added} added sub-panels"
                 + (" (stalled; integrand may be noisy at this tolerance)"
                    if stuck.size else ""),
-                achieved=float(errors[k]),
+                achieved=float(err_k),
             )
         added += new
         ca, cb = edges[split, :-1].ravel(), edges[split, 1:].ravel()
         cval, cerr = _rule_pair(f, ca, cb)
         own = np.concatenate([own[~split], np.repeat(own[split], CHILDREN)])
         a, b = np.concatenate([a[~split], ca]), np.concatenate([b[~split], cb])
-        sval = np.concatenate([sval[~split], cval])
-        serr = np.concatenate([serr[~split], cerr])
+        sval = np.concatenate([sval[~split], _columns(cval)])
+        serr = np.concatenate([serr[~split], _columns(cerr)])
 
         old = errors[owners]
-        values[owners] = np.bincount(own, sval, minlength=n)[owners]
-        errors[owners] = np.bincount(own, serr, minlength=n)[owners]
+        flat = (own[:, None] * m + np.arange(m)).ravel()  # (panel, component)
+        values[owners] = np.bincount(flat, sval.ravel(), minlength=n * m).reshape(n, m)[owners]
+        errors[owners] = np.bincount(flat, serr.ravel(), minlength=n * m).reshape(n, m)[owners]
         tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
         # a level that barely cuts the estimate signals an integrand
         # evaluated with cancellation noise: bail out before burning panels
-        stalled[owners] = np.where(errors[owners] > 0.95 * old, stalled[owners] + 1, 0)
-        live = errors[own] > tol[own]
+        cut = (errors[owners] > tol[owners]) & (errors[owners] <= 0.95 * old)
+        stalled[owners] = np.where(np.any(cut, axis=1), 0, stalled[owners] + 1)
+        live = np.any(errors[own] > tol[own], axis=1)
         own, a, b, sval, serr = own[live], a[live], b[live], sval[live], serr[live]
-    return values, errors
+    return values.reshape(shape), errors.reshape(shape)
 
 
 def adaptive(f: Callable, a: float, b: float,

@@ -47,10 +47,9 @@ CFL_SAFETY = 0.4
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Cell-centered uniform radial mesh for ``weight``, with weighted cell
-    volumes and face coefficients omega * r^(N-1) e^g(r) at the interior faces."""
+    """Cell-centered uniform radial mesh, with weighted cell volumes and
+    face coefficients omega * r^(N-1) e^g(r) at the interior faces."""
 
-    weight: WeightSpec
     dim_n: int
     r_max: float
     n_cells: int
@@ -74,7 +73,7 @@ def make_grid(weight: WeightSpec, dim_n: int, r_max: float, n_cells: int) -> Rad
     omega = measure.sphere_area(dim_n)
     inner = faces[1:-1]
     face_coeffs = omega * meas.density(inner)
-    return RadialGrid(weight=weight, dim_n=dim_n, r_max=r_max, n_cells=n_cells,
+    return RadialGrid(dim_n=dim_n, r_max=r_max, n_cells=n_cells,
                       faces=faces, centers=centers, cell_weighted_volumes=vols,
                       face_coeffs=face_coeffs)
 
@@ -415,63 +414,3 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
         extras={"ratio_full_max": float(ratio.max()),
                 "ratio_full_min": float(ratio.min())},
     )
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-CHECKPOINT_MAGIC = "expdiff-checkpoint-v2"
-#: header keys of a checkpoint that are SolverState float fields, in file order
-_CHECKPOINT_FLOATS = ("t", "mass0", "support_threshold", "clipped_mass",
-                      "max_step_clip", "scale_lambda", "last_dt")
-
-
-def save_checkpoint(path, state: SolverState) -> None:
-    """Text checkpoint, bit-faithful at 17 significant digits."""
-    grid = state.grid
-    lines = [
-        CHECKPOINT_MAGIC,
-        f"weight {grid.weight.label()}",
-        f"dim_n {grid.dim_n}",
-        f"r_max {grid.r_max:.17g}",
-        f"n_cells {grid.n_cells}",
-    ]
-    lines.extend(f"{key} {getattr(state, key):.17g}" for key in _CHECKPOINT_FLOATS)
-    lines.append("u")
-    lines.extend(f"{v:.17g}" for v in state.u)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path, weight: WeightSpec) -> SolverState:
-    """Read a checkpoint that ``save_checkpoint`` wrote for ``weight``;
-    InvalidParameterError for another format version, another weight
-    label, a truncated or malformed file, or a negative or non-finite u."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise InvalidParameterError(f"{path} is not an {CHECKPOINT_MAGIC} file")
-    if "u" not in lines:
-        raise InvalidParameterError(f"{path} is truncated: it has no u line")
-    end = lines.index("u")
-    try:
-        head = {key: val for key, _, val in (line.partition(" ") for line in lines[1:end])}
-        dim_n, n_cells = int(head["dim_n"]), int(head["n_cells"])
-        r_max = float(head["r_max"])
-        values = {key: float(head[key]) for key in _CHECKPOINT_FLOATS}
-        u = np.array([float(v) for v in lines[end + 1:] if v], dtype=float)
-        label = head["weight"]
-    except KeyError as exc:
-        raise InvalidParameterError(f"{path} lacks the header key {exc}") from None
-    except ValueError as exc:
-        raise InvalidParameterError(f"{path} is malformed: {exc}") from None
-    if label != weight.label():
-        raise InvalidParameterError(
-            f"{path} was saved for weight {label}, not {weight.label()}"
-        )
-    if u.size != n_cells:
-        raise InvalidParameterError("checkpoint cell count mismatch")
-    if not np.all(np.isfinite(u) & (u >= 0)):
-        raise InvalidParameterError(f"{path} holds a negative or non-finite cell average")
-    grid = make_grid(weight, dim_n, r_max, n_cells)
-    return SolverState(grid=grid, u=u, **values)

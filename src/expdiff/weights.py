@@ -403,7 +403,8 @@ def invert_g(w: WeightSpec, z):
     """Unique s > 0 with g(s) = z (g is strictly increasing), for a float
     or an array of targets z > 0; a float z gives a float.
 
-    Closed form for powers.  Else one masked pass over all targets:
+    Closed form for powers, refused past INVERT_CAP like every other
+    kind.  Else one masked pass over all targets:
     bracket expansion by doubling from [0, 1] up to INVERT_CAP, bisection
     to a relative width of 1e-15, then at most four bracket-guarded
     Newton steps; each target stops on its own, at
@@ -417,9 +418,16 @@ def invert_g(w: WeightSpec, z):
         raise InvalidParameterError("requires z > 0")
     if w.kind == KIND_POWER:
         s = np.power(z, 1.0 / w.params["alpha"])
+        far = np.flatnonzero(~(s <= INVERT_CAP))
+        if far.size:
+            raise _beyond_cap(z[far[0]])
     else:
         s = _invert_masked(w, z)
     return float(s[0]) if z_in.ndim == 0 else s
+
+
+def _beyond_cap(z: float) -> OutOfRangeError:
+    return OutOfRangeError(f"inversion target z={z:g} exceeds g({INVERT_CAP:g})")
 
 
 def _invert_masked(w: WeightSpec, z: np.ndarray) -> np.ndarray:
@@ -430,9 +438,7 @@ def _invert_masked(w: WeightSpec, z: np.ndarray) -> np.ndarray:
         lo[live] = hi[live]
         hi[live] *= 2.0
         if hi[live[0]] > INVERT_CAP:  # every live target has the same hi
-            raise OutOfRangeError(
-                f"inversion target z={z[live[0]]:g} exceeds g({INVERT_CAP:g})"
-            )
+            raise _beyond_cap(z[live[0]])
         live = live[w.g(hi[live]) < z[live]]
     live = np.arange(z.size)
     for _ in range(200):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from expdiff import inequalities as I
+from expdiff import measure as M
 from expdiff import weights as W
 from expdiff.errors import InvalidParameterError, PreconditionError
 
@@ -244,3 +245,73 @@ class TestVerify:
         with pytest.raises(InvalidParameterError):
             I.verify_inequality(I.BOUNDED_SOBOLEV, w_half, eq_ref, q=3.0,
                                 big_r=2.0, family=fam)
+
+
+class TestFamilyPass:
+    """verify_inequality integrates a whole family in one panel pass; each
+    side must match its own per-function ``measure.integrate`` reference."""
+
+    Q_EXP, BALL = 3.0, 2.0
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        # nonzero beyond its support radius: its integrals still stop at R
+        ramp = I.TestFunction("ramp", lambda r: 1.0 + r, lambda r: np.ones_like(r), 1.5)
+        return [I.polynomial_bump(0.7, 1.5), I.polynomial_bump(2.0, 2.7),
+                I.gaussian_tapered(1.3, 0.6), I.gaussian_tapered(2.0, 1.1), ramp]
+
+    @pytest.mark.parametrize("kind", [I.POINCARE, I.RADIAL_SOBOLEV, I.BOUNDED_SOBOLEV])
+    def test_matches_per_function_integrals(self, w_half, eq_ref, family, kind):
+        q, p = self.Q_EXP, eq_ref.p
+        rep = I.verify_inequality(kind, w_half, eq_ref, q=q, big_r=self.BALL,
+                                  family=family)
+        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
+        omega = M.sphere_area(eq_ref.dim_n)
+        lam_factor = I.bounded_sobolev_constant(w_half, eq_ref, q, self.BALL)[1]
+        for tf, (label, lhs, rhs, ratio) in zip(family, rep.per_function):
+            big_r = tf.support_radius
+            grad = M.integrate(grow, lambda r: np.abs(tf.deriv(r)) ** p, 0.0, big_r)
+            if kind == I.POINCARE:
+                want_lhs = M.integrate(
+                    grow, lambda r: W.lambda_many(w_half, r) ** p * tf.value(r) ** p,
+                    0.0, big_r)
+                want_rhs = grad
+            else:
+                vq = M.integrate(grow, lambda r: tf.value(r) ** q, 0.0, big_r)
+                scale = omega if kind == I.BOUNDED_SOBOLEV else 1.0
+                want_lhs = (scale * vq) ** (1.0 / q)
+                want_rhs = (scale * grad) ** (1.0 / p) * (
+                    lam_factor if kind == I.BOUNDED_SOBOLEV else 1.0)
+            assert label == tf.label
+            assert lhs == pytest.approx(want_lhs, rel=1e-11), label
+            assert rhs == pytest.approx(want_rhs, rel=1e-11), label
+            assert ratio == lhs / rhs
+
+    def test_one_panel_pass(self, w_half, eq_ref, family, monkeypatch):
+        # the bounded-ball constant is closed form, so the family is the
+        # only integral of this call
+        calls = []
+        panels = I.quadrature.panels
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].size)
+            return panels(*args, **kwargs)
+
+        monkeypatch.setattr(I.quadrature, "panels", counted)
+        I.verify_inequality(I.BOUNDED_SOBOLEV, w_half, eq_ref, q=self.Q_EXP,
+                            big_r=self.BALL, family=family)
+        assert len(calls) == 1
+
+    def test_empty_family_passes(self, w_half, eq_ref):
+        rep = I.verify_inequality(I.BOUNDED_SOBOLEV, w_half, eq_ref, q=self.Q_EXP,
+                                  big_r=self.BALL, family=[])
+        assert rep.verdict
+        assert rep.empirical_worst_ratio == 0.0
+        assert rep.per_function == []
+
+    @pytest.mark.parametrize("big_r", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_support_radius(self, w_half, eq_ref, big_r):
+        bad = I.TestFunction("bad", np.zeros_like, np.zeros_like, big_r)
+        with pytest.raises(InvalidParameterError, match="bad"):
+            I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=self.Q_EXP,
+                                family=[I.polynomial_bump(1.0, 2.0), bad])

@@ -16,12 +16,18 @@ RTOL = 1e-12
     # branch point at 0 inside the first panel, which needs refinement
     (lambda s: s ** 0.3, lambda s: s ** 1.3 / 1.3,
      np.concatenate([[0.0], np.geomspace(1e-6, 5.0, 30)])),
+    # two components of one integrand, a branch point and a smooth power:
+    # every column meets the tolerance
+    (lambda s: np.stack([s ** 0.3, s ** 2.5], axis=-1),
+     lambda s: np.stack([s ** 1.3 / 1.3, s ** 3.5 / 3.5], axis=-1),
+     np.concatenate([[0.0], np.geomspace(1e-6, 5.0, 30)])),
 ])
 def test_panels_match_closed_form(f, primitive, edges):
     lo, hi = edges[:-1], edges[1:]
+    exact = primitive(hi) - primitive(lo)
     values, errors = Q.panels(f, lo, hi, rel_tol=RTOL)
-    assert values.shape == errors.shape == lo.shape
-    np.testing.assert_allclose(values, primitive(hi) - primitive(lo), rtol=RTOL, atol=0.0)
+    assert values.shape == errors.shape == exact.shape
+    np.testing.assert_allclose(values, exact, rtol=RTOL, atol=0.0)
     assert np.all(errors <= RTOL * np.abs(values))
 
 
@@ -60,6 +66,10 @@ def test_noisy_integrand_fails_within_panel_cap():
 
     with pytest.raises(NumericFailureError, match=r"\[0, 1e-12\]"):
         Q.panels(f, np.array([0.0]), np.array([1e-12]), rel_tol=1e-13)
+    # next to a smooth column, which converges at once, it still fails
+    with pytest.raises(NumericFailureError, match=r"\[0, 1e-12\]"):
+        Q.panels(lambda s: np.stack([1.0 + s, f(s)], axis=-1),
+                 np.array([0.0]), np.array([1e-12]), rel_tol=1e-13)
     assert max(sizes) <= 20 * Q.MAX_PANELS
 
 

@@ -1,4 +1,4 @@
-"""Radial solver: conservation, positivity, calibration, fits, checkpoints."""
+"""Radial solver: conservation, positivity, calibration, fits."""
 
 import math
 import os
@@ -267,82 +267,3 @@ class TestGeneralExponents:
                            output_times=[1.0])
         with pytest.raises(StiffnessError):
             S.run(cfg)
-
-
-class TestCheckpoint:
-    def test_roundtrip_bitfaithful(self, tmp_path, w_half):
-        cfg = quick_config()
-        st = S.initial_state(cfg)
-        S._advance(st, cfg, 0.75)
-        path = tmp_path / "state.ckpt"
-        S.save_checkpoint(path, st)
-        st2 = S.load_checkpoint(path, w_half)
-        assert st2.t == st.t
-        assert np.array_equal(st2.u, st.u)
-        assert st2.mass0 == st.mass0
-        # a second save of the loaded state is byte-identical
-        path2 = tmp_path / "state2.ckpt"
-        S.save_checkpoint(path2, st2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_rejects_garbage(self, tmp_path, w_half):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a checkpoint\n")
-        with pytest.raises(InvalidParameterError):
-            S.load_checkpoint(path, w_half)
-
-    @pytest.fixture
-    def saved(self, tmp_path):
-        cfg = quick_config(normalize=True)
-        st = S.initial_state(cfg)
-        S._advance(st, cfg, 0.75)
-        path = tmp_path / "state.ckpt"
-        S.save_checkpoint(path, st)
-        return path, st
-
-    def test_restores_scale_and_last_dt(self, saved, w_half):
-        path, st = saved
-        st2 = S.load_checkpoint(path, w_half)
-        assert st2.scale_lambda == st.scale_lambda != 1.0
-        assert st2.last_dt == st.last_dt
-
-    def test_rejects_wrong_weight(self, saved):
-        path, _ = saved
-        with pytest.raises(InvalidParameterError, match="power"):
-            S.load_checkpoint(path, W.make_power_weight(0.7))
-
-    def test_rejects_truncated_file(self, saved, w_half):
-        path, _ = saved
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:lines.index("u")]) + "\n")
-        with pytest.raises(InvalidParameterError, match="no u line"):
-            S.load_checkpoint(path, w_half)
-
-    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
-    def test_rejects_bad_cell_average(self, saved, w_half, bad):
-        path, _ = saved
-        lines = path.read_text().splitlines()
-        lines[lines.index("u") + 1] = bad
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidParameterError, match="cell average"):
-            S.load_checkpoint(path, w_half)
-
-    def test_rejects_binary_file(self, tmp_path, w_half):
-        path = tmp_path / "binary.ckpt"
-        path.write_bytes(b"\xff\xfe\x00\x81 not text")
-        with pytest.raises(InvalidParameterError):
-            S.load_checkpoint(path, w_half)
-
-    @pytest.mark.parametrize("old, new", [
-        ("expdiff-checkpoint-v2", "expdiff-checkpoint-v1"),
-        ("\nmass0 ", "\nmass0 1.0e\nignored "),
-        ("\nmass0 ", "\nmass0\nignored "),
-        ("\nlast_dt ", "\nnot_last_dt "),
-    ], ids=["v1", "bad-number", "no-value", "missing-key"])
-    def test_rejects_malformed_header(self, saved, w_half, old, new):
-        path, _ = saved
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
-        with pytest.raises(InvalidParameterError):
-            S.load_checkpoint(path, w_half)

@@ -256,14 +256,20 @@ class TestInversion:
         rep = W.check_inverse_scaling(zygmund, pairs)
         assert rep.passed, rep
 
-    def test_out_of_range(self, zygmund):
-        # g(1e21) is about 1.5e12 for zygmund(0.5, 1, 2)
-        with pytest.raises(OutOfRangeError):
-            W.invert_g(zygmund, 1e14)
+    def test_out_of_range(self, zygmund, power_half):
+        # g(1e21) is about 1.5e12 for zygmund(0.5, 1, 2) and 3.2e10 for
+        # power(0.5), whose closed form is refused past the same cap
+        for w in (zygmund, power_half):
+            for z in (1e14, math.inf):
+                with pytest.raises(OutOfRangeError):
+                    W.invert_g(w, z)
 
-    def test_array_out_of_range(self, zygmund):
-        with pytest.raises(OutOfRangeError, match="z=1e\\+14"):
-            W.invert_g(zygmund, np.array([0.5, 1e14, 3.0]))
+    def test_array_out_of_range(self, zygmund, power_half):
+        for w in (zygmund, power_half):
+            with pytest.raises(OutOfRangeError, match="z=1e\\+14"):
+                W.invert_g(w, np.array([0.5, 1e14, 3.0, 1e15]))
+            with pytest.raises(OutOfRangeError, match="z=inf"):
+                W.invert_g(w, np.array([0.5, math.inf]))
 
     @pytest.mark.parametrize("kind", ["zygmund", "custom"])
     def test_array_matches_scalar_calls(self, zygmund, kind):
