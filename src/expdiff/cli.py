@@ -390,7 +390,10 @@ def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
               fit_rows, meta)
     print(f"simulated to t={traj.times[-1]:g}: mass drift "
           f"{abs(traj.mass[-1] / traj.mass0 - 1.0):.3e}, "
-          f"sup={traj.sup_u[-1]:.6g}, support={traj.support_radius[-1]:g}")
+          f"sup={traj.sup_u[-1]:.6g}, support={traj.support_radius[-1]:g}, "
+          f"steps={traj.steps} rejected={traj.rejected_steps} "
+          f"newton={traj.newton_iterations} picard={traj.picard_fallbacks} "
+          f"clipped_mass={traj.clipped_mass:.3e}")
     for row in fit_rows:
         print(f"  fit {row[0]}: slope={row[1]} target={row[2]} ({row[-1]})")
     return 0

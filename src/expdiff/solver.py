@@ -1,12 +1,18 @@
-"""Explicit finite-volume solver for the radial weighted equation
+"""Implicit finite-volume solver for the radial weighted equation
 
     e^g(r) r^(N-1) du/dt = d/dr ( r^(N-1) e^g(r) u^(m-1) |du/dr|^(p-2) du/dr )
 
 on [0, r_max] with zero-flux boundaries.  The scheme is conservative:
 cell averages are updated from face fluxes weighted by the measure
-r^(N-1) e^g, so the weighted mass telescopes exactly.  The time step is
-adaptive, from a Gershgorin bound on the frozen-coefficient update (see
-the stability note in ``_explicit_kernel``).
+r^(N-1) e^g, so the weighted mass telescopes exactly.  ``run`` advances
+with variable-step BDF2 (backward Euler for the first step), each step
+solved by Newton's method on the tridiagonal flux Jacobian with a
+pure-Python Thomas solve restricted to the active window, a Picard
+fallback, and a local-error step controller (see ``_implicit_kernel``).
+
+The explicit update (``_explicit_kernel``, ``step``, ``_advance``), with
+its Gershgorin-stable step, is kept as the reference the tests check the
+implicit integrator against; ``run`` does not use it.
 
 An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
 exists solely to calibrate the scheme against classical self-similar
@@ -41,8 +47,17 @@ SUPPORT_ENVELOPE = "support_envelope"
 MASS_DRIFT_TOL = 1e-6
 #: fraction of sup(u0) below which a cell does not count as support
 SUPPORT_THRESHOLD_REL = 1e-12
-#: fraction of the Gershgorin-stable step taken by the explicit update
+#: fraction of the Gershgorin-stable step taken by the explicit update,
+#: and by the first implicit step
 CFL_SAFETY = 0.4
+#: local error tolerance of the BDF2 step controller, relative to the mass
+BDF2_TOL = 1e-5
+#: Newton (and Picard) stop once the weighted L1 norm of an update is at
+#: most this fraction of the mass
+NEWTON_TOL = 1e-10
+#: iterations before Newton falls back to Picard, and Picard rejects the step
+NEWTON_MAX_ITER = 8
+PICARD_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -89,6 +104,10 @@ class SolverState:
     max_step_clip: float = 0.0
     last_dt: float = math.nan
     scale_lambda: float = 1.0  # data rescaling applied by normalize=True
+    steps: int = 0  # accepted implicit steps
+    rejected_steps: int = 0
+    newton_iterations: int = 0
+    picard_fallbacks: int = 0
 
     def sup(self) -> float:
         return float(self.u.max())
@@ -153,6 +172,12 @@ class Trajectory:
     mass0: float
     scale_lambda: float
     config: SolverConfig
+    steps: int
+    rejected_steps: int
+    newton_iterations: int
+    picard_fallbacks: int
+    clipped_mass: float
+    u_final: np.ndarray  # cell averages at the last output time
 
     def rows(self) -> list[tuple]:
         return list(zip(self.times, self.sup_u, self.support_radius,
@@ -176,37 +201,86 @@ def initial_state(config: SolverConfig) -> SolverState:
                        support_threshold=threshold, scale_lambda=scale)
 
 
-def _flux_terms(u: np.ndarray, inv_dc: np.ndarray, eq: EquationParams,
-                eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Face slope-flux factor D = ubar^(m-1) |s|^(p-2) and the signed
-    slope s at the interior faces."""
+def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
+                 eq: EquationParams, eps: float,
+                 newton: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face fluxes F = w A(ubar) B(s) at the interior faces, with
+    A = ubar^(m-1), B = |s|^(p-2) s (or (s^2 + eps^2)^((p-2)/2) s when
+    regularized) and s the slope, and their derivatives (a, b) with
+    respect to the left and right cell value.
+
+    For m < 1, A is singular at vanishing ubar, but the slope vanishes
+    there too: A := 0 on empty faces, and |s|^(p-2) := 0 at s = 0, so the
+    flux is 0 there.  Newton: a, b = w (A' B / 2 -+ A B' / dc), with
+    A' = (m-1) A / ubar (0 on empty faces, as A is).  Picard
+    (``newton=False``) freezes the conductance k = w A |s|^(p-2) / dc,
+    so F = k (u_right - u_left) and a, b = -k, k.  Overflow (A' as
+    ubar -> 0+ for m < 1) shows up as a non-finite value.
+    """
     p, m = eq.p, eq.m
     s = (u[1:] - u[:-1]) * inv_dc
     ubar = 0.5 * (u[1:] + u[:-1])
     np.maximum(ubar, 0.0, out=ubar)
     if m == 2.0:
-        um = ubar
+        mob = ubar
     elif m == 1.0:
-        um = np.ones_like(ubar)
+        mob = np.ones_like(ubar)
     elif m > 1.0:
-        um = ubar ** (m - 1.0)
+        mob = ubar ** (m - 1.0)
     else:
-        # singular at vanishing ubar, but the slope vanishes there too:
-        # the flux is 0 on empty face pairs
         pos = ubar > 0.0
-        um = np.zeros_like(ubar)
-        um[pos] = ubar[pos] ** (m - 1.0)
+        mob = np.zeros_like(ubar)
+        mob[pos] = ubar[pos] ** (m - 1.0)
     if p == 2.0:
-        d_fac = um
+        sp = 1.0
+    elif eps > 0.0:
+        sp = (s * s + eps * eps) ** (0.5 * (p - 2.0))
     else:
-        if eps > 0.0:
-            sp = (s * s + eps * eps) ** (0.5 * (p - 2.0))
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sp = np.abs(s) ** (p - 2.0)
-            sp[~np.isfinite(sp)] = 0.0  # |s|^(p-2) := 0 at s = 0
-        d_fac = um * sp
-    return d_fac, s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sp = np.abs(s) ** (p - 2.0)
+        sp[~np.isfinite(sp)] = 0.0
+    cond = face_w * mob * sp
+    flux = cond * s
+    if not newton:
+        k = cond * inv_dc
+        return flux, -k, k
+    if p == 2.0:
+        d_slope = 1.0
+    elif eps > 0.0:
+        s2, e2 = s * s, eps * eps
+        d_slope = sp * ((p - 1.0) * s2 + e2) / (s2 + e2)
+    else:
+        d_slope = (p - 1.0) * sp
+    grad = face_w * mob * d_slope * inv_dc
+    if m == 1.0:
+        return flux, -grad, grad
+    d_mob = np.where(ubar > 0.0, (m - 1.0) * mob / ubar, 0.0)
+    half = 0.5 * face_w * d_mob * sp * s
+    return flux, half - grad, half + grad
+
+
+def _gershgorin_dt(conduct: np.ndarray, inv_vols: np.ndarray, p: float,
+                   idle_dt: float) -> float:
+    """CFL_SAFETY times the forward-Euler stable step for the frozen
+    conductances ``conduct`` = w A |s|^(p-2) / dc; ``idle_dt`` when
+    nothing flows.  See ``_explicit_kernel``."""
+    rate = np.zeros_like(inv_vols)
+    c_f = max(p - 1.0, 1.0) * conduct
+    rate[:-1] += c_f * inv_vols[:-1]
+    rate[1:] += c_f * inv_vols[1:]
+    peak = rate.max()
+    return CFL_SAFETY / peak if peak > 0.0 else idle_dt
+
+
+def _clip_negative(state: SolverState) -> None:
+    """Set negative cell values to 0, recording the weighted mass added."""
+    u = state.u
+    if u.min() < 0.0:
+        neg = u < 0.0
+        clip = float(-np.dot(u[neg], state.grid.cell_weighted_volumes[neg]))
+        state.clipped_mass += clip
+        state.max_step_clip = max(state.max_step_clip, clip)
+        u[neg] = 0.0
 
 
 def _explicit_kernel(grid: RadialGrid,
@@ -214,13 +288,16 @@ def _explicit_kernel(grid: RadialGrid,
     """The explicit conservative update on ``grid``, as a function
     ``update(state, t_target)`` that advances the state in place by one
     stable step, shortened to end exactly at ``t_target`` if it would
-    pass it.
+    pass it.  ``run`` does not use it: it is the reference the tests
+    check the implicit integrator against.
 
-    Stability: with face conductances c_f = w_f * max(p-1, 1) * D_f / dc_f,
-    forward Euler on the frozen-coefficient operator is stable for
-    dt <= 1 / max_i (sum of adjacent c_f / V_i) (Gershgorin).  In the
-    unweighted uniform case this is the classical dr^2/(2 (p-1) D) rule;
-    unlike that literal rule it also accounts for the face-to-volume
+    Stability: with face conductances c_f = max(p-1, 1) * k_f, where
+    k_f = w_f A |s|^(p-2) / dc_f is the frozen conductance of
+    ``_face_fluxes``, forward Euler on the frozen-coefficient operator
+    is stable for dt <= 1 / max_i (sum of adjacent c_f / V_i)
+    (Gershgorin).  In the unweighted uniform case this is the classical
+    dr^2/(2 (p-1) D) rule, D = A |s|^(p-2); unlike that literal rule it
+    also accounts for the face-to-volume
     weight ratio, which grows near r = 0 (curvature) and wherever e^g
     climbs across a cell.  A state without flux steps by t_end * 1e-3.
     """
@@ -229,22 +306,14 @@ def _explicit_kernel(grid: RadialGrid,
     t_floor = 1e-15 * config.t_end
     idle_dt = 1e-3 * config.t_end
     face_w = grid.face_coeffs
-    vols = grid.cell_weighted_volumes
     inv_dc = 1.0 / np.diff(grid.centers)
-    inv_vols = 1.0 / vols
-    cond_scale = face_w * (max(eq.p - 1.0, 1.0) * inv_dc)
-    rate = np.empty_like(vols)
-    dudt = np.empty_like(vols)
+    inv_vols = 1.0 / grid.cell_weighted_volumes
+    dudt = np.empty_like(inv_vols)
 
     def update(state: SolverState, t_target: float) -> None:
         u = state.u
-        d_fac, s = _flux_terms(u, inv_dc, eq, eps)
-        conduct = cond_scale * d_fac
-        rate[:] = 0.0
-        rate[:-1] += conduct * inv_vols[:-1]
-        rate[1:] += conduct * inv_vols[1:]
-        peak = rate.max()
-        dt = CFL_SAFETY / peak if peak > 0.0 else idle_dt
+        flux, _, conduct = _face_fluxes(u, inv_dc, face_w, eq, eps, newton=False)
+        dt = _gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
         if dt < t_floor:
             raise StiffnessError(
                 f"stable dt {dt:.3e} underflowed at t={state.t:.6g}; "
@@ -255,18 +324,12 @@ def _explicit_kernel(grid: RadialGrid,
             state.t = t_target
         else:
             state.t += dt
-        flux = face_w * d_fac * s
         dudt[0] = flux[0]
         dudt[1:-1] = flux[1:] - flux[:-1]
         dudt[-1] = -flux[-1]
         np.multiply(dudt, inv_vols, out=dudt)
         u += dt * dudt
-        if u.min() < 0.0:
-            neg = u < 0.0
-            clip = float(-np.dot(u[neg], vols[neg]))
-            state.clipped_mass += clip
-            state.max_step_clip = max(state.max_step_clip, clip)
-            u[neg] = 0.0
+        _clip_negative(state)
         state.last_dt = dt
 
     return update
@@ -279,10 +342,172 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
 
 
 def _advance(state: SolverState, config: SolverConfig, t_target: float) -> None:
-    """Advance in place to exactly ``t_target``."""
+    """Advance in place to exactly ``t_target`` with the explicit kernel."""
     update = _explicit_kernel(state.grid, config)
     while state.t < t_target:
         update(state, t_target)
+
+
+def _thomas(sub: list, diag: list, sup: list, rhs: list) -> list:
+    """Solve a tridiagonal system by the Thomas algorithm (no pivoting).
+    ``sub[0]`` and ``sup[-1]`` are 0; lists of floats, because a Python
+    loop over them beats numpy's per-call overhead at these sizes."""
+    cs, ds = [], []
+    c = d = 0.0
+    for lo, di, up, r in zip(sub, diag, sup, rhs):
+        den = di - lo * c
+        c = up / den
+        d = (r - lo * d) / den
+        cs.append(c)
+        ds.append(d)
+    x = 0.0
+    xs = []
+    for c, d in zip(reversed(cs), reversed(ds)):
+        x = d - c * x
+        xs.append(x)
+    xs.reverse()
+    return xs
+
+
+def _solve_window(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-diagonal ``sub`` (row i+1,
+    column i), diagonal ``diag`` and super-diagonal ``sup`` on its active
+    window: the leading rows through the last nonzero of ``rhs``, extended
+    to the first row that has no coupling back into the window.  Beyond
+    it the right-hand side vanishes and nothing couples in, so the
+    solution is exactly 0 there.  For the flux Jacobian the window ends
+    two cells past the support when p > 2 or m > 1 (a face between two
+    empty cells has zero flux and zero derivatives); with m = 1 and
+    p <= 2 the coupling never vanishes and the window is the whole grid."""
+    x = np.zeros_like(diag)
+    nz = np.flatnonzero(rhs)
+    if nz.size == 0:
+        return x
+    last = int(nz[-1])
+    free = np.flatnonzero(sub[last:] == 0.0)
+    hi = last + 1 + int(free[0]) if free.size else diag.size
+    x[:hi] = _thomas([0.0] + sub[:hi - 1].tolist(), diag[:hi].tolist(),
+                     sup[:hi - 1].tolist() + [0.0], rhs[:hi].tolist())
+    return x
+
+
+def _implicit_kernel(grid: RadialGrid,
+                     config: SolverConfig) -> Callable[[SolverState, float], None]:
+    """Variable-step BDF2 on ``grid``, as a function ``update(state,
+    t_target)`` that advances the state in place by one accepted step,
+    shortened to end exactly at ``t_target`` if it would pass it.
+
+    With step ratio w = dt / dt_prev (w = 0 on the first step, which is
+    backward Euler) each step solves
+
+        R(u) = V (u - u~) - gamma dt div F(u) = 0,
+        u~ = ((1+w)^2 u^n - w^2 u^(n-1)) / (1+2w),  gamma = (1+w)/(1+2w),
+
+    by Newton's method on the tridiagonal flux Jacobian, from the
+    predictor u_pred = u^n + w (u^n - u^(n-1)), until the weighted L1
+    norm of the update is at most NEWTON_TOL * mass.  div F telescopes
+    and the Jacobian's columns sum to 0, so every update keeps the
+    weighted mass of u~, which is that of u^n.  When Newton yields a
+    non-finite value or does not converge, Picard iteration with frozen
+    conductances takes over (an M-matrix solve, counted as a fallback);
+    when that fails too the step is rejected at a fifth of its size.
+
+    Step control: err = w/(1+2w) * |V (u - u_pred)|_1 / mass; a step
+    with err > BDF2_TOL is rejected.  The next step is
+    dt * 0.9 (BDF2_TOL/err)^(1/3), the factor clipped to [0.2, 2].  A
+    step shortened to land on ``t_target`` keeps the step the controller
+    wants.  When less than two wanted steps remain, the rest is split in
+    halves, so no landing step is a sliver and w stays below 2, inside
+    the zero-stability bound 1 + sqrt(2) of variable-step BDF2 (without
+    the split, w reached 523 on the 800-cell power-weight run).
+    The first step is the Gershgorin step of the explicit kernel, which
+    scales like the data, so runs commute with the equation's scaling.
+    u^(n-1), dt_prev and the wanted step live in this closure.
+    """
+    eq = config.eq
+    eps = config.regularization_eps
+    t_floor = 1e-15 * config.t_end
+    face_w = grid.face_coeffs
+    vols = grid.cell_weighted_volumes
+    inv_dc = 1.0 / np.diff(grid.centers)
+    u_prev: np.ndarray | None = None
+    dt_prev = math.nan
+    dt_want = math.nan
+
+    def converge(state: SolverState, u: np.ndarray, tilde: np.ndarray,
+                 gdt: float, newton: bool) -> bool:
+        # in place: u -> root of R; False when the iteration fails
+        tol = NEWTON_TOL * state.mass0
+        for _ in range(NEWTON_MAX_ITER if newton else PICARD_MAX_ITER):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                flux, a, b = _face_fluxes(u, inv_dc, face_w, eq, eps, newton)
+                resid = vols * (u - tilde)
+                resid[:-1] -= gdt * flux
+                resid[1:] += gdt * flux
+                diag = vols.copy()
+                diag[:-1] -= gdt * a
+                diag[1:] += gdt * b
+            try:
+                delta = _solve_window(gdt * a, diag, -gdt * b, -resid)
+            except ZeroDivisionError:
+                return False
+            if not np.isfinite(delta).all():
+                return False
+            u += delta
+            if newton:
+                state.newton_iterations += 1
+            if np.dot(vols, np.abs(delta)) <= tol:
+                return True
+        return False
+
+    def update(state: SolverState, t_target: float) -> None:
+        nonlocal u_prev, dt_prev, dt_want
+        u_n = state.u
+        if math.isnan(dt_want):
+            _, _, conduct = _face_fluxes(u_n, inv_dc, face_w, eq, eps, newton=False)
+            dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
+        while True:
+            if dt_want < t_floor:
+                raise StiffnessError(
+                    f"step {dt_want:.3e} underflowed at t={state.t:.6g}; "
+                    "coarsen the grid or change parameters"
+                )
+            remaining = t_target - state.t
+            landing = dt_want >= remaining
+            dt = remaining if landing else min(dt_want, 0.5 * remaining)
+            if u_prev is None:
+                omega, tilde, pred = 0.0, u_n, u_n
+            else:
+                omega = dt / dt_prev
+                tilde = ((1.0 + omega) ** 2 * u_n - omega ** 2 * u_prev) / (1.0 + 2.0 * omega)
+                pred = u_n + omega * (u_n - u_prev)
+            gdt = (1.0 + omega) / (1.0 + 2.0 * omega) * dt
+            u = pred.copy()
+            if not converge(state, u, tilde, gdt, True):
+                state.picard_fallbacks += 1
+                u = pred.copy()
+                if not converge(state, u, tilde, gdt, False):
+                    state.rejected_steps += 1
+                    dt_want = 0.2 * dt
+                    continue
+            err = (omega / (1.0 + 2.0 * omega)
+                   * float(np.dot(vols, np.abs(u - pred))) / state.mass0)
+            fac = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (BDF2_TOL / err) ** (1 / 3)))
+            if err > BDF2_TOL:
+                state.rejected_steps += 1
+                dt_want = dt * fac
+                continue
+            dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
+            u_prev, dt_prev = u_n, dt
+            state.u = u
+            state.t = t_target if landing else state.t + dt
+            state.last_dt = dt
+            state.steps += 1
+            _clip_negative(state)
+            return
+
+    return update
 
 
 def default_output_times(t_end: float, n: int = 61, decades: float = 4.0) -> np.ndarray:
@@ -307,8 +532,10 @@ def run(config: SolverConfig) -> Trajectory:
     masses = [state.mass()]
     dts = [math.nan]
     boundary_face = state.grid.faces[-1]
+    update = _implicit_kernel(state.grid, config)
     for t_out in outs:
-        _advance(state, config, float(t_out))
+        while state.t < t_out:
+            update(state, float(t_out))
         times.append(state.t)
         sups.append(state.sup())
         supports.append(state.support_radius())
@@ -329,7 +556,10 @@ def run(config: SolverConfig) -> Trajectory:
         times=np.asarray(times), sup_u=np.asarray(sups),
         support_radius=np.asarray(supports), mass=np.asarray(masses),
         dt_last=np.asarray(dts), mass0=state.mass0, scale_lambda=scale,
-        config=config,
+        config=config, steps=state.steps, rejected_steps=state.rejected_steps,
+        newton_iterations=state.newton_iterations,
+        picard_fallbacks=state.picard_fallbacks, clipped_mass=state.clipped_mass,
+        u_final=state.u,
     )
 
 

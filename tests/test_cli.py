@@ -136,6 +136,17 @@ def test_simulate_outputs_and_schema(power_cfg, tmp_path):
     assert "support_envelope" in fit and "sup_envelope" in fit
 
 
+def test_simulate_prints_solver_counts(power_cfg, tmp_path, capsys):
+    rc = cli.main(["simulate", "--config", power_cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    counts = dict(item.split("=") for item in summary.split(", ")[-1].split())
+    assert set(counts) == {"steps", "rejected", "newton", "picard", "clipped_mass"}
+    assert int(counts["steps"]) > 0
+    assert int(counts["newton"]) >= int(counts["steps"])
+    assert int(counts["picard"]) == 0 and float(counts["clipped_mass"]) == 0.0
+
+
 def test_simulate_deterministic(power_cfg, tmp_path):
     for name in ("a", "b"):
         rc = cli.main(["simulate", "--config", power_cfg,

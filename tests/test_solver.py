@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +73,90 @@ class TestStep:
         st = S.initial_state(cfg)
         S._advance(st, cfg, 50.0)
         assert st.max_step_clip <= 1e-13 * st.mass0
+
+
+@pytest.fixture(scope="module")
+def quick_traj():
+    return S.run(quick_config(t_end=100.0, output_times=np.geomspace(0.01, 100.0, 25)))
+
+
+class TestImplicitIntegrator:
+    def test_matches_explicit_oracle(self, quick_traj, monkeypatch):
+        # The explicit kernel is first order in time: at CFL_SAFETY = 0.4
+        # its own sup(u) error here is 1.2e-2 relative near t = 0.1 and
+        # 2.4e-3 at t_end, halving with the safety factor.  So the oracle is
+        # the Richardson extrapolation 2 u(0.1) - u(0.2) of two explicit runs.
+        # Measured: sup(u) within 1.04e-3 relative at every output (the
+        # extrapolated oracle's own residual, at t < 0.1; BDF2 at tolerance
+        # 1e-7 shows the same gap) and 8.7e-6 at t_end; support equal.
+        cfg = quick_traj.config
+        sups, supports = {}, {}
+        for safety in (0.2, 0.1):
+            monkeypatch.setattr(S, "CFL_SAFETY", safety)
+            st = S.initial_state(cfg)
+            rows = []
+            for t_out in cfg.output_times:
+                S._advance(st, cfg, t_out)
+                rows.append((st.sup(), st.support_radius()))
+            sups[safety], supports[safety] = np.array(rows).T
+        oracle = 2.0 * sups[0.1] - sups[0.2]
+        rel = np.abs(quick_traj.sup_u[1:] / oracle - 1.0)
+        assert rel.max() <= 2e-3
+        assert rel[-1] <= 2e-5
+        one_cell = cfg.r_max / cfg.n_cells
+        assert np.abs(quick_traj.support_radius[1:] - supports[0.1]).max() <= one_cell + 1e-12
+
+    def test_solver_counts(self, quick_traj):
+        assert quick_traj.steps > 0
+        assert quick_traj.newton_iterations >= quick_traj.steps
+        assert quick_traj.picard_fallbacks == 0
+        assert quick_traj.clipped_mass == 0.0
+        # dt_last is the last accepted step, shortened to land on the output
+        assert np.all(quick_traj.dt_last[1:] > 0)
+        assert np.all(quick_traj.dt_last[2:] <= np.diff(quick_traj.times[1:]) * (1 + 1e-12))
+
+    def test_picard_fallback_counted(self):
+        # p = 3, m = 0.5: A' = (m-1) A / ubar overflows as ubar -> 0+
+        eq = W.EquationParams(4, 3.0, 0.5)
+        cfg = S.SolverConfig(eq=eq, weight=W.make_power_weight(0.5),
+                             r_max=40.0, n_cells=200, t_end=0.5, output_times=[0.5])
+        traj = S.run(cfg)
+        assert traj.picard_fallbacks > 0
+        assert traj.clipped_mass == 0.0
+
+    def test_window_matches_full_solve(self):
+        # the windowed Thomas solve equals a dense solve of the whole system
+        rng = np.random.default_rng(7)
+        n = 12
+        sub, sup = -rng.random(n - 1), -rng.random(n - 1)
+        sub[7:] = 0.0
+        diag = 3.0 + rng.random(n)
+        rhs = np.zeros(n)
+        rhs[:6] = rng.random(6)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        x = S._solve_window(sub, diag, sup, rhs)
+        assert np.all(x[8:] == 0.0)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
+        sub[6:] = -rng.random(n - 7)  # coupling to the end: the whole system
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        np.testing.assert_allclose(S._solve_window(sub, diag, sup, rhs),
+                                   np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
+
+    def test_no_scipy_import(self):
+        # importing scipy.linalg doubles peak memory and adds ~0.4 s of start-up
+        code = ("import sys, numpy as np\n"
+                "from expdiff import cli, solver, weights\n"
+                "cfg = solver.SolverConfig(eq=weights.EquationParams(3, 2.0, 2.0),\n"
+                "    weight=weights.make_power_weight(0.5), r_max=40.0, n_cells=200,\n"
+                "    t_end=10.0, output_times=np.geomspace(0.1, 10.0, 5))\n"
+                "assert solver.run(cfg).steps > 0\n"
+                "heavy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "assert not heavy, heavy\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRun:
@@ -186,6 +273,30 @@ class TestUnweightedCalibration:
         assert math.log2(l1[1] / l1[2]) >= 2.0
         assert l1[2] <= 5.5e-5
         assert st.sup() == pytest.approx(big_t ** (-1.0 / 3.0) * c, rel=2.6e-5)
+
+    def test_barenblatt_implicit(self):
+        # the Barenblatt comparison of test_barenblatt_exact_solution, through
+        # run (BDF2).  Measured: L1 5.21e-5 at 400 cells, observed order 1.976,
+        # peak 2.78e-5 relative (3.04e-5 once converged in time; the explicit
+        # kernel's 2.39e-5 is partly its time error cancelling space error),
+        # front within 2.18 cells
+        t_end, big_t, c = 10.0, 1.0 / 6.0 + 10.0, 6.0 ** (-1.0 / 3.0)
+        front = math.sqrt(6.0 * c) * big_t ** (1.0 / 3.0)
+        l1 = []
+        for n in (100, 200, 400):
+            cfg = S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0), weight=W.make_unweighted(),
+                                 r_max=8.0, n_cells=n, t_end=t_end, allow_unweighted=True,
+                                 output_times=[t_end])
+            traj = S.run(cfg)
+            dr = cfg.r_max / n
+            x = np.minimum(np.linspace(0.0, cfg.r_max, n + 1), front)
+            primitive = big_t ** (-1.0 / 3.0) * (c * x - x ** 3 / (18.0 * big_t ** (2.0 / 3.0)))
+            exact = np.diff(primitive) / dr
+            l1.append(np.sum(np.abs(traj.u_final - exact)) / np.sum(exact))
+            assert abs(traj.support_radius[-1] - front) <= 3.0 * dr
+        assert math.log2(l1[1] / l1[2]) >= 1.95
+        assert l1[2] <= 5.5e-5
+        assert traj.sup_u[-1] == pytest.approx(big_t ** (-1.0 / 3.0) * c, rel=3.1e-5)
 
 
 @pytest.fixture(scope="module")
