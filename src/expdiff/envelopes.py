@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import EnvelopeUndefinedError, InvalidParameterError, PreconditionError
 from .weights import (
-    KIND_POWER,
     KIND_ZYGMUND,
     EquationParams,
     WeightSpec,
@@ -92,27 +91,6 @@ def support_envelope(par: EnvelopeParams, t):
         raise InvalidParameterError("requires t >= 0")
     env = par.c_prefactor * invert_g(par.weight, np.log(math.e + par.log_arg(t)))
     return float(env) if t.ndim == 0 else env
-
-
-def power_sup_closed_form(par: EnvelopeParams, t: float) -> float:
-    """Closed form of sup_envelope for the pure power weight, exponent
-    (p - alpha)/(alpha*(p+m-3)) on the logarithm."""
-    if par.weight.kind != KIND_POWER:
-        raise InvalidParameterError("closed form requires the power weight")
-    alpha = par.weight.params["alpha"]
-    kappa = par.eq.kappa
-    big_l = math.log(par.log_arg(t))
-    expo = (par.eq.p - alpha) / (alpha * kappa)
-    return par.c_prefactor * big_l ** expo * t ** (-1.0 / kappa) / par.mass0
-
-
-def power_support_closed_form(par: EnvelopeParams, t: float) -> float:
-    """Closed form of support_envelope for the pure power weight,
-    log(e + t * M**(p+m-3)) to the power 1/alpha."""
-    if par.weight.kind != KIND_POWER:
-        raise InvalidParameterError("closed form requires the power weight")
-    alpha = par.weight.params["alpha"]
-    return par.c_prefactor * math.log(math.e + par.log_arg(t)) ** (1.0 / alpha)
 
 
 @dataclass(frozen=True)

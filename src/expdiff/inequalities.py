@@ -298,59 +298,6 @@ def bounded_sobolev_constant(w: WeightSpec, eq: EquationParams, q: float,
     return c_total, lam_factor
 
 
-def lambda_comparison_floor(w: WeightSpec, big_r: float) -> float:
-    """Lower bound factor: lam(s) >= floor * lam(R) for all s < R
-    (valid when alpha2 <= 1)."""
-    a1, a2 = w.alpha1, w.alpha2
-    return (a1 / (a1 + 1.0)) * ((a2 + 1.0) / a2) * lambda_(w, big_r)
-
-
-# ---------------------------------------------------------------------------
-# profile bounds of the radial Sobolev criterion
-
-
-def sobolev_profile_bounds(w: WeightSpec, eq: EquationParams, q: float,
-                           r: np.ndarray, r0: float = 1.0) -> dict:
-    """Pointwise upper bounds of the criterion profile A(r).
-
-    Returns arrays: ``uniform`` (valid everywhere, used below r0),
-    ``constant_small`` (its r0-uniform majorant), and ``large``
-    (c3 * A3(r), valid everywhere, sharp for large r).
-    """
-    r = np.asarray(r, dtype=float)
-    a1, a2 = w.alpha1, w.alpha2
-    n, p = float(eq.dim_n), eq.p
-    g_r = np.asarray(w.g(r), dtype=float)
-    front = n ** (-1.0 / q) * ((p - 1.0) / (n - p)) ** ((p - 1.0) / p)
-    uniform = front * r ** ((n * p - q * (n - p)) / (q * p)) * np.exp(
-        -g_r * (q - p) / (p * q))
-    a = p * q / (q - p)
-    constant_small = front * min(r0 ** (1.0 - n / a), 1.0 + r0)
-    c3 = ((p - 1.0) ** ((p - 1.0) / p)
-          * (a2 * (a1 + 1.0) / (a1 * (a2 + 1.0))) ** (1.0 / q)
-          * a1 ** (-1.0 / q) * a2 ** (-(p - 1.0) / p))
-    large = c3 * (r ** (n * (p - q) + p * q) * g_r ** (-p - q * (p - 1.0))
-                  * np.exp((p - q) * g_r)) ** (1.0 / (p * q))
-    return {"uniform": uniform, "constant_small": constant_small, "large": large}
-
-
-def f_profile_values(w: WeightSpec, eq: EquationParams, q: float,
-                     lam_grid: np.ndarray) -> dict:
-    """The tail-controlling profile F under the change of variable
-    r = ginv(a * lam):  F = ginv(a lam) e^(-lam) / (a lam), with its two
-    regimewise bounds c4(a1) ginv(a)/a (lam > 1) and c4(a2) ginv(a)/a."""
-    _check_q_range(eq, q)
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    a = eq.p * q / (q - eq.p)
-    base = invert_g(w, a) / a
-    return {
-        "lam": lam_grid,
-        "f": invert_g(w, a * lam_grid) * np.exp(-lam_grid) / (a * lam_grid),
-        "bound_above_one": c4(w.alpha1) * base,
-        "bound_below_one": c4(w.alpha2) * base,
-    }
-
-
 # ---------------------------------------------------------------------------
 # test-function families
 

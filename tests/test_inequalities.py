@@ -9,6 +9,7 @@ from expdiff import inequalities as I
 from expdiff import measure as M
 from expdiff import weights as W
 from expdiff.errors import InvalidParameterError, PreconditionError
+from sobolev_profile import sobolev_profile_bounds
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,8 @@ class TestBoundedSobolev:
     def test_lambda_comparison_floor(self, w_half):
         # lam(s) >= (a1/(a1+1)) ((a2+1)/a2) lam(R) for s < R when alpha2 <= 1
         big_r = 4.0
-        floor = I.lambda_comparison_floor(w_half, big_r)
+        a1, a2 = w_half.alpha1, w_half.alpha2
+        floor = (a1 / (a1 + 1.0)) * ((a2 + 1.0) / a2) * W.lambda_(w_half, big_r)
         for s in np.linspace(0.05, big_r, 50):
             assert W.lambda_(w_half, float(s)) >= floor * (1 - 1e-12)
 
@@ -184,7 +186,7 @@ class TestProfileBounds:
         samples = np.array(crit.samples)
         r = samples[:, 0]
         a_vals = samples[:, 1]
-        bounds = I.sobolev_profile_bounds(w_half, eq_ref, q, r, r0=1.0)
+        bounds = sobolev_profile_bounds(w_half, eq_ref, q, r, r0=1.0)
         slack = 1 + 1e-8
         # the uniform small-r bound holds everywhere
         assert np.all(a_vals <= bounds["uniform"] * slack)
@@ -195,12 +197,18 @@ class TestProfileBounds:
         assert np.all(a_vals <= bounds["large"] * slack)
 
     def test_f_profile_bounds(self, w_half, eq_ref):
+        # the tail profile F = ginv(a lam) e^(-lam) / (a lam) under the change
+        # of variable r = ginv(a lam), a = pq/(q-p), is below c4(a1) ginv(a)/a
+        # for lam > 1 and below c4(a2) ginv(a)/a for lam <= 1
+        q = 3.0
         lam_grid = np.geomspace(0.05, 20.0, 60)
-        prof = I.f_profile_values(w_half, eq_ref, 3.0, lam_grid)
+        a = eq_ref.p * q / (q - eq_ref.p)
+        f = W.invert_g(w_half, a * lam_grid) * np.exp(-lam_grid) / (a * lam_grid)
+        base = W.invert_g(w_half, a) / a
         above = lam_grid > 1.0
         slack = 1 + 1e-9
-        assert np.all(prof["f"][above] <= prof["bound_above_one"] * slack)
-        assert np.all(prof["f"][~above] <= prof["bound_below_one"] * slack)
+        assert np.all(f[above] <= I.c4(w_half.alpha1) * base * slack)
+        assert np.all(f[~above] <= I.c4(w_half.alpha2) * base * slack)
 
 
 class TestVerify:
