@@ -19,7 +19,7 @@ from .weights import (
     validate_envelope,
     zygmund_inverse_asymptotics,
 )
-from .measure import RadialMeasure, cell_weighted_volumes, integrate, mass, sphere_area
+from .measure import RadialMeasure, cell_weighted_volumes, integrate, sphere_area
 from .inequalities import (
     HardyPair,
     InequalityReport,

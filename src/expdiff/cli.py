@@ -118,27 +118,35 @@ def _compile_expr(expr: str):
 
 
 def build_weight(cfg: configparser.ConfigParser) -> weights.WeightSpec:
-    sec = cfg["weight"]
-    kind = sec.get("kind", "power").strip().lower()
+    """The [weight] section's weight; a missing section or key raises the
+    configparser.Error that names it."""
+    kind = cfg.get("weight", "kind", fallback="power").strip().lower()
     if kind == "power":
-        return weights.make_power_weight(sec.getfloat("alpha"))
+        return weights.make_power_weight(cfg.getfloat("weight", "alpha"))
     if kind == "zygmund":
-        return weights.make_zygmund_weight(
-            sec.getfloat("alpha"), sec.getfloat("beta"), sec.getfloat("c"))
+        return weights.make_zygmund_weight(cfg.getfloat("weight", "alpha"),
+                                           cfg.getfloat("weight", "beta"),
+                                           cfg.getfloat("weight", "c"))
     if kind == "custom":
         return weights.make_custom_weight(
-            _compile_expr(sec.get("g_expr")),
-            _compile_expr(sec.get("g_prime_expr")),
-            sec.getfloat("alpha1"), sec.getfloat("alpha2"))
+            _compile_expr(cfg.get("weight", "g_expr")),
+            _compile_expr(cfg.get("weight", "g_prime_expr")),
+            cfg.getfloat("weight", "alpha1"), cfg.getfloat("weight", "alpha2"))
     if kind == "unweighted":
         return weights.make_unweighted()
     raise InvalidParameterError(f"unknown weight kind {kind!r}")
 
 
 def build_equation(cfg: configparser.ConfigParser) -> weights.EquationParams:
-    sec = cfg["equation"]
-    return weights.EquationParams(
-        dim_n=sec.getint("dim_n"), p=sec.getfloat("p"), m=sec.getfloat("m"))
+    return weights.EquationParams(dim_n=cfg.getint("equation", "dim_n"),
+                                  p=cfg.getfloat("equation", "p"),
+                                  m=cfg.getfloat("equation", "m"))
+
+
+def _section(cfg: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+    if not cfg.has_section(name):
+        raise configparser.NoSectionError(name)
+    return cfg[name]
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -310,17 +318,16 @@ def _solver_config(cfg, allow_unweighted: bool,
         eq = weights.EquationParams(dim_n=eq.dim_n,
                                     p=override.get("p", eq.p),
                                     m=override.get("m", eq.m))
-    grid = cfg["grid"]
-    sim = cfg["simulate"]
+    r_max, n_cells = cfg.getfloat("grid", "r_max"), cfg.getint("grid", "n_cells")
+    sim = _section(cfg, "simulate")
     t_end = override.get("t_end") if override else None
     if t_end is None:
-        t_end = sim.getfloat("t_end")
+        t_end = cfg.getfloat("simulate", "t_end")
     n_outputs = sim.getint("n_outputs", fallback=97)
     decades = sim.getfloat("output_decades", fallback=8.0)
     outs = solver.default_output_times(t_end, n=n_outputs, decades=decades)
     return solver.SolverConfig(
-        eq=eq, weight=w,
-        r_max=grid.getfloat("r_max"), n_cells=grid.getint("n_cells"),
+        eq=eq, weight=w, r_max=r_max, n_cells=n_cells,
         t_end=t_end, output_times=outs,
         bump_radius=sim.getfloat("bump_radius", fallback=1.0),
         bump_height=sim.getfloat("bump_height", fallback=1.0),
@@ -423,7 +430,7 @@ def _sweep_one(args):
 
 def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
               jobs: int, cfg_path: str) -> int:
-    sec = cfg["sweep"]
+    sec = _section(cfg, "sweep")
     alphas = _floats(sec.get("alphas", "0.5"))
     ps = _floats(sec.get("ps", "2.0"))
     ms = _floats(sec.get("ms", "2.0"))
@@ -479,7 +486,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, out, args.seed, args.allow_unweighted)
         return cmd_sweep(cfg, out, args.seed, args.allow_unweighted,
                          args.jobs, args.config)
-    except ExpdiffError as exc:
+    except (ExpdiffError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,15 +2,16 @@
 
 For admissible weights the sup norm of solutions obeys, for large t,
 
-    sup_env(t) = c * [ ginv(L)**p / L ]**(1/(p+m-3)) * t**(-1/(p+m-3)) / M,
+    sup_env(t) ~ [ ginv(L)**p / L ]**(1/(p+m-3)) * t**(-1/(p+m-3)) / M,
     L = log(t * M**(p+m-3)),   M = weighted mass of the data,
 
 and compactly supported data stay supported in the ball of radius
 
-    support_env(t) = c * ginv( log(e + t * M**(p+m-3)) ).
+    support_env(t) ~ ginv( log(e + t * M**(p+m-3)) ),
 
-The constant c is not explicit; envelopes are used as shape predictions
-with c fitted from trajectories (default 1).  For the log-corrected
+up to constants that are not explicit.  The envelopes are evaluated
+with unit prefactor and used as shape predictions; ``solver.fit_rates``
+fits the prefactor from trajectories.  For the log-corrected
 power weight both the exact forms above and their closed asymptotic
 simplifications are provided so their ratio can be tested for
 convergence.
@@ -41,13 +42,10 @@ class EnvelopeParams:
     eq: EquationParams
     weight: WeightSpec
     mass0: float
-    c_prefactor: float = 1.0
 
     def __post_init__(self):
         if not self.mass0 > 0:
             raise InvalidParameterError("mass0 must be positive")
-        if not self.c_prefactor > 0:
-            raise InvalidParameterError("c_prefactor must be positive")
         if not self.weight.is_weighted:
             raise PreconditionError("envelopes are undefined for the unweighted mode")
 
@@ -76,10 +74,7 @@ def sup_envelope(par: EnvelopeParams, t):
     big_l = np.log(par.log_arg(t))
     kappa = par.eq.kappa
     s = invert_g(par.weight, big_l)
-    env = (par.c_prefactor
-           * (s ** par.eq.p / big_l) ** (1.0 / kappa)
-           * t ** (-1.0 / kappa)
-           / par.mass0)
+    env = (s ** par.eq.p / big_l) ** (1.0 / kappa) * t ** (-1.0 / kappa) / par.mass0
     return float(env) if t.ndim == 0 else env
 
 
@@ -89,7 +84,7 @@ def support_envelope(par: EnvelopeParams, t):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise InvalidParameterError("requires t >= 0")
-    env = par.c_prefactor * invert_g(par.weight, np.log(math.e + par.log_arg(t)))
+    env = invert_g(par.weight, np.log(math.e + par.log_arg(t)))
     return float(env) if t.ndim == 0 else env
 
 
@@ -127,7 +122,7 @@ def zygmund_envelopes(par: EnvelopeParams, t: float,
 
     lt = math.log(t)
     llt = math.log(lt)
-    support_asym = par.c_prefactor * (lt / llt ** beta) ** (1.0 / alpha)
+    support_asym = (lt / llt ** beta) ** (1.0 / alpha)
     support_ex = support_envelope(par, t)
 
     sup_ex = None
@@ -143,8 +138,7 @@ def zygmund_envelopes(par: EnvelopeParams, t: float,
                 "sup envelope range requires alpha > (alpha+beta)/(alpha+beta+1)"
             )
         sup_ex = sup_envelope(par, t)
-        sup_asym = (par.c_prefactor
-                    * ((1.0 / lt) * (lt / llt ** beta) ** (p / alpha)) ** (1.0 / kappa)
+        sup_asym = (((1.0 / lt) * (lt / llt ** beta) ** (p / alpha)) ** (1.0 / kappa)
                     * t ** (-1.0 / kappa))
     return ZygmundEnvelopes(
         t=t,

@@ -28,14 +28,6 @@ class OutOfRangeError(ExpdiffError):
     """Inversion target exceeds the tabulated domain even after extension."""
 
 
-class CriterionInfiniteError(ExpdiffError):
-    """The Hardy-type criterion integral diverges; the inequality cannot hold."""
-
-
-class InvalidStateError(ExpdiffError):
-    """Solver state violates an invariant (e.g. negative cell averages)."""
-
-
 class StiffnessError(ExpdiffError):
     """Stable time step underflowed; suggests changing grid or parameters."""
 

@@ -119,7 +119,6 @@ def _check_q_range(eq: EquationParams, q: float) -> None:
 @dataclass(frozen=True)
 class CriterionResult:
     beta_sup: float
-    argmax_r: float
     samples: list  # [(r, A(r))]
 
 
@@ -128,27 +127,24 @@ ZOOM_POINTS = 17
 ZOOM_LEVELS = 6
 
 
-def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
-                        n_grid: int = 400) -> CriterionResult:
+def hardy_criterion_sup(pair: HardyPair) -> CriterionResult:
     """Scan-and-zoom estimate of the criterion supremum.
 
-    The profile A(r) is evaluated on a log-spaced grid (cumulative panel
-    integrals for the left factor, ``measure.tail_integrals`` of the dual
-    density for the right one).  Each zoom level then samples ZOOM_POINTS
-    equispaced radii between the neighbours of the best radius so far,
-    from one panel pass per factor; the best value of all is returned.
-    Divergent tails raise CriterionInfiniteError.
+    The profile A(r) is evaluated on 400 log-spaced radii from 1e-4 to
+    the end of the scan (cumulative panel integrals for the left factor,
+    ``measure.tail_integrals`` of the dual density for the right one).
+    Each zoom level then samples ZOOM_POINTS equispaced radii between the
+    neighbours of the best radius so far, from one panel pass per
+    factor; the best value of all is returned.
     """
     w = pair.weight
     p, q, n = pair.p, pair.q, pair.dim_n
     dual = RadialMeasure(w, n, DECAYING_TAIL, p=p)
-    if r_max is None:
-        # the profile decays like exp(-g(r)(q-p)/(pq)) beyond its hump for
-        # q > p, and plateaus for q = p; cap the scan where e^g stays finite
-        a_param = p * q / (q - p) if q > p else p
-        r_max = max(10.0, invert_g(w, min(50.0 * a_param, 600.0)))
-    r_lo = 1e-4
-    grid = np.geomspace(r_lo, r_max, n_grid)
+    # the profile decays like exp(-g(r)(q-p)/(pq)) beyond its hump for
+    # q > p, and plateaus for q = p; end the scan where e^g stays finite
+    a_param = p * q / (q - p) if q > p else p
+    r_max = max(10.0, invert_g(w, min(50.0 * a_param, 600.0)))
+    grid = np.geomspace(1e-4, r_max, 400)
 
     def profile_of(left, tails):
         return left ** (1.0 / q) * tails ** ((p - 1.0) / p)
@@ -159,7 +155,7 @@ def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
     profile = profile_of(left_cum, tails)
     j = int(np.argmax(profile))
     samples = list(zip(grid.tolist(), profile.tolist()))
-    best, best_r = float(profile[j]), float(grid[j])
+    best = float(profile[j])
 
     x, left, right, k = grid, left_cum, tails, j
     for _ in range(ZOOM_LEVELS):
@@ -171,9 +167,8 @@ def hardy_criterion_sup(pair: HardyPair, r_max: float | None = None,
         x = x_new
         level = profile_of(left, right)
         k = int(np.argmax(level))
-        if level[k] > best:
-            best, best_r = float(level[k]), float(x[k])
-    return CriterionResult(beta_sup=best, argmax_r=best_r, samples=samples)
+        best = max(best, float(level[k]))
+    return CriterionResult(beta_sup=best, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +216,18 @@ def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
     )
 
 
-def gamma_constant(w: WeightSpec, eq: EquationParams, q: float,
-                   r0: float = 1.0) -> float:
+def gamma_constant(w: WeightSpec, eq: EquationParams, q: float) -> float:
     """Closed-form constant of the radial weighted Sobolev inequality.
 
     Requires p < q < Np/(N-p), alpha2 < 1 and both monotonicity
-    conditions.  With a = pq/(q-p):
+    conditions.  With a = pq/(q-p) and the split radius r0 = 1:
 
-        Gamma = K(q,p) * [ N**(-1/q) ((p-1)/(N-p))**((p-1)/p) (1+r0)
+        Gamma = K(q,p) * [ 2 N**(-1/q) ((p-1)/(N-p))**((p-1)/p)
                 + (p-1)**((p-1)/p) (a2(a1+1)/(a1(a2+1)))**(1/q)
                   * a1**(-1/q) a2**(-(p-1)/p) (c4(a1)+c4(a2))
-                  * (1 + g(r0)**(1/N)/r0) * ginv(a)/a ].
+                  * (1 + g(1)**(1/N)) * ginv(a)/a ].
     """
     _check_q_range(eq, q)
-    if not r0 > 0:
-        raise InvalidParameterError("requires r0 > 0")
     cond = check_structural_conditions(w, eq)
     if not w.alpha2 < 1.0:
         raise PreconditionError("radial Sobolev constant requires alpha2 < 1")
@@ -246,12 +238,12 @@ def gamma_constant(w: WeightSpec, eq: EquationParams, q: float,
     a1, a2 = w.alpha1, w.alpha2
     n, p = float(eq.dim_n), eq.p
     a = p * q / (q - p)
-    term1 = n ** (-1.0 / q) * ((p - 1.0) / (n - p)) ** ((p - 1.0) / p) * (1.0 + r0)
+    term1 = n ** (-1.0 / q) * ((p - 1.0) / (n - p)) ** ((p - 1.0) / p) * 2.0
     term2 = ((p - 1.0) ** ((p - 1.0) / p)
              * (a2 * (a1 + 1.0) / (a1 * (a2 + 1.0))) ** (1.0 / q)
              * a1 ** (-1.0 / q) * a2 ** (-(p - 1.0) / p)
              * (c4(a1) + c4(a2))
-             * (1.0 + float(w.g(r0)) ** (1.0 / n) / r0)
+             * (1.0 + float(w.g(1.0)) ** (1.0 / n))
              * invert_g(w, a) / a)
     return k_qp(q, p) * (term1 + term2)
 
@@ -351,13 +343,13 @@ def bump_family(radii: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
 
 
 def random_family(rng: np.random.Generator, n: int,
-                  r_range: tuple[float, float] = (0.5, 4.0),
                   fixed_radius: float | None = None) -> list[TestFunction]:
-    """Seeded mixture of polynomial bumps and tapered gaussians."""
+    """Seeded mixture of polynomial bumps and tapered gaussians, with
+    support radii log-uniform in (0.5, 4) unless ``fixed_radius`` is set."""
     out = []
     for i in range(n):
         big_r = fixed_radius if fixed_radius is not None else float(
-            np.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1]))))
+            np.exp(rng.uniform(math.log(0.5), math.log(4.0))))
         if rng.uniform() < 0.5:
             out.append(polynomial_bump(big_r, float(rng.uniform(1.0, 4.0))))
         else:

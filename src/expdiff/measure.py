@@ -7,8 +7,9 @@ Two densities appear throughout the functional inequalities:
 
 The decaying density is integrable at +infinity because g grows at
 least like a positive power; semi-infinite integrals are truncated
-where the density has collapsed by a factor 1e-16 relative to its value
-at the left endpoint, with a doubling check on the cutoff.
+where g has grown by (p-1) ln(1e16) past the left endpoint, so the
+density there is at most 1e-16 of its value at that endpoint, with a
+doubling check on the cutoff.
 """
 
 from __future__ import annotations
@@ -20,12 +21,8 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import (
-    CriterionInfiniteError,
-    InvalidParameterError,
-    InvalidStateError,
-)
-from .weights import WeightSpec
+from .errors import InvalidParameterError
+from .weights import WeightSpec, invert_g
 
 GROWING = "growing"
 DECAYING_TAIL = "decaying_tail"
@@ -75,33 +72,12 @@ class RadialMeasure:
 
 
 def _tail_cutoff(meas: RadialMeasure, a: float) -> float:
-    """Radius where the decaying density is TAIL_DENSITY_FACTOR of its
-    value at ``a`` (the density is strictly decreasing)."""
-    d_a = float(meas.density(a))
-    if not d_a > 0.0:
-        # density already underflowed; any small interval suffices
-        return a * 2.0
-    target = TAIL_DENSITY_FACTOR * d_a
-    lo = a
-    hi = max(a, 1.0) * 2.0
-    for _ in range(200):
-        if float(meas.density(hi)) <= target:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise CriterionInfiniteError(
-            "tail density does not decay; the criterion integral diverges"
-        )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if float(meas.density(mid)) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Radius where the factor exp(-g/(p-1)) of the decaying density is
+    TAIL_DENSITY_FACTOR of its value at ``a``.  The factor r**(-(N-1)/(p-1))
+    only shrinks beyond ``a``, so from there on the density is at most
+    TAIL_DENSITY_FACTOR times its value at ``a``."""
+    w = meas.weight
+    return invert_g(w, float(w.g(a)) + (meas.p - 1.0) * math.log(1.0 / TAIL_DENSITY_FACTOR))
 
 
 def tail_integrals(meas: RadialMeasure, h: Callable, x: np.ndarray,
@@ -181,16 +157,3 @@ def cell_weighted_volumes(meas: RadialMeasure, faces: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("faces must be a strictly increasing 1-d array")
     vols, _ = quadrature.panels(meas.density, faces[:-1], faces[1:], rel_tol=1e-12)
     return sphere_area(meas.dim_n) * vols
-
-
-def mass(meas: RadialMeasure, faces: np.ndarray, u: np.ndarray) -> float:
-    """Weighted mass of the cell-averaged radial profile u >= 0."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise InvalidStateError("cell averages must be non-negative")
-    vols = cell_weighted_volumes(meas, faces)
-    if u.shape != vols.shape:
-        raise InvalidParameterError(
-            f"profile has {u.size} cells but the mesh has {vols.size}"
-        )
-    return float(np.dot(u, vols))

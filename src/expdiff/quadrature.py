@@ -171,8 +171,10 @@ def cumulative(
     return np.concatenate([[0.0], np.cumsum(segs)])
 
 
-def geometric_breakpoints(a: float, b: float, n_decades_inner: int = 12) -> np.ndarray:
-    """Breakpoints on [a, b] refined geometrically toward a (a may be 0).
+def geometric_breakpoints(a: float, b: float) -> np.ndarray:
+    """Breakpoints on [a, b] refined geometrically toward a (a may be 0):
+    49 geometric points from max(a, b * 2**-48) to b, plus a (for small a
+    the points b, b/2, b/4, ... down to about 3.6e-15 b).
 
     Useful for integrands with a branch-point singularity at the left
     endpoint, e.g. s**alpha with 0 < alpha < 1.
@@ -181,9 +183,9 @@ def geometric_breakpoints(a: float, b: float, n_decades_inner: int = 12) -> np.n
         raise ValueError("need b > a")
     if a > 0 and b / a < 4.0:
         return np.array([a, b])
-    lo = b * 2.0 ** (-4 * n_decades_inner)
+    lo = b * 2.0 ** -48
     pts = [a] if a < lo else []
     start = max(a, lo)
-    ratios = np.geomspace(start, b, num=4 * n_decades_inner + 1)
+    ratios = np.geomspace(start, b, num=49)
     pts.extend(float(r) for r in ratios)
     return np.unique(np.asarray(pts))

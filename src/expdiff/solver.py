@@ -25,7 +25,7 @@ and skips the weighted admissibility checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,9 +104,7 @@ class SolverState:
     mass0: float
     support_threshold: float
     clipped_mass: float = 0.0
-    max_step_clip: float = 0.0
     last_dt: float = math.nan
-    scale_lambda: float = 1.0  # data rescaling applied by normalize=True
     steps: int = 0  # accepted implicit steps
     rejected_steps: int = 0
     newton_iterations: int = 0
@@ -173,7 +171,6 @@ class Trajectory:
     mass: np.ndarray
     dt_last: np.ndarray
     mass0: float
-    scale_lambda: float
     config: SolverConfig
     steps: int
     rejected_steps: int
@@ -193,15 +190,12 @@ def initial_state(config: SolverConfig) -> SolverState:
     grid = make_grid(config.weight, config.eq.dim_n, config.r_max, config.n_cells)
     core = 1.0 - (grid.centers / config.bump_radius) ** 2
     u0 = config.bump_height * np.maximum(0.0, core)
-    scale = 1.0
-    mass_raw = float(np.dot(u0, grid.cell_weighted_volumes))
     if config.normalize:
-        scale = 1.0 / mass_raw
-        u0 = u0 * scale
+        u0 = u0 * (1.0 / float(np.dot(u0, grid.cell_weighted_volumes)))
     mass0 = float(np.dot(u0, grid.cell_weighted_volumes))
     threshold = SUPPORT_THRESHOLD_REL * float(u0.max())
     return SolverState(grid=grid, t=0.0, u=u0, mass0=mass0,
-                       support_threshold=threshold, scale_lambda=scale)
+                       support_threshold=threshold)
 
 
 def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
@@ -280,9 +274,7 @@ def _clip_negative(state: SolverState) -> None:
     u = state.u
     if u.min() < 0.0:
         neg = u < 0.0
-        clip = float(-np.dot(u[neg], state.grid.cell_weighted_volumes[neg]))
-        state.clipped_mass += clip
-        state.max_step_clip = max(state.max_step_clip, clip)
+        state.clipped_mass += float(-np.dot(u[neg], state.grid.cell_weighted_volumes[neg]))
         u[neg] = 0.0
 
 
@@ -548,7 +540,6 @@ def run(config: SolverConfig) -> Trajectory:
     at the output times.  Raises if the support reaches the outer
     boundary or the weighted mass drifts beyond 1e-6 relative."""
     state = initial_state(config)
-    scale = state.scale_lambda
     if config.output_times is not None:
         outs = np.asarray(sorted(config.output_times), dtype=float)
         if outs.size == 0 or outs[-1] > config.t_end * (1 + 1e-12):
@@ -584,7 +575,7 @@ def run(config: SolverConfig) -> Trajectory:
     return Trajectory(
         times=np.asarray(times), sup_u=np.asarray(sups),
         support_radius=np.asarray(supports), mass=np.asarray(masses),
-        dt_last=np.asarray(dts), mass0=state.mass0, scale_lambda=scale,
+        dt_last=np.asarray(dts), mass0=state.mass0,
         config=config, steps=state.steps, rejected_steps=state.rejected_steps,
         newton_iterations=state.newton_iterations,
         picard_fallbacks=state.picard_fallbacks, clipped_mass=state.clipped_mass,
@@ -606,7 +597,6 @@ class FitReport:
     band_min: float
     window: tuple[float, float]
     n_points: int
-    extras: dict = field(default_factory=dict)
 
     @property
     def band_ratio(self) -> float:
@@ -659,7 +649,6 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
             model=model, slope=slope, target_slope=target, c_fit=c_fit,
             band_max=float(c_last.max()), band_min=float(c_last.min()),
             window=(float(t[0]), float(t[-1])), n_points=int(idx.size),
-            extras={"c_series_spread": float(c_last.max() / c_last.min())},
         )
 
     ratio = traj.sup_u[idx] / env_mod.sup_envelope(par, t)
@@ -670,6 +659,4 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
         model=model, slope=slope, target_slope=0.0, c_fit=c_fit,
         band_max=float(r_last.max()), band_min=float(r_last.min()),
         window=(float(t[last][0]), float(t[-1])), n_points=int(r_last.size),
-        extras={"ratio_full_max": float(ratio.max()),
-                "ratio_full_min": float(ratio.min())},
     )

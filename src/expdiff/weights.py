@@ -124,11 +124,11 @@ class WeightSpec:
             raise NumericFailureError(str(anchors), achieved=anchors.achieved)
         return anchors
 
-    def g_primitive(self, s: float, rel_tol: float = 1e-12) -> float:
+    def g_primitive(self, s: float) -> float:
         """int_0^s g(z) dz; one point of ``g_primitive_many``."""
-        return float(self.g_primitive_many(s, rel_tol=rel_tol)[0])
+        return float(self.g_primitive_many(s)[0])
 
-    def g_primitive_many(self, ss: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    def g_primitive_many(self, ss: np.ndarray) -> np.ndarray:
         """int_0^s g(z) dz over an array of radii (closed form for powers,
         anchored panels else).
 
@@ -152,7 +152,7 @@ class WeightSpec:
         if np.any(low):
             s_low = ss[low]
             bp = np.union1d(quadrature.geometric_breakpoints(0.0, float(s_low.max())), s_low)
-            out[low] = quadrature.cumulative(self.g_eval, bp, rel_tol=rel_tol)[
+            out[low] = quadrature.cumulative(self.g_eval, bp, rel_tol=1e-12)[
                 np.searchsorted(bp, s_low)]
         high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
         idx = np.searchsorted(s_grid, ss[high], side="right") - 1
@@ -349,8 +349,7 @@ def _band_report(name: str, at: np.ndarray, value: np.ndarray, lo: np.ndarray,
     )
 
 
-def validate_envelope(w: WeightSpec, samples: Sequence[float],
-                      rtol: float = ENVELOPE_RTOL) -> ValidationReport:
+def validate_envelope(w: WeightSpec, samples: Sequence[float]) -> ValidationReport:
     """Check alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s on the sample grid.
 
     Violations are measured relative to the bound being violated; the
@@ -362,15 +361,15 @@ def validate_envelope(w: WeightSpec, samples: Sequence[float],
         raise InvalidParameterError("samples must be a strictly positive sorted grid")
     ratio = w.g(s) / s
     return _band_report("envelope alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s", s,
-                        w.gp(s), w.alpha1 * ratio, w.alpha2 * ratio, rtol)
+                        w.gp(s), w.alpha1 * ratio, w.alpha2 * ratio, ENVELOPE_RTOL)
 
 
-def big_g(w: WeightSpec, s: float, rel_tol: float = 1e-12) -> float:
+def big_g(w: WeightSpec, s: float) -> float:
     """Smoothed exponent G(s) = (1/s) int_0^s g(z) dz, s > 0."""
     _require_weighted(w, "the smoothed exponent")
     if not s > 0:
         raise InvalidParameterError("requires s > 0")
-    return w.g_primitive(s, rel_tol=rel_tol) / s
+    return w.g_primitive(s) / s
 
 
 def lambda_(w: WeightSpec, s: float) -> float:
@@ -506,8 +505,7 @@ def _fd_slope(fn: Callable[[np.ndarray], np.ndarray], s: np.ndarray) -> np.ndarr
 
 
 def check_monotone_quantities(w: WeightSpec, eq: EquationParams,
-                              grid: Sequence[float],
-                              rtol: float = FD_SLOPE_RTOL) -> ValidationReport:
+                              grid: Sequence[float]) -> ValidationReport:
     """Finite-difference monotonicity of the five derived radial quantities.
 
     Non-decreasing: lam(s)**(p-1) s**(N-1),  lam(s)**-1 s**(N-1),  g(s) s**-alpha1.
@@ -544,33 +542,31 @@ def check_monotone_quantities(w: WeightSpec, eq: EquationParams,
         worst = max(worst, viol)
     return ValidationReport(
         name="monotone radial quantities (finite differences)",
-        passed=worst <= rtol,
+        passed=worst <= FD_SLOPE_RTOL,
         worst_violation=worst,
-        tolerance=rtol,
+        tolerance=FD_SLOPE_RTOL,
         detail=detail,
     )
 
 
-def check_sandwich(w: WeightSpec, samples: Sequence[float],
-                   rtol: float = 1e-10) -> ValidationReport:
+def check_sandwich(w: WeightSpec, samples: Sequence[float]) -> ValidationReport:
     """g(s)s/(alpha2+1) <= int_0^s g <= g(s)s/(alpha1+1) on the samples."""
     _require_weighted(w, "the primitive sandwich")
     s = np.asarray(samples, dtype=float)
     gs = np.asarray(w.g(s), dtype=float) * s
     return _band_report("primitive sandwich g(s)s/(a2+1) <= int_0^s g <= g(s)s/(a1+1)",
                         s, w.g_primitive_many(s), gs / (w.alpha2 + 1.0),
-                        gs / (w.alpha1 + 1.0), rtol)
+                        gs / (w.alpha1 + 1.0), 1e-10)
 
 
-def check_lambda_bounds(w: WeightSpec, samples: Sequence[float],
-                        rtol: float = 1e-10) -> ValidationReport:
+def check_lambda_bounds(w: WeightSpec, samples: Sequence[float]) -> ValidationReport:
     """a1/(a1+1) g(s)/s <= lam(s) <= a2/(a2+1) g(s)/s on the samples."""
     _require_weighted(w, "the lam bounds")
     s = np.asarray(samples, dtype=float)
     ratio = np.asarray(w.g(s), dtype=float) / s
     return _band_report("lam bounds a1/(a1+1) g/s <= lam <= a2/(a2+1) g/s",
                         s, lambda_many(w, s), w.alpha1 / (w.alpha1 + 1.0) * ratio,
-                        w.alpha2 / (w.alpha2 + 1.0) * ratio, rtol)
+                        w.alpha2 / (w.alpha2 + 1.0) * ratio, 1e-10)
 
 
 def check_inversion_roundtrip(w: WeightSpec, zs: Sequence[float]) -> ValidationReport:
@@ -585,8 +581,8 @@ def check_inversion_roundtrip(w: WeightSpec, zs: Sequence[float]) -> ValidationR
     )
 
 
-def check_inverse_scaling(w: WeightSpec, pairs: Sequence[tuple[float, float]],
-                          rtol: float = 1e-9) -> ValidationReport:
+def check_inverse_scaling(w: WeightSpec,
+                          pairs: Sequence[tuple[float, float]]) -> ValidationReport:
     """Power-like scaling of the inverse: for lam > 1,
     ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1), and with the
     exponents swapped for lam < 1."""
@@ -598,7 +594,7 @@ def check_inverse_scaling(w: WeightSpec, pairs: Sequence[tuple[float, float]],
     hi = base * lam ** (1.0 / np.where(grow, w.alpha1, w.alpha2))
     return _band_report(
         "inverse scaling ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1)",
-        z, invert_g(w, z * lam), lo, hi, rtol)
+        z, invert_g(w, z * lam), lo, hi, 1e-9)
 
 
 def zygmund_inverse_asymptotics(alpha: float, beta: float, c: float,

@@ -272,6 +272,26 @@ def test_missing_config(tmp_path):
     assert rc == 2
 
 
+def test_missing_section_named(tmp_path, capsys):
+    # the weight-check config has no [grid] or [simulate] section
+    ini = tmp_path / "zygmund.ini"
+    ini.write_text(ZYGMUND_INI)
+    rc = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'grid'" in err and len(err.splitlines()) == 1
+
+
+def test_missing_key_named(tmp_path, capsys):
+    ini = tmp_path / "no_alpha.ini"
+    ini.write_text(POWER_INI.replace("alpha = 0.5\n", ""))
+    rc = cli.main(["weight-check", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'alpha'" in err and "'weight'" in err
+    assert len(err.splitlines()) == 1
+
+
 SWEEP_SECTIONS = """
 [grid]
 r_max = 40

@@ -20,15 +20,14 @@ def power_sup_closed_form(par, t):
     alpha = par.weight.params["alpha"]
     kappa = par.eq.kappa
     expo = (par.eq.p - alpha) / (alpha * kappa)
-    return (par.c_prefactor * math.log(par.log_arg(t)) ** expo
-            * t ** (-1.0 / kappa) / par.mass0)
+    return math.log(par.log_arg(t)) ** expo * t ** (-1.0 / kappa) / par.mass0
 
 
 def power_support_closed_form(par, t):
     """support_envelope for a pure power weight:
     log(e + t * M**(p+m-3)) to the power 1/alpha."""
     alpha = par.weight.params["alpha"]
-    return par.c_prefactor * math.log(math.e + par.log_arg(t)) ** (1.0 / alpha)
+    return math.log(math.e + par.log_arg(t)) ** (1.0 / alpha)
 
 
 @pytest.fixture(scope="module")

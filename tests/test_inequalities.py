@@ -76,8 +76,8 @@ class TestCriterion:
     def test_left_scaling_homogeneity(self, w_half, eq_ref):
         pair = I.poincare_pair(w_half, eq_ref)
         lam = 7.3
-        base = I.hardy_criterion_sup(pair, n_grid=150)
-        scaled = I.hardy_criterion_sup(pair.scaled(lam), n_grid=150)
+        base = I.hardy_criterion_sup(pair)
+        scaled = I.hardy_criterion_sup(pair.scaled(lam))
         assert scaled.beta_sup == pytest.approx(
             base.beta_sup * lam ** (1.0 / pair.q), rel=1e-8)
 
@@ -108,7 +108,7 @@ class TestGamma:
         # mpmath evaluation of the closed form at q=3, r0=1:
         # a = 6, ginv(6) = 36, K(3,2) = 1.7521490372873504,
         # Gamma = 29.993991640359033
-        assert I.gamma_constant(w_half, eq_ref, 3.0, 1.0) == pytest.approx(
+        assert I.gamma_constant(w_half, eq_ref, 3.0) == pytest.approx(
             29.993991640359033, rel=1e-12)
 
     def test_diverges_as_q_to_p(self, w_half, eq_ref):
