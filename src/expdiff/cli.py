@@ -18,7 +18,6 @@ Config sections (keys shown with defaults where sensible)::
     [simulate]          t_end = 1e6   bump_radius = 1   bump_height = 1
                         n_outputs = 97   output_decades = 8
                         normalize = false
-                        regularization_eps = 0
     [weight_check]      s_min = 1e-3  s_max = 1e3  n_samples = 200
                         tau_grid = 1e2, 1e4, 1e6, 1e8
     [inequalities]      kinds = poincare, radial_sobolev, bounded_sobolev
@@ -82,6 +81,28 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def _value(cfg: configparser.ConfigParser, section: str, key: str,
+           convert=float, fallback=None):
+    """``[section] key`` read by ``convert`` (float, int, _floats or
+    _boolean): ``fallback`` when the key is absent, or without one the
+    configparser.Error that names the missing section or key.  Text that
+    ``convert`` refuses raises InvalidParameterError naming the key."""
+    if fallback is not None and not cfg.has_option(section, key):
+        return fallback
+    text = cfg.get(section, key)
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidParameterError(f"[{section}] {key}: malformed value {text!r}") from None
+
+
 #: arithmetic allowed in config expressions
 _EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
              ast.Pow, ast.UAdd, ast.USub)
@@ -122,31 +143,31 @@ def build_weight(cfg: configparser.ConfigParser) -> weights.WeightSpec:
     configparser.Error that names it."""
     kind = cfg.get("weight", "kind", fallback="power").strip().lower()
     if kind == "power":
-        return weights.make_power_weight(cfg.getfloat("weight", "alpha"))
+        return weights.make_power_weight(_value(cfg, "weight", "alpha"))
     if kind == "zygmund":
-        return weights.make_zygmund_weight(cfg.getfloat("weight", "alpha"),
-                                           cfg.getfloat("weight", "beta"),
-                                           cfg.getfloat("weight", "c"))
+        return weights.make_zygmund_weight(_value(cfg, "weight", "alpha"),
+                                           _value(cfg, "weight", "beta"),
+                                           _value(cfg, "weight", "c"))
     if kind == "custom":
         return weights.make_custom_weight(
             _compile_expr(cfg.get("weight", "g_expr")),
             _compile_expr(cfg.get("weight", "g_prime_expr")),
-            cfg.getfloat("weight", "alpha1"), cfg.getfloat("weight", "alpha2"))
+            _value(cfg, "weight", "alpha1"), _value(cfg, "weight", "alpha2"))
     if kind == "unweighted":
         return weights.make_unweighted()
     raise InvalidParameterError(f"unknown weight kind {kind!r}")
 
 
 def build_equation(cfg: configparser.ConfigParser) -> weights.EquationParams:
-    return weights.EquationParams(dim_n=cfg.getint("equation", "dim_n"),
-                                  p=cfg.getfloat("equation", "p"),
-                                  m=cfg.getfloat("equation", "m"))
+    return weights.EquationParams(dim_n=_value(cfg, "equation", "dim_n", int),
+                                  p=_value(cfg, "equation", "p"),
+                                  m=_value(cfg, "equation", "m"))
 
 
-def _section(cfg: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+def _require_section(cfg: configparser.ConfigParser, name: str) -> None:
+    """NoSectionError for a section whose keys all have defaults."""
     if not cfg.has_section(name):
         raise configparser.NoSectionError(name)
-    return cfg[name]
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -170,10 +191,9 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
         )
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
-    sec = cfg["weight_check"] if cfg.has_section("weight_check") else {}
-    s_min = float(sec.get("s_min", 1e-3))
-    s_max = float(sec.get("s_max", 1e3))
-    n = int(sec.get("n_samples", 200))
+    s_min = _value(cfg, "weight_check", "s_min", fallback=1e-3)
+    s_max = _value(cfg, "weight_check", "s_max", fallback=1e3)
+    n = _value(cfg, "weight_check", "n_samples", int, 200)
     samples = np.geomspace(s_min, s_max, n)
     rng = np.random.default_rng(seed)
 
@@ -228,7 +248,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
               rows, meta)
 
     if w.kind == weights.KIND_ZYGMUND:
-        taus = _floats(str(sec.get("tau_grid", "1e2 1e4 1e6 1e8")))
+        taus = _value(cfg, "weight_check", "tau_grid", _floats, [1e2, 1e4, 1e6, 1e8])
         table = weights.zygmund_inverse_asymptotics(
             w.params["alpha"], w.params["beta"], w.params["c"], taus)
         write_csv(out / "zygmund_asymptotics.csv", ["tau", "A"],
@@ -247,12 +267,12 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     w = build_weight(cfg)
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
-    sec = cfg["inequalities"] if cfg.has_section("inequalities") else {}
-    kinds = [k.strip() for k in str(sec.get(
-        "kinds", "poincare, radial_sobolev, bounded_sobolev")).split(",") if k.strip()]
-    q = float(sec.get("q", 3.0))
-    radii = _floats(str(sec.get("radii", "1 2 4")))
-    n_random = int(sec.get("n_random", 4))
+    kinds = [k.strip() for k in cfg.get(
+        "inequalities", "kinds",
+        fallback="poincare, radial_sobolev, bounded_sobolev").split(",") if k.strip()]
+    q = _value(cfg, "inequalities", "q", fallback=3.0)
+    radii = _value(cfg, "inequalities", "radii", _floats, [1.0, 2.0, 4.0])
+    n_random = _value(cfg, "inequalities", "n_random", int, 4)
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -318,21 +338,20 @@ def _solver_config(cfg, allow_unweighted: bool,
         eq = weights.EquationParams(dim_n=eq.dim_n,
                                     p=override.get("p", eq.p),
                                     m=override.get("m", eq.m))
-    r_max, n_cells = cfg.getfloat("grid", "r_max"), cfg.getint("grid", "n_cells")
-    sim = _section(cfg, "simulate")
+    r_max, n_cells = _value(cfg, "grid", "r_max"), _value(cfg, "grid", "n_cells", int)
+    _require_section(cfg, "simulate")
     t_end = override.get("t_end") if override else None
     if t_end is None:
-        t_end = cfg.getfloat("simulate", "t_end")
-    n_outputs = sim.getint("n_outputs", fallback=97)
-    decades = sim.getfloat("output_decades", fallback=8.0)
+        t_end = _value(cfg, "simulate", "t_end")
+    n_outputs = _value(cfg, "simulate", "n_outputs", int, 97)
+    decades = _value(cfg, "simulate", "output_decades", fallback=8.0)
     outs = solver.default_output_times(t_end, n=n_outputs, decades=decades)
     return solver.SolverConfig(
         eq=eq, weight=w, r_max=r_max, n_cells=n_cells,
         t_end=t_end, output_times=outs,
-        bump_radius=sim.getfloat("bump_radius", fallback=1.0),
-        bump_height=sim.getfloat("bump_height", fallback=1.0),
-        regularization_eps=sim.getfloat("regularization_eps", fallback=0.0),
-        normalize=sim.getboolean("normalize", fallback=False),
+        bump_radius=_value(cfg, "simulate", "bump_radius", fallback=1.0),
+        bump_height=_value(cfg, "simulate", "bump_height", fallback=1.0),
+        normalize=_value(cfg, "simulate", "normalize", _boolean, False),
         allow_unweighted=allow_unweighted,
     )
 
@@ -349,7 +368,7 @@ def _fit_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
     if scfg.weight.is_weighted:
         for model in (solver.SUPPORT_ENVELOPE, solver.SUP_ENVELOPE):
             try:
-                rep = solver.fit_rates(traj, model, scfg.weight, scfg.eq)
+                rep = solver.fit_rates(traj, model)
                 rows.append((model, rep.slope, rep.target_slope, rep.c_fit,
                              rep.band_max, rep.band_min,
                              rep.window[0], rep.window[1], rep.n_points, "ok"))
@@ -399,7 +418,7 @@ def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
           f"{abs(traj.mass[-1] / traj.mass0 - 1.0):.3e}, "
           f"sup={traj.sup_u[-1]:.6g}, support={traj.support_radius[-1]:g}, "
           f"steps={traj.steps} rejected={traj.rejected_steps} "
-          f"newton={traj.newton_iterations} picard={traj.picard_fallbacks} "
+          f"newton={traj.newton_iterations} "
           f"clipped_mass={traj.clipped_mass:.3e}")
     for row in fit_rows:
         print(f"  fit {row[0]}: slope={row[1]} target={row[2]} ({row[-1]})")
@@ -419,8 +438,8 @@ def _sweep_one(args):
                               override={"alpha": alpha, "p": p, "m": m,
                                         "t_end": t_end})
         traj = solver.run(scfg)
-        rep = solver.fit_rates(traj, solver.SUPPORT_ENVELOPE, scfg.weight, scfg.eq)
-        sup_rep = solver.fit_rates(traj, solver.SUP_ENVELOPE, scfg.weight, scfg.eq)
+        rep = solver.fit_rates(traj, solver.SUPPORT_ENVELOPE)
+        sup_rep = solver.fit_rates(traj, solver.SUP_ENVELOPE)
     except ExpdiffError as exc:
         return (alpha, p, m, "", "", "", "", "", "", str(exc))
     return (alpha, p, m, traj.mass0, rep.slope, rep.target_slope,
@@ -430,13 +449,13 @@ def _sweep_one(args):
 
 def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
               jobs: int, cfg_path: str) -> int:
-    sec = _section(cfg, "sweep")
-    alphas = _floats(sec.get("alphas", "0.5"))
-    ps = _floats(sec.get("ps", "2.0"))
-    ms = _floats(sec.get("ms", "2.0"))
+    _require_section(cfg, "sweep")
+    alphas = _value(cfg, "sweep", "alphas", _floats, [0.5])
+    ps = _value(cfg, "sweep", "ps", _floats, [2.0])
+    ms = _value(cfg, "sweep", "ms", _floats, [2.0])
     # optional per-alpha end times: the asymptotic window opens later for
     # weaker weights, so each alpha may carry its own horizon
-    t_ends = _floats(sec.get("t_ends", "")) or [None] * len(alphas)
+    t_ends = _value(cfg, "sweep", "t_ends", _floats, []) or [None] * len(alphas)
     if len(t_ends) != len(alphas):
         raise InvalidParameterError("t_ends must match alphas in length")
     tasks = [(cfg_path, a, p, m, te, allow_unweighted)

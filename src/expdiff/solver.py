@@ -8,9 +8,8 @@ r^(N-1) e^g, so the weighted mass telescopes exactly.  ``run`` advances
 with variable-step BDF2 (backward Euler for the first step), each step
 solved by Newton's method on the tridiagonal flux Jacobian with a
 pure-Python Thomas solve restricted to the active window, started from
-a quadratic predictor and stopped on the residual, a Picard fallback,
-and a local-error step controller on the linear predictor (see
-``_implicit_kernel``).
+a quadratic predictor and stopped on the residual, and a local-error
+step controller on the linear predictor (see ``_implicit_kernel``).
 
 The explicit update (``_explicit_kernel``, ``step``, ``_advance``), with
 its Gershgorin-stable step, is kept as the reference the tests check the
@@ -54,13 +53,12 @@ SUPPORT_THRESHOLD_REL = 1e-12
 CFL_SAFETY = 0.4
 #: local error tolerance of the BDF2 step controller, relative to the mass
 BDF2_TOL = 1e-5
-#: Newton (and Picard) stop once the L1 norm of the residual R(u) is at
-#: most this fraction of the mass; for an M-matrix Jacobian that bounds
-#: the weighted L1 norm of the update a further solve would make
+#: Newton stops once the L1 norm of the residual R(u) is at most this
+#: fraction of the mass; for an M-matrix Jacobian that bounds the
+#: weighted L1 norm of the update a further solve would make
 NEWTON_TOL = 1e-10
-#: solves before Newton falls back to Picard, and Picard rejects the step
+#: solves before Newton gives up and the step is rejected
 NEWTON_MAX_ITER = 8
-PICARD_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,6 @@ class SolverState:
     steps: int = 0  # accepted implicit steps
     rejected_steps: int = 0
     newton_iterations: int = 0
-    picard_fallbacks: int = 0
 
     def sup(self) -> float:
         return float(self.u.max())
@@ -133,7 +130,6 @@ class SolverConfig:
     bump_radius: float = 1.0
     bump_height: float = 1.0
     output_times: Sequence[float] | None = None
-    regularization_eps: float = 0.0
     allow_unweighted: bool = False
     normalize: bool = False
 
@@ -175,7 +171,6 @@ class Trajectory:
     steps: int
     rejected_steps: int
     newton_iterations: int
-    picard_fallbacks: int
     clipped_mass: float
     u_final: np.ndarray  # cell averages at the last output time
 
@@ -199,20 +194,21 @@ def initial_state(config: SolverConfig) -> SolverState:
 
 
 def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
-                 eq: EquationParams, eps: float,
-                 newton: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 eq: EquationParams, newton: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Face fluxes F = w A(ubar) B(s) at the interior faces, with
-    A = ubar^(m-1), B = |s|^(p-2) s (or (s^2 + eps^2)^((p-2)/2) s when
-    regularized) and s the slope, and their derivatives (a, b) with
-    respect to the left and right cell value.
+    A = ubar^(m-1), B = |s|^(p-2) s and s the slope, and their
+    derivatives (a, b) with respect to the left and right cell value.
 
     For m < 1, A is singular at vanishing ubar, but the slope vanishes
-    there too: A := 0 on empty faces, and |s|^(p-2) := 0 at s = 0, so the
-    flux is 0 there.  Newton: a, b = w (A' B / 2 -+ A B' / dc), with
-    A' = (m-1) A / ubar (0 on empty faces, as A is).  Picard
-    (``newton=False``) freezes the conductance k = w A |s|^(p-2) / dc,
-    so F = k (u_right - u_left) and a, b = -k, k.  Overflow (A' as
-    ubar -> 0+ for m < 1) shows up as a non-finite value.
+    there too: A := 0 on empty faces, and |s|^(p-2) := 0 at s = 0 (also
+    for p < 2), so the flux is 0 there.  Newton: a, b = w (A' B / 2 -+
+    A B' / dc), with A' = (m-1) A / ubar (0 on empty faces, as A is).
+    For m < 2, A' ~ ubar^(m-2) is unbounded as ubar -> 0+; on a face
+    where the A' term overflows it is dropped, leaving a, b = -+ w A B'
+    / dc there, an inexact Newton step whose convergence is still judged
+    on the residual.  Frozen conductance (``newton=False``), for the
+    explicit update and its stable step: k = w A |s|^(p-2) / dc, so
+    F = k (u_right - u_left) and a, b = -k, k.
     """
     p, m = eq.p, eq.m
     s = (u[1:] - u[:-1]) * inv_dc
@@ -230,8 +226,6 @@ def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
         mob[pos] = ubar[pos] ** (m - 1.0)
     if p == 2.0:
         sp = 1.0
-    elif eps > 0.0:
-        sp = (s * s + eps * eps) ** (0.5 * (p - 2.0))
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             sp = np.abs(s) ** (p - 2.0)
@@ -241,18 +235,14 @@ def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
     if not newton:
         k = cond * inv_dc
         return flux, -k, k
-    if p == 2.0:
-        d_slope = 1.0
-    elif eps > 0.0:
-        s2, e2 = s * s, eps * eps
-        d_slope = sp * ((p - 1.0) * s2 + e2) / (s2 + e2)
-    else:
-        d_slope = (p - 1.0) * sp
+    d_slope = 1.0 if p == 2.0 else (p - 1.0) * sp
     grad = face_w * mob * d_slope * inv_dc
     if m == 1.0:
         return flux, -grad, grad
     d_mob = np.where(ubar > 0.0, (m - 1.0) * mob / ubar, 0.0)
     half = 0.5 * face_w * d_mob * sp * s
+    if m < 2.0:
+        half[~np.isfinite(half)] = 0.0
     return flux, half - grad, half + grad
 
 
@@ -297,7 +287,6 @@ def _explicit_kernel(grid: RadialGrid,
     climbs across a cell.  A state without flux steps by t_end * 1e-3.
     """
     eq = config.eq
-    eps = config.regularization_eps
     t_floor = 1e-15 * config.t_end
     idle_dt = 1e-3 * config.t_end
     face_w = grid.face_coeffs
@@ -307,7 +296,7 @@ def _explicit_kernel(grid: RadialGrid,
 
     def update(state: SolverState, t_target: float) -> None:
         u = state.u
-        flux, _, conduct = _face_fluxes(u, inv_dc, face_w, eq, eps, newton=False)
+        flux, _, conduct = _face_fluxes(u, inv_dc, face_w, eq, newton=False)
         dt = _gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
         if dt < t_floor:
             raise StiffnessError(
@@ -405,15 +394,15 @@ def _implicit_kernel(grid: RadialGrid,
     u_pred = u^n + w (u^n - u^(n-1)) while only two levels exist) and
     stops, before building J, once |R(u)|_1 <= NEWTON_TOL * mass.  The
     columns of J = V - gamma dt d(div F)/du sum to the cell volumes, so
-    for an M-matrix J (the Picard matrix exactly) |V J^-1 R|_1 <= |R|_1:
-    the residual bounds the weighted update the next solve would make.
-    The iteration caps count solves.  div F telescopes and the flux part
-    of J has zero column sums, so every update keeps the weighted mass
-    of u~, which is that of u^n.  When Newton yields a non-finite
-    value or does not converge, Picard iteration with frozen
-    conductances takes over from the same start (an M-matrix solve,
-    counted as a fallback); when that fails too the step is rejected at
-    a fifth of its size.
+    for an M-matrix J (the frozen-conductance matrix exactly)
+    |V J^-1 R|_1 <= |R|_1: the residual bounds the weighted update the
+    next solve would make.  NEWTON_MAX_ITER caps the solves.  div F
+    telescopes and the flux part of J has zero column sums, so every
+    update keeps the weighted mass of u~, which is that of u^n.  Where
+    the mobility derivative overflows at the front (m < 2), J drops it
+    face by face (see ``_face_fluxes``).  When Newton yields a
+    non-finite value or does not converge, the step is rejected at a
+    fifth of its size.
 
     Step control: err = w/(1+2w) * |V (u - u_pred)|_1 / mass, with the
     linear u_pred, not the quadratic start: the O(dt^3) estimate
@@ -433,7 +422,6 @@ def _implicit_kernel(grid: RadialGrid,
     closure.
     """
     eq = config.eq
-    eps = config.regularization_eps
     t_floor = 1e-15 * config.t_end
     face_w = grid.face_coeffs
     vols = grid.cell_weighted_volumes
@@ -444,14 +432,14 @@ def _implicit_kernel(grid: RadialGrid,
     dt_want = math.nan
 
     def converge(state: SolverState, u: np.ndarray, tilde: np.ndarray,
-                 gdt: float, newton: bool) -> bool:
-        # in place: u -> root of R; False when the iteration fails.  The
-        # cap counts solves; the residual after the last one still counts.
+                 gdt: float) -> bool:
+        # in place: u -> root of R; False when Newton fails.  The cap
+        # counts solves; the residual after the last one still counts.
         tol = NEWTON_TOL * state.mass0
-        solves = NEWTON_MAX_ITER if newton else PICARD_MAX_ITER
+        solves = NEWTON_MAX_ITER
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
-                flux, a, b = _face_fluxes(u, inv_dc, face_w, eq, eps, newton)
+                flux, a, b = _face_fluxes(u, inv_dc, face_w, eq, newton=True)
                 resid = vols * (u - tilde)
                 resid[:-1] -= gdt * flux
                 resid[1:] += gdt * flux
@@ -473,14 +461,13 @@ def _implicit_kernel(grid: RadialGrid,
                 if not np.isfinite(delta).all():
                     return False
                 u += delta
-                if newton:
-                    state.newton_iterations += 1
+                state.newton_iterations += 1
 
     def update(state: SolverState, t_target: float) -> None:
         nonlocal u_prev, dt_prev, u_prev2, dt_prev2, dt_want
         u_n = state.u
         if math.isnan(dt_want):
-            _, _, conduct = _face_fluxes(u_n, inv_dc, face_w, eq, eps, newton=False)
+            _, _, conduct = _face_fluxes(u_n, inv_dc, face_w, eq, newton=False)
             dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
         while True:
             if dt_want < t_floor:
@@ -505,13 +492,10 @@ def _implicit_kernel(grid: RadialGrid,
                     start = pred + dt * (dt + dt_prev) / (dt_prev + dt_prev2) * slope2
             gdt = (1.0 + omega) / (1.0 + 2.0 * omega) * dt
             u = start.copy()
-            if not converge(state, u, tilde, gdt, True):
-                state.picard_fallbacks += 1
-                u = start.copy()
-                if not converge(state, u, tilde, gdt, False):
-                    state.rejected_steps += 1
-                    dt_want = 0.2 * dt
-                    continue
+            if not converge(state, u, tilde, gdt):
+                state.rejected_steps += 1
+                dt_want = 0.2 * dt
+                continue
             err = (omega / (1.0 + 2.0 * omega)
                    * float(np.dot(vols, np.abs(u - pred))) / state.mass0)
             fac = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (BDF2_TOL / err) ** (1 / 3)))
@@ -577,8 +561,7 @@ def run(config: SolverConfig) -> Trajectory:
         support_radius=np.asarray(supports), mass=np.asarray(masses),
         dt_last=np.asarray(dts), mass0=state.mass0,
         config=config, steps=state.steps, rejected_steps=state.rejected_steps,
-        newton_iterations=state.newton_iterations,
-        picard_fallbacks=state.picard_fallbacks, clipped_mass=state.clipped_mass,
+        newton_iterations=state.newton_iterations, clipped_mass=state.clipped_mass,
         u_final=state.u,
     )
 
@@ -603,10 +586,9 @@ class FitReport:
         return self.band_max / self.band_min if self.band_min > 0 else math.inf
 
 
-def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
-              eq: EquationParams) -> FitReport:
-    """Fit the large-time window of a trajectory against the predicted
-    envelope shape.
+def fit_rates(traj: Trajectory, model: str) -> FitReport:
+    """Fit the large-time window of a trajectory against the envelope
+    shape predicted for its own weight and equation.
 
     support model: regress log R against log log(e + t * M^(p+m-3));
     the slope approaches 1/alpha for power-like weights.  sup model:
@@ -616,9 +598,10 @@ def fit_rates(traj: Trajectory, model: str, weight: WeightSpec,
     """
     if model not in (SUP_ENVELOPE, SUPPORT_ENVELOPE):
         raise InvalidParameterError(f"unknown fit model {model!r}")
+    weight = traj.config.weight
     if not weight.is_weighted:
         raise FitRefusedError("envelope fits are undefined without a weight")
-    par = env_mod.EnvelopeParams(eq=eq, weight=weight, mass0=traj.mass0)
+    par = env_mod.EnvelopeParams(eq=traj.config.eq, weight=weight, mass0=traj.mass0)
     idx = np.flatnonzero(par.large_time(traj.times))
     if idx.size < 5:
         raise FitRefusedError("too few samples in the large-time window")

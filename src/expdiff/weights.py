@@ -306,14 +306,6 @@ class ValidationReport:
     tolerance: float
     detail: dict = field(default_factory=dict)
 
-    def to_row(self) -> dict:
-        return {
-            "check": self.name,
-            "verdict": "PASS" if self.passed else "FAIL",
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -404,11 +396,12 @@ def invert_g(w: WeightSpec, z):
 
     Closed form for powers, refused past INVERT_CAP like every other
     kind.  Else one masked pass over all targets:
-    bracket expansion by doubling from [0, 1] up to INVERT_CAP, bisection
-    to a relative width of 1e-15, then at most four bracket-guarded
-    Newton steps; each target stops on its own, at
+    bracket expansion by doubling from [0, 1] up to INVERT_CAP, then
+    bisection, each target stopping on its own at a relative width of
+    1e-15, and the midpoint checked against
     |g(s) - z| <= INVERT_RTOL * max(1, z).  OutOfRangeError for a target
-    beyond g(INVERT_CAP), NumericFailureError for one the polish misses.
+    beyond g(INVERT_CAP), NumericFailureError for one that misses the
+    check (a g that jumps across z).
     """
     _require_weighted(w, "inversion")
     z_in = np.asarray(z, dtype=float)
@@ -451,20 +444,6 @@ def _invert_masked(w: WeightSpec, z: np.ndarray) -> np.ndarray:
         hi[live[~below]] = mid[~below]
         live = live[hi[live] - lo[live] > 1e-15 * hi[live]]
     s = 0.5 * (lo + hi)
-    live = np.arange(z.size)
-    for _ in range(4):
-        err = w.g(s[live]) - z[live]
-        off = np.abs(err) > tol[live]
-        live, err = live[off], err[off]
-        if not live.size:
-            break
-        deriv = w.gp(s[live])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s[live] - err / deriv
-        # monotone g: a step leaving the bracket ends that target's polish
-        ok = (deriv > 0) & (lo[live] <= s_new) & (s_new <= hi[live])
-        s[live[ok]] = s_new[ok]
-        live = live[ok]
     resid = np.abs(w.g(s) - z)
     bad = np.flatnonzero(resid > tol)
     if bad.size:

@@ -156,7 +156,7 @@ def test_criterion_3_solver_calibration():
 def test_criterion_4_finite_speed_of_propagation(reference_run):
     traj, w, eq, run_time = reference_run
     start = time.monotonic()
-    rep = S.fit_rates(traj, S.SUPPORT_ENVELOPE, w, eq)
+    rep = S.fit_rates(traj, S.SUPPORT_ENVELOPE)
     rel_err = abs(rep.slope - 2.0) / 2.0
     decades = math.log10(rep.window[1] / rep.window[0])
     elapsed = run_time + (time.monotonic() - start)
@@ -171,7 +171,7 @@ def test_criterion_4_finite_speed_of_propagation(reference_run):
 
 def test_criterion_5_sup_envelope_shape(reference_run):
     traj, w, eq, _ = reference_run
-    rep = S.fit_rates(traj, S.SUP_ENVELOPE, w, eq)
+    rep = S.fit_rates(traj, S.SUP_ENVELOPE)
     band = rep.band_ratio
     ok = band <= 10.0
     assert _report(5, ok, f"sup-envelope shape: ratio band over final decade "

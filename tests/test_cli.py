@@ -141,10 +141,10 @@ def test_simulate_prints_solver_counts(power_cfg, tmp_path, capsys):
     assert rc == 0
     summary = capsys.readouterr().out.splitlines()[0]
     counts = dict(item.split("=") for item in summary.split(", ")[-1].split())
-    assert set(counts) == {"steps", "rejected", "newton", "picard", "clipped_mass"}
+    assert set(counts) == {"steps", "rejected", "newton", "clipped_mass"}
     assert int(counts["steps"]) > 0
     assert int(counts["newton"]) >= int(counts["steps"])
-    assert int(counts["picard"]) == 0 and float(counts["clipped_mass"]) == 0.0
+    assert float(counts["clipped_mass"]) == 0.0
 
 
 def test_simulate_deterministic(power_cfg, tmp_path):
@@ -291,6 +291,24 @@ def test_missing_key_named(tmp_path, capsys):
     assert err.startswith("error:") and "'alpha'" in err and "'weight'" in err
     assert len(err.splitlines()) == 1
 
+
+@pytest.mark.parametrize("command, section, key, bad", [
+    ("weight-check", "weight", "alpha", "abc"),
+    ("weight-check", "weight_check", "n_samples", "many"),
+    ("inequalities", "inequalities", "radii", "1, two"),
+    ("simulate", "simulate", "normalize", "perhaps"),
+], ids=["alpha", "n_samples", "radii", "normalize"])
+def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
+    cfg = _cfg(POWER_INI)
+    cfg[section][key] = bad
+    ini = tmp_path / "bad_value.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"[{section}] {key}" in err and repr(bad) in err
+    assert len(err.splitlines()) == 1
 
 SWEEP_SECTIONS = """
 [grid]

@@ -289,6 +289,14 @@ class TestInversion:
         with pytest.raises(InvalidParameterError):
             W.invert_g(zygmund, 0.0)
 
+    def test_target_in_jump_refused(self):
+        # g jumps by 1e-6 at s = 1: bisection closes on the jump, where no s
+        # meets |g(s) - z| <= INVERT_RTOL * max(1, z)
+        w = W.make_custom_weight(lambda s: s ** 0.5 + 1e-6 * (s > 1.0),
+                                 lambda s: 0.5 * s ** -0.5, 0.5, 0.5)
+        with pytest.raises(NumericFailureError, match="inversion stalled at s=1 "):
+            W.invert_g(w, 1.0 + 5e-7)
+
 
 class TestStructuralConditions:
     def test_reference_all_true(self, power_half, eq_ref):
