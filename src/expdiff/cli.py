@@ -36,7 +36,6 @@ import configparser
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +460,9 @@ def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
     tasks = [(cfg_path, a, p, m, te, allow_unweighted)
              for a, te in zip(alphas, t_ends) for p in ps for m in ms]
     if jobs > 1:
+        # imported here: concurrent.futures pulls in multiprocessing and
+        # logging, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:

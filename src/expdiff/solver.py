@@ -7,9 +7,11 @@ cell averages are updated from face fluxes weighted by the measure
 r^(N-1) e^g, so the weighted mass telescopes exactly.  ``run`` advances
 with variable-step BDF2 (backward Euler for the first step), each step
 solved by Newton's method on the tridiagonal flux Jacobian with a
-pure-Python Thomas solve restricted to the active window, started from
-a quadratic predictor and stopped on the residual, and a local-error
-step controller on the linear predictor (see ``_implicit_kernel``).
+pure-Python Thomas solve, started from a quadratic predictor and
+stopped on the residual, and a local-error step controller on the
+linear predictor (see ``_implicit_kernel``).  The solution is exactly 0
+beyond a moving front, so each step works only on the leading cells
+its support can reach within the step (see ``_window``).
 
 The explicit update (``_explicit_kernel``, ``step``, ``_advance``), with
 its Gershgorin-stable step, is kept as the reference the tests check the
@@ -59,6 +61,9 @@ BDF2_TOL = 1e-5
 NEWTON_TOL = 1e-10
 #: solves before Newton gives up and the step is rejected
 NEWTON_MAX_ITER = 8
+#: Newton failures allowed before one output time; one more raises
+#: StiffnessError instead of crawling on steps that need no solve
+MAX_NEWTON_FAILURES = 50
 
 
 @dataclass(frozen=True)
@@ -194,56 +199,58 @@ def initial_state(config: SolverConfig) -> SolverState:
 
 
 def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
-                 eq: EquationParams, newton: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 eq: EquationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Face fluxes F = w A(ubar) B(s) at the interior faces, with
-    A = ubar^(m-1), B = |s|^(p-2) s and s the slope, and their
-    derivatives (a, b) with respect to the left and right cell value.
+    A = ubar^(m-1), B = |s|^(p-2) s and s the slope; returned with the
+    frozen conductance k = w A |s|^(p-2) / dc, so F = k (u_right -
+    u_left), and the face mean ubar (clipped at 0), from which
+    ``_flux_derivatives`` builds the Newton derivatives.
 
     For m < 1, A is singular at vanishing ubar, but the slope vanishes
     there too: A := 0 on empty faces, and |s|^(p-2) := 0 at s = 0 (also
-    for p < 2), so the flux is 0 there.  Newton: a, b = w (A' B / 2 -+
-    A B' / dc), with A' = (m-1) A / ubar (0 on empty faces, as A is).
-    For m < 2, A' ~ ubar^(m-2) is unbounded as ubar -> 0+; on a face
-    where the A' term overflows it is dropped, leaving a, b = -+ w A B'
-    / dc there, an inexact Newton step whose convergence is still judged
-    on the residual.  Frozen conductance (``newton=False``), for the
-    explicit update and its stable step: k = w A |s|^(p-2) / dc, so
-    F = k (u_right - u_left) and a, b = -k, k.
+    for p < 2), so the flux is 0 there.  Since p + m > 3, a face between
+    two empty cells carries no flux and k = 0 for every admissible
+    (p, m): A = 0 there unless m = 1, and then p > 2.
     """
     p, m = eq.p, eq.m
-    s = (u[1:] - u[:-1]) * inv_dc
-    ubar = 0.5 * (u[1:] + u[:-1])
+    du = u[1:] - u[:-1]
+    ubar = u[1:] + u[:-1]
+    ubar *= 0.5
     np.maximum(ubar, 0.0, out=ubar)
+    k = face_w * inv_dc
     if m == 2.0:
-        mob = ubar
-    elif m == 1.0:
-        mob = np.ones_like(ubar)
+        k *= ubar
     elif m > 1.0:
-        mob = ubar ** (m - 1.0)
-    else:
-        pos = ubar > 0.0
-        mob = np.zeros_like(ubar)
-        mob[pos] = ubar[pos] ** (m - 1.0)
-    if p == 2.0:
-        sp = 1.0
-    else:
+        k *= ubar ** (m - 1.0)
+    elif m < 1.0:
+        k *= np.power(ubar, m - 1.0, out=np.zeros_like(ubar), where=ubar > 0.0)
+    if p != 2.0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            sp = np.abs(s) ** (p - 2.0)
+            sp = np.abs(du * inv_dc) ** (p - 2.0)
         sp[~np.isfinite(sp)] = 0.0
-    cond = face_w * mob * sp
-    flux = cond * s
-    if not newton:
-        k = cond * inv_dc
-        return flux, -k, k
-    d_slope = 1.0 if p == 2.0 else (p - 1.0) * sp
-    grad = face_w * mob * d_slope * inv_dc
-    if m == 1.0:
-        return flux, -grad, grad
-    d_mob = np.where(ubar > 0.0, (m - 1.0) * mob / ubar, 0.0)
-    half = 0.5 * face_w * d_mob * sp * s
-    if m < 2.0:
-        half[~np.isfinite(half)] = 0.0
-    return flux, half - grad, half + grad
+        k *= sp
+    return k * du, k, ubar
+
+
+def _flux_derivatives(flux: np.ndarray, conduct: np.ndarray, ubar: np.ndarray,
+                      eq: EquationParams) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives (a, b) of the face fluxes with respect to the left
+    and right cell value, from the arrays ``_face_fluxes`` returns:
+    a, b = A' B w / 2 -+ (p-1) k, with A' B w = (m-1) F / ubar.
+
+    For m < 2, A' ~ ubar^(m-2) is unbounded as ubar -> 0+; on a face
+    where the A' term overflows it is dropped, leaving a, b = -+ (p-1) k
+    there, an inexact Newton step whose convergence is still judged on
+    the residual.  On an empty face F = ubar = 0 and the term is 0.
+    Call under an ``np.errstate`` that ignores the 0/0 and overflow.
+    """
+    grad = conduct if eq.p == 2.0 else (eq.p - 1.0) * conduct
+    if eq.m == 1.0:
+        return -grad, grad
+    half = flux / ubar
+    half *= 0.5 * (eq.m - 1.0)
+    half[~np.isfinite(half)] = 0.0
+    return half - grad, half + grad
 
 
 def _gershgorin_dt(conduct: np.ndarray, inv_vols: np.ndarray, p: float,
@@ -259,11 +266,11 @@ def _gershgorin_dt(conduct: np.ndarray, inv_vols: np.ndarray, p: float,
     return CFL_SAFETY / peak if peak > 0.0 else idle_dt
 
 
-def _clip_negative(state: SolverState) -> None:
-    """Set negative cell values to 0, recording the weighted mass added."""
-    u = state.u
+def _clip_negative(state: SolverState, u: np.ndarray) -> None:
+    """Set negative values of ``u``, the state's leading cells, to 0,
+    recording the weighted mass added."""
     if u.min() < 0.0:
-        neg = u < 0.0
+        neg = np.flatnonzero(u < 0.0)
         state.clipped_mass += float(-np.dot(u[neg], state.grid.cell_weighted_volumes[neg]))
         u[neg] = 0.0
 
@@ -296,7 +303,7 @@ def _explicit_kernel(grid: RadialGrid,
 
     def update(state: SolverState, t_target: float) -> None:
         u = state.u
-        flux, _, conduct = _face_fluxes(u, inv_dc, face_w, eq, newton=False)
+        flux, conduct, _ = _face_fluxes(u, inv_dc, face_w, eq)
         dt = _gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
         if dt < t_floor:
             raise StiffnessError(
@@ -313,7 +320,7 @@ def _explicit_kernel(grid: RadialGrid,
         dudt[-1] = -flux[-1]
         np.multiply(dudt, inv_vols, out=dudt)
         u += dt * dudt
-        _clip_negative(state)
+        _clip_negative(state, u)
         state.last_dt = dt
 
     return update
@@ -332,13 +339,17 @@ def _advance(state: SolverState, config: SolverConfig, t_target: float) -> None:
         update(state, t_target)
 
 
-def _thomas(sub: list, diag: list, sup: list, rhs: list) -> list:
-    """Solve a tridiagonal system by the Thomas algorithm (no pivoting).
-    ``sub[0]`` and ``sup[-1]`` are 0; lists of floats, because a Python
-    loop over them beats numpy's per-call overhead at these sizes."""
+def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+            rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-diagonal ``sub`` (row i+1,
+    column i), diagonal ``diag`` and super-diagonal ``sup`` by the Thomas
+    algorithm (no pivoting).  The sweep runs over lists of floats,
+    because a Python loop over them beats numpy's per-call overhead at
+    these sizes."""
     cs, ds = [], []
     c = d = 0.0
-    for lo, di, up, r in zip(sub, diag, sup, rhs):
+    for lo, di, up, r in zip([0.0] + sub.tolist(), diag.tolist(),
+                             sup.tolist() + [0.0], rhs.tolist()):
         den = di - lo * c
         c = up / den
         d = (r - lo * d) / den
@@ -350,30 +361,17 @@ def _thomas(sub: list, diag: list, sup: list, rhs: list) -> list:
         x = d - c * x
         xs.append(x)
     xs.reverse()
-    return xs
+    return np.array(xs)
 
 
-def _solve_window(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with sub-diagonal ``sub`` (row i+1,
-    column i), diagonal ``diag`` and super-diagonal ``sup`` on its active
-    window: the leading rows through the last nonzero of ``rhs``, extended
-    to the first row that has no coupling back into the window.  Beyond
-    it the right-hand side vanishes and nothing couples in, so the
-    solution is exactly 0 there.  For the flux Jacobian the window ends
-    two cells past the support when p > 2 or m > 1 (a face between two
-    empty cells has zero flux and zero derivatives); with m = 1 and
-    p <= 2 the coupling never vanishes and the window is the whole grid."""
-    x = np.zeros_like(diag)
-    nz = np.flatnonzero(rhs)
-    if nz.size == 0:
-        return x
-    last = int(nz[-1])
-    free = np.flatnonzero(sub[last:] == 0.0)
-    hi = last + 1 + int(free[0]) if free.size else diag.size
-    x[:hi] = _thomas([0.0] + sub[:hi - 1].tolist(), diag[:hi].tolist(),
-                     sup[:hi - 1].tolist() + [0.0], rhs[:hi].tolist())
-    return x
+def _window(reach: int, n_cells: int) -> int:
+    """End of the cells a BDF2 step works on, given ``reach``: one past
+    the last cell the last three levels ever made nonzero.  A face
+    between two empty cells carries no flux and no derivative (see
+    ``_face_fluxes``), so each Newton solve moves the support out by at
+    most one cell: past reach + NEWTON_MAX_ITER every cell stays exactly
+    0, and the window's right edge is a true zero-flux face."""
+    return min(n_cells, reach + NEWTON_MAX_ITER + 2)
 
 
 def _implicit_kernel(grid: RadialGrid,
@@ -391,18 +389,27 @@ def _implicit_kernel(grid: RadialGrid,
     by Newton's method on the tridiagonal flux Jacobian J.  Newton starts
     from the Lagrange extrapolation through u^(n-2), u^(n-1), u^n at
     their unequal steps (from the linear predictor
-    u_pred = u^n + w (u^n - u^(n-1)) while only two levels exist) and
-    stops, before building J, once |R(u)|_1 <= NEWTON_TOL * mass.  The
-    columns of J = V - gamma dt d(div F)/du sum to the cell volumes, so
+    u_pred = (1+w) u^n - w u^(n-1) while only two levels exist) and
+    stops once |R(u)|_1 <= NEWTON_TOL * mass; it builds the flux
+    derivatives and J only when it is about to solve.  The columns of
+    J = V - gamma dt d(div F)/du sum to the cell volumes, so
     for an M-matrix J (the frozen-conductance matrix exactly)
     |V J^-1 R|_1 <= |R|_1: the residual bounds the weighted update the
     next solve would make.  NEWTON_MAX_ITER caps the solves.  div F
     telescopes and the flux part of J has zero column sums, so every
     update keeps the weighted mass of u~, which is that of u^n.  Where
     the mobility derivative overflows at the front (m < 2), J drops it
-    face by face (see ``_face_fluxes``).  When Newton yields a
+    face by face (see ``_flux_derivatives``).  When Newton yields a
     non-finite value or does not converge, the step is rejected at a
-    fifth of its size.
+    fifth of its size; after MAX_NEWTON_FAILURES such rejections before
+    the next output time the run raises ``StiffnessError``.
+
+    Window: the solution is exactly 0 beyond its support, so each step
+    works on the leading cells ``[:_window(reach, n)]`` only, where
+    ``reach`` is one past the last cell u^n, u^(n-1) or u^(n-2) ever
+    made nonzero: predictor, residual, Jacobian, Thomas sweep, error
+    estimate and clipping all run on that slice, and the accepted slice
+    goes into a fresh full-length ``state.u``.
 
     Step control: err = w/(1+2w) * |V (u - u_pred)|_1 / mass, with the
     linear u_pred, not the quadratic start: the O(dt^3) estimate
@@ -418,11 +425,12 @@ def _implicit_kernel(grid: RadialGrid,
     the split, w reached 523 on the 800-cell power-weight run).
     The first step is the Gershgorin step of the explicit kernel, which
     scales like the data, so runs commute with the equation's scaling.
-    u^(n-1), u^(n-2), their steps and the wanted step live in this
-    closure.
+    u^(n-1), u^(n-2), their steps, the wanted step and ``reach`` live in
+    this closure.
     """
     eq = config.eq
     t_floor = 1e-15 * config.t_end
+    n_cells = grid.n_cells
     face_w = grid.face_coeffs
     vols = grid.cell_weighted_volumes
     inv_dc = 1.0 / np.diff(grid.centers)
@@ -430,19 +438,26 @@ def _implicit_kernel(grid: RadialGrid,
     u_prev2: np.ndarray | None = None
     dt_prev = dt_prev2 = math.nan
     dt_want = math.nan
+    reach = 0
+    failures = 0  # Newton failures since the last output time
 
     def converge(state: SolverState, u: np.ndarray, tilde: np.ndarray,
                  gdt: float) -> bool:
-        # in place: u -> root of R; False when Newton fails.  The cap
-        # counts solves; the residual after the last one still counts.
+        # in place on the window: u -> root of R; False when Newton
+        # fails.  The cap counts solves; the residual after the last
+        # one still counts.
+        hi = u.size
+        vol, w, idc = vols[:hi], face_w[:hi - 1], inv_dc[:hi - 1]
         tol = NEWTON_TOL * state.mass0
         solves = NEWTON_MAX_ITER
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
-                flux, a, b = _face_fluxes(u, inv_dc, face_w, eq, newton=True)
-                resid = vols * (u - tilde)
-                resid[:-1] -= gdt * flux
-                resid[1:] += gdt * flux
+                flux, conduct, ubar = _face_fluxes(u, idc, w, eq)
+                resid = u - tilde
+                resid *= vol
+                gflux = gdt * flux
+                resid[:-1] -= gflux
+                resid[1:] += gflux
                 norm = float(np.abs(resid).sum())
                 if not math.isfinite(norm):
                     return False
@@ -451,24 +466,35 @@ def _implicit_kernel(grid: RadialGrid,
                 if solves == 0:
                     return False
                 solves -= 1
-                diag = vols.copy()
-                diag[:-1] -= gdt * a
-                diag[1:] += gdt * b
+                a, b = _flux_derivatives(flux, conduct, ubar, eq)
+                a *= gdt
+                b *= -gdt
+                diag = vol.copy()
+                diag[:-1] -= a
+                diag[1:] -= b
                 try:
-                    delta = _solve_window(gdt * a, diag, -gdt * b, -resid)
+                    delta = _thomas(a, diag, b, resid)
                 except ZeroDivisionError:
                     return False
                 if not np.isfinite(delta).all():
                     return False
-                u += delta
+                u -= delta
                 state.newton_iterations += 1
 
+    def extend_reach(u: np.ndarray) -> None:
+        nonlocal reach
+        nonzero = np.flatnonzero(u[reach:])
+        if nonzero.size:
+            reach += int(nonzero[-1]) + 1
+
     def update(state: SolverState, t_target: float) -> None:
-        nonlocal u_prev, dt_prev, u_prev2, dt_prev2, dt_want
-        u_n = state.u
+        nonlocal u_prev, dt_prev, u_prev2, dt_prev2, dt_want, failures
         if math.isnan(dt_want):
-            _, _, conduct = _face_fluxes(u_n, inv_dc, face_w, eq, newton=False)
+            _, conduct, _ = _face_fluxes(state.u, inv_dc, face_w, eq)
             dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
+            extend_reach(state.u)
+        hi = _window(reach, n_cells)
+        u_n = state.u[:hi]
         while True:
             if dt_want < t_floor:
                 raise StiffnessError(
@@ -479,37 +505,54 @@ def _implicit_kernel(grid: RadialGrid,
             landing = dt_want >= remaining
             dt = remaining if landing else min(dt_want, 0.5 * remaining)
             if u_prev is None:
-                omega, tilde, pred, start = 0.0, u_n, u_n, u_n
+                omega, tilde, pred = 0.0, u_n, u_n
+                u = u_n.copy()
             else:
                 omega = dt / dt_prev
-                tilde = ((1.0 + omega) ** 2 * u_n - omega ** 2 * u_prev) / (1.0 + 2.0 * omega)
-                pred = u_n + omega * (u_n - u_prev)
-                start = pred
-                if u_prev2 is not None:
-                    # quadratic Lagrange extrapolation: pred plus the term
-                    # through the second divided difference
-                    slope2 = (u_n - u_prev) / dt_prev - (u_prev - u_prev2) / dt_prev2
-                    start = pred + dt * (dt + dt_prev) / (dt_prev + dt_prev2) * slope2
+                up = u_prev[:hi]
+                tilde = ((1.0 + omega) ** 2 / (1.0 + 2.0 * omega)) * u_n
+                tilde -= (omega ** 2 / (1.0 + 2.0 * omega)) * up
+                pred = (1.0 + omega) * u_n
+                pred -= omega * up
+                if u_prev2 is None:
+                    u = pred.copy()
+                else:
+                    # quadratic Lagrange extrapolation: pred plus q times
+                    # the second divided difference
+                    q = dt * (dt + dt_prev) / (dt_prev + dt_prev2)
+                    u = (1.0 + omega + q / dt_prev) * u_n
+                    u -= (omega + q / dt_prev + q / dt_prev2) * up
+                    u += (q / dt_prev2) * u_prev2[:hi]
             gdt = (1.0 + omega) / (1.0 + 2.0 * omega) * dt
-            u = start.copy()
             if not converge(state, u, tilde, gdt):
                 state.rejected_steps += 1
+                failures += 1
+                if failures > MAX_NEWTON_FAILURES:
+                    raise StiffnessError(
+                        f"Newton failed {failures} times before the output time "
+                        f"{t_target:.6g}: at t={state.t:.6g} with dt={dt:.3e}, "
+                        f"after {state.rejected_steps} rejected steps"
+                    )
                 dt_want = 0.2 * dt
                 continue
             err = (omega / (1.0 + 2.0 * omega)
-                   * float(np.dot(vols, np.abs(u - pred))) / state.mass0)
+                   * float(np.dot(vols[:hi], np.abs(u - pred))) / state.mass0)
             fac = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (BDF2_TOL / err) ** (1 / 3)))
             if err > BDF2_TOL:
                 state.rejected_steps += 1
                 dt_want = dt * fac
                 continue
             dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
-            u_prev2, dt_prev2, u_prev, dt_prev = u_prev, dt_prev, u_n, dt
-            state.u = u
+            _clip_negative(state, u)
+            extend_reach(u)
+            u_prev2, dt_prev2, u_prev, dt_prev = u_prev, dt_prev, state.u, dt
+            state.u = np.zeros(n_cells)
+            state.u[:hi] = u
             state.t = t_target if landing else state.t + dt
             state.last_dt = dt
             state.steps += 1
-            _clip_negative(state)
+            if landing:
+                failures = 0
             return
 
     return update

@@ -14,6 +14,7 @@ from expdiff import weights as W
 from expdiff.errors import (
     FitRefusedError,
     InvalidParameterError,
+    StiffnessError,
     SupportBoundaryError,
 )
 
@@ -139,7 +140,9 @@ class TestImplicitIntegrator:
         assert np.abs(traj.sup_u[1:] / tight.sup_u[1:] - 1.0).max() <= 1e-8
 
     def test_window_matches_full_solve(self):
-        # the windowed Thomas solve equals a dense solve of the whole system
+        # the Thomas solve equals a dense solve; past a tail with zero
+        # right-hand side and no coupling back its solution is exactly 0,
+        # and the leading window alone gives the same values
         rng = np.random.default_rng(7)
         n = 12
         sub, sup = -rng.random(n - 1), -rng.random(n - 1)
@@ -148,12 +151,13 @@ class TestImplicitIntegrator:
         rhs = np.zeros(n)
         rhs[:6] = rng.random(6)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        x = S._solve_window(sub, diag, sup, rhs)
+        x = S._thomas(sub, diag, sup, rhs)
         assert np.all(x[8:] == 0.0)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
+        assert np.array_equal(S._thomas(sub[:7], diag[:8], sup[:7], rhs[:8]), x[:8])
         sub[6:] = -rng.random(n - 7)  # coupling to the end: the whole system
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        np.testing.assert_allclose(S._solve_window(sub, diag, sup, rhs),
+        np.testing.assert_allclose(S._thomas(sub, diag, sup, rhs),
                                    np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
 
     def test_residual_bounds_update(self):
@@ -164,7 +168,7 @@ class TestImplicitIntegrator:
             diag = vols.copy()
             diag[:-1] -= a
             diag[1:] += b
-            delta = S._solve_window(a, diag, -b, rhs)
+            delta = S._thomas(a, diag, -b, rhs)
             assert np.dot(vols, np.abs(delta)) <= np.abs(rhs).sum() * (1 + 1e-12)
 
         rng = np.random.default_rng(11)
@@ -180,15 +184,68 @@ class TestImplicitIntegrator:
         st = S.initial_state(cfg)
         S._advance(st, cfg, 0.05)
         grid = st.grid
-        flux, a, b = S._face_fluxes(st.u, 1.0 / np.diff(grid.centers), grid.face_coeffs,
-                                    cfg.eq, newton=False)
+        flux, k, _ = S._face_fluxes(st.u, 1.0 / np.diff(grid.centers), grid.face_coeffs,
+                                    cfg.eq)
         dt = 1e3 * st.last_dt
         resid = np.zeros_like(st.u)
         resid[:-1] -= dt * flux
         resid[1:] += dt * flux
         for rhs in [resid, rng.random(st.u.size)] + [rng.standard_normal(st.u.size)
                                                      for _ in range(5)]:
-            assert_bounded(grid.cell_weighted_volumes, dt * a, dt * b, rhs)
+            assert_bounded(grid.cell_weighted_volumes, -dt * k, dt * k, rhs)
+
+    @pytest.mark.parametrize("weight, eq", [
+        (W.make_power_weight(0.5), W.EquationParams(3, 2.0, 2.0)),
+        (W.make_zygmund_weight(0.5, 1.0, 2.0), W.EquationParams(3, 2.5, 1.0)),
+        (W.make_power_weight(0.5), W.EquationParams(4, 3.0, 0.5)),
+    ], ids=["power-m2", "zygmund-plap", "power-m-half"])
+    def test_window_is_exact(self, monkeypatch, weight, eq):
+        # each step works on the leading cells [:_window(reach, n)]; on the
+        # whole grid the run takes the same steps and solves, agrees to
+        # roundoff and is exactly 0 past the last window
+        cfg = quick_config(weight=weight, eq=eq)
+        window = S._window
+        his = []
+
+        def spy(reach, n_cells):
+            his.append(window(reach, n_cells))
+            return his[-1]
+
+        monkeypatch.setattr(S, "_window", spy)
+        sliced = S.run(cfg)
+        assert his[-1] < cfg.n_cells
+        monkeypatch.setattr(S, "_window", lambda reach, n_cells: n_cells)
+        whole = S.run(cfg)
+        assert (sliced.steps, sliced.rejected_steps, sliced.newton_iterations) == (
+            whole.steps, whole.rejected_steps, whole.newton_iterations)
+        assert np.abs(sliced.sup_u / whole.sup_u - 1.0).max() <= 1e-12
+        assert np.all(whole.u_final[his[-1]:] == 0.0)
+        assert np.all(sliced.u_final[his[-1]:] == 0.0)
+
+    def test_derivatives_once_per_solve(self, monkeypatch):
+        # the residual check that accepts a solve builds no derivatives:
+        # each build feeds one Newton solve
+        builds = []
+        derivatives = S._flux_derivatives
+
+        def counted(*args):
+            builds.append(1)
+            return derivatives(*args)
+
+        monkeypatch.setattr(S, "_flux_derivatives", counted)
+        traj = S.run(quick_config())
+        assert len(builds) == traj.newton_iterations
+
+    def test_newton_failures_raise(self, monkeypatch):
+        # with no solve allowed, Newton fails at every step size and the run
+        # could only crawl on steps whose start already meets NEWTON_TOL
+        # (t = 5.4e-9 after 5,000 updates); the failure cap stops it
+        monkeypatch.setattr(S, "NEWTON_MAX_ITER", 0)
+        cfg = S.SolverConfig(eq=W.EquationParams(4, 3.0, 0.5),
+                             weight=W.make_power_weight(0.5), r_max=40.0,
+                             n_cells=200, t_end=0.5, output_times=[0.5])
+        with pytest.raises(StiffnessError, match=r"Newton failed 51 times.* t=.*dt=.*rejected"):
+            S.run(cfg)
 
     def test_tight_newton_agrees(self, monkeypatch):
         # the residual stop does not change the answer: measured with
@@ -200,15 +257,21 @@ class TestImplicitIntegrator:
         assert tight.steps == base.steps
         assert np.abs(tight.sup_u[1:] / base.sup_u[1:] - 1.0).max() <= 1e-9
 
-    def test_no_scipy_import(self):
-        # importing scipy.linalg doubles peak memory and adds ~0.4 s of start-up
-        code = ("import sys, numpy as np\n"
-                "from expdiff import cli, solver, weights\n"
-                "cfg = solver.SolverConfig(eq=weights.EquationParams(3, 2.0, 2.0),\n"
-                "    weight=weights.make_power_weight(0.5), r_max=40.0, n_cells=200,\n"
-                "    t_end=10.0, output_times=np.geomspace(0.1, 10.0, 5))\n"
-                "assert solver.run(cfg).steps > 0\n"
-                "heavy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    def test_no_scipy_import(self, tmp_path):
+        # importing scipy.linalg doubles peak memory and adds ~0.4 s of
+        # start-up; concurrent.futures pulls in multiprocessing and logging,
+        # which only a sweep with --jobs > 1 needs
+        ini = tmp_path / "small.ini"
+        ini.write_text("[weight]\nkind = power\nalpha = 0.5\n"
+                       "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
+                       "[grid]\nr_max = 40\nn_cells = 200\n"
+                       "[simulate]\nt_end = 10\nn_outputs = 5\noutput_decades = 2\n")
+        code = ("import sys\n"
+                "from expdiff import cli\n"
+                f"assert cli.main(['simulate', '--config', {str(ini)!r}, "
+                f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
+                "heavy = sorted(m for m in sys.modules if m.split('.')[0] in\n"
+                "               ('scipy', 'concurrent', 'multiprocessing'))\n"
                 "assert not heavy, heavy\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -430,7 +493,6 @@ class TestGeneralExponents:
         assert abs(traj.mass[-1] / traj.mass0 - 1.0) <= 1e-12
 
     def test_stiffness_error(self):
-        from expdiff.errors import StiffnessError
         cfg = quick_config(bump_height=1e20, t_end=1.0, n_cells=2000,
                            output_times=[1.0])
         with pytest.raises(StiffnessError):
