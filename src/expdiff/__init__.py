@@ -6,12 +6,10 @@ finite-volume solver."""
 from .weights import (
     EquationParams,
     WeightSpec,
-    big_g,
     check_monotone_quantities,
     check_structural_conditions,
     invert_g,
     lambda_,
-    lambda_prime,
     make_custom_weight,
     make_power_weight,
     make_unweighted,
@@ -39,7 +37,6 @@ from .solver import (
     fit_rates,
     initial_state,
     run,
-    step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -84,22 +84,41 @@ def _boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
-        raise ValueError(text) from None
+        raise ValueError("not a boolean") from None
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("must be finite and positive")
+    return value
+
+
+def _count(low: int):
+    """Conversion to an int that is at least ``low``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return convert
 
 
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
-    """``[section] key`` read by ``convert`` (float, int, _floats or
-    _boolean): ``fallback`` when the key is absent, or without one the
-    configparser.Error that names the missing section or key.  Text that
-    ``convert`` refuses raises InvalidParameterError naming the key."""
+    """``[section] key`` read by ``convert`` (float, int, _floats,
+    _boolean, _positive or a _count): ``fallback`` when the key is
+    absent, or without one the configparser.Error that names the missing
+    section or key.  Text that ``convert`` refuses raises
+    InvalidParameterError naming the key and the reason."""
     if fallback is not None and not cfg.has_option(section, key):
         return fallback
     text = cfg.get(section, key)
     try:
         return convert(text)
-    except ValueError:
-        raise InvalidParameterError(f"[{section}] {key}: malformed value {text!r}") from None
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"[{section}] {key}: malformed value {text!r} ({exc})") from None
 
 
 #: arithmetic allowed in config expressions
@@ -190,9 +209,9 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
         )
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
-    s_min = _value(cfg, "weight_check", "s_min", fallback=1e-3)
-    s_max = _value(cfg, "weight_check", "s_max", fallback=1e3)
-    n = _value(cfg, "weight_check", "n_samples", int, 200)
+    s_min = _value(cfg, "weight_check", "s_min", _positive, 1e-3)
+    s_max = _value(cfg, "weight_check", "s_max", _positive, 1e3)
+    n = _value(cfg, "weight_check", "n_samples", _count(1), 200)
     samples = np.geomspace(s_min, s_max, n)
     rng = np.random.default_rng(seed)
 
@@ -341,9 +360,10 @@ def _solver_config(cfg, allow_unweighted: bool,
     _require_section(cfg, "simulate")
     t_end = override.get("t_end") if override else None
     if t_end is None:
-        t_end = _value(cfg, "simulate", "t_end")
-    n_outputs = _value(cfg, "simulate", "n_outputs", int, 97)
-    decades = _value(cfg, "simulate", "output_decades", fallback=8.0)
+        t_end = _value(cfg, "simulate", "t_end", _positive)
+    # one output would end the run at t_end * 10^-decades
+    n_outputs = _value(cfg, "simulate", "n_outputs", _count(2), 97)
+    decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
     outs = solver.default_output_times(t_end, n=n_outputs, decades=decades)
     return solver.SolverConfig(
         eq=eq, weight=w, r_max=r_max, n_cells=n_cells,

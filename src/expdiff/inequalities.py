@@ -84,11 +84,6 @@ class HardyPair:
                 f"requires 1 <= p <= q, got p={self.p}, q={self.q}"
             )
 
-    def scaled(self, factor: float) -> "HardyPair":
-        base = self.w_density
-        return HardyPair(w_density=lambda r: factor * base(r),
-                         q=self.q, p=self.p, weight=self.weight, dim_n=self.dim_n)
-
 
 def poincare_pair(w: WeightSpec, eq: EquationParams) -> HardyPair:
     """w = lam**p r**(N-1) e^g, phi = r**(N-1) e^g, q = p."""

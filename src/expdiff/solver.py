@@ -13,10 +13,6 @@ linear predictor (see ``_implicit_kernel``).  The solution is exactly 0
 beyond a moving front, so each step works only on the leading cells
 its support can reach within the step (see ``_window``).
 
-The explicit update (``_explicit_kernel``, ``step``, ``_advance``), with
-its Gershgorin-stable step, is kept as the reference the tests check the
-implicit integrator against; ``run`` does not use it.
-
 An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
 exists solely to calibrate the scheme against classical self-similar
 decay of the porous-medium equation; it is outside the weighted theory
@@ -50,8 +46,8 @@ SUPPORT_ENVELOPE = "support_envelope"
 MASS_DRIFT_TOL = 1e-6
 #: fraction of sup(u0) below which a cell does not count as support
 SUPPORT_THRESHOLD_REL = 1e-12
-#: fraction of the Gershgorin-stable step taken by the explicit update,
-#: and by the first implicit step
+#: fraction of the Gershgorin-stable forward-Euler step taken by the
+#: first implicit step
 CFL_SAFETY = 0.4
 #: local error tolerance of the BDF2 step controller, relative to the mass
 BDF2_TOL = 1e-5
@@ -78,10 +74,6 @@ class RadialGrid:
     centers: np.ndarray
     cell_weighted_volumes: np.ndarray
     face_coeffs: np.ndarray  # at faces[1:-1]
-
-    @property
-    def dr(self) -> np.ndarray:
-        return np.diff(self.faces)
 
 
 def make_grid(weight: WeightSpec, dim_n: int, r_max: float, n_cells: int) -> RadialGrid:
@@ -145,12 +137,19 @@ class SolverConfig:
                 "set allow_unweighted=True to use it"
             )
         self.eq.validate_with_weight(self.weight)
-        if not self.t_end > 0:
-            raise InvalidParameterError("t_end must be positive")
-        for name in ("bump_height", "bump_radius"):
+        for name in ("t_end", "r_max", "bump_height", "bump_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
+        if self.output_times is not None:
+            outs = np.asarray(self.output_times, dtype=float)
+            bad = outs[~((outs > 0) & (outs <= self.t_end * (1 + 1e-12)))]
+            if outs.size == 0 or bad.size:
+                got = format(bad[0], "g") if bad.size else "none"
+                raise InvalidParameterError(
+                    f"output times must be a non-empty set of times in "
+                    f"(0, t_end={self.t_end:g}], got {got}"
+                )
         if self.bump_radius > self.r_max / 8.0:
             raise InvalidParameterError(
                 "bump radius must be at most r_max/8 to leave room for spreading"
@@ -256,8 +255,17 @@ def _flux_derivatives(flux: np.ndarray, conduct: np.ndarray, ubar: np.ndarray,
 def _gershgorin_dt(conduct: np.ndarray, inv_vols: np.ndarray, p: float,
                    idle_dt: float) -> float:
     """CFL_SAFETY times the forward-Euler stable step for the frozen
-    conductances ``conduct`` = w A |s|^(p-2) / dc; ``idle_dt`` when
-    nothing flows.  See ``_explicit_kernel``."""
+    conductances ``conduct``; ``idle_dt`` when nothing flows.
+
+    Stability: with face conductances c_f = max(p-1, 1) * k_f, where
+    k_f = w_f A |s|^(p-2) / dc_f is the frozen conductance of
+    ``_face_fluxes``, forward Euler on the frozen-coefficient operator
+    is stable for dt <= 1 / max_i (sum of adjacent c_f / V_i)
+    (Gershgorin).  In the unweighted uniform case this is the classical
+    dr^2/(2 (p-1) D) rule, D = A |s|^(p-2); unlike that literal rule it
+    also accounts for the face-to-volume weight ratio, which grows near
+    r = 0 (curvature) and wherever e^g climbs across a cell.
+    """
     rate = np.zeros_like(inv_vols)
     c_f = max(p - 1.0, 1.0) * conduct
     rate[:-1] += c_f * inv_vols[:-1]
@@ -273,70 +281,6 @@ def _clip_negative(state: SolverState, u: np.ndarray) -> None:
         neg = np.flatnonzero(u < 0.0)
         state.clipped_mass += float(-np.dot(u[neg], state.grid.cell_weighted_volumes[neg]))
         u[neg] = 0.0
-
-
-def _explicit_kernel(grid: RadialGrid,
-                     config: SolverConfig) -> Callable[[SolverState, float], None]:
-    """The explicit conservative update on ``grid``, as a function
-    ``update(state, t_target)`` that advances the state in place by one
-    stable step, shortened to end exactly at ``t_target`` if it would
-    pass it.  ``run`` does not use it: it is the reference the tests
-    check the implicit integrator against.
-
-    Stability: with face conductances c_f = max(p-1, 1) * k_f, where
-    k_f = w_f A |s|^(p-2) / dc_f is the frozen conductance of
-    ``_face_fluxes``, forward Euler on the frozen-coefficient operator
-    is stable for dt <= 1 / max_i (sum of adjacent c_f / V_i)
-    (Gershgorin).  In the unweighted uniform case this is the classical
-    dr^2/(2 (p-1) D) rule, D = A |s|^(p-2); unlike that literal rule it
-    also accounts for the face-to-volume
-    weight ratio, which grows near r = 0 (curvature) and wherever e^g
-    climbs across a cell.  A state without flux steps by t_end * 1e-3.
-    """
-    eq = config.eq
-    t_floor = 1e-15 * config.t_end
-    idle_dt = 1e-3 * config.t_end
-    face_w = grid.face_coeffs
-    inv_dc = 1.0 / np.diff(grid.centers)
-    inv_vols = 1.0 / grid.cell_weighted_volumes
-    dudt = np.empty_like(inv_vols)
-
-    def update(state: SolverState, t_target: float) -> None:
-        u = state.u
-        flux, conduct, _ = _face_fluxes(u, inv_dc, face_w, eq)
-        dt = _gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
-        if dt < t_floor:
-            raise StiffnessError(
-                f"stable dt {dt:.3e} underflowed at t={state.t:.6g}; "
-                "coarsen the grid or change parameters"
-            )
-        if state.t + dt >= t_target:
-            dt = t_target - state.t
-            state.t = t_target
-        else:
-            state.t += dt
-        dudt[0] = flux[0]
-        dudt[1:-1] = flux[1:] - flux[:-1]
-        dudt[-1] = -flux[-1]
-        np.multiply(dudt, inv_vols, out=dudt)
-        u += dt * dudt
-        _clip_negative(state, u)
-        state.last_dt = dt
-
-    return update
-
-
-def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One explicit conservative update; chooses its own stable dt."""
-    _explicit_kernel(state.grid, config)(state, math.inf)
-    return state
-
-
-def _advance(state: SolverState, config: SolverConfig, t_target: float) -> None:
-    """Advance in place to exactly ``t_target`` with the explicit kernel."""
-    update = _explicit_kernel(state.grid, config)
-    while state.t < t_target:
-        update(state, t_target)
 
 
 def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -423,7 +367,7 @@ def _implicit_kernel(grid: RadialGrid,
     halves, so no landing step is a sliver and w stays below 2, inside
     the zero-stability bound 1 + sqrt(2) of variable-step BDF2 (without
     the split, w reached 523 on the 800-cell power-weight run).
-    The first step is the Gershgorin step of the explicit kernel, which
+    The first step is the Gershgorin step (see ``_gershgorin_dt``), which
     scales like the data, so runs commute with the equation's scaling.
     u^(n-1), u^(n-2), their steps, the wanted step and ``reach`` live in
     this closure.
@@ -569,8 +513,6 @@ def run(config: SolverConfig) -> Trajectory:
     state = initial_state(config)
     if config.output_times is not None:
         outs = np.asarray(sorted(config.output_times), dtype=float)
-        if outs.size == 0 or outs[-1] > config.t_end * (1 + 1e-12):
-            raise InvalidParameterError("output times must lie in (0, t_end]")
     else:
         outs = default_output_times(config.t_end)
     times = [0.0]

@@ -318,11 +318,6 @@ class ConditionReport:
     alpha2_below_cap: bool      # a2 < min(N, p/(p-1))
     values: dict = field(default_factory=dict)
 
-    def all_ok(self) -> bool:
-        return (self.flux_monotone_ok and self.dual_monotone_ok
-                and self.sup_decay_range_ok and self.alpha2_below_one
-                and self.alpha2_below_cap)
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -356,26 +351,10 @@ def validate_envelope(w: WeightSpec, samples: Sequence[float]) -> ValidationRepo
                         w.gp(s), w.alpha1 * ratio, w.alpha2 * ratio, ENVELOPE_RTOL)
 
 
-def big_g(w: WeightSpec, s: float) -> float:
-    """Smoothed exponent G(s) = (1/s) int_0^s g(z) dz, s > 0."""
-    _require_weighted(w, "the smoothed exponent")
-    if not s > 0:
-        raise InvalidParameterError("requires s > 0")
-    return w.g_primitive(s) / s
-
-
 def lambda_(w: WeightSpec, s: float) -> float:
     """lam(s) = G'(s) = (g(s) - G(s)) / s, with lam(0) = 0; one point of
     ``lambda_many``."""
     return float(lambda_many(w, s)[0])
-
-
-def lambda_prime(w: WeightSpec, s: float) -> float:
-    """lam'(s) = G''(s) = (2G(s) - 2g(s) + s g'(s)) / s**2."""
-    _require_weighted(w, "lam'")
-    if not s > 0:
-        raise InvalidParameterError("requires s > 0")
-    return (2.0 * big_g(w, s) - 2.0 * float(w.g(s)) + s * float(w.gp(s))) / s ** 2
 
 
 def lambda_many(w: WeightSpec, ss: np.ndarray) -> np.ndarray:

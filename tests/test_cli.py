@@ -292,12 +292,25 @@ def test_missing_key_named(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+# n_samples = -1, s_min = 0 and n_outputs = -1 escaped as numpy tracebacks;
+# n_outputs = 1 ended the run at t_end * 10^-decades and output_decades = 0
+# wrote every row at t_end, both with exit 0; t_end = inf warned in numpy
+# before the solver refused it
 @pytest.mark.parametrize("command, section, key, bad", [
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
     ("inequalities", "inequalities", "radii", "1, two"),
     ("simulate", "simulate", "normalize", "perhaps"),
-], ids=["alpha", "n_samples", "radii", "normalize"])
+    ("weight-check", "weight_check", "n_samples", "-1"),
+    ("weight-check", "weight_check", "s_min", "0"),
+    ("weight-check", "weight_check", "s_max", "-5"),
+    ("simulate", "simulate", "n_outputs", "-1"),
+    ("simulate", "simulate", "n_outputs", "1"),
+    ("simulate", "simulate", "t_end", "inf"),
+    ("simulate", "simulate", "output_decades", "0"),
+], ids=["alpha", "n_samples", "radii", "normalize", "n_samples-negative", "s_min-zero",
+        "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
+        "output_decades-zero"])
 def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     cfg = _cfg(POWER_INI)
     cfg[section][key] = bad

@@ -1,5 +1,6 @@
 """Inequality lab: constants, criterion suprema, empirical certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,7 +78,8 @@ class TestCriterion:
         pair = I.poincare_pair(w_half, eq_ref)
         lam = 7.3
         base = I.hardy_criterion_sup(pair)
-        scaled = I.hardy_criterion_sup(pair.scaled(lam))
+        scaled = I.hardy_criterion_sup(
+            dataclasses.replace(pair, w_density=lambda r: lam * pair.w_density(r)))
         assert scaled.beta_sup == pytest.approx(
             base.beta_sup * lam ** (1.0 / pair.q), rel=1e-8)
 
