@@ -5,13 +5,14 @@
 on [0, r_max] with zero-flux boundaries.  The scheme is conservative:
 cell averages are updated from face fluxes weighted by the measure
 r^(N-1) e^g, so the weighted mass telescopes exactly.  ``run`` advances
-with variable-step BDF2 (backward Euler for the first step), each step
-solved by Newton's method on the tridiagonal flux Jacobian with a
-pure-Python Thomas solve, started from a quadratic predictor and
-stopped on the residual, and a local-error step controller on the
-linear predictor (see ``_implicit_kernel``).  The solution is exactly 0
-beyond a moving front, so each step works only on the leading cells
-its support can reach within the step (see ``_window``).
+with variable-step BDF3 (backward Euler, then BDF2, for the first two
+steps), each step solved by Newton's method on the tridiagonal flux
+Jacobian with a pure-Python Thomas solve, started from the cubic
+extrapolation of the last four levels and stopped on the residual, and
+a local-error step controller on that same start (see
+``_implicit_kernel``).  The solution is exactly 0 beyond a moving
+front, so each step works only on the leading cells its support can
+reach within the step (see ``_window``).
 
 An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
 exists solely to calibrate the scheme against classical self-similar
@@ -21,6 +22,7 @@ and skips the weighted admissibility checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,10 +49,10 @@ MASS_DRIFT_TOL = 1e-6
 #: fraction of sup(u0) below which a cell does not count as support
 SUPPORT_THRESHOLD_REL = 1e-12
 #: fraction of the Gershgorin-stable forward-Euler step taken by the
-#: first implicit step
+#: first implicit step as its first try
 CFL_SAFETY = 0.4
-#: local error tolerance of the BDF2 step controller, relative to the mass
-BDF2_TOL = 1e-5
+#: local error tolerance of the BDF step controller, relative to the mass
+BDF_TOL = 2e-7
 #: Newton stops once the L1 norm of the residual R(u) is at most this
 #: fraction of the mass; for an M-matrix Jacobian that bounds the
 #: weighted L1 norm of the update a further solve would make
@@ -197,13 +199,16 @@ def initial_state(config: SolverConfig) -> SolverState:
                        support_threshold=threshold)
 
 
-def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
+def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, w_dc: np.ndarray,
                  eq: EquationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Face fluxes F = w A(ubar) B(s) at the interior faces, with
     A = ubar^(m-1), B = |s|^(p-2) s and s the slope; returned with the
     frozen conductance k = w A |s|^(p-2) / dc, so F = k (u_right -
     u_left), and the face mean ubar (clipped at 0), from which
-    ``_flux_derivatives`` builds the Newton derivatives.
+    ``_flux_derivatives`` builds the Newton derivatives.  ``w_dc`` is
+    the constant face factor w / dc (``face_coeffs * inv_dc``), which
+    is never written: p + m > 3 rules out (p, m) = (2, 1), so k is
+    always a fresh array.
 
     For m < 1, A is singular at vanishing ubar, but the slope vanishes
     there too: A := 0 on empty faces, and |s|^(p-2) := 0 at s = 0 (also
@@ -216,18 +221,18 @@ def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, face_w: np.ndarray,
     ubar = u[1:] + u[:-1]
     ubar *= 0.5
     np.maximum(ubar, 0.0, out=ubar)
-    k = face_w * inv_dc
+    k = w_dc
     if m == 2.0:
-        k *= ubar
+        k = k * ubar
     elif m > 1.0:
-        k *= ubar ** (m - 1.0)
+        k = k * ubar ** (m - 1.0)
     elif m < 1.0:
-        k *= np.power(ubar, m - 1.0, out=np.zeros_like(ubar), where=ubar > 0.0)
+        k = k * np.power(ubar, m - 1.0, out=np.zeros_like(ubar), where=ubar > 0.0)
     if p != 2.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             sp = np.abs(du * inv_dc) ** (p - 2.0)
         sp[~np.isfinite(sp)] = 0.0
-        k *= sp
+        k = k * sp
     return k * du, k, ubar
 
 
@@ -309,78 +314,122 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 
 
 def _window(reach: int, n_cells: int) -> int:
-    """End of the cells a BDF2 step works on, given ``reach``: one past
-    the last cell the last three levels ever made nonzero.  A face
+    """End of the cells a BDF step works on, given ``reach``: one past
+    the last cell the last four levels ever made nonzero.  A face
     between two empty cells carries no flux and no derivative (see
-    ``_face_fluxes``), so each Newton solve moves the support out by at
-    most one cell: past reach + NEWTON_MAX_ITER every cell stays exactly
-    0, and the window's right edge is a true zero-flux face."""
+    ``_face_fluxes``), so the first step's start along the initial
+    slope and each Newton solve move the support out by at most one
+    cell: past reach + NEWTON_MAX_ITER every cell stays exactly 0, and
+    the window's right edge is a true zero-flux face."""
     return min(n_cells, reach + NEWTON_MAX_ITER + 2)
+
+
+def _extrapolation_weights(back: Sequence[float]) -> list[float]:
+    """Weights of the value at t_(n+1) of the polynomial through the
+    levels that lie ``back`` = [s_1, s_2, ...] before it (distinct s_j):
+    e_j = prod_(i != j) s_i / (s_i - s_j).  They sum to 1."""
+    weights = []
+    for sj in back:
+        w = 1.0
+        for si in back:
+            if si != sj:
+                w *= si / (si - sj)
+        weights.append(w)
+    return weights
+
+
+def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float]]:
+    """Scalar weights of one variable-step BDF step to t_(n+1) from the
+    levels u^n, u^(n-1), ... held, given one step per level: ``steps`` =
+    [t_(n+1) - t_n, t_n - t_(n-1), ...].  Returns (gdt, c, e).
+
+    The step has order k = min(3, levels).  With l_j the Lagrange basis
+    on t_(n+1), t_n, ..., t_(n+1-k), gdt = 1/l_0' and c_j = -l_j'/l_0'
+    at t_(n+1), so the step solves u - sum_j c_j u^(n-j) = gdt du/dt,
+    and the c_j sum to 1.  For j >= 1, l_j'(t_(n+1)) = -e~_j / s_j, with
+    s_j = t_(n+1) - t_(n+1-j) and e~ the extrapolation weights through
+    the k levels, and l_0' = -sum_j l_j'.  e are the extrapolation
+    weights through the last min(4, levels) levels: the Newton start.
+    """
+    back = list(itertools.accumulate(steps))
+    d = [w / s for w, s in zip(_extrapolation_weights(back[:3]), back)]
+    gdt = 1.0 / sum(d)
+    return gdt, [gdt * x for x in d], _extrapolation_weights(back[:4])
+
+
+def _combine(weights: list[float], levels: list[np.ndarray]) -> np.ndarray:
+    """sum_j weights[j] * levels[j], as a fresh array."""
+    out = weights[0] * levels[0]
+    for w, level in zip(weights[1:], levels[1:]):
+        out += w * level
+    return out
 
 
 def _implicit_kernel(grid: RadialGrid,
                      config: SolverConfig) -> Callable[[SolverState, float], None]:
-    """Variable-step BDF2 on ``grid``, as a function ``update(state,
+    """Variable-step BDF on ``grid``, as a function ``update(state,
     t_target)`` that advances the state in place by one accepted step,
     shortened to end exactly at ``t_target`` if it would pass it.
 
-    With step ratio w = dt / dt_prev (w = 0 on the first step, which is
-    backward Euler) each step solves
+    The step's order is min(3, levels held): backward Euler, then BDF2,
+    then BDF3.  Each step solves
 
-        R(u) = V (u - u~) - gamma dt div F(u) = 0,
-        u~ = ((1+w)^2 u^n - w^2 u^(n-1)) / (1+2w),  gamma = (1+w)/(1+2w),
+        R(u) = V (u - u~) - gdt div F(u) = 0,  u~ = sum_j c_j u^(n-j),
 
-    by Newton's method on the tridiagonal flux Jacobian J.  Newton starts
-    from the Lagrange extrapolation through u^(n-2), u^(n-1), u^n at
-    their unequal steps (from the linear predictor
-    u_pred = (1+w) u^n - w u^(n-1) while only two levels exist) and
+    with the scalar weights gdt and c_j of ``_bdf_weights`` at the
+    unequal steps, by Newton's method on the tridiagonal flux Jacobian
+    J.  Newton starts from the extrapolation through the last four
+    levels (through all levels held while fewer exist, and on the first
+    step from the explicit Euler step u^0 + dt V^-1 div F(u^0)) and
     stops once |R(u)|_1 <= NEWTON_TOL * mass; it builds the flux
     derivatives and J only when it is about to solve.  The columns of
-    J = V - gamma dt d(div F)/du sum to the cell volumes, so
-    for an M-matrix J (the frozen-conductance matrix exactly)
-    |V J^-1 R|_1 <= |R|_1: the residual bounds the weighted update the
-    next solve would make.  NEWTON_MAX_ITER caps the solves.  div F
-    telescopes and the flux part of J has zero column sums, so every
-    update keeps the weighted mass of u~, which is that of u^n.  Where
-    the mobility derivative overflows at the front (m < 2), J drops it
-    face by face (see ``_flux_derivatives``).  When Newton yields a
-    non-finite value or does not converge, the step is rejected at a
-    fifth of its size; after MAX_NEWTON_FAILURES such rejections before
-    the next output time the run raises ``StiffnessError``.
+    J = V - gdt d(div F)/du sum to the cell volumes, so for an M-matrix
+    J (the frozen-conductance matrix exactly) |V J^-1 R|_1 <= |R|_1:
+    the residual bounds the weighted update the next solve would make.
+    NEWTON_MAX_ITER caps the solves.  The c_j sum to 1, div F telescopes
+    and the flux part of J has zero column sums, so every update keeps
+    the weighted mass of u~, which is that of u^n.  Where the mobility
+    derivative overflows at the front (m < 2), J drops it face by face
+    (see ``_flux_derivatives``).  When Newton yields a non-finite value
+    or does not converge, the step is rejected at a fifth of its size;
+    after MAX_NEWTON_FAILURES such rejections before the next output
+    time the run raises ``StiffnessError``.
 
     Window: the solution is exactly 0 beyond its support, so each step
     works on the leading cells ``[:_window(reach, n)]`` only, where
-    ``reach`` is one past the last cell u^n, u^(n-1) or u^(n-2) ever
-    made nonzero: predictor, residual, Jacobian, Thomas sweep, error
+    ``reach`` is one past the last cell any of the last four levels ever
+    made nonzero: start, residual, Jacobian, Thomas sweep, error
     estimate and clipping all run on that slice, and the accepted slice
     goes into a fresh full-length ``state.u``.
 
-    Step control: err = w/(1+2w) * |V (u - u_pred)|_1 / mass, with the
-    linear u_pred, not the quadratic start: the O(dt^3) estimate
-    2/11 |V (u - start)|_1 / mass missed the explicit-oracle gate at
-    t_end by 2.2e-4 against 2e-5 at this BDF2_TOL, and met it only at
-    1e-7, where the 800-cell power-weight run takes 6,436 steps instead
-    of 4,739.  A step with err > BDF2_TOL is rejected.  The next step is
-    dt * 0.9 (BDF2_TOL/err)^(1/3), the factor clipped to [0.2, 2].  A
-    step shortened to land on ``t_target`` keeps the step the controller
-    wants.  When less than two wanted steps remain, the rest is split in
-    halves, so no landing step is a sliver and w stays below 2, inside
-    the zero-stability bound 1 + sqrt(2) of variable-step BDF2 (without
-    the split, w reached 523 on the 800-cell power-weight run).
-    The first step is the Gershgorin step (see ``_gershgorin_dt``), which
-    scales like the data, so runs commute with the equation's scaling.
-    u^(n-1), u^(n-2), their steps, the wanted step and ``reach`` live in
-    this closure.
+    Step control: the Milne estimate on the Newton start,
+    err = 3/25 |V (u - start)|_1 / mass, where 3/25 = C / (1 + C) for
+    C = 3/22, the error constant of constant-step BDF3 against that of
+    the cubic extrapolation.  While fewer than four levels exist the
+    start is one order short of the step, so err overstates the error.
+    On the first step the explicit Euler start makes err O(dt^2); from
+    the constant start u^0 it was O(dt), and nine rejections cut the
+    Gershgorin step about 6e4-fold.  A step with err > BDF_TOL is
+    rejected.  The next step is dt * 0.7 (BDF_TOL/err)^(1/4), the
+    factor clipped to [0.2, 2].  A step shortened to land on
+    ``t_target`` keeps the step the controller wants.  When less than
+    two wanted steps remain, the rest is split in halves, so no landing
+    step is a sliver and the step ratio stays at most 2 (without the
+    split, it reached 523 under BDF2 on the 800-cell power-weight run).
+    The first step tries the Gershgorin step (see ``_gershgorin_dt``),
+    which scales like the data, so runs commute with the equation's
+    scaling.  The last three levels before u^n, their steps, the
+    initial slope, the wanted step and ``reach`` live in this closure.
     """
     eq = config.eq
     t_floor = 1e-15 * config.t_end
     n_cells = grid.n_cells
-    face_w = grid.face_coeffs
     vols = grid.cell_weighted_volumes
     inv_dc = 1.0 / np.diff(grid.centers)
-    u_prev: np.ndarray | None = None
-    u_prev2: np.ndarray | None = None
-    dt_prev = dt_prev2 = math.nan
+    w_dc = grid.face_coeffs * inv_dc
+    slope0 = np.zeros(n_cells)  # V^-1 div F(u^0), set by the first update
+    history: list[np.ndarray] = []  # u^(n-1), u^(n-2), u^(n-3)
+    steps: list[float] = []  # the steps that ended at u^n, u^(n-1), u^(n-2)
     dt_want = math.nan
     reach = 0
     failures = 0  # Newton failures since the last output time
@@ -391,7 +440,7 @@ def _implicit_kernel(grid: RadialGrid,
         # fails.  The cap counts solves; the residual after the last
         # one still counts.
         hi = u.size
-        vol, w, idc = vols[:hi], face_w[:hi - 1], inv_dc[:hi - 1]
+        vol, w, idc = vols[:hi], w_dc[:hi - 1], inv_dc[:hi - 1]
         tol = NEWTON_TOL * state.mass0
         solves = NEWTON_MAX_ITER
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -420,8 +469,6 @@ def _implicit_kernel(grid: RadialGrid,
                     delta = _thomas(a, diag, b, resid)
                 except ZeroDivisionError:
                     return False
-                if not np.isfinite(delta).all():
-                    return False
                 u -= delta
                 state.newton_iterations += 1
 
@@ -432,13 +479,16 @@ def _implicit_kernel(grid: RadialGrid,
             reach += int(nonzero[-1]) + 1
 
     def update(state: SolverState, t_target: float) -> None:
-        nonlocal u_prev, dt_prev, u_prev2, dt_prev2, dt_want, failures
+        nonlocal history, steps, dt_want, failures
         if math.isnan(dt_want):
-            _, conduct, _ = _face_fluxes(state.u, inv_dc, face_w, eq)
+            flux, conduct, _ = _face_fluxes(state.u, inv_dc, w_dc, eq)
+            slope0[:-1] += flux
+            slope0[1:] -= flux
+            np.divide(slope0, vols, out=slope0)
             dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
             extend_reach(state.u)
         hi = _window(reach, n_cells)
-        u_n = state.u[:hi]
+        levels = [state.u[:hi]] + [level[:hi] for level in history]
         while True:
             if dt_want < t_floor:
                 raise StiffnessError(
@@ -448,27 +498,12 @@ def _implicit_kernel(grid: RadialGrid,
             remaining = t_target - state.t
             landing = dt_want >= remaining
             dt = remaining if landing else min(dt_want, 0.5 * remaining)
-            if u_prev is None:
-                omega, tilde, pred = 0.0, u_n, u_n
-                u = u_n.copy()
-            else:
-                omega = dt / dt_prev
-                up = u_prev[:hi]
-                tilde = ((1.0 + omega) ** 2 / (1.0 + 2.0 * omega)) * u_n
-                tilde -= (omega ** 2 / (1.0 + 2.0 * omega)) * up
-                pred = (1.0 + omega) * u_n
-                pred -= omega * up
-                if u_prev2 is None:
-                    u = pred.copy()
-                else:
-                    # quadratic Lagrange extrapolation: pred plus q times
-                    # the second divided difference
-                    q = dt * (dt + dt_prev) / (dt_prev + dt_prev2)
-                    u = (1.0 + omega + q / dt_prev) * u_n
-                    u -= (omega + q / dt_prev + q / dt_prev2) * up
-                    u += (q / dt_prev2) * u_prev2[:hi]
-            gdt = (1.0 + omega) / (1.0 + 2.0 * omega) * dt
-            if not converge(state, u, tilde, gdt):
+            gdt, c, e = _bdf_weights([dt] + steps)
+            start = _combine(e, levels)
+            if not history:
+                start += dt * slope0[:hi]
+            u = start.copy()
+            if not converge(state, u, _combine(c, levels), gdt):
                 state.rejected_steps += 1
                 failures += 1
                 if failures > MAX_NEWTON_FAILURES:
@@ -479,17 +514,17 @@ def _implicit_kernel(grid: RadialGrid,
                     )
                 dt_want = 0.2 * dt
                 continue
-            err = (omega / (1.0 + 2.0 * omega)
-                   * float(np.dot(vols[:hi], np.abs(u - pred))) / state.mass0)
-            fac = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (BDF2_TOL / err) ** (1 / 3)))
-            if err > BDF2_TOL:
+            err = 3.0 / 25.0 * float(np.dot(vols[:hi], np.abs(u - start))) / state.mass0
+            fac = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.7 * (BDF_TOL / err) ** 0.25))
+            if err > BDF_TOL:
                 state.rejected_steps += 1
                 dt_want = dt * fac
                 continue
             dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
             _clip_negative(state, u)
             extend_reach(u)
-            u_prev2, dt_prev2, u_prev, dt_prev = u_prev, dt_prev, state.u, dt
+            history = [state.u] + history[:2]
+            steps = [dt] + steps[:2]
             state.u = np.zeros(n_cells)
             state.u[:hi] = u
             state.t = t_target if landing else state.t + dt

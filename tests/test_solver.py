@@ -49,9 +49,10 @@ class TestImplicitIntegrator:
         # sup(u) error here is 1.2e-2 relative near t = 0.1 and 2.4e-3 at
         # t_end, halving with the safety factor.  So the oracle is the
         # Richardson extrapolation 2 u(0.1) - u(0.2) of two explicit runs.
-        # Measured: sup(u) within 1.04e-3 relative at every output (the
-        # extrapolated oracle's own residual, at t < 0.1; BDF2 at tolerance
-        # 1e-7 shows the same gap) and 8.7e-6 at t_end; support equal.
+        # Measured: sup(u) within 1.2e-4 relative at every output and
+        # 2.4e-6 at t_end; support equal.  (BDF2 read 1.04e-3 at t < 0.1,
+        # from its first backward Euler step, taken at the Gershgorin step
+        # without an error estimate, and 8.7e-6 at t_end.)
         cfg = quick_traj.config
         sups, supports = {}, {}
         for safety in (0.2, 0.1):
@@ -71,24 +72,68 @@ class TestImplicitIntegrator:
     def test_solver_counts(self, quick_traj):
         assert quick_traj.steps > 0
         assert quick_traj.newton_iterations >= quick_traj.steps
-        # residual stop and quadratic start: measured 1,568 Newton solves in
-        # 1,562 steps (3,133 when each solve was checked by its update)
+        # residual stop and cubic start: measured 589 Newton solves in 585
+        # steps (BDF2: 1,568 in 1,562; the explicit oracle takes 609 steps)
         assert quick_traj.newton_iterations <= 1.2 * quick_traj.steps
+        assert quick_traj.steps <= 1.1 * 585
         assert quick_traj.clipped_mass == 0.0
         # dt_last is the last accepted step, shortened to land on the output
         assert np.all(quick_traj.dt_last[1:] > 0)
         assert np.all(quick_traj.dt_last[2:] <= np.diff(quick_traj.times[1:]) * (1 + 1e-12))
 
-    def test_quadratic_start_counts(self, weighted_traj):
-        # the 800-cell power-weight run over 8 decades: measured 5,681 Newton
-        # solves in 4,739 steps; from the linear predictor 8,156
+    def test_cubic_start_counts(self, weighted_traj):
+        # the 800-cell power-weight run over 8 decades: measured 3,606 Newton
+        # solves in 3,576 steps (BDF2 from its quadratic start: 5,681 in 4,739)
         assert weighted_traj.newton_iterations <= 1.3 * weighted_traj.steps
+
+    def test_bdf_weights_exact(self):
+        # at uneven nodes (step ratios in [0.2, 2]) the step's derivative
+        # weights 1/gdt and -c_j/gdt are exact on polynomials of its order
+        # min(3, levels), so they sum to 0 and the c_j to 1 (u~ keeps the
+        # weighted mass of u^n), and the start's weights reproduce
+        # polynomials of degree levels - 1 at t_(n+1) and sum to 1
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            steps = [10.0 ** rng.uniform(-6.0, 3.0)]
+            for _ in range(3):
+                steps.append(steps[-1] / rng.uniform(0.2, 2.0))
+            for levels in range(1, 5):
+                gdt, c, e = S._bdf_weights(steps[:levels])
+                assert (len(c), len(e)) == (min(3, levels), levels)
+                nodes = -np.cumsum(steps[:levels])  # t - t_(n+1) of u^n, u^(n-1), ...
+                scale = -nodes[-1]
+                for degree in range(levels):
+                    poly = (nodes / scale) ** degree  # values of (t - t_(n+1))^degree
+                    assert np.dot(e, poly) == pytest.approx(float(degree == 0), abs=1e-12)
+                for degree in range(min(3, levels) + 1):
+                    poly = (nodes[:len(c)] / scale) ** degree
+                    slope = (float(degree == 0) - np.dot(c, poly)) * scale / gdt
+                    assert slope == pytest.approx(float(degree == 1), abs=1e-9)
+
+    def test_temporal_order(self, monkeypatch):
+        # the sup(u) error at t_end against a run at BDF_TOL = 1e-10 (3,772
+        # steps) falls like steps^-q: measured q = 3.20 and 3.16 over 413,
+        # 701 and 1,217 steps at 1e-6, 1e-7 and 1e-8 (errors 5.4e-6, 9.9e-7
+        # and 1.7e-7); a second-order step would give q = 2
+        def run(tol):
+            monkeypatch.setattr(S, "BDF_TOL", tol)
+            return S.run(quick_config(t_end=100.0))
+
+        ref = run(1e-10).sup_u[-1]
+        trajs = [run(tol) for tol in (1e-6, 1e-7, 1e-8)]
+        errs = [abs(traj.sup_u[-1] / ref - 1.0) for traj in trajs]
+        for i in range(2):
+            order = math.log(errs[i] / errs[i + 1]) / math.log(trajs[i + 1].steps / trajs[i].steps)
+            assert order >= 2.7
 
     @pytest.mark.parametrize("dim_n, p, m", [(4, 3.0, 0.5), (4, 3.5, 0.3), (4, 2.5, 1.01)])
     def test_newton_converges_at_overflowing_mobility(self, monkeypatch, dim_n, p, m):
         # A' = (m-1) A / ubar overflows as ubar -> 0+ at the front; with the
         # term dropped on those faces Newton converges in about one solve
-        # per step, where the full Jacobian failed on almost every step
+        # per step, where the full Jacobian failed on almost every step.
+        # Measured: 288, 302 and 236 solves in 281, 295 and 229 steps; each
+        # run's 7 extra solves are spent by the first step, whose four
+        # rejections cut the Gershgorin step 130- to 140-fold
         def run():
             return S.run(S.SolverConfig(eq=W.EquationParams(dim_n, p, m),
                                         weight=W.make_power_weight(0.5), r_max=40.0,
@@ -145,8 +190,8 @@ class TestImplicitIntegrator:
         st = S.initial_state(cfg)
         advance(st, cfg, 0.05, S.CFL_SAFETY)
         grid = st.grid
-        flux, k, _ = S._face_fluxes(st.u, 1.0 / np.diff(grid.centers), grid.face_coeffs,
-                                    cfg.eq)
+        inv_dc = 1.0 / np.diff(grid.centers)
+        flux, k, _ = S._face_fluxes(st.u, inv_dc, grid.face_coeffs * inv_dc, cfg.eq)
         dt = 1e3 * st.last_dt
         resid = np.zeros_like(st.u)
         resid[:-1] -= dt * flux
@@ -210,8 +255,8 @@ class TestImplicitIntegrator:
 
     def test_tight_newton_agrees(self, monkeypatch):
         # the residual stop does not change the answer: measured with
-        # NEWTON_TOL = 1e-13, sup(u) equal at every output (gap 0) in the
-        # same 1,027 steps and 1,029 Newton solves
+        # NEWTON_TOL = 1e-13, sup(u) within 1.1e-14 at every output in the
+        # same 381 steps, with 385 Newton solves against 383
         base = S.run(quick_config())
         monkeypatch.setattr(S, "NEWTON_TOL", 1e-13)
         tight = S.run(quick_config())
