@@ -5,14 +5,15 @@
 on [0, r_max] with zero-flux boundaries.  The scheme is conservative:
 cell averages are updated from face fluxes weighted by the measure
 r^(N-1) e^g, so the weighted mass telescopes exactly.  ``run`` advances
-with variable-step BDF3 (backward Euler, then BDF2, for the first two
-steps), each step solved by Newton's method on the tridiagonal flux
-Jacobian with a pure-Python Thomas solve, started from the cubic
-extrapolation of the last four levels and stopped on the residual, and
-a local-error step controller on that same start (see
-``_implicit_kernel``).  The solution is exactly 0 beyond a moving
-front, so each step works only on the leading cells its support can
-reach within the step (see ``_window``).
+with variable-step BDF4 (backward Euler, BDF2 and BDF3 for the first
+three steps), each step solved by Newton's method on the tridiagonal
+flux Jacobian with a pure-Python Thomas solve, started from the quartic
+extrapolation of the last five levels and stopped on the residual, and
+a local-error step controller on that same start, each step at most
+RATIO_MAX times the one before (see ``_implicit_kernel``).  The
+solution is exactly 0 beyond a moving front, so each step works only on
+the leading cells its support can reach within the step (see
+``_window``).
 
 An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
 exists solely to calibrate the scheme against classical self-similar
@@ -53,6 +54,10 @@ SUPPORT_THRESHOLD_REL = 1e-12
 CFL_SAFETY = 0.4
 #: local error tolerance of the BDF step controller, relative to the mass
 BDF_TOL = 2e-7
+#: largest ratio of a step to the one before it: variable-step BDF4 is
+#: zero-stable only under a step-ratio bound (Calvo, Grande & Grigorieff,
+#: Numer. Math. 57, 1990)
+RATIO_MAX = 1.2
 #: Newton stops once the L1 norm of the residual R(u) is at most this
 #: fraction of the mass; for an M-matrix Jacobian that bounds the
 #: weighted L1 norm of the update a further solve would make
@@ -315,7 +320,7 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 
 def _window(reach: int, n_cells: int) -> int:
     """End of the cells a BDF step works on, given ``reach``: one past
-    the last cell the last four levels ever made nonzero.  A face
+    the last cell the last five levels ever made nonzero.  A face
     between two empty cells carries no flux and no derivative (see
     ``_face_fluxes``), so the first step's start along the initial
     slope and each Newton solve move the support out by at most one
@@ -343,26 +348,18 @@ def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float
     levels u^n, u^(n-1), ... held, given one step per level: ``steps`` =
     [t_(n+1) - t_n, t_n - t_(n-1), ...].  Returns (gdt, c, e).
 
-    The step has order k = min(3, levels).  With l_j the Lagrange basis
+    The step has order k = min(4, levels).  With l_j the Lagrange basis
     on t_(n+1), t_n, ..., t_(n+1-k), gdt = 1/l_0' and c_j = -l_j'/l_0'
     at t_(n+1), so the step solves u - sum_j c_j u^(n-j) = gdt du/dt,
     and the c_j sum to 1.  For j >= 1, l_j'(t_(n+1)) = -e~_j / s_j, with
     s_j = t_(n+1) - t_(n+1-j) and e~ the extrapolation weights through
     the k levels, and l_0' = -sum_j l_j'.  e are the extrapolation
-    weights through the last min(4, levels) levels: the Newton start.
+    weights through the last min(5, levels) levels: the Newton start.
     """
     back = list(itertools.accumulate(steps))
-    d = [w / s for w, s in zip(_extrapolation_weights(back[:3]), back)]
+    d = [w / s for w, s in zip(_extrapolation_weights(back[:4]), back)]
     gdt = 1.0 / sum(d)
-    return gdt, [gdt * x for x in d], _extrapolation_weights(back[:4])
-
-
-def _combine(weights: list[float], levels: list[np.ndarray]) -> np.ndarray:
-    """sum_j weights[j] * levels[j], as a fresh array."""
-    out = weights[0] * levels[0]
-    for w, level in zip(weights[1:], levels[1:]):
-        out += w * level
-    return out
+    return gdt, [gdt * x for x in d], _extrapolation_weights(back[:5])
 
 
 def _implicit_kernel(grid: RadialGrid,
@@ -371,14 +368,14 @@ def _implicit_kernel(grid: RadialGrid,
     t_target)`` that advances the state in place by one accepted step,
     shortened to end exactly at ``t_target`` if it would pass it.
 
-    The step's order is min(3, levels held): backward Euler, then BDF2,
-    then BDF3.  Each step solves
+    The step's order is min(4, levels held): backward Euler, BDF2 and
+    BDF3 for the first three steps, then BDF4.  Each step solves
 
         R(u) = V (u - u~) - gdt div F(u) = 0,  u~ = sum_j c_j u^(n-j),
 
     with the scalar weights gdt and c_j of ``_bdf_weights`` at the
     unequal steps, by Newton's method on the tridiagonal flux Jacobian
-    J.  Newton starts from the extrapolation through the last four
+    J.  Newton starts from the extrapolation through the last five
     levels (through all levels held while fewer exist, and on the first
     step from the explicit Euler step u^0 + dt V^-1 div F(u^0)) and
     stops once |R(u)|_1 <= NEWTON_TOL * mass; it builds the flux
@@ -397,29 +394,36 @@ def _implicit_kernel(grid: RadialGrid,
 
     Window: the solution is exactly 0 beyond its support, so each step
     works on the leading cells ``[:_window(reach, n)]`` only, where
-    ``reach`` is one past the last cell any of the last four levels ever
+    ``reach`` is one past the last cell any of the last five levels ever
     made nonzero: start, residual, Jacobian, Thomas sweep, error
     estimate and clipping all run on that slice, and the accepted slice
-    goes into a fresh full-length ``state.u``.
+    goes into a fresh full-length ``state.u``.  The five levels are the
+    rows of one array, so the start and u~ are one ``np.dot`` each.
 
     Step control: the Milne estimate on the Newton start,
-    err = 3/25 |V (u - start)|_1 / mass, where 3/25 = C / (1 + C) for
-    C = 3/22, the error constant of constant-step BDF3 against that of
-    the cubic extrapolation.  While fewer than four levels exist the
-    start is one order short of the step, so err overstates the error.
-    On the first step the explicit Euler start makes err O(dt^2); from
-    the constant start u^0 it was O(dt), and nine rejections cut the
-    Gershgorin step about 6e4-fold.  A step with err > BDF_TOL is
-    rejected.  The next step is dt * 0.7 (BDF_TOL/err)^(1/4), the
-    factor clipped to [0.2, 2].  A step shortened to land on
-    ``t_target`` keeps the step the controller wants.  When less than
-    two wanted steps remain, the rest is split in halves, so no landing
-    step is a sliver and the step ratio stays at most 2 (without the
-    split, it reached 523 under BDF2 on the 800-cell power-weight run).
-    The first step tries the Gershgorin step (see ``_gershgorin_dt``),
+    err = 12/137 |V (u - start)|_1 / mass, where 12/137 = C / (1 + C)
+    for C = 12/125, the error constant of constant-step BDF4 against
+    that of the quartic extrapolation.  The sum runs in cell order
+    (``np.cumsum``), so trailing zero cells leave err bitwise unchanged
+    and the window does not move the step controller.  While fewer than
+    five levels exist the start is one order short of the step, so err
+    overstates the error.  On the first step the explicit Euler start
+    makes err O(dt^2); from the constant start u^0 it was O(dt), and
+    nine rejections cut the Gershgorin step about 6e4-fold.  A step
+    with err > BDF_TOL is rejected.  The next step wanted is
+    dt * 0.7 (BDF_TOL/err)^(1/5), the factor clipped to [0.2,
+    RATIO_MAX], and every step taken is at most RATIO_MAX times the one
+    before, also the first step after a landing: variable-step BDF is
+    zero-stable only under a step-ratio bound that tightens with the
+    order.  A step shortened to land on ``t_target`` or by the ratio
+    cap keeps the step the controller wants.  When less than two
+    allowed steps remain, the rest is split in halves, so no landing
+    step is a sliver (without the split, the ratio after a landing
+    reached 523 under BDF2 on the 800-cell power-weight run).  The
+    first step tries the Gershgorin step (see ``_gershgorin_dt``),
     which scales like the data, so runs commute with the equation's
-    scaling.  The last three levels before u^n, their steps, the
-    initial slope, the wanted step and ``reach`` live in this closure.
+    scaling.  The levels u^n, ..., u^(n-4), their steps, the initial
+    slope, the wanted step and ``reach`` live in this closure.
     """
     eq = config.eq
     t_floor = 1e-15 * config.t_end
@@ -428,8 +432,8 @@ def _implicit_kernel(grid: RadialGrid,
     inv_dc = 1.0 / np.diff(grid.centers)
     w_dc = grid.face_coeffs * inv_dc
     slope0 = np.zeros(n_cells)  # V^-1 div F(u^0), set by the first update
-    history: list[np.ndarray] = []  # u^(n-1), u^(n-2), u^(n-3)
-    steps: list[float] = []  # the steps that ended at u^n, u^(n-1), u^(n-2)
+    lev = np.zeros((5, n_cells))  # u^n, u^(n-1), ..., u^(n-4): len(steps) + 1 rows held
+    steps: list[float] = []  # the steps that ended at u^n, ..., u^(n-3)
     dt_want = math.nan
     reach = 0
     failures = 0  # Newton failures since the last output time
@@ -479,8 +483,9 @@ def _implicit_kernel(grid: RadialGrid,
             reach += int(nonzero[-1]) + 1
 
     def update(state: SolverState, t_target: float) -> None:
-        nonlocal history, steps, dt_want, failures
+        nonlocal steps, dt_want, failures
         if math.isnan(dt_want):
+            lev[0] = state.u
             flux, conduct, _ = _face_fluxes(state.u, inv_dc, w_dc, eq)
             slope0[:-1] += flux
             slope0[1:] -= flux
@@ -488,22 +493,23 @@ def _implicit_kernel(grid: RadialGrid,
             dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
             extend_reach(state.u)
         hi = _window(reach, n_cells)
-        levels = [state.u[:hi]] + [level[:hi] for level in history]
+        levels = lev[:len(steps) + 1, :hi]
         while True:
             if dt_want < t_floor:
                 raise StiffnessError(
                     f"step {dt_want:.3e} underflowed at t={state.t:.6g}; "
                     "coarsen the grid or change parameters"
                 )
+            dt = min(dt_want, RATIO_MAX * steps[0]) if steps else dt_want
             remaining = t_target - state.t
-            landing = dt_want >= remaining
-            dt = remaining if landing else min(dt_want, 0.5 * remaining)
+            landing = dt >= remaining
+            dt = remaining if landing else min(dt, 0.5 * remaining)
             gdt, c, e = _bdf_weights([dt] + steps)
-            start = _combine(e, levels)
-            if not history:
+            start = np.dot(e, levels)
+            if not steps:
                 start += dt * slope0[:hi]
             u = start.copy()
-            if not converge(state, u, _combine(c, levels), gdt):
+            if not converge(state, u, np.dot(c, levels[:len(c)]), gdt):
                 state.rejected_steps += 1
                 failures += 1
                 if failures > MAX_NEWTON_FAILURES:
@@ -514,8 +520,8 @@ def _implicit_kernel(grid: RadialGrid,
                     )
                 dt_want = 0.2 * dt
                 continue
-            err = 3.0 / 25.0 * float(np.dot(vols[:hi], np.abs(u - start))) / state.mass0
-            fac = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.7 * (BDF_TOL / err) ** 0.25))
+            err = 12.0 / 137.0 * float(np.cumsum(vols[:hi] * np.abs(u - start))[-1]) / state.mass0
+            fac = RATIO_MAX if err == 0.0 else min(RATIO_MAX, max(0.2, 0.7 * (BDF_TOL / err) ** 0.2))
             if err > BDF_TOL:
                 state.rejected_steps += 1
                 dt_want = dt * fac
@@ -523,10 +529,10 @@ def _implicit_kernel(grid: RadialGrid,
             dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
             _clip_negative(state, u)
             extend_reach(u)
-            history = [state.u] + history[:2]
-            steps = [dt] + steps[:2]
-            state.u = np.zeros(n_cells)
-            state.u[:hi] = u
+            lev[1:, :hi] = lev[:-1, :hi]
+            lev[0, :hi] = u
+            steps = [dt] + steps[:3]
+            state.u = lev[0].copy()
             state.t = t_target if landing else state.t + dt
             state.last_dt = dt
             state.steps += 1

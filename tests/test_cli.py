@@ -143,6 +143,8 @@ def test_simulate_prints_solver_counts(power_cfg, tmp_path, capsys):
     counts = dict(item.split("=") for item in summary.split(", ")[-1].split())
     assert set(counts) == {"steps", "rejected", "newton", "clipped_mass"}
     assert int(counts["steps"]) > 0
+    # holds only at the default BDF_TOL: at a tight one a step's start
+    # often meets NEWTON_TOL without a solve
     assert int(counts["newton"]) >= int(counts["steps"])
     assert float(counts["clipped_mass"]) == 0.0
 

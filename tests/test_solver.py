@@ -50,9 +50,10 @@ class TestImplicitIntegrator:
         # t_end, halving with the safety factor.  So the oracle is the
         # Richardson extrapolation 2 u(0.1) - u(0.2) of two explicit runs.
         # Measured: sup(u) within 1.2e-4 relative at every output and
-        # 2.4e-6 at t_end; support equal.  (BDF2 read 1.04e-3 at t < 0.1,
-        # from its first backward Euler step, taken at the Gershgorin step
-        # without an error estimate, and 8.7e-6 at t_end.)
+        # 2.9e-7 at t_end; support equal.  (BDF3 read 2.4e-6 at t_end; BDF2
+        # read 1.04e-3 at t < 0.1, from its first backward Euler step, taken
+        # at the Gershgorin step without an error estimate, and 8.7e-6 at
+        # t_end.)
         cfg = quick_traj.config
         sups, supports = {}, {}
         for safety in (0.2, 0.1):
@@ -71,67 +72,98 @@ class TestImplicitIntegrator:
 
     def test_solver_counts(self, quick_traj):
         assert quick_traj.steps > 0
+        # holds only at the default BDF_TOL: at 1e-10 a step's quartic start
+        # often meets NEWTON_TOL already (1,521 solves in 1,647 steps)
         assert quick_traj.newton_iterations >= quick_traj.steps
-        # residual stop and cubic start: measured 589 Newton solves in 585
-        # steps (BDF2: 1,568 in 1,562; the explicit oracle takes 609 steps)
+        # residual stop and quartic start: measured 385 Newton solves in 380
+        # steps (BDF3: 589 in 585; BDF2: 1,568 in 1,562; the explicit oracle
+        # takes 609 steps)
         assert quick_traj.newton_iterations <= 1.2 * quick_traj.steps
-        assert quick_traj.steps <= 1.1 * 585
+        assert quick_traj.steps <= 1.1 * 380
         assert quick_traj.clipped_mass == 0.0
         # dt_last is the last accepted step, shortened to land on the output
         assert np.all(quick_traj.dt_last[1:] > 0)
         assert np.all(quick_traj.dt_last[2:] <= np.diff(quick_traj.times[1:]) * (1 + 1e-12))
 
-    def test_cubic_start_counts(self, weighted_traj):
-        # the 800-cell power-weight run over 8 decades: measured 3,606 Newton
-        # solves in 3,576 steps (BDF2 from its quadratic start: 5,681 in 4,739)
+    def test_quartic_start_counts(self, weighted_traj):
+        # the 800-cell power-weight run over 8 decades: measured 2,845 Newton
+        # solves in 2,840 steps (BDF3 from its cubic start: 3,606 in 3,576;
+        # BDF2 from its quadratic start: 5,681 in 4,739)
         assert weighted_traj.newton_iterations <= 1.3 * weighted_traj.steps
+
+    def test_step_ratio_bounded(self, quick_traj, weighted_traj, monkeypatch):
+        # variable-step BDF4 is zero-stable only under a step-ratio bound:
+        # every step tried, also the first after a landing, is at most
+        # RATIO_MAX times the one before (BDF3 with its growth clip of 2
+        # read 2.000 here, with 33 and 382 ratios above 1.2)
+        bdf_weights = S._bdf_weights
+        ratios = []
+
+        def spy(steps):
+            if len(steps) > 1:
+                ratios.append(steps[0] / steps[1])
+            return bdf_weights(steps)
+
+        monkeypatch.setattr(S, "_bdf_weights", spy)
+        for traj in (quick_traj, weighted_traj):
+            ratios.clear()
+            assert S.run(traj.config).steps == traj.steps
+            assert max(ratios) <= S.RATIO_MAX * (1 + 1e-12)
 
     def test_bdf_weights_exact(self):
         # at uneven nodes (step ratios in [0.2, 2]) the step's derivative
         # weights 1/gdt and -c_j/gdt are exact on polynomials of its order
-        # min(3, levels), so they sum to 0 and the c_j to 1 (u~ keeps the
+        # min(4, levels), so they sum to 0 and the c_j to 1 (u~ keeps the
         # weighted mass of u^n), and the start's weights reproduce
         # polynomials of degree levels - 1 at t_(n+1) and sum to 1
         rng = np.random.default_rng(5)
         for _ in range(40):
             steps = [10.0 ** rng.uniform(-6.0, 3.0)]
-            for _ in range(3):
+            for _ in range(4):
                 steps.append(steps[-1] / rng.uniform(0.2, 2.0))
-            for levels in range(1, 5):
+            for levels in range(1, 6):
                 gdt, c, e = S._bdf_weights(steps[:levels])
-                assert (len(c), len(e)) == (min(3, levels), levels)
+                assert (len(c), len(e)) == (min(4, levels), levels)
                 nodes = -np.cumsum(steps[:levels])  # t - t_(n+1) of u^n, u^(n-1), ...
                 scale = -nodes[-1]
                 for degree in range(levels):
                     poly = (nodes / scale) ** degree  # values of (t - t_(n+1))^degree
                     assert np.dot(e, poly) == pytest.approx(float(degree == 0), abs=1e-12)
-                for degree in range(min(3, levels) + 1):
+                for degree in range(min(4, levels) + 1):
                     poly = (nodes[:len(c)] / scale) ** degree
                     slope = (float(degree == 0) - np.dot(c, poly)) * scale / gdt
                     assert slope == pytest.approx(float(degree == 1), abs=1e-9)
 
-    def test_temporal_order(self, monkeypatch):
-        # the sup(u) error at t_end against a run at BDF_TOL = 1e-10 (3,772
-        # steps) falls like steps^-q: measured q = 3.20 and 3.16 over 413,
-        # 701 and 1,217 steps at 1e-6, 1e-7 and 1e-8 (errors 5.4e-6, 9.9e-7
-        # and 1.7e-7); a second-order step would give q = 2
+    @pytest.mark.parametrize("weight, eq", [
+        (W.make_power_weight(0.5), W.EquationParams(3, 2.0, 2.0)),
+        (W.make_zygmund_weight(0.6, 0.2, 2.0), W.EquationParams(3, 2.5, 1.0)),
+        (W.make_power_weight(0.5), W.EquationParams(4, 3.0, 0.5)),
+        (W.make_power_weight(0.5), W.EquationParams(3, 1.8, 1.5)),
+    ], ids=["power-m2", "zygmund-plap", "power-m-half", "power-p-1.8"])
+    def test_temporal_order(self, monkeypatch, weight, eq):
+        # the sup(u) error at t_end against a run at BDF_TOL = 1e-10 falls
+        # like steps^-q over BDF_TOL = 1e-6, 1e-7 and 1e-8.  Measured q =
+        # 4.52 and 4.25 (power-m2: 299, 447 and 676 steps, errors 1.3e-6,
+        # 2.1e-7 and 3.7e-8, reference 1,647 steps), 4.56 and 4.29
+        # (zygmund-plap), 4.11 and 4.31 (power-m-half), 4.45 and 4.33
+        # (power-p-1.8); BDF3 gave 3.08-3.20, a third-order step gives q = 3
         def run(tol):
             monkeypatch.setattr(S, "BDF_TOL", tol)
-            return S.run(quick_config(t_end=100.0))
+            return S.run(quick_config(t_end=100.0, weight=weight, eq=eq))
 
         ref = run(1e-10).sup_u[-1]
         trajs = [run(tol) for tol in (1e-6, 1e-7, 1e-8)]
         errs = [abs(traj.sup_u[-1] / ref - 1.0) for traj in trajs]
         for i in range(2):
             order = math.log(errs[i] / errs[i + 1]) / math.log(trajs[i + 1].steps / trajs[i].steps)
-            assert order >= 2.7
+            assert order >= 3.7
 
     @pytest.mark.parametrize("dim_n, p, m", [(4, 3.0, 0.5), (4, 3.5, 0.3), (4, 2.5, 1.01)])
     def test_newton_converges_at_overflowing_mobility(self, monkeypatch, dim_n, p, m):
         # A' = (m-1) A / ubar overflows as ubar -> 0+ at the front; with the
         # term dropped on those faces Newton converges in about one solve
         # per step, where the full Jacobian failed on almost every step.
-        # Measured: 288, 302 and 236 solves in 281, 295 and 229 steps; each
+        # Measured: 190, 201 and 156 solves in 183, 194 and 149 steps; each
         # run's 7 extra solves are spent by the first step, whose four
         # rejections cut the Gershgorin step 130- to 140-fold
         def run():
@@ -208,7 +240,10 @@ class TestImplicitIntegrator:
     def test_window_is_exact(self, monkeypatch, weight, eq):
         # each step works on the leading cells [:_window(reach, n)]; on the
         # whole grid the run takes the same steps and solves, agrees to
-        # roundoff and is exactly 0 past the last window
+        # roundoff and is exactly 0 past the last window.  The error
+        # estimate sums in cell order, so trailing zeros leave it bitwise
+        # unchanged: measured 0.0 on all three cases (summed by np.dot,
+        # whose rounding depends on the length, zygmund-plap read 9.1e-15)
         cfg = quick_config(weight=weight, eq=eq)
         window = S._window
         his = []
@@ -255,8 +290,8 @@ class TestImplicitIntegrator:
 
     def test_tight_newton_agrees(self, monkeypatch):
         # the residual stop does not change the answer: measured with
-        # NEWTON_TOL = 1e-13, sup(u) within 1.1e-14 at every output in the
-        # same 381 steps, with 385 Newton solves against 383
+        # NEWTON_TOL = 1e-13, sup(u) within 6.3e-15 at every output in the
+        # same 250 steps, with 255 Newton solves against 253
         base = S.run(quick_config())
         monkeypatch.setattr(S, "NEWTON_TOL", 1e-13)
         tight = S.run(quick_config())
