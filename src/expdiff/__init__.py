@@ -32,7 +32,6 @@ from .envelopes import EnvelopeParams, sup_envelope, support_envelope, zygmund_e
 from .solver import (
     RadialGrid,
     SolverConfig,
-    SolverState,
     Trajectory,
     fit_rates,
     initial_state,

@@ -80,6 +80,13 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _nonempty_floats(text: str) -> list[float]:
+    values = _floats(text)
+    if not values:
+        raise ValueError("must list at least one value")
+    return values
+
+
 def _boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -107,9 +114,9 @@ def _count(low: int):
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
     """``[section] key`` read by ``convert`` (float, int, _floats,
-    _boolean, _positive or a _count): ``fallback`` when the key is
-    absent, or without one the configparser.Error that names the missing
-    section or key.  Text that ``convert`` refuses raises
+    _nonempty_floats, _boolean, _positive or a _count): ``fallback`` when
+    the key is absent, or without one the configparser.Error that names
+    the missing section or key.  Text that ``convert`` refuses raises
     InvalidParameterError naming the key and the reason."""
     if fallback is not None and not cfg.has_option(section, key):
         return fallback
@@ -290,7 +297,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
         fallback="poincare, radial_sobolev, bounded_sobolev").split(",") if k.strip()]
     q = _value(cfg, "inequalities", "q", fallback=3.0)
     radii = _value(cfg, "inequalities", "radii", _floats, [1.0, 2.0, 4.0])
-    n_random = _value(cfg, "inequalities", "n_random", int, 4)
+    n_random = _value(cfg, "inequalities", "n_random", _count(0), 4)
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -338,29 +345,12 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
 # simulate
 
 
-def _solver_config(cfg, allow_unweighted: bool,
-                   override: dict | None = None) -> solver.SolverConfig:
+def _solver_config(cfg, allow_unweighted: bool) -> solver.SolverConfig:
     w = build_weight(cfg)
     eq = build_equation(cfg)
-    if override:
-        if "alpha" in override:
-            if w.kind == weights.KIND_POWER:
-                w = weights.make_power_weight(override["alpha"])
-            elif w.kind == weights.KIND_ZYGMUND:
-                w = weights.make_zygmund_weight(override["alpha"], w.params["beta"],
-                                                w.params["c"])
-            else:
-                raise InvalidParameterError(
-                    f"an alpha sweep needs a power or zygmund weight, got {w.kind}"
-                )
-        eq = weights.EquationParams(dim_n=eq.dim_n,
-                                    p=override.get("p", eq.p),
-                                    m=override.get("m", eq.m))
     r_max, n_cells = _value(cfg, "grid", "r_max"), _value(cfg, "grid", "n_cells", int)
     _require_section(cfg, "simulate")
-    t_end = override.get("t_end") if override else None
-    if t_end is None:
-        t_end = _value(cfg, "simulate", "t_end", _positive)
+    t_end = _value(cfg, "simulate", "t_end", _positive)
     # one output would end the run at t_end * 10^-decades
     n_outputs = _value(cfg, "simulate", "n_outputs", _count(2), 97)
     decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
@@ -448,14 +438,29 @@ def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
 # sweep
 
 
+def _sweep_config(cfg, alpha: float, p: float, m: float, t_end: float | None,
+                  allow_unweighted: bool) -> solver.SolverConfig:
+    """The solver config of ``cfg`` with its weight's alpha, p, m and,
+    when given, t_end replaced, written into ``cfg`` (``repr`` of a float
+    reads back exactly).  Refuses a weight without an alpha."""
+    for section, key, value in (("weight", "alpha", alpha), ("equation", "p", p),
+                                ("equation", "m", m), ("simulate", "t_end", t_end)):
+        if value is not None:
+            cfg.set(section, key, repr(value))
+    scfg = _solver_config(cfg, allow_unweighted)
+    if scfg.weight.kind not in (weights.KIND_POWER, weights.KIND_ZYGMUND):
+        raise InvalidParameterError(
+            f"an alpha sweep needs a power or zygmund weight, got {scfg.weight.kind}"
+        )
+    return scfg
+
+
 def _sweep_one(args):
     """One sweep row; an ExpdiffError empties its numbers and is its status."""
     cfg_path, alpha, p, m, t_end, allow_unweighted = args
     try:
-        cfg = _load_config(cfg_path)
-        scfg = _solver_config(cfg, allow_unweighted,
-                              override={"alpha": alpha, "p": p, "m": m,
-                                        "t_end": t_end})
+        scfg = _sweep_config(_load_config(cfg_path), alpha, p, m, t_end,
+                             allow_unweighted)
         traj = solver.run(scfg)
         rep = solver.fit_rates(traj, solver.SUPPORT_ENVELOPE)
         sup_rep = solver.fit_rates(traj, solver.SUP_ENVELOPE)
@@ -469,9 +474,9 @@ def _sweep_one(args):
 def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
               jobs: int, cfg_path: str) -> int:
     _require_section(cfg, "sweep")
-    alphas = _value(cfg, "sweep", "alphas", _floats, [0.5])
-    ps = _value(cfg, "sweep", "ps", _floats, [2.0])
-    ms = _value(cfg, "sweep", "ms", _floats, [2.0])
+    alphas = _value(cfg, "sweep", "alphas", _nonempty_floats, [0.5])
+    ps = _value(cfg, "sweep", "ps", _nonempty_floats, [2.0])
+    ms = _value(cfg, "sweep", "ms", _nonempty_floats, [2.0])
     # optional per-alpha end times: the asymptotic window opens later for
     # weaker weights, so each alpha may carry its own horizon
     t_ends = _value(cfg, "sweep", "t_ends", _floats, []) or [None] * len(alphas)
@@ -518,6 +523,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out)
     try:
+        if args.seed < 0:
+            raise InvalidParameterError(f"--seed must be at least 0, got {args.seed}")
         cfg = _load_config(args.config)
         if args.command == "weight-check":
             return cmd_weight_check(cfg, out, args.seed)

@@ -105,8 +105,9 @@ def zygmund_envelopes(par: EnvelopeParams, t: float,
     the envelopes for the log-corrected power weight.
 
     The asymptotic forms require unit mass and t with log(log(t)) > 1.
-    The sup forms additionally require alpha + beta < 1 and
-    alpha > (alpha+beta)/(alpha+beta+1); they are only evaluated when
+    The sup forms additionally require the sup-decay range of
+    ``require_sup_envelope_range``, 1 > alpha + beta >= alpha >=
+    (alpha+beta)/(alpha+beta+1); they are only evaluated when
     ``with_sup`` is set, and the range is then enforced.
     """
     if par.weight.kind != KIND_ZYGMUND:
@@ -128,15 +129,7 @@ def zygmund_envelopes(par: EnvelopeParams, t: float,
     sup_ex = None
     sup_asym = None
     if with_sup:
-        a2 = alpha + beta
-        if not a2 < 1.0:
-            raise PreconditionError(
-                f"sup envelope range requires alpha + beta < 1, got {a2:g}"
-            )
-        if not alpha > a2 / (a2 + 1.0):
-            raise PreconditionError(
-                "sup envelope range requires alpha > (alpha+beta)/(alpha+beta+1)"
-            )
+        require_sup_envelope_range(par)
         sup_ex = sup_envelope(par, t)
         sup_asym = (((1.0 / lt) * (lt / llt ** beta) ** (p / alpha)) ** (1.0 / kappa)
                     * t ** (-1.0 / kappa))

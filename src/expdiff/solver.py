@@ -10,10 +10,10 @@ three steps), each step solved by Newton's method on the tridiagonal
 flux Jacobian with a pure-Python Thomas solve, started from the quartic
 extrapolation of the last five levels and stopped on the residual, and
 a local-error step controller on that same start, each step at most
-RATIO_MAX times the one before (see ``_implicit_kernel``).  The
-solution is exactly 0 beyond a moving front, so each step works only on
-the leading cells its support can reach within the step (see
-``_window``).
+RATIO_MAX times the one before; ``run`` holds the whole scheme and its
+reasons.  The solution is exactly 0 beyond a moving front, so each step
+works only on the leading cells its support can reach within the step
+(see ``_window``).
 
 An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
 exists solely to calibrate the scheme against classical self-similar
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,8 +74,6 @@ class RadialGrid:
     """Cell-centered uniform radial mesh, with weighted cell volumes and
     face coefficients omega * r^(N-1) e^g(r) at the interior faces."""
 
-    dim_n: int
-    r_max: float
     n_cells: int
     faces: np.ndarray
     centers: np.ndarray
@@ -93,35 +91,8 @@ def make_grid(weight: WeightSpec, dim_n: int, r_max: float, n_cells: int) -> Rad
     omega = measure.sphere_area(dim_n)
     inner = faces[1:-1]
     face_coeffs = omega * meas.density(inner)
-    return RadialGrid(dim_n=dim_n, r_max=r_max, n_cells=n_cells,
-                      faces=faces, centers=centers, cell_weighted_volumes=vols,
-                      face_coeffs=face_coeffs)
-
-
-@dataclass
-class SolverState:
-    grid: RadialGrid
-    t: float
-    u: np.ndarray
-    mass0: float
-    support_threshold: float
-    clipped_mass: float = 0.0
-    last_dt: float = math.nan
-    steps: int = 0  # accepted implicit steps
-    rejected_steps: int = 0
-    newton_iterations: int = 0
-
-    def sup(self) -> float:
-        return float(self.u.max())
-
-    def mass(self) -> float:
-        return float(np.dot(self.u, self.grid.cell_weighted_volumes))
-
-    def support_radius(self) -> float:
-        above = np.nonzero(self.u > self.support_threshold)[0]
-        if above.size == 0:
-            return 0.0
-        return float(self.grid.faces[above[-1] + 1])
+    return RadialGrid(n_cells=n_cells, faces=faces, centers=centers,
+                      cell_weighted_volumes=vols, face_coeffs=face_coeffs)
 
 
 @dataclass(frozen=True)
@@ -192,16 +163,14 @@ class Trajectory:
     COLUMNS = ("t", "sup_u", "support_radius", "mass", "dt_last")
 
 
-def initial_state(config: SolverConfig) -> SolverState:
+def initial_state(config: SolverConfig) -> tuple[RadialGrid, np.ndarray]:
+    """The grid of ``config`` and the initial cell averages on it."""
     grid = make_grid(config.weight, config.eq.dim_n, config.r_max, config.n_cells)
     core = 1.0 - (grid.centers / config.bump_radius) ** 2
     u0 = config.bump_height * np.maximum(0.0, core)
     if config.normalize:
         u0 = u0 * (1.0 / float(np.dot(u0, grid.cell_weighted_volumes)))
-    mass0 = float(np.dot(u0, grid.cell_weighted_volumes))
-    threshold = SUPPORT_THRESHOLD_REL * float(u0.max())
-    return SolverState(grid=grid, t=0.0, u=u0, mass0=mass0,
-                       support_threshold=threshold)
+    return grid, u0
 
 
 def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, w_dc: np.ndarray,
@@ -284,15 +253,6 @@ def _gershgorin_dt(conduct: np.ndarray, inv_vols: np.ndarray, p: float,
     return CFL_SAFETY / peak if peak > 0.0 else idle_dt
 
 
-def _clip_negative(state: SolverState, u: np.ndarray) -> None:
-    """Set negative values of ``u``, the state's leading cells, to 0,
-    recording the weighted mass added."""
-    if u.min() < 0.0:
-        neg = np.flatnonzero(u < 0.0)
-        state.clipped_mass += float(-np.dot(u[neg], state.grid.cell_weighted_volumes[neg]))
-        u[neg] = 0.0
-
-
 def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
             rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-diagonal ``sub`` (row i+1,
@@ -362,11 +322,16 @@ def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float
     return gdt, [gdt * x for x in d], _extrapolation_weights(back[:5])
 
 
-def _implicit_kernel(grid: RadialGrid,
-                     config: SolverConfig) -> Callable[[SolverState, float], None]:
-    """Variable-step BDF on ``grid``, as a function ``update(state,
-    t_target)`` that advances the state in place by one accepted step,
-    shortened to end exactly at ``t_target`` if it would pass it.
+def default_output_times(t_end: float, n: int = 61, decades: float = 4.0) -> np.ndarray:
+    return np.geomspace(t_end * 10.0 ** (-decades), t_end, n)
+
+
+def run(config: SolverConfig) -> Trajectory:
+    """Integrate to t_end by variable-step BDF, recording (t, sup,
+    support radius, mass, dt) at the output times, each step shortened
+    to end exactly at the next output time if it would pass it.  Raises
+    if the support reaches the outer boundary or the weighted mass
+    drifts beyond MASS_DRIFT_TOL relative.
 
     The step's order is min(4, levels held): backward Euler, BDF2 and
     BDF3 for the first three steps, then BDF4.  Each step solves
@@ -397,8 +362,8 @@ def _implicit_kernel(grid: RadialGrid,
     ``reach`` is one past the last cell any of the last five levels ever
     made nonzero: start, residual, Jacobian, Thomas sweep, error
     estimate and clipping all run on that slice, and the accepted slice
-    goes into a fresh full-length ``state.u``.  The five levels are the
-    rows of one array, so the start and u~ are one ``np.dot`` each.
+    is written into the levels.  The five levels are the rows of one
+    array, so the start and u~ are one ``np.dot`` each.
 
     Step control: the Milne estimate on the Newton start,
     err = 12/137 |V (u - start)|_1 / mass, where 12/137 = C / (1 + C)
@@ -415,37 +380,52 @@ def _implicit_kernel(grid: RadialGrid,
     RATIO_MAX], and every step taken is at most RATIO_MAX times the one
     before, also the first step after a landing: variable-step BDF is
     zero-stable only under a step-ratio bound that tightens with the
-    order.  A step shortened to land on ``t_target`` or by the ratio
+    order.  A step shortened to land on an output time or by the ratio
     cap keeps the step the controller wants.  When less than two
     allowed steps remain, the rest is split in halves, so no landing
     step is a sliver (without the split, the ratio after a landing
     reached 523 under BDF2 on the 800-cell power-weight run).  The
     first step tries the Gershgorin step (see ``_gershgorin_dt``),
     which scales like the data, so runs commute with the equation's
-    scaling.  The levels u^n, ..., u^(n-4), their steps, the initial
-    slope, the wanted step and ``reach`` live in this closure.
+    scaling.
     """
+    grid, u0 = initial_state(config)
+    if config.output_times is not None:
+        outs = np.asarray(sorted(config.output_times), dtype=float)
+    else:
+        outs = default_output_times(config.t_end)
     eq = config.eq
     t_floor = 1e-15 * config.t_end
     n_cells = grid.n_cells
     vols = grid.cell_weighted_volumes
+    boundary_face = grid.faces[-1]
     inv_dc = 1.0 / np.diff(grid.centers)
     w_dc = grid.face_coeffs * inv_dc
-    slope0 = np.zeros(n_cells)  # V^-1 div F(u^0), set by the first update
+    mass0 = float(np.dot(u0, vols))
+    threshold = SUPPORT_THRESHOLD_REL * float(u0.max())
     lev = np.zeros((5, n_cells))  # u^n, u^(n-1), ..., u^(n-4): len(steps) + 1 rows held
+    lev[0] = u0
     steps: list[float] = []  # the steps that ended at u^n, ..., u^(n-3)
-    dt_want = math.nan
-    reach = 0
-    failures = 0  # Newton failures since the last output time
+    flux, conduct, _ = _face_fluxes(u0, inv_dc, w_dc, eq)
+    slope0 = np.zeros(n_cells)  # V^-1 div F(u^0)
+    slope0[:-1] += flux
+    slope0[1:] -= flux
+    np.divide(slope0, vols, out=slope0)
+    dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
+    reach = int(np.flatnonzero(u0)[-1]) + 1
+    t, dt = 0.0, math.nan  # dt: the last step taken
+    n_steps = rejected = newton_iterations = 0
+    clipped_mass = 0.0
+    rows = []
 
-    def converge(state: SolverState, u: np.ndarray, tilde: np.ndarray,
-                 gdt: float) -> bool:
+    def converge(u: np.ndarray, tilde: np.ndarray, gdt: float) -> bool:
         # in place on the window: u -> root of R; False when Newton
         # fails.  The cap counts solves; the residual after the last
         # one still counts.
+        nonlocal newton_iterations
         hi = u.size
         vol, w, idc = vols[:hi], w_dc[:hi - 1], inv_dc[:hi - 1]
-        tol = NEWTON_TOL * state.mass0
+        tol = NEWTON_TOL * mass0
         solves = NEWTON_MAX_ITER
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
@@ -474,121 +454,80 @@ def _implicit_kernel(grid: RadialGrid,
                 except ZeroDivisionError:
                     return False
                 u -= delta
-                state.newton_iterations += 1
+                newton_iterations += 1
 
-    def extend_reach(u: np.ndarray) -> None:
-        nonlocal reach
-        nonzero = np.flatnonzero(u[reach:])
-        if nonzero.size:
-            reach += int(nonzero[-1]) + 1
-
-    def update(state: SolverState, t_target: float) -> None:
-        nonlocal steps, dt_want, failures
-        if math.isnan(dt_want):
-            lev[0] = state.u
-            flux, conduct, _ = _face_fluxes(state.u, inv_dc, w_dc, eq)
-            slope0[:-1] += flux
-            slope0[1:] -= flux
-            np.divide(slope0, vols, out=slope0)
-            dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
-            extend_reach(state.u)
-        hi = _window(reach, n_cells)
-        levels = lev[:len(steps) + 1, :hi]
-        while True:
-            if dt_want < t_floor:
-                raise StiffnessError(
-                    f"step {dt_want:.3e} underflowed at t={state.t:.6g}; "
-                    "coarsen the grid or change parameters"
-                )
-            dt = min(dt_want, RATIO_MAX * steps[0]) if steps else dt_want
-            remaining = t_target - state.t
-            landing = dt >= remaining
-            dt = remaining if landing else min(dt, 0.5 * remaining)
-            gdt, c, e = _bdf_weights([dt] + steps)
-            start = np.dot(e, levels)
-            if not steps:
-                start += dt * slope0[:hi]
-            u = start.copy()
-            if not converge(state, u, np.dot(c, levels[:len(c)]), gdt):
-                state.rejected_steps += 1
-                failures += 1
-                if failures > MAX_NEWTON_FAILURES:
+    for t_out in [0.0] + outs.tolist():  # row 0 records u0
+        failures = 0  # Newton failures since the last output time
+        while t < t_out:
+            hi = _window(reach, n_cells)
+            levels = lev[:len(steps) + 1, :hi]
+            while True:
+                if dt_want < t_floor:
                     raise StiffnessError(
-                        f"Newton failed {failures} times before the output time "
-                        f"{t_target:.6g}: at t={state.t:.6g} with dt={dt:.3e}, "
-                        f"after {state.rejected_steps} rejected steps"
+                        f"step {dt_want:.3e} underflowed at t={t:.6g}; "
+                        "coarsen the grid or change parameters"
                     )
-                dt_want = 0.2 * dt
-                continue
-            err = 12.0 / 137.0 * float(np.cumsum(vols[:hi] * np.abs(u - start))[-1]) / state.mass0
-            fac = RATIO_MAX if err == 0.0 else min(RATIO_MAX, max(0.2, 0.7 * (BDF_TOL / err) ** 0.2))
-            if err > BDF_TOL:
-                state.rejected_steps += 1
-                dt_want = dt * fac
-                continue
+                dt = min(dt_want, RATIO_MAX * steps[0]) if steps else dt_want
+                remaining = t_out - t
+                landing = dt >= remaining
+                dt = remaining if landing else min(dt, 0.5 * remaining)
+                gdt, c, e = _bdf_weights([dt] + steps)
+                start = np.dot(e, levels)
+                if not steps:
+                    start += dt * slope0[:hi]
+                u = start.copy()
+                if not converge(u, np.dot(c, levels[:len(c)]), gdt):
+                    rejected += 1
+                    failures += 1
+                    if failures > MAX_NEWTON_FAILURES:
+                        raise StiffnessError(
+                            f"Newton failed {failures} times before the output time "
+                            f"{t_out:.6g}: at t={t:.6g} with dt={dt:.3e}, "
+                            f"after {rejected} rejected steps"
+                        )
+                    dt_want = 0.2 * dt
+                    continue
+                err = 12.0 / 137.0 * float(np.cumsum(vols[:hi] * np.abs(u - start))[-1]) / mass0
+                fac = RATIO_MAX if err == 0.0 else min(RATIO_MAX, max(0.2, 0.7 * (BDF_TOL / err) ** 0.2))
+                if err > BDF_TOL:
+                    rejected += 1
+                    dt_want = dt * fac
+                    continue
+                break
             dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
-            _clip_negative(state, u)
-            extend_reach(u)
+            if u.min() < 0.0:
+                neg = np.flatnonzero(u < 0.0)
+                clipped_mass += float(-np.dot(u[neg], vols[neg]))
+                u[neg] = 0.0
+            nonzero = np.flatnonzero(u[reach:])
+            if nonzero.size:
+                reach += int(nonzero[-1]) + 1
             lev[1:, :hi] = lev[:-1, :hi]
             lev[0, :hi] = u
             steps = [dt] + steps[:3]
-            state.u = lev[0].copy()
-            state.t = t_target if landing else state.t + dt
-            state.last_dt = dt
-            state.steps += 1
-            if landing:
-                failures = 0
-            return
-
-    return update
-
-
-def default_output_times(t_end: float, n: int = 61, decades: float = 4.0) -> np.ndarray:
-    return np.geomspace(t_end * 10.0 ** (-decades), t_end, n)
-
-
-def run(config: SolverConfig) -> Trajectory:
-    """Integrate to t_end, recording (t, sup, support radius, mass, dt)
-    at the output times.  Raises if the support reaches the outer
-    boundary or the weighted mass drifts beyond 1e-6 relative."""
-    state = initial_state(config)
-    if config.output_times is not None:
-        outs = np.asarray(sorted(config.output_times), dtype=float)
-    else:
-        outs = default_output_times(config.t_end)
-    times = [0.0]
-    sups = [state.sup()]
-    supports = [state.support_radius()]
-    masses = [state.mass()]
-    dts = [math.nan]
-    boundary_face = state.grid.faces[-1]
-    update = _implicit_kernel(state.grid, config)
-    for t_out in outs:
-        while state.t < t_out:
-            update(state, float(t_out))
-        times.append(state.t)
-        sups.append(state.sup())
-        supports.append(state.support_radius())
-        masses.append(state.mass())
-        dts.append(state.last_dt)
-        if supports[-1] >= boundary_face:
+            t = t_out if landing else t + dt
+            n_steps += 1
+        above = np.flatnonzero(lev[0] > threshold)
+        radius = float(grid.faces[above[-1] + 1]) if above.size else 0.0
+        mass = float(np.dot(lev[0], vols))
+        rows.append((t, float(lev[0].max()), radius, mass, dt))
+        if radius >= boundary_face:
             raise SupportBoundaryError(
-                f"numerical support reached r_max={boundary_face:g} at t={state.t:g}; "
+                f"numerical support reached r_max={boundary_face:g} at t={t:g}; "
                 "enlarge r_max"
             )
-        drift = abs(masses[-1] / state.mass0 - 1.0)
+        drift = abs(mass / mass0 - 1.0)
         if drift > MASS_DRIFT_TOL:
             raise MassConservationError(
                 f"relative mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g} "
-                f"at t={state.t:g}"
+                f"at t={t:g}"
             )
+    times, sups, supports, masses, dts = (np.array(col) for col in zip(*rows))
     return Trajectory(
-        times=np.asarray(times), sup_u=np.asarray(sups),
-        support_radius=np.asarray(supports), mass=np.asarray(masses),
-        dt_last=np.asarray(dts), mass0=state.mass0,
-        config=config, steps=state.steps, rejected_steps=state.rejected_steps,
-        newton_iterations=state.newton_iterations, clipped_mass=state.clipped_mass,
-        u_final=state.u,
+        times=times, sup_u=sups, support_radius=supports, mass=masses,
+        dt_last=dts, mass0=mass0, config=config, steps=n_steps,
+        rejected_steps=rejected, newton_iterations=newton_iterations,
+        clipped_mass=clipped_mass, u_final=lev[0].copy(),
     )
 
 

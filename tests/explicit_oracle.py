@@ -8,14 +8,17 @@ from expdiff import solver as S
 from expdiff.errors import StiffnessError
 
 
-def advance(state: S.SolverState, config: S.SolverConfig, t_target: float,
-            safety: float) -> None:
-    """Advance ``state`` in place to exactly ``t_target`` by forward Euler
-    on the solver's face fluxes, each step ``safety`` times the
-    Gershgorin-stable step of ``S._gershgorin_dt`` (a state without flux
-    steps by ``safety / S.CFL_SAFETY`` times t_end * 1e-3); the last step
-    is shortened to land on ``t_target``.  First order in time."""
-    eq, grid = config.eq, state.grid
+def advance(grid: S.RadialGrid, u: np.ndarray, t: float, config: S.SolverConfig,
+            t_target: float, safety: float) -> tuple[float, float]:
+    """Advance the cell averages ``u`` on ``grid`` in place from ``t`` to
+    exactly ``t_target`` by forward Euler on the solver's face fluxes,
+    each step ``safety`` times the Gershgorin-stable step of
+    ``S._gershgorin_dt`` (a state without flux steps by
+    ``safety / S.CFL_SAFETY`` times t_end * 1e-3); the last step is
+    shortened to land on ``t_target``.  Negative values are set to 0
+    after each step.  First order in time.  Returns t_target and the
+    last step."""
+    eq = config.eq
     t_floor = 1e-15 * config.t_end
     idle_dt = 1e-3 * config.t_end
     scale = safety / S.CFL_SAFETY
@@ -23,20 +26,21 @@ def advance(state: S.SolverState, config: S.SolverConfig, t_target: float,
     w_dc = grid.face_coeffs * inv_dc
     inv_vols = 1.0 / grid.cell_weighted_volumes
     dudt = np.empty_like(inv_vols)
-    while state.t < t_target:
-        flux, conduct, _ = S._face_fluxes(state.u, inv_dc, w_dc, eq)
+    dt = np.nan
+    while t < t_target:
+        flux, conduct, _ = S._face_fluxes(u, inv_dc, w_dc, eq)
         dt = scale * S._gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
         if dt < t_floor:
-            raise StiffnessError(f"stable dt {dt:.3e} underflowed at t={state.t:.6g}")
-        if state.t + dt >= t_target:
-            dt = t_target - state.t
-            state.t = t_target
+            raise StiffnessError(f"stable dt {dt:.3e} underflowed at t={t:.6g}")
+        if t + dt >= t_target:
+            dt = t_target - t
+            t = t_target
         else:
-            state.t += dt
+            t += dt
         dudt[0] = flux[0]
         dudt[1:-1] = flux[1:] - flux[:-1]
         dudt[-1] = -flux[-1]
         np.multiply(dudt, inv_vols, out=dudt)
-        state.u += dt * dudt
-        S._clip_negative(state, state.u)
-        state.last_dt = dt
+        u += dt * dudt
+        np.maximum(u, 0.0, out=u)
+    return t, dt

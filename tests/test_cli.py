@@ -268,6 +268,17 @@ t_end = 10
     assert "min(N, p/(p-1))" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["weight-check", "inequalities", "simulate", "sweep"])
+def test_negative_seed_refused(power_cfg, tmp_path, capsys, command):
+    # weight-check and inequalities died in np.random.default_rng with a
+    # traceback and exit 1, the code of a failed gated check
+    rc = cli.main([command, "--config", power_cfg, "--seed", "-1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err and len(err.splitlines()) == 1
+
+
 def test_missing_config(tmp_path):
     rc = cli.main(["simulate", "--config", str(tmp_path / "none.ini"),
                    "--out", str(tmp_path / "o")])
@@ -297,7 +308,9 @@ def test_missing_key_named(tmp_path, capsys):
 # n_samples = -1, s_min = 0 and n_outputs = -1 escaped as numpy tracebacks;
 # n_outputs = 1 ended the run at t_end * 10^-decades and output_decades = 0
 # wrote every row at t_end, both with exit 0; t_end = inf warned in numpy
-# before the solver refused it
+# before the solver refused it; n_random = -3 ran with no random functions
+# and an empty alphas, ps or ms wrote a sweep.csv of only a header, both
+# with exit 0
 @pytest.mark.parametrize("command, section, key, bad", [
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
@@ -310,9 +323,14 @@ def test_missing_key_named(tmp_path, capsys):
     ("simulate", "simulate", "n_outputs", "1"),
     ("simulate", "simulate", "t_end", "inf"),
     ("simulate", "simulate", "output_decades", "0"),
+    ("inequalities", "inequalities", "n_random", "-3"),
+    ("sweep", "sweep", "alphas", ""),
+    ("sweep", "sweep", "ps", ""),
+    ("sweep", "sweep", "ms", ""),
 ], ids=["alpha", "n_samples", "radii", "normalize", "n_samples-negative", "s_min-zero",
         "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
-        "output_decades-zero"])
+        "output_decades-zero", "n_random-negative", "alphas-empty", "ps-empty",
+        "ms-empty"])
 def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     cfg = _cfg(POWER_INI)
     cfg[section][key] = bad
@@ -333,7 +351,7 @@ n_cells = 200
 t_end = 1e4
 """
 
-SWEEP_OVERRIDE = {"alpha": 0.4, "p": 2.0, "m": 2.0, "t_end": 1e4}
+SWEEP_POINT = (0.4, 2.0, 2.0, 1e4)
 
 
 def _cfg(text):
@@ -343,8 +361,7 @@ def _cfg(text):
 
 
 def test_sweep_keeps_zygmund_weight():
-    scfg = cli._solver_config(_cfg(ZYGMUND_INI + SWEEP_SECTIONS), False,
-                              override=SWEEP_OVERRIDE)
+    scfg = cli._sweep_config(_cfg(ZYGMUND_INI + SWEEP_SECTIONS), *SWEEP_POINT, False)
     assert scfg.weight.kind == "zygmund"
     assert scfg.weight.params == {"alpha": 0.4, "beta": 1.0, "c": 2.0}
     assert scfg.weight.alpha2 == pytest.approx(1.4)
@@ -360,7 +377,7 @@ def test_sweep_refuses_weight_without_alpha(weight_section):
                + SWEEP_SECTIONS)
     kind = cfg["weight"]["kind"]
     with pytest.raises(InvalidParameterError, match=kind):
-        cli._solver_config(cfg, True, override=SWEEP_OVERRIDE)
+        cli._sweep_config(cfg, *SWEEP_POINT, True)
 
 
 @pytest.mark.parametrize("expr", [

@@ -14,6 +14,7 @@ from expdiff import weights as W
 from expdiff.errors import (
     FitRefusedError,
     InvalidParameterError,
+    MassConservationError,
     StiffnessError,
     SupportBoundaryError,
 )
@@ -57,11 +58,12 @@ class TestImplicitIntegrator:
         cfg = quick_traj.config
         sups, supports = {}, {}
         for safety in (0.2, 0.1):
-            st = S.initial_state(cfg)
-            rows = []
+            grid, u = S.initial_state(cfg)
+            threshold = S.SUPPORT_THRESHOLD_REL * u.max()
+            t, rows = 0.0, []
             for t_out in cfg.output_times:
-                advance(st, cfg, t_out, safety)
-                rows.append((st.sup(), st.support_radius()))
+                t, _ = advance(grid, u, t, cfg, t_out, safety)
+                rows.append((u.max(), grid.faces[np.flatnonzero(u > threshold)[-1] + 1]))
             sups[safety], supports[safety] = np.array(rows).T
         oracle = 2.0 * sups[0.1] - sups[0.2]
         rel = np.abs(quick_traj.sup_u[1:] / oracle - 1.0)
@@ -219,17 +221,16 @@ class TestImplicitIntegrator:
         # the frozen-conductance matrix at a quick_config state, with the
         # residual of a backward Euler step from it and random right-hand sides
         cfg = quick_config()
-        st = S.initial_state(cfg)
-        advance(st, cfg, 0.05, S.CFL_SAFETY)
-        grid = st.grid
+        grid, u = S.initial_state(cfg)
+        _, last_dt = advance(grid, u, 0.0, cfg, 0.05, S.CFL_SAFETY)
         inv_dc = 1.0 / np.diff(grid.centers)
-        flux, k, _ = S._face_fluxes(st.u, inv_dc, grid.face_coeffs * inv_dc, cfg.eq)
-        dt = 1e3 * st.last_dt
-        resid = np.zeros_like(st.u)
+        flux, k, _ = S._face_fluxes(u, inv_dc, grid.face_coeffs * inv_dc, cfg.eq)
+        dt = 1e3 * last_dt
+        resid = np.zeros_like(u)
         resid[:-1] -= dt * flux
         resid[1:] += dt * flux
-        for rhs in [resid, rng.random(st.u.size)] + [rng.standard_normal(st.u.size)
-                                                     for _ in range(5)]:
+        for rhs in [resid, rng.random(u.size)] + [rng.standard_normal(u.size)
+                                                  for _ in range(5)]:
             assert_bounded(grid.cell_weighted_volumes, -dt * k, dt * k, rhs)
 
     @pytest.mark.parametrize("weight, eq", [
@@ -331,6 +332,17 @@ class TestRun:
         drift = np.abs(traj.mass / traj.mass0 - 1.0)
         assert drift.max() <= 1e-6
         assert drift.max() <= 1e-12  # conservative scheme: telescoping exact
+
+    def test_mass_drift_raises(self, quick_traj, monkeypatch):
+        # the conservative scheme never drifts near MASS_DRIFT_TOL, so the
+        # tolerance drops below the first nonzero drift of a run that passed
+        drift = np.abs(quick_traj.mass / quick_traj.mass0 - 1.0)
+        k = int(np.flatnonzero(drift)[0])
+        monkeypatch.setattr(S, "MASS_DRIFT_TOL", 0.5 * drift[k])
+        with pytest.raises(MassConservationError) as info:
+            S.run(quick_traj.config)
+        message = str(info.value)
+        assert f"{drift[k]:.3e}" in message and f"t={quick_traj.times[k]:g}" in message
 
     def test_support_monotone(self, eq_ref, w_half):
         cfg = quick_config(t_end=100.0, output_times=np.geomspace(0.01, 100.0, 25))
