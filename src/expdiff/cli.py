@@ -87,6 +87,13 @@ def _nonempty_floats(text: str) -> list[float]:
     return values
 
 
+def _nonempty_names(text: str) -> list[str]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise ValueError("must list at least one value")
+    return names
+
+
 def _boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -114,10 +121,11 @@ def _count(low: int):
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
     """``[section] key`` read by ``convert`` (float, int, _floats,
-    _nonempty_floats, _boolean, _positive or a _count): ``fallback`` when
-    the key is absent, or without one the configparser.Error that names
-    the missing section or key.  Text that ``convert`` refuses raises
-    InvalidParameterError naming the key and the reason."""
+    _nonempty_floats, _nonempty_names, _boolean, _positive or a _count):
+    ``fallback`` when the key is absent, or without one the
+    configparser.Error that names the missing section or key.  Text that
+    ``convert`` refuses raises InvalidParameterError naming the key and
+    the reason."""
     if fallback is not None and not cfg.has_option(section, key):
         return fallback
     text = cfg.get(section, key)
@@ -219,6 +227,9 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
     s_min = _value(cfg, "weight_check", "s_min", _positive, 1e-3)
     s_max = _value(cfg, "weight_check", "s_max", _positive, 1e3)
     n = _value(cfg, "weight_check", "n_samples", _count(1), 200)
+    if w.kind == weights.KIND_ZYGMUND:
+        taus = _value(cfg, "weight_check", "tau_grid", _nonempty_floats,
+                      [1e2, 1e4, 1e6, 1e8])
     samples = np.geomspace(s_min, s_max, n)
     rng = np.random.default_rng(seed)
 
@@ -273,7 +284,6 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
               rows, meta)
 
     if w.kind == weights.KIND_ZYGMUND:
-        taus = _value(cfg, "weight_check", "tau_grid", _floats, [1e2, 1e4, 1e6, 1e8])
         table = weights.zygmund_inverse_asymptotics(
             w.params["alpha"], w.params["beta"], w.params["c"], taus)
         write_csv(out / "zygmund_asymptotics.csv", ["tau", "A"],
@@ -292,11 +302,10 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     w = build_weight(cfg)
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
-    kinds = [k.strip() for k in cfg.get(
-        "inequalities", "kinds",
-        fallback="poincare, radial_sobolev, bounded_sobolev").split(",") if k.strip()]
+    kinds = _value(cfg, "inequalities", "kinds", _nonempty_names,
+                   [ineq.POINCARE, ineq.RADIAL_SOBOLEV, ineq.BOUNDED_SOBOLEV])
     q = _value(cfg, "inequalities", "q", fallback=3.0)
-    radii = _value(cfg, "inequalities", "radii", _floats, [1.0, 2.0, 4.0])
+    radii = _value(cfg, "inequalities", "radii", _nonempty_floats, [1.0, 2.0, 4.0])
     n_random = _value(cfg, "inequalities", "n_random", _count(0), 4)
     rng = np.random.default_rng(seed)
 

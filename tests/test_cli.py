@@ -310,7 +310,9 @@ def test_missing_key_named(tmp_path, capsys):
 # wrote every row at t_end, both with exit 0; t_end = inf warned in numpy
 # before the solver refused it; n_random = -3 ran with no random functions
 # and an empty alphas, ps or ms wrote a sweep.csv of only a header, both
-# with exit 0
+# with exit 0; so did an empty radii or kinds with an inequalities.csv of
+# only a header, and an empty tau_grid with a header-only
+# zygmund_asymptotics.csv
 @pytest.mark.parametrize("command, section, key, bad", [
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
@@ -327,12 +329,17 @@ def test_missing_key_named(tmp_path, capsys):
     ("sweep", "sweep", "alphas", ""),
     ("sweep", "sweep", "ps", ""),
     ("sweep", "sweep", "ms", ""),
+    ("inequalities", "inequalities", "radii", ""),
+    ("inequalities", "inequalities", "kinds", ""),
+    ("weight-check", "weight_check", "tau_grid", ""),
 ], ids=["alpha", "n_samples", "radii", "normalize", "n_samples-negative", "s_min-zero",
         "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
         "output_decades-zero", "n_random-negative", "alphas-empty", "ps-empty",
-        "ms-empty"])
+        "ms-empty", "radii-empty", "kinds-empty", "tau_grid-empty"])
 def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     cfg = _cfg(POWER_INI)
+    if key == "tau_grid":
+        cfg.read_string(ZYGMUND_INI)  # tau_grid is read for a zygmund weight only
     cfg[section][key] = bad
     ini = tmp_path / "bad_value.ini"
     with open(ini, "w", encoding="utf-8") as fh:

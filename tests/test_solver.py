@@ -39,6 +39,14 @@ def quick_config(**kw):
     return S.SolverConfig(**defaults)
 
 
+@pytest.fixture(params=["dgtsv", "thomas"])
+def tridiagonal(request):
+    # the solve Newton uses (dgtsv wherever numpy bundles it) and the
+    # Python sweep; dgtsv overwrites its arguments, so each call gets copies
+    kernel = S._tridiagonal_solver() if request.param == "dgtsv" else S._thomas
+    return lambda *arrays: kernel(*(np.array(x, dtype=float) for x in arrays))
+
+
 @pytest.fixture(scope="module")
 def quick_traj():
     return S.run(quick_config(t_end=100.0, output_times=np.geomspace(0.01, 100.0, 25)))
@@ -179,8 +187,8 @@ class TestImplicitIntegrator:
         tight = run()
         assert np.abs(traj.sup_u[1:] / tight.sup_u[1:] - 1.0).max() <= 1e-8
 
-    def test_window_matches_full_solve(self):
-        # the Thomas solve equals a dense solve; past a tail with zero
+    def test_window_matches_full_solve(self, tridiagonal):
+        # the tridiagonal solve equals a dense solve; past a tail with zero
         # right-hand side and no coupling back its solution is exactly 0,
         # and the leading window alone gives the same values
         rng = np.random.default_rng(7)
@@ -191,16 +199,16 @@ class TestImplicitIntegrator:
         rhs = np.zeros(n)
         rhs[:6] = rng.random(6)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        x = S._thomas(sub, diag, sup, rhs)
+        x = tridiagonal(sub, diag, sup, rhs)
         assert np.all(x[8:] == 0.0)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
-        assert np.array_equal(S._thomas(sub[:7], diag[:8], sup[:7], rhs[:8]), x[:8])
+        assert np.array_equal(tridiagonal(sub[:7], diag[:8], sup[:7], rhs[:8]), x[:8])
         sub[6:] = -rng.random(n - 7)  # coupling to the end: the whole system
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        np.testing.assert_allclose(S._thomas(sub, diag, sup, rhs),
+        np.testing.assert_allclose(tridiagonal(sub, diag, sup, rhs),
                                    np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
 
-    def test_residual_bounds_update(self):
+    def test_residual_bounds_update(self, tridiagonal):
         # Newton stops on |R|_1 <= NEWTON_TOL mass: for an M-matrix J whose
         # columns sum to the cell volumes V, |V J^-1 R|_1 <= |R|_1, so the
         # residual bounds the update that the step would still make
@@ -208,7 +216,7 @@ class TestImplicitIntegrator:
             diag = vols.copy()
             diag[:-1] -= a
             diag[1:] += b
-            delta = S._thomas(a, diag, -b, rhs)
+            delta = tridiagonal(a, diag, -b, rhs)
             assert np.dot(vols, np.abs(delta)) <= np.abs(rhs).sum() * (1 + 1e-12)
 
         rng = np.random.default_rng(11)
@@ -298,6 +306,58 @@ class TestImplicitIntegrator:
         tight = S.run(quick_config())
         assert tight.steps == base.steps
         assert np.abs(tight.sup_u[1:] / base.sup_u[1:] - 1.0).max() <= 1e-9
+
+    def test_dgtsv_selected_where_bundled(self):
+        # Newton solves through dgtsv whenever numpy's wheel bundles its
+        # OpenBLAS, so no test or benchmark measures the sweep unnoticed
+        libs = list((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+        assert (S._tridiagonal_solver() is not S._thomas) == bool(libs)
+
+    def test_dgtsv_checks_bands(self):
+        # LAPACK trusts the sizes it is given: a short band or one of
+        # another dtype raises before the call instead of being overrun
+        solve = S._tridiagonal_solver()
+        if solve is S._thomas:
+            pytest.skip("numpy bundles no scipy-openblas64 here")
+        sub, diag, rhs = -np.ones(4), 3.0 * np.ones(5), np.ones(5)
+        for bad in ((sub[:3].copy(), diag, sub, rhs), (sub.astype(np.float32), diag, sub, rhs)):
+            with pytest.raises(ValueError, match="do not fit 5 float64 rows"):
+                solve(*(x.copy() for x in bad))
+        with pytest.raises(TypeError, match="contiguous"):
+            solve(sub.copy(), diag.copy(), sub.copy(), np.ones(10)[::2])
+
+    def test_sweep_run_matches_dgtsv(self, quick_traj, monkeypatch):
+        # the two solves differ only in roundoff: the same steps, rejections
+        # and Newton solves (measured: sup(u) bitwise equal at every output)
+        monkeypatch.setattr(S, "_tridiagonal_solver", lambda: S._thomas)
+        sweep = S.run(quick_traj.config)
+        assert (sweep.steps, sweep.rejected_steps, sweep.newton_iterations) == (
+            quick_traj.steps, quick_traj.rejected_steps, quick_traj.newton_iterations)
+        assert np.abs(sweep.sup_u / quick_traj.sup_u - 1.0).max() <= 1e-9
+
+    def test_zero_pivot_rejects_step(self, monkeypatch):
+        # dgtsv's INFO > 0 is the sweep's ZeroDivisionError, so an exactly
+        # zero pivot fails Newton and rejects the step the same way
+        kernels = [S._tridiagonal_solver(), S._thomas]
+        for kernel in kernels:
+            with pytest.raises(ZeroDivisionError):
+                kernel(np.zeros(3), np.zeros(4), np.ones(3), np.ones(4))
+        base = S.run(quick_config())
+        counts = []
+        for kernel in kernels:
+            calls = []
+
+            def singular(sub, diag, sup, rhs):
+                calls.append(1)
+                if len(calls) == 20:  # a zero first column
+                    sub[0] = diag[0] = 0.0
+                return kernel(sub, diag, sup, rhs)
+
+            monkeypatch.setattr(S, "_tridiagonal_solver", lambda: singular)
+            traj = S.run(quick_config())
+            counts.append((traj.steps, traj.rejected_steps, traj.newton_iterations))
+        assert counts[0] == counts[1]
+        assert counts[0][1] == base.rejected_steps + 1
 
     def test_no_scipy_import(self, tmp_path):
         # importing scipy.linalg doubles peak memory and adds ~0.4 s of
