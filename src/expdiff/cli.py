@@ -17,7 +17,6 @@ Config sections (keys shown with defaults where sensible)::
     [grid]              r_max = 40  n_cells = 800
     [simulate]          t_end = 1e6   bump_radius = 1   bump_height = 1
                         n_outputs = 97   output_decades = 8
-                        normalize = false
     [weight_check]      s_min = 1e-3  s_max = 1e3  n_samples = 200
                         tau_grid = 1e2, 1e4, 1e6, 1e8
     [inequalities]      kinds = poincare, radial_sobolev, bounded_sobolev
@@ -94,13 +93,6 @@ def _nonempty_names(text: str) -> list[str]:
     return names
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError("not a boolean") from None
-
-
 def _positive(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -121,7 +113,7 @@ def _count(low: int):
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
     """``[section] key`` read by ``convert`` (float, int, _floats,
-    _nonempty_floats, _nonempty_names, _boolean, _positive or a _count):
+    _nonempty_floats, _nonempty_names, _positive or a _count):
     ``fallback`` when the key is absent, or without one the
     configparser.Error that names the missing section or key.  Text that
     ``convert`` refuses raises InvalidParameterError naming the key and
@@ -369,7 +361,6 @@ def _solver_config(cfg, allow_unweighted: bool) -> solver.SolverConfig:
         t_end=t_end, output_times=outs,
         bump_radius=_value(cfg, "simulate", "bump_radius", fallback=1.0),
         bump_height=_value(cfg, "simulate", "bump_height", fallback=1.0),
-        normalize=_value(cfg, "simulate", "normalize", _boolean, False),
         allow_unweighted=allow_unweighted,
     )
 

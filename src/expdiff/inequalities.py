@@ -391,7 +391,7 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
         raise InvalidParameterError(
             f"test function {family[bad[0]].label} needs a finite support radius > 0")
     grow = RadialMeasure(w, eq.dim_n, GROWING)
-    bp = np.union1d(quadrature.geometric_breakpoints(0.0, radii.max()), radii)
+    bp = np.union1d(quadrature.geometric_breakpoints(radii.max()), radii)
 
     def integrand(r):
         lam = lambda_many(w, r)[:, None] ** lam_power if lam_power else 1.0

@@ -138,7 +138,7 @@ def integrate_with_error(meas: RadialMeasure, h: Callable, a: float, b: float,
         return float(vals[0]), float(errs[0])
 
     if a == 0.0:
-        bp = quadrature.geometric_breakpoints(0.0, b)
+        bp = quadrature.geometric_breakpoints(b)
         segs, errs = quadrature.panels(f, bp[:-1], bp[1:], rel_tol)
         return float(np.sum(segs)), float(np.sum(errs))
     return quadrature.adaptive(f, a, b, rel_tol=rel_tol)

@@ -171,21 +171,14 @@ def cumulative(
     return np.concatenate([[0.0], np.cumsum(segs)])
 
 
-def geometric_breakpoints(a: float, b: float) -> np.ndarray:
-    """Breakpoints on [a, b] refined geometrically toward a (a may be 0):
-    49 geometric points from max(a, b * 2**-48) to b, plus a (for small a
-    the points b, b/2, b/4, ... down to about 3.6e-15 b).
+def geometric_breakpoints(b: float) -> np.ndarray:
+    """Breakpoints on [0, b] refined geometrically toward 0: 0, then 49
+    geometric points from b * 2**-48 to b (b, b/2, b/4, ... down to
+    about 3.6e-15 b).
 
-    Useful for integrands with a branch-point singularity at the left
-    endpoint, e.g. s**alpha with 0 < alpha < 1.
+    Useful for integrands with a branch-point singularity at 0, e.g.
+    s**alpha with 0 < alpha < 1.
     """
-    if b <= a:
-        raise ValueError("need b > a")
-    if a > 0 and b / a < 4.0:
-        return np.array([a, b])
-    lo = b * 2.0 ** -48
-    pts = [a] if a < lo else []
-    start = max(a, lo)
-    ratios = np.geomspace(start, b, num=49)
-    pts.extend(float(r) for r in ratios)
-    return np.unique(np.asarray(pts))
+    if not b > 0:
+        raise ValueError("need b > 0")
+    return np.concatenate([[0.0], np.geomspace(b * 2.0 ** -48, b, num=49)])

@@ -11,9 +11,9 @@ flux Jacobian, started from the quartic extrapolation of the last five
 levels and stopped on the residual, and a local-error step controller
 on that same start, each step at most RATIO_MAX times the one before.
 The tridiagonal solve is LAPACK's ``dgtsv`` from the OpenBLAS bundled
-with numpy's wheel, and a pure-Python Thomas sweep only where numpy
-ships no such library (see ``_tridiagonal_solver``).  ``run`` holds the
-whole scheme and its reasons.  The solution is exactly 0 beyond a
+with numpy's wheel, and where numpy ships no such library a Python sweep
+that gives the same solutions bitwise (see ``_thomas``).  ``run`` holds
+the whole scheme and its reasons.  The solution is exactly 0 beyond a
 moving front, so each step works only on the leading cells its support
 can reach within the step (see ``_window``).
 
@@ -45,7 +45,7 @@ from .errors import (
     SupportBoundaryError,
 )
 from .measure import GROWING, RadialMeasure
-from .weights import EquationParams, WeightSpec, invert_g
+from .weights import EquationParams, WeightSpec
 
 SUP_ENVELOPE = "sup_envelope"
 SUPPORT_ENVELOPE = "support_envelope"
@@ -107,11 +107,10 @@ class SolverConfig:
     r_max: float
     n_cells: int
     t_end: float
+    output_times: Sequence[float]
     bump_radius: float = 1.0
     bump_height: float = 1.0
-    output_times: Sequence[float] | None = None
     allow_unweighted: bool = False
-    normalize: bool = False
 
     def __post_init__(self):
         if not self.weight.is_weighted and not self.allow_unweighted:
@@ -124,15 +123,14 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
-        if self.output_times is not None:
-            outs = np.asarray(self.output_times, dtype=float)
-            bad = outs[~((outs > 0) & (outs <= self.t_end * (1 + 1e-12)))]
-            if outs.size == 0 or bad.size:
-                got = format(bad[0], "g") if bad.size else "none"
-                raise InvalidParameterError(
-                    f"output times must be a non-empty set of times in "
-                    f"(0, t_end={self.t_end:g}], got {got}"
-                )
+        outs = np.asarray(self.output_times, dtype=float)
+        bad = outs[~((outs > 0) & (outs <= self.t_end * (1 + 1e-12)))]
+        if outs.size == 0 or bad.size:
+            got = format(bad[0], "g") if bad.size else "none"
+            raise InvalidParameterError(
+                f"output times must be a non-empty set of times in "
+                f"(0, t_end={self.t_end:g}], got {got}"
+            )
         if self.bump_radius > self.r_max / 8.0:
             raise InvalidParameterError(
                 "bump radius must be at most r_max/8 to leave room for spreading"
@@ -173,8 +171,6 @@ def initial_state(config: SolverConfig) -> tuple[RadialGrid, np.ndarray]:
     grid = make_grid(config.weight, config.eq.dim_n, config.r_max, config.n_cells)
     core = 1.0 - (grid.centers / config.bump_radius) ** 2
     u0 = config.bump_height * np.maximum(0.0, core)
-    if config.normalize:
-        u0 = u0 * (1.0 / float(np.dot(u0, grid.cell_weighted_volumes)))
     return grid, u0
 
 
@@ -261,27 +257,24 @@ def _gershgorin_dt(conduct: np.ndarray, inv_vols: np.ndarray, p: float,
 def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
             rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-diagonal ``sub`` (row i+1,
-    column i), diagonal ``diag`` and super-diagonal ``sup`` by the Thomas
-    algorithm (no pivoting); a zero pivot raises ``ZeroDivisionError``.
-    The sweep runs over lists of floats, because a Python loop over them
-    beats numpy's per-call overhead at these sizes.  Newton uses it only
-    where ``_tridiagonal_solver`` finds no ``dgtsv``."""
-    cs, ds = [], []
-    c = d = 0.0
-    for lo, di, up, r in zip([0.0] + sub.tolist(), diag.tolist(),
-                             sup.tolist() + [0.0], rhs.tolist()):
-        den = di - lo * c
-        c = up / den
-        d = (r - lo * d) / den
-        cs.append(c)
-        ds.append(d)
-    x = 0.0
-    xs = []
-    for c, d in zip(reversed(cs), reversed(ds)):
-        x = d - c * x
-        xs.append(x)
-    xs.reverse()
-    return np.array(xs)
+    column i), diagonal ``diag`` and super-diagonal ``sup`` by ``dgtsv``'s
+    elimination without row interchanges, in its order of operations; a
+    zero pivot raises ``ZeroDivisionError``.  Newton uses it only where
+    ``_tridiagonal_solver`` finds no ``dgtsv``.  The solution is bitwise
+    ``dgtsv``'s where ``dgtsv`` interchanges no rows, which the column
+    diagonal dominance of Newton's J gives, and does not fuse
+    multiply-adds, as numpy's bundled x86-64 build does not; a build that
+    fuses them (aarch64, say) may differ at roundoff.  A Python loop over lists of
+    floats beats numpy's per-call overhead at these sizes."""
+    d, b, du = diag.tolist(), rhs.tolist(), sup.tolist()
+    for i, (lo, up) in enumerate(zip(sub.tolist(), du)):
+        fact = lo / d[i]
+        d[i + 1] -= fact * up
+        b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    for i in range(len(du) - 1, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
+    return np.array(b)
 
 
 @functools.cache
@@ -293,12 +286,13 @@ def _tridiagonal_solver():
     It is LAPACK's ``dgtsv`` (Gaussian elimination with partial
     pivoting) from the scipy-openblas64 library that numpy's Linux
     wheels bundle in ``numpy.libs`` and have already loaded, called
-    through ctypes: about 9 µs on 165-190 rows against 65-90 µs for
+    through ctypes: about 9 µs on 165-190 rows against 50-90 µs for
     the ``_thomas`` sweep.  That library's LAPACK takes 64-bit integers
     (ILP64) and is exported as ``scipy_dgtsv_64_``; only that spelling
     is looked up, since a guessed symbol with 32-bit integers would
     corrupt memory silently.  Where it is not found (numpy from conda
-    or a Linux distribution, or a macOS wheel) the solve is ``_thomas``.
+    or a Linux distribution, or a macOS wheel) the solve is ``_thomas``,
+    which gives the same solutions bitwise on Newton's systems.
     ``dgtsv`` overwrites its four arrays, which must be C-contiguous
     float64 with at least two rows, and returns the solution in ``rhs``;
     sizes, dtype and contiguity are checked, so a mismatch raises
@@ -378,7 +372,7 @@ def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float
     return gdt, [gdt * x for x in d], _extrapolation_weights(back[:5])
 
 
-def default_output_times(t_end: float, n: int = 61, decades: float = 4.0) -> np.ndarray:
+def default_output_times(t_end: float, n: int, decades: float) -> np.ndarray:
     return np.geomspace(t_end * 10.0 ** (-decades), t_end, n)
 
 
@@ -446,10 +440,7 @@ def run(config: SolverConfig) -> Trajectory:
     scaling.
     """
     grid, u0 = initial_state(config)
-    if config.output_times is not None:
-        outs = np.asarray(sorted(config.output_times), dtype=float)
-    else:
-        outs = default_output_times(config.t_end)
+    outs = np.asarray(sorted(config.output_times), dtype=float)
     eq = config.eq
     t_floor = 1e-15 * config.t_end
     n_cells = grid.n_cells
@@ -646,7 +637,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
         x = np.log(log_arg)
         y = np.log(radius)
         slope = float(np.polyfit(x, y, 1)[0])
-        c_series = radius / invert_g(weight, log_arg)
+        c_series = radius / env_mod.support_envelope(par, t)
         c_last = c_series[last]
         c_fit = float(np.exp(np.mean(np.log(c_last))))
         target = 1.0 / weight.alpha1 if weight.alpha1 == weight.alpha2 else math.nan

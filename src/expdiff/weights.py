@@ -151,7 +151,7 @@ class WeightSpec:
         low = (ss > 0.0) & (ss < s_grid[0])
         if np.any(low):
             s_low = ss[low]
-            bp = np.union1d(quadrature.geometric_breakpoints(0.0, float(s_low.max())), s_low)
+            bp = np.union1d(quadrature.geometric_breakpoints(float(s_low.max())), s_low)
             out[low] = quadrature.cumulative(self.g_eval, bp, rel_tol=1e-12)[
                 np.searchsorted(bp, s_low)]
         high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
@@ -185,11 +185,6 @@ class EquationParams:
             raise InvalidParameterError(
                 f"degeneracy condition requires p + m - 3 > 0, got {self.p + self.m - 3}"
             )
-
-    @property
-    def beta(self) -> float:
-        """Exponent of the normalizing change of variable, (p-1)/(p+m-2)."""
-        return (self.p - 1.0) / (self.p + self.m - 2.0)
 
     @property
     def kappa(self) -> float:

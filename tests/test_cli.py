@@ -2,11 +2,12 @@
 
 import configparser
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expdiff import cli, weights
+from expdiff import cli, solver, weights
 from expdiff.errors import InvalidParameterError
 
 POWER_INI = """
@@ -157,6 +158,21 @@ def test_simulate_deterministic(power_cfg, tmp_path):
     for fname in ("trajectory.csv", "envelope_comparison.csv", "fit_summary.csv"):
         a = (tmp_path / "a" / fname).read_bytes()
         b = (tmp_path / "b" / fname).read_bytes()
+        assert a == b, fname
+
+
+def test_simulate_same_bytes_on_either_solve(tmp_path, monkeypatch):
+    # the Python sweep does dgtsv's elimination, so the reference run
+    # writes the same files on an install without the bundled LAPACK
+    if solver._tridiagonal_solver() is solver._thomas:
+        pytest.skip("numpy bundles no scipy-openblas64 here")
+    ini = str(Path(__file__).resolve().parents[1] / "configs" / "power_reference.ini")
+    assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "dgtsv")]) == 0
+    monkeypatch.setattr(solver, "_tridiagonal_solver", lambda: solver._thomas)
+    assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "sweep")]) == 0
+    for fname in ("trajectory.csv", "envelope_comparison.csv", "fit_summary.csv"):
+        a = (tmp_path / "dgtsv" / fname).read_bytes()
+        b = (tmp_path / "sweep" / fname).read_bytes()
         assert a == b, fname
 
 
@@ -317,7 +333,6 @@ def test_missing_key_named(tmp_path, capsys):
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
     ("inequalities", "inequalities", "radii", "1, two"),
-    ("simulate", "simulate", "normalize", "perhaps"),
     ("weight-check", "weight_check", "n_samples", "-1"),
     ("weight-check", "weight_check", "s_min", "0"),
     ("weight-check", "weight_check", "s_max", "-5"),
@@ -332,7 +347,7 @@ def test_missing_key_named(tmp_path, capsys):
     ("inequalities", "inequalities", "radii", ""),
     ("inequalities", "inequalities", "kinds", ""),
     ("weight-check", "weight_check", "tau_grid", ""),
-], ids=["alpha", "n_samples", "radii", "normalize", "n_samples-negative", "s_min-zero",
+], ids=["alpha", "n_samples", "radii", "n_samples-negative", "s_min-zero",
         "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
         "output_decades-zero", "n_random-negative", "alphas-empty", "ps-empty",
         "ms-empty", "radii-empty", "kinds-empty", "tau_grid-empty"])

@@ -75,11 +75,6 @@ class TestConstructors:
 
 
 class TestEquationParams:
-    def test_beta_derived(self, eq_ref):
-        # (p-1)/(p+m-2) = 1/2 at p = m = 2
-        assert eq_ref.beta == pytest.approx(0.5)
-        assert W.EquationParams(4, 3.0, 1.5).beta == pytest.approx(2.0 / 2.5)
-
     def test_degeneracy_rejected(self):
         with pytest.raises(InvalidParameterError):
             W.EquationParams(3, 2.0, 1.0)  # p + m - 3 = 0
