@@ -175,47 +175,56 @@ def initial_state(config: SolverConfig) -> tuple[RadialGrid, np.ndarray]:
 
 
 def _face_fluxes(u: np.ndarray, inv_dc: np.ndarray, w_dc: np.ndarray,
-                 eq: EquationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 eq: EquationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Face fluxes F = w A(ubar) B(s) at the interior faces, with
     A = ubar^(m-1), B = |s|^(p-2) s and s the slope; returned with the
     frozen conductance k = w A |s|^(p-2) / dc, so F = k (u_right -
     u_left), and the face mean ubar (clipped at 0), from which
-    ``_flux_derivatives`` builds the Newton derivatives.  ``w_dc`` is
-    the constant face factor w / dc (``face_coeffs * inv_dc``), which
-    is never written: p + m > 3 rules out (p, m) = (2, 1), so k is
-    always a fresh array.
+    ``_flux_derivatives`` builds the Newton derivatives.  For m = 1,
+    A = 1 and neither k nor those derivatives read ubar, so it is not
+    formed and None stands in its place.  ``w_dc`` is the constant face
+    factor w / dc (``face_coeffs * inv_dc``), which is never written:
+    p + m > 3 rules out (p, m) = (2, 1), so k is always a fresh array.
 
     For m < 1, A is singular at vanishing ubar, but the slope vanishes
-    there too: A := 0 on empty faces, and |s|^(p-2) := 0 at s = 0 (also
-    for p < 2), so the flux is 0 there.  Since p + m > 3, a face between
-    two empty cells carries no flux and k = 0 for every admissible
-    (p, m): A = 0 there unless m = 1, and then p > 2.
+    there too: A := 0 on empty faces, so the flux is 0 there.  At s = 0,
+    |s|^(p-2) is infinite for p < 2 and set to 0; for p > 2 it is 0 and
+    stays finite on finite data, so only p < 2 runs that mask.  Since
+    p + m > 3, a face between two empty cells carries no flux and k = 0
+    for every admissible (p, m): A = 0 there unless m = 1, and then
+    p > 2.  Call under an ``np.errstate`` that
+    ignores the division by zero of 0^(p-2) for p < 2, and the invalid
+    values and overflow of a diverging Newton iterate; the caller holds
+    it, since a step evaluates the fluxes several times.
     """
     p, m = eq.p, eq.m
     du = u[1:] - u[:-1]
-    ubar = u[1:] + u[:-1]
-    ubar *= 0.5
-    np.maximum(ubar, 0.0, out=ubar)
     k = w_dc
-    if m == 2.0:
-        k = k * ubar
-    elif m > 1.0:
-        k = k * ubar ** (m - 1.0)
-    elif m < 1.0:
-        k = k * np.power(ubar, m - 1.0, out=np.zeros_like(ubar), where=ubar > 0.0)
+    ubar = None
+    if m != 1.0:
+        ubar = u[1:] + u[:-1]
+        ubar *= 0.5
+        np.maximum(ubar, 0.0, out=ubar)
+        if m == 2.0:
+            k = k * ubar
+        elif m > 1.0:
+            k = k * ubar ** (m - 1.0)
+        else:
+            k = k * np.power(ubar, m - 1.0, out=np.zeros_like(ubar), where=ubar > 0.0)
     if p != 2.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sp = np.abs(du * inv_dc) ** (p - 2.0)
-        sp[~np.isfinite(sp)] = 0.0
+        sp = np.abs(du * inv_dc) ** (p - 2.0)
+        if p < 2.0:
+            sp[~np.isfinite(sp)] = 0.0
         k = k * sp
     return k * du, k, ubar
 
 
-def _flux_derivatives(flux: np.ndarray, conduct: np.ndarray, ubar: np.ndarray,
+def _flux_derivatives(flux: np.ndarray, conduct: np.ndarray, ubar: np.ndarray | None,
                       eq: EquationParams) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives (a, b) of the face fluxes with respect to the left
     and right cell value, from the arrays ``_face_fluxes`` returns:
-    a, b = A' B w / 2 -+ (p-1) k, with A' B w = (m-1) F / ubar.
+    a, b = A' B w / 2 -+ (p-1) k, with A' B w = (m-1) F / ubar, which
+    is 0 for m = 1, where ubar is None and not read.
 
     For m < 2, A' ~ ubar^(m-2) is unbounded as ubar -> 0+; on a face
     where the A' term overflows it is dropped, leaving a, b = -+ (p-1) k
@@ -365,11 +374,27 @@ def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float
     s_j = t_(n+1) - t_(n+1-j) and e~ the extrapolation weights through
     the k levels, and l_0' = -sum_j l_j'.  e are the extrapolation
     weights through the last min(5, levels) levels: the Newton start.
+
+    Both weight sets come from one ``_extrapolation_weights`` call.
+    With fewer than five levels they are the same list.  With five, e_j
+    for j < 4 is e~_j times s_5 / (s_5 - s_j): ``_extrapolation_weights``
+    multiplies its factors left to right, so that is its own product
+    through the five levels, bitwise; only e_5 needs a product of its
+    own.
     """
     back = list(itertools.accumulate(steps))
-    d = [w / s for w, s in zip(_extrapolation_weights(back[:4]), back)]
+    four = back[:4]
+    e = _extrapolation_weights(four)
+    d = [w / s for w, s in zip(e, four)]
     gdt = 1.0 / sum(d)
-    return gdt, [gdt * x for x in d], _extrapolation_weights(back[:5])
+    c = [gdt * x for x in d]
+    if len(back) > 4:
+        s5 = back[4]
+        last = 1.0
+        for si in four:
+            last *= si / (si - s5)
+        e = [w * (s5 / (s5 - sj)) for w, sj in zip(e, four)] + [last]
+    return gdt, c, e
 
 
 def default_output_times(t_end: float, n: int, decades: float) -> np.ndarray:
@@ -413,7 +438,10 @@ def run(config: SolverConfig) -> Trajectory:
     made nonzero: start, residual, Jacobian, tridiagonal solve, error
     estimate and clipping all run on that slice, and the accepted slice
     is written into the levels.  The five levels are the rows of one
-    array, so the start and u~ are one ``np.dot`` each.
+    array, so the start and u~ are one ``np.dot`` each.  One
+    ``np.errstate`` covers the initial slope and the whole integration
+    loop: the fluxes, evaluated once per step attempt, once per Newton
+    solve and once for the slope, enter none of their own.
 
     Step control: the Milne estimate on the Newton start,
     err = 12/137 |V (u - start)|_1 / mass, where 12/137 = C / (1 + C)
@@ -453,12 +481,6 @@ def run(config: SolverConfig) -> Trajectory:
     lev = np.zeros((5, n_cells))  # u^n, u^(n-1), ..., u^(n-4): len(steps) + 1 rows held
     lev[0] = u0
     steps: list[float] = []  # the steps that ended at u^n, ..., u^(n-3)
-    flux, conduct, _ = _face_fluxes(u0, inv_dc, w_dc, eq)
-    slope0 = np.zeros(n_cells)  # V^-1 div F(u^0)
-    slope0[:-1] += flux
-    slope0[1:] -= flux
-    np.divide(slope0, vols, out=slope0)
-    dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
     reach = int(np.flatnonzero(u0)[-1]) + 1
     t, dt = 0.0, math.nan  # dt: the last step taken
     n_steps = rejected = newton_iterations = 0
@@ -475,101 +497,108 @@ def run(config: SolverConfig) -> Trajectory:
         vol, w, idc = vols[:hi], w_dc[:hi - 1], inv_dc[:hi - 1]
         tol = NEWTON_TOL * mass0
         solves = NEWTON_MAX_ITER
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            while True:
-                flux, conduct, ubar = _face_fluxes(u, idc, w, eq)
-                resid = u - tilde
-                resid *= vol
-                gflux = gdt * flux
-                resid[:-1] -= gflux
-                resid[1:] += gflux
-                norm = float(np.abs(resid).sum())
-                if not math.isfinite(norm):
-                    return False
-                if norm <= tol:
-                    return True
-                if solves == 0:
-                    return False
-                solves -= 1
-                a, b = _flux_derivatives(flux, conduct, ubar, eq)
-                a *= gdt
-                b *= -gdt
-                diag = vol.copy()
-                diag[:-1] -= a
-                diag[1:] -= b
-                try:  # a, diag, b and resid are fresh: the solve may overwrite them
-                    delta = solve(a, diag, b, resid)
-                except ZeroDivisionError:
-                    return False
-                u -= delta
-                newton_iterations += 1
+        while True:
+            flux, conduct, ubar = _face_fluxes(u, idc, w, eq)
+            resid = u - tilde
+            resid *= vol
+            gflux = gdt * flux
+            resid[:-1] -= gflux
+            resid[1:] += gflux
+            norm = float(np.add.reduce(np.abs(resid)))
+            if not math.isfinite(norm):
+                return False
+            if norm <= tol:
+                return True
+            if solves == 0:
+                return False
+            solves -= 1
+            a, b = _flux_derivatives(flux, conduct, ubar, eq)
+            a *= gdt
+            b *= -gdt
+            diag = vol.copy()
+            diag[:-1] -= a
+            diag[1:] -= b
+            try:  # a, diag, b and resid are fresh: the solve may overwrite them
+                delta = solve(a, diag, b, resid)
+            except ZeroDivisionError:
+                return False
+            u -= delta
+            newton_iterations += 1
 
-    for t_out in [0.0] + outs.tolist():  # row 0 records u0
-        failures = 0  # Newton failures since the last output time
-        while t < t_out:
-            hi = _window(reach, n_cells)
-            levels = lev[:len(steps) + 1, :hi]
-            while True:
-                if dt_want < t_floor:
-                    raise StiffnessError(
-                        f"step {dt_want:.3e} underflowed at t={t:.6g}; "
-                        "coarsen the grid or change parameters"
-                    )
-                dt = min(dt_want, RATIO_MAX * steps[0]) if steps else dt_want
-                remaining = t_out - t
-                landing = dt >= remaining
-                dt = remaining if landing else min(dt, 0.5 * remaining)
-                gdt, c, e = _bdf_weights([dt] + steps)
-                start = np.dot(e, levels)
-                if not steps:
-                    start += dt * slope0[:hi]
-                u = start.copy()
-                if not converge(u, np.dot(c, levels[:len(c)]), gdt):
-                    rejected += 1
-                    failures += 1
-                    if failures > MAX_NEWTON_FAILURES:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        flux, conduct, _ = _face_fluxes(u0, inv_dc, w_dc, eq)
+        slope0 = np.zeros(n_cells)  # V^-1 div F(u^0)
+        slope0[:-1] += flux
+        slope0[1:] -= flux
+        np.divide(slope0, vols, out=slope0)
+        dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
+        for t_out in [0.0] + outs.tolist():  # row 0 records u0
+            failures = 0  # Newton failures since the last output time
+            while t < t_out:
+                hi = _window(reach, n_cells)
+                levels = lev[:len(steps) + 1, :hi]
+                while True:
+                    if dt_want < t_floor:
                         raise StiffnessError(
-                            f"Newton failed {failures} times before the output time "
-                            f"{t_out:.6g}: at t={t:.6g} with dt={dt:.3e}, "
-                            f"after {rejected} rejected steps"
+                            f"step {dt_want:.3e} underflowed at t={t:.6g}; "
+                            "coarsen the grid or change parameters"
                         )
-                    dt_want = 0.2 * dt
-                    continue
-                err = 12.0 / 137.0 * float(np.cumsum(vols[:hi] * np.abs(u - start))[-1]) / mass0
-                fac = RATIO_MAX if err == 0.0 else min(RATIO_MAX, max(0.2, 0.7 * (BDF_TOL / err) ** 0.2))
-                if err > BDF_TOL:
-                    rejected += 1
-                    dt_want = dt * fac
-                    continue
-                break
-            dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
-            if u.min() < 0.0:
-                neg = np.flatnonzero(u < 0.0)
-                clipped_mass += float(-np.dot(u[neg], vols[neg]))
-                u[neg] = 0.0
-            nonzero = np.flatnonzero(u[reach:])
-            if nonzero.size:
-                reach += int(nonzero[-1]) + 1
-            lev[1:, :hi] = lev[:-1, :hi]
-            lev[0, :hi] = u
-            steps = [dt] + steps[:3]
-            t = t_out if landing else t + dt
-            n_steps += 1
-        above = np.flatnonzero(lev[0] > threshold)
-        radius = float(grid.faces[above[-1] + 1]) if above.size else 0.0
-        mass = float(np.dot(lev[0], vols))
-        rows.append((t, float(lev[0].max()), radius, mass, dt))
-        if radius >= boundary_face:
-            raise SupportBoundaryError(
-                f"numerical support reached r_max={boundary_face:g} at t={t:g}; "
-                "enlarge r_max"
-            )
-        drift = abs(mass / mass0 - 1.0)
-        if drift > MASS_DRIFT_TOL:
-            raise MassConservationError(
-                f"relative mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g} "
-                f"at t={t:g}"
-            )
+                    dt = min(dt_want, RATIO_MAX * steps[0]) if steps else dt_want
+                    remaining = t_out - t
+                    landing = dt >= remaining
+                    dt = remaining if landing else min(dt, 0.5 * remaining)
+                    gdt, c, e = _bdf_weights([dt] + steps)
+                    start = np.dot(e, levels)
+                    if not steps:
+                        start += dt * slope0[:hi]
+                    u = start.copy()
+                    if not converge(u, np.dot(c, levels[:len(c)]), gdt):
+                        rejected += 1
+                        failures += 1
+                        if failures > MAX_NEWTON_FAILURES:
+                            raise StiffnessError(
+                                f"Newton failed {failures} times before the output time "
+                                f"{t_out:.6g}: at t={t:.6g} with dt={dt:.3e}, "
+                                f"after {rejected} rejected steps"
+                            )
+                        dt_want = 0.2 * dt
+                        continue
+                    change = (vols[:hi] * np.abs(u - start)).cumsum()[-1]  # in cell order
+                    err = 12.0 / 137.0 * float(change) / mass0
+                    fac = RATIO_MAX if err == 0.0 else min(RATIO_MAX, max(0.2, 0.7 * (BDF_TOL / err) ** 0.2))
+                    if err > BDF_TOL:
+                        rejected += 1
+                        dt_want = dt * fac
+                        continue
+                    break
+                dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
+                if u.min() < 0.0:
+                    neg = np.flatnonzero(u < 0.0)
+                    clipped_mass += float(-np.dot(u[neg], vols[neg]))
+                    u[neg] = 0.0
+                nonzero = u[reach:].nonzero()[0]
+                if nonzero.size:
+                    reach += int(nonzero[-1]) + 1
+                lev[1:, :hi] = lev[:-1, :hi]
+                lev[0, :hi] = u
+                steps = [dt] + steps[:3]
+                t = t_out if landing else t + dt
+                n_steps += 1
+            above = np.flatnonzero(lev[0] > threshold)
+            radius = float(grid.faces[above[-1] + 1]) if above.size else 0.0
+            mass = float(np.dot(lev[0], vols))
+            rows.append((t, float(lev[0].max()), radius, mass, dt))
+            if radius >= boundary_face:
+                raise SupportBoundaryError(
+                    f"numerical support reached r_max={boundary_face:g} at t={t:g}; "
+                    "enlarge r_max"
+                )
+            drift = abs(mass / mass0 - 1.0)
+            if drift > MASS_DRIFT_TOL:
+                raise MassConservationError(
+                    f"relative mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g} "
+                    f"at t={t:g}"
+                )
     times, sups, supports, masses, dts = (np.array(col) for col in zip(*rows))
     return Trajectory(
         times=times, sup_u=sups, support_radius=supports, mass=masses,

@@ -28,7 +28,8 @@ def advance(grid: S.RadialGrid, u: np.ndarray, t: float, config: S.SolverConfig,
     dudt = np.empty_like(inv_vols)
     dt = np.nan
     while t < t_target:
-        flux, conduct, _ = S._face_fluxes(u, inv_dc, w_dc, eq)
+        with np.errstate(divide="ignore"):  # 0^(p-2) on flat faces for p < 2
+            flux, conduct, _ = S._face_fluxes(u, inv_dc, w_dc, eq)
         dt = scale * S._gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
         if dt < t_floor:
             raise StiffnessError(f"stable dt {dt:.3e} underflowed at t={t:.6g}")
