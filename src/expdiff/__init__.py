@@ -19,7 +19,6 @@ from .weights import (
 )
 from .measure import RadialMeasure, cell_weighted_volumes, integrate, sphere_area
 from .inequalities import (
-    HardyPair,
     InequalityReport,
     bounded_sobolev_constant,
     gamma_constant,

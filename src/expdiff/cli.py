@@ -6,25 +6,26 @@ reads a flat INI config (sections below), writes CSV files with a
 verdict per check.  Identical config + seed produces byte-identical
 output files.
 
-Config sections (keys shown with defaults where sensible)::
+Config sections; a key marked * is required (exit 2 when missing) and
+the others show their defaults; sweep needs a [sweep] section::
 
     [weight]            kind = power | zygmund | custom | unweighted
-                        alpha = 0.5            (power, zygmund)
-                        beta = 1.0  c = 2.0    (zygmund)
-                        g_expr = ...  g_prime_expr = ...   (custom, in s)
-                        alpha1 = ...  alpha2 = ...         (custom)
-    [equation]          dim_n = 3   p = 2.0   m = 2.0
-    [grid]              r_max = 40  n_cells = 800
-    [simulate]          t_end = 1e6   bump_radius = 1   bump_height = 1
+                        alpha*                 (power, zygmund)
+                        beta*  c*              (zygmund)
+                        g_expr*  g_prime_expr*   (custom, in s)
+                        alpha1*  alpha2*         (custom)
+    [equation]          dim_n*   p*   m*
+    [grid]              r_max*   n_cells*
+    [simulate]          t_end*   bump_radius = 1   bump_height = 1
                         n_outputs = 97   output_decades = 8
     [weight_check]      s_min = 1e-3  s_max = 1e3  n_samples = 200
-                        tau_grid = 1e2, 1e4, 1e6, 1e8
+                        tau_grid = 1e2, 1e4, 1e6, 1e8   (each tau > e)
     [inequalities]      kinds = poincare, radial_sobolev, bounded_sobolev
                         q = 3.0   radii = 1, 2, 4   n_random = 4
-    [sweep]             alphas = 0.4, 0.5, 0.7   (power or zygmund weight;
+    [sweep]             alphas = 0.5   (power or zygmund weight;
                         beta and c stay as configured)
                         ps = 2.0   ms = 2.0
-                        t_ends = 1e6, 1e6, 1e6   (optional, one per alpha)
+                        t_ends = t_end for every alpha, or one per alpha
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list, meta: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
@@ -93,6 +93,13 @@ def _nonempty_names(text: str) -> list[str]:
     return names
 
 
+def _taus(text: str) -> list[float]:
+    taus = _nonempty_floats(text)
+    if not all(tau > math.e for tau in taus):
+        raise ValueError("every tau must exceed e so that log(tau) > 1")
+    return taus
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -113,7 +120,7 @@ def _count(low: int):
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
     """``[section] key`` read by ``convert`` (float, int, _floats,
-    _nonempty_floats, _nonempty_names, _positive or a _count):
+    _nonempty_floats, _nonempty_names, _taus, _positive or a _count):
     ``fallback`` when the key is absent, or without one the
     configparser.Error that names the missing section or key.  Text that
     ``convert`` refuses raises InvalidParameterError naming the key and
@@ -220,8 +227,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
     s_max = _value(cfg, "weight_check", "s_max", _positive, 1e3)
     n = _value(cfg, "weight_check", "n_samples", _count(1), 200)
     if w.kind == weights.KIND_ZYGMUND:
-        taus = _value(cfg, "weight_check", "tau_grid", _nonempty_floats,
-                      [1e2, 1e4, 1e6, 1e8])
+        taus = _value(cfg, "weight_check", "tau_grid", _taus, [1e2, 1e4, 1e6, 1e8])
     samples = np.geomspace(s_min, s_max, n)
     rng = np.random.default_rng(seed)
 
@@ -488,7 +494,7 @@ def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
         # imported here: concurrent.futures pulls in multiprocessing and
         # logging, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
@@ -525,7 +531,13 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InvalidParameterError(f"--seed must be at least 0, got {args.seed}")
+        if args.jobs < 1:
+            raise InvalidParameterError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = _load_config(args.config)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot create --out {out}: {exc.strerror}") from None
         if args.command == "weight-check":
             return cmd_weight_check(cfg, out, args.seed)
         if args.command == "inequalities":

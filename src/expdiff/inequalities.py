@@ -63,67 +63,18 @@ def c4(alpha: float) -> float:
 # Hardy-type criterion
 
 
-@dataclass(frozen=True)
-class HardyPair:
-    """Left weight w and right weight phi of a Hardy-type inequality
-    (int |v|^q w dr)^(1/q) <= C (int |v'|^p phi dr)^(1/p).
-
-    Both our pairs share phi(r) = r**(N-1) exp(g(r)), whose dual
-    phi**(-1/(p-1)) is the decaying-tail density, so only w is stored.
-    """
-
-    w_density: Callable[[np.ndarray], np.ndarray]
-    q: float
-    p: float
-    weight: WeightSpec
-    dim_n: int
-
-    def __post_init__(self):
-        if not (1.0 <= self.p <= self.q):
-            raise InvalidParameterError(
-                f"requires 1 <= p <= q, got p={self.p}, q={self.q}"
-            )
-
-
-def poincare_pair(w: WeightSpec, eq: EquationParams) -> HardyPair:
-    """w = lam**p r**(N-1) e^g, phi = r**(N-1) e^g, q = p."""
-    grow = RadialMeasure(w, eq.dim_n, GROWING)
-    p = eq.p
-
-    def left(r):
-        return lambda_many(w, r) ** p * grow.density(r)
-
-    return HardyPair(w_density=left, q=p, p=p, weight=w, dim_n=eq.dim_n)
-
-
-def sobolev_pair(w: WeightSpec, eq: EquationParams, q: float) -> HardyPair:
-    """w = phi = r**(N-1) e^g with q in (p, Np/(N-p))."""
-    _check_q_range(eq, q)
-    grow = RadialMeasure(w, eq.dim_n, GROWING)
-    return HardyPair(w_density=grow.density, q=q, p=eq.p, weight=w, dim_n=eq.dim_n)
-
-
-def _check_q_range(eq: EquationParams, q: float) -> None:
-    hi = eq.dim_n * eq.p / (eq.dim_n - eq.p)
-    if not (eq.p < q < hi):
-        raise InvalidParameterError(
-            f"requires p < q < N*p/(N-p) = {hi:g}, got q={q}"
-        )
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    beta_sup: float
-    samples: list  # [(r, A(r))]
-
-
 #: radii per level and levels of the zoom that refines the scanned argmax
 ZOOM_POINTS = 17
 ZOOM_LEVELS = 6
 
 
-def hardy_criterion_sup(pair: HardyPair) -> CriterionResult:
-    """Scan-and-zoom estimate of the criterion supremum.
+def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
+                        w_density: Callable[[np.ndarray], np.ndarray]
+                        ) -> tuple[float, list]:
+    """Scan-and-zoom estimate of the criterion supremum of the left
+    density ``w_density`` at exponent q >= eq.p, with (sup, [(r, A(r))])
+    returned.  The right weight is phi(r) = r**(N-1) exp(g(r)) of ``w``,
+    whose dual phi**(-1/(p-1)) is the decaying-tail density.
 
     The profile A(r) is evaluated on 400 log-spaced radii from 1e-4 to
     the end of the scan (cumulative panel integrals for the left factor,
@@ -132,9 +83,10 @@ def hardy_criterion_sup(pair: HardyPair) -> CriterionResult:
     neighbours of the best radius so far, from one panel pass per
     factor; the best value of all is returned.
     """
-    w = pair.weight
-    p, q, n = pair.p, pair.q, pair.dim_n
-    dual = RadialMeasure(w, n, DECAYING_TAIL, p=p)
+    p = eq.p
+    if not q >= p:
+        raise InvalidParameterError(f"requires q >= p, got q={q}, p={p}")
+    dual = RadialMeasure(w, eq.dim_n, DECAYING_TAIL, p=p)
     # the profile decays like exp(-g(r)(q-p)/(pq)) beyond its hump for
     # q > p, and plateaus for q = p; end the scan where e^g stays finite
     a_param = p * q / (q - p) if q > p else p
@@ -144,7 +96,7 @@ def hardy_criterion_sup(pair: HardyPair) -> CriterionResult:
     def profile_of(left, tails):
         return left ** (1.0 / q) * tails ** ((p - 1.0) / p)
 
-    left_cum = quadrature.cumulative(pair.w_density, np.concatenate([[0.0], grid]),
+    left_cum = quadrature.cumulative(w_density, np.concatenate([[0.0], grid]),
                                      rel_tol=1e-11)[1:]
     tails, _ = measure.tail_integrals(dual, np.ones_like, grid, rel_tol=1e-11)
     profile = profile_of(left_cum, tails)
@@ -156,14 +108,14 @@ def hardy_criterion_sup(pair: HardyPair) -> CriterionResult:
     for _ in range(ZOOM_LEVELS):
         lo, hi = max(k - 1, 0), min(k + 1, x.size - 1)
         x_new = np.linspace(x[lo], x[hi], ZOOM_POINTS)
-        left = left[lo] + quadrature.cumulative(pair.w_density, x_new, rel_tol=1e-11)
+        left = left[lo] + quadrature.cumulative(w_density, x_new, rel_tol=1e-11)
         segs, _ = quadrature.panels(dual.density, x_new[:-1], x_new[1:], rel_tol=1e-11)
         right = right[hi] + np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
         x = x_new
         level = profile_of(left, right)
         k = int(np.argmax(level))
         best = max(best, float(level[k]))
-    return CriterionResult(beta_sup=best, samples=samples)
+    return best, samples
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +126,7 @@ def hardy_criterion_sup(pair: HardyPair) -> CriterionResult:
 class PoincareConstants:
     criterion_bound: float   # closed-form bound on the criterion sup
     beta_numeric: float      # scanned criterion sup (lower approximation)
-    kqp: float
-    certified: float         # (kqp * criterion_bound)**p
-    numeric: float           # (kqp * beta_numeric)**p
+    certified: float         # (K(p,p) * criterion_bound)**p
 
 
 def _poincare_closed_form(w: WeightSpec, eq: EquationParams) -> tuple[float, float, float]:
@@ -193,6 +143,17 @@ def _poincare_closed_form(w: WeightSpec, eq: EquationParams) -> tuple[float, flo
     return bound, kk, (kk * bound) ** p
 
 
+def _poincare_left(w: WeightSpec, eq: EquationParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Left density lam**p r**(N-1) e^g of the Poincare criterion (q = p)."""
+    grow = RadialMeasure(w, eq.dim_n, GROWING)
+    p = eq.p
+
+    def left(r):
+        return lambda_many(w, r) ** p * grow.density(r)
+
+    return left
+
+
 def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
     """Certified constant of the weighted Poincare inequality.
 
@@ -200,15 +161,18 @@ def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
     (N-p)a1/(a1+1) + (p-1)(a1 - a2/(a2+1)) >= 0.  The closed form uses
     c1 = (p-1)a1/(a2(a1+1)):  criterion_bound = (c1**(p-1)/a1)**(1/p).
     """
-    bound, kk, certified = _poincare_closed_form(w, eq)
-    beta = hardy_criterion_sup(poincare_pair(w, eq)).beta_sup
-    return PoincareConstants(
-        criterion_bound=bound,
-        beta_numeric=beta,
-        kqp=kk,
-        certified=certified,
-        numeric=(kk * beta) ** eq.p,
-    )
+    bound, _, certified = _poincare_closed_form(w, eq)
+    beta, _ = hardy_criterion_sup(w, eq, eq.p, _poincare_left(w, eq))
+    return PoincareConstants(criterion_bound=bound, beta_numeric=beta,
+                             certified=certified)
+
+
+def _check_q_range(eq: EquationParams, q: float) -> None:
+    hi = eq.dim_n * eq.p / (eq.dim_n - eq.p)
+    if not (eq.p < q < hi):
+        raise InvalidParameterError(
+            f"requires p < q < N*p/(N-p) = {hi:g}, got q={q}"
+        )
 
 
 def gamma_constant(w: WeightSpec, eq: EquationParams, q: float) -> float:
@@ -423,16 +387,15 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
 
     if kind == POINCARE:
         closed_bound, kk, certified = _poincare_closed_form(w, eq)
-        crit = hardy_criterion_sup(poincare_pair(w, eq))
-        beta_sup, samples = crit.beta_sup, crit.samples
+        beta_sup, samples = hardy_criterion_sup(w, eq, p, _poincare_left(w, eq))
         lam_power, s, roots = p, p, (1.0, 1.0)
     elif kind == RADIAL_SOBOLEV:
         if q is None:
             raise InvalidParameterError("radial Sobolev requires q")
         certified = gamma_constant(w, eq, q)
-        crit = hardy_criterion_sup(sobolev_pair(w, eq, q))
-        beta_sup, closed_bound, kk = crit.beta_sup, certified, k_qp(q, p)
-        samples = crit.samples
+        beta_sup, samples = hardy_criterion_sup(
+            w, eq, q, RadialMeasure(w, eq.dim_n, GROWING).density)
+        closed_bound, kk = certified, k_qp(q, p)
         lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)
     elif kind == BOUNDED_SOBOLEV:
         if q is None or big_r is None:

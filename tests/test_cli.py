@@ -295,6 +295,60 @@ def test_negative_seed_refused(power_cfg, tmp_path, capsys, command):
     assert err.startswith("error:") and "--seed" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_refused(power_cfg, tmp_path, capsys, jobs):
+    # ran serially with exit 0
+    rc = cli.main(["sweep", "--config", power_cfg, "--jobs", jobs,
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_sweep_pool_no_larger_than_rows(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers processes up front, so --jobs 500
+    # on a two-row sweep forked 500 interpreters
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_sweep_one", lambda task: (
+        task[1], task[2], task[3], 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, "ok"))
+    path = tmp_path / "sw.ini"
+    path.write_text(POWER_INI.replace("alphas = 0.5", "alphas = 0.4, 0.5"))
+    rc = cli.main(["sweep", "--config", str(path), "--jobs", "500",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert sizes == [2]
+
+
+def test_out_not_creatable(power_cfg, tmp_path, capsys):
+    # ran the whole command, then died in write_csv with a traceback
+    (tmp_path / "afile").write_text("")
+    rc = cli.main(["weight-check", "--config", power_cfg,
+                   "--out", str(tmp_path / "afile" / "sub")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the checks ran
+    err = captured.err
+    assert err.startswith("error:") and "--out" in err and len(err.splitlines()) == 1
+
+
 def test_missing_config(tmp_path):
     rc = cli.main(["simulate", "--config", str(tmp_path / "none.ini"),
                    "--out", str(tmp_path / "o")])
@@ -328,7 +382,8 @@ def test_missing_key_named(tmp_path, capsys):
 # and an empty alphas, ps or ms wrote a sweep.csv of only a header, both
 # with exit 0; so did an empty radii or kinds with an inequalities.csv of
 # only a header, and an empty tau_grid with a header-only
-# zygmund_asymptotics.csv
+# zygmund_asymptotics.csv; tau_grid = 2 wrote weight_check.csv before the
+# refusal, which did not name the key
 @pytest.mark.parametrize("command, section, key, bad", [
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
@@ -347,10 +402,12 @@ def test_missing_key_named(tmp_path, capsys):
     ("inequalities", "inequalities", "radii", ""),
     ("inequalities", "inequalities", "kinds", ""),
     ("weight-check", "weight_check", "tau_grid", ""),
+    ("weight-check", "weight_check", "tau_grid", "2, 1e4"),
 ], ids=["alpha", "n_samples", "radii", "n_samples-negative", "s_min-zero",
         "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
         "output_decades-zero", "n_random-negative", "alphas-empty", "ps-empty",
-        "ms-empty", "radii-empty", "kinds-empty", "tau_grid-empty"])
+        "ms-empty", "radii-empty", "kinds-empty", "tau_grid-empty",
+        "tau_grid-below-e"])
 def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     cfg = _cfg(POWER_INI)
     if key == "tau_grid":
@@ -364,6 +421,7 @@ def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"[{section}] {key}" in err and repr(bad) in err
     assert len(err.splitlines()) == 1
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 SWEEP_SECTIONS = """
 [grid]

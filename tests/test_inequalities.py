@@ -1,6 +1,5 @@
 """Inequality lab: constants, criterion suprema, empirical certification."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -48,11 +47,12 @@ def test_c4_half_is_inverse_e():
 
 class TestCriterion:
     def test_poincare_below_closed_bound(self, w_half, eq_ref):
-        crit = I.hardy_criterion_sup(I.poincare_pair(w_half, eq_ref))
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, eq_ref.p,
+                                              I._poincare_left(w_half, eq_ref))
         bound = I.poincare_constant(w_half, eq_ref).criterion_bound
-        assert crit.beta_sup <= bound
+        assert beta <= bound
         # mpmath profile values: A(32) = 0.4333572771, A(9999) = 0.6468492534
-        samples = np.array(crit.samples)
+        samples = np.array(samples)
         k32 = np.argmin(np.abs(samples[:, 0] - 32.0))
         assert samples[k32, 1] == pytest.approx(0.4334, rel=5e-3)
 
@@ -75,13 +75,17 @@ class TestCriterion:
                 w.label(), eq)
 
     def test_left_scaling_homogeneity(self, w_half, eq_ref):
-        pair = I.poincare_pair(w_half, eq_ref)
+        left = I._poincare_left(w_half, eq_ref)
+        p = eq_ref.p
         lam = 7.3
-        base = I.hardy_criterion_sup(pair)
-        scaled = I.hardy_criterion_sup(
-            dataclasses.replace(pair, w_density=lambda r: lam * pair.w_density(r)))
-        assert scaled.beta_sup == pytest.approx(
-            base.beta_sup * lam ** (1.0 / pair.q), rel=1e-8)
+        base, _ = I.hardy_criterion_sup(w_half, eq_ref, p, left)
+        scaled, _ = I.hardy_criterion_sup(w_half, eq_ref, p, lambda r: lam * left(r))
+        assert scaled == pytest.approx(base * lam ** (1.0 / p), rel=1e-8)
+
+    def test_refuses_q_below_p(self, w_half, eq_ref):
+        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
+        with pytest.raises(InvalidParameterError, match="q >= p"):
+            I.hardy_criterion_sup(w_half, eq_ref, 1.5, grow.density)
 
 
 class TestPoincareConstant:
@@ -90,10 +94,6 @@ class TestPoincareConstant:
         # c1 = (p-1) a1 / (a2 (a1+1)) = 2/3; bound = (c1/a1)^(1/2) = (4/3)^(1/2)
         assert consts.criterion_bound == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-13)
         assert consts.certified == pytest.approx(16.0 / 3.0, rel=1e-13)
-
-    def test_numeric_below_certified(self, w_half, eq_ref):
-        consts = I.poincare_constant(w_half, eq_ref)
-        assert consts.numeric <= consts.certified
 
     def test_precondition(self):
         # alpha1 far below alpha2 violates the flux monotonicity condition
@@ -184,8 +184,9 @@ class TestBoundedSobolev:
 class TestProfileBounds:
     def test_sobolev_profile_pointwise(self, w_half, eq_ref):
         q = 3.0
-        crit = I.hardy_criterion_sup(I.sobolev_pair(w_half, eq_ref, q))
-        samples = np.array(crit.samples)
+        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
+        _, samples = I.hardy_criterion_sup(w_half, eq_ref, q, grow.density)
+        samples = np.array(samples)
         r = samples[:, 0]
         a_vals = samples[:, 1]
         bounds = sobolev_profile_bounds(w_half, eq_ref, q, r, r0=1.0)
