@@ -490,7 +490,7 @@ def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
         raise InvalidParameterError("t_ends must match alphas in length")
     tasks = [(cfg_path, a, p, m, te, allow_unweighted)
              for a, te in zip(alphas, t_ends) for p in ps for m in ms]
-    if jobs > 1:
+    if jobs > 1 and len(tasks) > 1:
         # imported here: concurrent.futures pulls in multiprocessing and
         # logging, which no other command needs
         from concurrent.futures import ProcessPoolExecutor

@@ -1,16 +1,21 @@
-"""Composite Gauss-Legendre quadrature over batched panels.
+"""Composite Gauss-Kronrod quadrature over batched panels.
 
 All integrands are expected to be vectorized over numpy arrays.  An
 integrand maps n nodes to n values, or to an (n, m) array of m
 components (say, the m functions of a family on common breakpoints).
-Each panel carries an error estimate per component, the difference of
-its 10- and 20-point rules.  ``panels`` integrates many panels at once,
-calling the integrand once per rule on all nodes, and refines the
-panels that miss their tolerance in any component level by level, with
-one batched rule pair per level for the sub-panels of all of them;
-``adaptive`` is its one-panel call.  Every integral over a partition
-(cumulative integrals, graded breakpoints, cell volumes, criterion
-tails, test-function families) goes through ``panels``.
+Every panel uses the Gauss-Kronrod (10, 21) pair of QUADPACK's QAG: the
+integrand is called once on the 21 Kronrod nodes of all panels, the
+panel's value is the 21-point Kronrod sum K, and the 10-point Gauss sum
+G over every other node gives the error estimate, per component,
+``max(|K - G|, |K| * min(1, (200 |K - G| / |K|)**1.5))`` (QUADPACK's
+rescaling with |K| as its scale; the raw difference when K = 0).
+``panels`` integrates many panels at once and refines the panels that
+miss their tolerance in any component level by level, with one batched
+integrand call per level for the sub-panels of all of them; a value or
+estimate that is not finite is refused.  ``adaptive`` is its one-panel
+call.  Every integral over a partition (cumulative integrals, graded
+breakpoints, cell volumes, criterion tails, test-function families) goes
+through ``panels``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,44 @@ import numpy as np
 
 from .errors import NumericFailureError
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# The Gauss-Kronrod (10, 21) pair on [-1, 1], from QUADPACK's qk21
+# (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, 1983).
+#: the 21 Kronrod nodes, descending; the odd-indexed ones are G10's nodes
+_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003,
+])
+#: the 21 Kronrod weights
+_KRONROD = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
+])
+#: the 10 Gauss weights, of the nodes ``_NODES[1::2]``
+_GAUSS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
+])
 
 #: absolute error every panel may keep, so that integrals of 0 converge
 ABS_FLOOR = 1e-300
@@ -36,25 +78,29 @@ STALL_LEVELS = 16
 _SPLIT_POINTS = np.linspace(0.0, 1.0, CHILDREN + 1)
 
 
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _NODE_CACHE:
-        _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _NODE_CACHE[order]
-
-
-def gl_fixed(f: Callable, a: np.ndarray, b: np.ndarray, order: int = 20) -> np.ndarray:
-    """Fixed-order Gauss-Legendre rule on the panels [a, b] of two
-    equal-shape arrays; f is called once on all their nodes and the
-    result has their shape, with f's component axis, if any, last."""
-    x, w = _nodes(order)
+def _node_values(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the panels [a, b] and f on their 21 Kronrod nodes,
+    components first: (m, *a.shape, 21), or (*a.shape, 21) for a scalar f."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = mid[..., None] + half[..., None] * x
+    nodes = mid[..., None] + half[..., None] * _NODES
     vals = np.asarray(f(nodes.ravel()), dtype=float)
-    # components first: (m, *nodes.shape), or nodes.shape for a scalar f
-    vals = vals.T.reshape(vals.shape[1:] + nodes.shape)
+    return half, vals.T.reshape(vals.shape[1:] + nodes.shape)
+
+
+def _weighted_sum(half: np.ndarray, vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The rule with weights w on each panel, from its node values, with
+    f's component axis, if any, moved last."""
     out = half * (vals @ w)
     return np.moveaxis(out, 0, -1) if out.ndim > half.ndim else out
+
+
+def gl_fixed(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 21-point Kronrod rule on the panels [a, b] of two equal-shape
+    arrays; f is called once on all their nodes and the result has their
+    shape, with f's component axis, if any, last."""
+    half, vals = _node_values(f, a, b)
+    return _weighted_sum(half, vals, _KRONROD)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -63,9 +109,27 @@ def _columns(x: np.ndarray) -> np.ndarray:
 
 
 def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of the 10/20-point rule pair on [a, b]."""
-    fine = gl_fixed(f, a, b, order=20)
-    return fine, np.abs(fine - gl_fixed(f, a, b, order=10))
+    """Kronrod values and error estimates on [a, b], from one call of f."""
+    half, vals = _node_values(f, a, b)
+    kronrod = _weighted_sum(half, vals, _KRONROD)
+    diff = np.abs(kronrod - _weighted_sum(half, vals[..., 1::2], _GAUSS))
+    scale = np.abs(kronrod)
+    # min(1, 200 |K - G| / |K|), and 1 where K = 0
+    ratio = np.divide(np.minimum(200.0 * diff, scale), scale,
+                      out=np.ones_like(diff), where=scale > 0.0)
+    return kronrod, np.maximum(diff, scale * ratio ** 1.5)
+
+
+def _refuse_nonfinite(values: np.ndarray, errors: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise NumericFailureError naming the first panel [lo_k, hi_k]
+    whose value or error estimate is not finite in some component."""
+    bad = np.flatnonzero(~np.all(np.isfinite(values) & np.isfinite(errors), axis=1))
+    if bad.size:
+        k = bad[0]
+        raise NumericFailureError(
+            f"quadrature on [{lo[k]:g}, {hi[k]:g}] gave a non-finite value "
+            "or error estimate", achieved=float("inf"))
 
 
 def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
@@ -82,13 +146,21 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
     cut their estimate by 5%.  Raises NumericFailureError, naming the
     worst unconverged panel over all components, when the call would add
     more than MAX_PANELS sub-panels or when a panel's estimate stalls
-    for STALL_LEVELS levels.
+    for STALL_LEVELS levels, and, naming the first such panel, when a
+    panel's value or estimate is not finite in some component, at the
+    first pass or at any level of refinement (a non-finite sub-panel
+    makes its panel's sums non-finite).
+
+    Each (sub-)panel gets its value from the 21-point Kronrod rule and
+    its estimate from the Kronrod and 10-point Gauss sums, as in the
+    module docstring.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     values, errors = _rule_pair(f, lo, hi)
     shape = values.shape
     values, errors = _columns(values), _columns(errors)
+    _refuse_nonfinite(values, errors, lo, hi)
     n, m = values.shape
     tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
     # live sub-panels of the unconverged panels: owner, ends, value, error
@@ -128,6 +200,7 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
         flat = (own[:, None] * m + np.arange(m)).ravel()  # (panel, component)
         values[owners] = np.bincount(flat, sval.ravel(), minlength=n * m).reshape(n, m)[owners]
         errors[owners] = np.bincount(flat, serr.ravel(), minlength=n * m).reshape(n, m)[owners]
+        _refuse_nonfinite(values[owners], errors[owners], lo[owners], hi[owners])
         tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
         # a level that barely cuts the estimate signals an integrand
         # evaluated with cancellation noise: bail out before burning panels

@@ -41,8 +41,8 @@ ENVELOPE_RTOL = 1e-10
 INVERT_RTOL = 1e-12
 #: largest radius the inverse brackets; targets beyond g(INVERT_CAP) are refused
 INVERT_CAP = 1e21
-#: radii per batched 20-point anchor-panel evaluation; bounds the
-#: temporaries of g to 512 * 20 nodes each
+#: radii per batched 21-point anchor-panel evaluation; bounds the
+#: temporaries of g to 512 * 21 nodes each
 PRIMITIVE_BATCH = 512
 #: relative finite-difference step for monotonicity checks
 FD_REL_STEP = 1e-5
@@ -105,9 +105,9 @@ class WeightSpec:
         """Cached cumulative integral of g on a geometric anchor grid (or
         the NumericFailureError of building it, raised again on each call).
 
-        Anchors are ~10 per decade over [1e-12, 1e16]; a single 20-point
-        panel from the nearest anchor then recovers int_0^s g to machine
-        precision for arbitrary s (g is smooth between anchors; the
+        Anchors are ~10 per decade over [1e-12, 1e16]; a single 21-point
+        Kronrod panel from the nearest anchor then recovers int_0^s g to
+        machine precision for arbitrary s (g is smooth between anchors; the
         branch point at 0 sits inside the first panel, [0, 1e-12]).
         """
         anchors = self._cache.get("anchors")

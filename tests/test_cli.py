@@ -192,9 +192,12 @@ def test_sweep_single_matches_simulate(power_cfg, tmp_path):
     assert slope_sim == pytest.approx(slope_sweep, rel=1e-12)
 
 
-def test_sweep_independent_of_worker_count(power_cfg, tmp_path):
+def test_sweep_independent_of_worker_count(tmp_path):
+    # two rows, so that --jobs 2 runs them in a pool of two workers
+    path = tmp_path / "sw.ini"
+    path.write_text(POWER_INI.replace("alphas = 0.5", "alphas = 0.4, 0.5"))
     for name, jobs in (("j1", "1"), ("j2", "2")):
-        rc = cli.main(["sweep", "--config", power_cfg, "--jobs", jobs,
+        rc = cli.main(["sweep", "--config", str(path), "--jobs", jobs,
                        "--out", str(tmp_path / name)])
         assert rc == 0
     a = (tmp_path / "j1" / "sweep.csv").read_bytes()
@@ -306,9 +309,10 @@ def test_jobs_below_one_refused(power_cfg, tmp_path, capsys, jobs):
     assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
-def test_sweep_pool_no_larger_than_rows(tmp_path, monkeypatch):
-    # a fork pool starts all max_workers processes up front, so --jobs 500
-    # on a two-row sweep forked 500 interpreters
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every sweep pool, started as an in-process fake, and
+    rows that _sweep_one answers at once."""
     import concurrent.futures
 
     sizes = []
@@ -329,12 +333,26 @@ def test_sweep_pool_no_larger_than_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli, "_sweep_one", lambda task: (
         task[1], task[2], task[3], 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, "ok"))
+    return sizes
+
+
+def test_sweep_pool_no_larger_than_rows(tmp_path, pool_sizes):
+    # a fork pool starts all max_workers processes up front, so --jobs 500
+    # on a two-row sweep forked 500 interpreters
     path = tmp_path / "sw.ini"
     path.write_text(POWER_INI.replace("alphas = 0.5", "alphas = 0.4, 0.5"))
     rc = cli.main(["sweep", "--config", str(path), "--jobs", "500",
                    "--out", str(tmp_path / "o")])
     assert rc == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_one_row_sweep_starts_no_pool(power_cfg, tmp_path, pool_sizes):
+    # a pool for one row would fork a worker to run that row alone
+    rc = cli.main(["sweep", "--config", power_cfg, "--jobs", "2",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert pool_sizes == []
 
 
 def test_out_not_creatable(power_cfg, tmp_path, capsys):
