@@ -150,22 +150,37 @@ def _expr_node_ok(node: ast.AST) -> bool:
     return isinstance(node, (ast.Expression, ast.Load, ast.UnaryOp, ast.BinOp) + _EXPR_OPS)
 
 
-def _compile_expr(expr: str):
-    """Compile a config expression in ``s`` built only from numbers, the
-    names in _EXPR_NAMES, arithmetic and calls of whitelisted functions."""
+def _compile_expr(expr: str, name: str):
+    """Compile the config expression ``name`` in ``s``, built only from
+    numbers, the names in _EXPR_NAMES, arithmetic and calls of
+    whitelisted functions.  Every number is made a float, so a constant
+    power overflows at once instead of growing an exact integer, and an
+    ArithmeticError of an evaluation is refused as InvalidParameterError
+    naming the expression."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
-        raise InvalidParameterError(f"cannot parse expression {expr!r}: {exc.msg}") from None
+        raise InvalidParameterError(
+            f"{name}: cannot parse expression {expr!r}: {exc.msg}") from None
     for node in ast.walk(tree):
         if not _expr_node_ok(node):
             raise InvalidParameterError(
-                f"expression {expr!r} uses {type(node).__name__}, which is not allowed"
+                f"{name}: expression {expr!r} uses {type(node).__name__}, "
+                "which is not allowed"
             )
+        if isinstance(node, ast.Constant):
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"{name}: constant in {expr!r} is too large for a float") from None
     code = compile(tree, "<config>", "eval")
 
     def fn(s):
-        return eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, s=s))
+        try:
+            return eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, s=s))
+        except ArithmeticError as exc:
+            raise InvalidParameterError(f"{name} = {expr!r} failed: {exc}") from None
 
     return fn
 
@@ -182,8 +197,8 @@ def build_weight(cfg: configparser.ConfigParser) -> weights.WeightSpec:
                                            _value(cfg, "weight", "c"))
     if kind == "custom":
         return weights.make_custom_weight(
-            _compile_expr(cfg.get("weight", "g_expr")),
-            _compile_expr(cfg.get("weight", "g_prime_expr")),
+            _compile_expr(cfg.get("weight", "g_expr"), "[weight] g_expr"),
+            _compile_expr(cfg.get("weight", "g_prime_expr"), "[weight] g_prime_expr"),
             _value(cfg, "weight", "alpha1"), _value(cfg, "weight", "alpha2"))
     if kind == "unweighted":
         return weights.make_unweighted()
@@ -474,7 +489,7 @@ def _sweep_one(args):
         return (alpha, p, m, "", "", "", "", "", "", str(exc))
     return (alpha, p, m, traj.mass0, rep.slope, rep.target_slope,
             abs(rep.slope - rep.target_slope) / abs(rep.target_slope),
-            rep.c_fit, sup_rep.band_max / sup_rep.band_min, "ok")
+            rep.c_fit, sup_rep.band_ratio, "ok")
 
 
 def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,

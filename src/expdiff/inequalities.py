@@ -39,6 +39,9 @@ BOUNDED_SOBOLEV = "bounded_sobolev"
 
 #: slack multiplier on certified constants when judging empirical ratios
 VERDICT_RTOL = 1e-8
+#: slack multiplier on the closed-form bound when judging the scanned
+#: criterion against it
+CRITERION_RTOL = 1e-9
 
 
 def k_qp(q: float, p: float) -> float:
@@ -79,9 +82,13 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
     The profile A(r) is evaluated on 400 log-spaced radii from 1e-4 to
     the end of the scan (cumulative panel integrals for the left factor,
     ``measure.tail_integrals`` of the dual density for the right one).
-    Each zoom level then samples ZOOM_POINTS equispaced radii between the
-    neighbours of the best radius so far, from one panel pass per
-    factor; the best value of all is returned.
+    When the scan's argmax is interior, each zoom level then samples
+    ZOOM_POINTS equispaced radii between the neighbours of the best
+    radius so far, from one panel pass per factor, and the best value of
+    all is returned.  When the argmax is the scan's last radius (the
+    q = p profile still rises there) the scan cannot bracket the
+    maximum: no zoom runs and the value there is returned, a lower end
+    of the supremum, as every scanned A(r) is.
     """
     p = eq.p
     if not q >= p:
@@ -103,6 +110,8 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
     j = int(np.argmax(profile))
     samples = list(zip(grid.tolist(), profile.tolist()))
     best = float(profile[j])
+    if j == grid.size - 1:
+        return best, samples
 
     x, left, right, k = grid, left_cum, tails, j
     for _ in range(ZOOM_LEVELS):
@@ -333,6 +342,14 @@ class InequalityReport:
     per_function: list = field(default_factory=list)  # (label, lhs, rhs, ratio)
     params: dict = field(default_factory=dict)
 
+    @property
+    def beta_is_lower_end(self) -> bool:
+        """True when the criterion scan peaks at its last radius, so that
+        ``beta_sup`` is the profile where the scan stops: a lower end of
+        the criterion supremum, not a bracketed maximum."""
+        profile = [a for _, a in self.samples]
+        return bool(profile) and int(np.argmax(profile)) == len(profile) - 1
+
 
 def _ratio(lhs: float, rhs: float) -> float:
     if lhs == 0.0 and rhs == 0.0:
@@ -374,7 +391,12 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
                       family: Sequence[TestFunction] | None = None) -> InequalityReport:
     """Evaluate both sides per test function and compare the worst ratio
     against the certified constant.  The verdict fails loudly in the
-    report (never raises) if any ratio exceeds it beyond 1e-8 relative.
+    report (never raises) if any ratio exceeds it beyond 1e-8 relative,
+    or if the scanned criterion exceeds what the constant claims beyond
+    1e-9 relative: beta_sup above the closed-form bound (Poincare), or
+    K(q,p) * beta_sup above the certified constant (radial Sobolev).
+    Every scanned value is a lower end of the criterion supremum, so a
+    constant below it is wrong whatever the family shows.
     A kind only sets its constants and the numbers of one shared body:
     the power of lam and the exponent of |v| on the left, the roots of
     both sides, their scale and the lam(R) factor of the ball."""
@@ -384,10 +406,12 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
     p = eq.p
     scale, lam_factor = 1.0, 1.0
     beta_sup, samples = math.nan, []
+    criterion_ok = True  # the bounded ball has no scan
 
     if kind == POINCARE:
         closed_bound, kk, certified = _poincare_closed_form(w, eq)
         beta_sup, samples = hardy_criterion_sup(w, eq, p, _poincare_left(w, eq))
+        criterion_ok = beta_sup <= closed_bound * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = p, p, (1.0, 1.0)
     elif kind == RADIAL_SOBOLEV:
         if q is None:
@@ -396,6 +420,7 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
         beta_sup, samples = hardy_criterion_sup(
             w, eq, q, RadialMeasure(w, eq.dim_n, GROWING).density)
         closed_bound, kk = certified, k_qp(q, p)
+        criterion_ok = kk * beta_sup <= certified * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)
     elif kind == BOUNDED_SOBOLEV:
         if q is None or big_r is None:
@@ -425,7 +450,8 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
         kqp=kk,
         certified_constant=certified,
         empirical_worst_ratio=worst,
-        verdict=bool(worst <= certified * (1.0 + VERDICT_RTOL)) and math.isfinite(worst),
+        verdict=(bool(worst <= certified * (1.0 + VERDICT_RTOL)) and math.isfinite(worst)
+                 and criterion_ok),
         samples=samples,
         per_function=per_function,
         params={"weight": w.label(), "N": eq.dim_n, "p": p,

@@ -109,15 +109,19 @@ def _columns(x: np.ndarray) -> np.ndarray:
 
 
 def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates on [a, b], from one call of f."""
+    """Kronrod values and error estimates on [a, b], from one call of f.
+    Non-finite node values give non-finite sums or estimates silently
+    (``panels`` refuses them); warnings raised by f itself still show."""
     half, vals = _node_values(f, a, b)
-    kronrod = _weighted_sum(half, vals, _KRONROD)
-    diff = np.abs(kronrod - _weighted_sum(half, vals[..., 1::2], _GAUSS))
-    scale = np.abs(kronrod)
-    # min(1, 200 |K - G| / |K|), and 1 where K = 0
-    ratio = np.divide(np.minimum(200.0 * diff, scale), scale,
-                      out=np.ones_like(diff), where=scale > 0.0)
-    return kronrod, np.maximum(diff, scale * ratio ** 1.5)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kronrod = _weighted_sum(half, vals, _KRONROD)
+        diff = np.abs(kronrod - _weighted_sum(half, vals[..., 1::2], _GAUSS))
+        scale = np.abs(kronrod)
+        # min(1, 200 |K - G| / |K|), and 1 where K = 0
+        ratio = np.divide(np.minimum(200.0 * diff, scale), scale,
+                          out=np.ones_like(diff), where=scale > 0.0)
+        estimate = np.maximum(diff, scale * ratio ** 1.5)
+    return kronrod, estimate
 
 
 def _refuse_nonfinite(values: np.ndarray, errors: np.ndarray,

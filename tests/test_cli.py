@@ -2,6 +2,10 @@
 
 import configparser
 import csv
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -487,7 +491,64 @@ def test_sweep_refuses_weight_without_alpha(weight_section):
 ])
 def test_expression_sandbox_rejects(expr):
     with pytest.raises(InvalidParameterError):
-        cli._compile_expr(expr)
+        cli._compile_expr(expr, "[weight] g_expr")
+
+
+CUSTOM_TERM_INI = """
+[weight]
+kind = custom
+g_expr = s**0.5{g_term}
+g_prime_expr = 0.5 / sqrt(s){gp_term}
+alpha1 = 0.5
+alpha2 = 0.5
+[equation]
+dim_n = 3
+p = 2.0
+m = 2.0
+"""
+
+
+@pytest.mark.parametrize("key, term", [
+    ("g_expr", "1/0"),
+    ("g_expr", "0**-1"),
+    ("g_expr", "1e308**2"),
+    # an exact integer power that would not end: a float one overflows
+    ("g_expr", "9**9**9"),
+    ("g_prime_expr", "0**-1"),
+])
+def test_expression_arithmetic_error_named(tmp_path, key, term):
+    # a subprocess, so that an evaluation without end fails by its timeout
+    # instead of hanging the suite
+    path = tmp_path / "custom.ini"
+    terms = {"g_term": "", "gp_term": ""}
+    terms["g_term" if key == "g_expr" else "gp_term"] = " + " + term
+    path.write_text(CUSTOM_TERM_INI.format(**terms))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "expdiff.cli", "weight-check", "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=30)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"error: [weight] {key} = ")
+    assert elapsed < 5.0
+
+
+def test_expression_constant_too_large_for_float():
+    with pytest.raises(InvalidParameterError, match=r"\[weight\] g_expr.*too large"):
+        cli._compile_expr("s + 1" + "0" * 400, "[weight] g_expr")
+
+
+def test_expression_constants_are_floats():
+    # integer literals evaluate as floats, with the same values
+    fn = cli._compile_expr("s**2 + 7 // 2 + 10**3", "[weight] g_expr")
+    assert fn(2.0) == 4.0 + 3.0 + 1000.0
+    assert type(fn(2)) is float
 
 
 def test_readme_custom_weight_example():

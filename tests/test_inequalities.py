@@ -88,6 +88,52 @@ class TestCriterion:
             I.hardy_criterion_sup(w_half, eq_ref, 1.5, grow.density)
 
 
+class TestScanZoom:
+    """The zoom runs only around an interior argmax of the 400-radius scan."""
+
+    @pytest.fixture
+    def cumulative_calls(self, monkeypatch):
+        calls = []
+        cumulative = I.quadrature.cumulative
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].size)
+            return cumulative(*args, **kwargs)
+
+        monkeypatch.setattr(I.quadrature, "cumulative", counted)
+        return calls
+
+    def test_scan_at_its_end_skips_zoom(self, w_half, eq_ref, cumulative_calls):
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, eq_ref.p,
+                                              I._poincare_left(w_half, eq_ref))
+        assert len(cumulative_calls) == 1
+        profile = [a for _, a in samples]
+        assert beta == max(profile) == profile[-1]
+
+    def test_interior_argmax_zooms(self, w_half, eq_ref, cumulative_calls):
+        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, 3.0, grow.density)
+        assert len(cumulative_calls) == 1 + I.ZOOM_LEVELS
+        assert all(beta >= a for _, a in samples)
+
+    @pytest.mark.parametrize("kind, lower_end", [
+        (I.POINCARE, True), (I.RADIAL_SOBOLEV, False), (I.BOUNDED_SOBOLEV, False)])
+    def test_report_says_lower_end(self, w_half, eq_ref, kind, lower_end):
+        zero = I.TestFunction("zero", np.zeros_like, np.zeros_like, 1.0)
+        rep = I.verify_inequality(kind, w_half, eq_ref, q=3.0, big_r=1.0,
+                                  family=[zero])
+        assert rep.beta_is_lower_end is lower_end
+
+    @pytest.mark.parametrize("alpha, scanned", [(0.3, 0.7373), (0.5, 0.6472)])
+    def test_power_weight_limit_at_p2(self, alpha, scanned):
+        # the q = p = 2 profile of power(alpha) rises toward 1/(alpha+1)
+        w, eq = W.make_power_weight(alpha), W.EquationParams(3, 2.0, 2.0)
+        beta, _ = I.hardy_criterion_sup(w, eq, eq.p, I._poincare_left(w, eq))
+        limit = 1.0 / (alpha + 1.0)
+        assert 0.95 * limit < beta < limit
+        assert beta == pytest.approx(scanned, abs=5e-5)
+
+
 class TestPoincareConstant:
     def test_reference_values(self, w_half, eq_ref):
         consts = I.poincare_constant(w_half, eq_ref)
@@ -241,6 +287,29 @@ class TestVerify:
         rep = I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=3.0)
         assert rep.verdict
         assert rep.empirical_worst_ratio <= rep.certified_constant
+
+    def test_poincare_verdict_checks_criterion(self, w_half, eq_ref, monkeypatch):
+        # a closed-form bound below the scanned B = 0.6472 is wrong, even
+        # though the certified constant still covers every family ratio
+        closed_form = I._poincare_closed_form
+
+        def too_small(w, eq):
+            _, kk, certified = closed_form(w, eq)
+            return 0.6, kk, certified
+
+        monkeypatch.setattr(I, "_poincare_closed_form", too_small)
+        rep = I.verify_inequality(I.POINCARE, w_half, eq_ref)
+        assert rep.empirical_worst_ratio <= rep.certified_constant
+        assert rep.beta_sup > rep.closed_form_bound
+        assert not rep.verdict
+
+    def test_radial_sobolev_verdict_checks_criterion(self, w_half, eq_ref, monkeypatch):
+        # Gamma = 1 covers the family's worst ratio 0.599 but not K B = 1.180
+        monkeypatch.setattr(I, "gamma_constant", lambda w, eq, q: 1.0)
+        rep = I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=3.0)
+        assert rep.empirical_worst_ratio == pytest.approx(0.599, abs=1e-3)
+        assert rep.kqp * rep.beta_sup == pytest.approx(1.180, abs=1e-3)
+        assert not rep.verdict
 
     def test_bounded_sobolev_random_bumps(self, w_half, eq_ref):
         rng = np.random.default_rng(17)

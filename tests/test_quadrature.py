@@ -1,5 +1,7 @@
 """Batched panel quadrature against closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,19 @@ def test_nonfinite_refused_after_refinement():
     with np.errstate(all="ignore"), pytest.raises(NumericFailureError,
                                                   match=r"\[0, 1\].*non-finite"):
         Q.panels(f, np.array([0.0]), np.array([1.0]), rel_tol=RTOL)
+
+
+def test_nonfinite_refused_without_warning():
+    # inf - inf in the Kronrod-Gauss difference is refused, not warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericFailureError, match="non-finite"):
+            Q.panels(lambda s: np.full_like(s, np.inf), np.arange(3.0),
+                     np.arange(1.0, 4.0), rel_tol=RTOL)
+
+
+def test_integrand_warnings_still_show():
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(NumericFailureError, match="non-finite"):
+        Q.panels(lambda s: np.exp(1e3 * s), np.array([0.0]), np.array([1.0]),
+                 rel_tol=RTOL)
