@@ -17,7 +17,7 @@ from .weights import (
     validate_envelope,
     zygmund_inverse_asymptotics,
 )
-from .measure import RadialMeasure, cell_weighted_volumes, integrate, sphere_area
+from .measure import RadialMeasure, cell_weighted_volumes, sphere_area
 from .inequalities import (
     InequalityReport,
     bounded_sobolev_constant,

@@ -18,7 +18,7 @@ the others show their defaults; sweep needs a [sweep] section::
     [grid]              r_max*   n_cells*
     [simulate]          t_end*   bump_radius = 1   bump_height = 1
                         n_outputs = 97   output_decades = 8
-    [weight_check]      s_min = 1e-3  s_max = 1e3  n_samples = 200
+    [weight_check]      s_min = 1e-3  <  s_max = 1e3   n_samples = 200
                         tau_grid = 1e2, 1e4, 1e6, 1e8   (each tau > e)
     [inequalities]      kinds = poincare, radial_sobolev, bounded_sobolev
                         q = 3.0   radii = 1, 2, 4   n_random = 4
@@ -86,11 +86,19 @@ def _nonempty_floats(text: str) -> list[float]:
     return values
 
 
-def _nonempty_names(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not names:
+#: the kinds ``[inequalities] kinds`` accepts, in the order of its default
+_INEQUALITY_KINDS = (ineq.POINCARE, ineq.RADIAL_SOBOLEV, ineq.BOUNDED_SOBOLEV)
+
+
+def _kinds(text: str) -> list[str]:
+    kinds = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not kinds:
         raise ValueError("must list at least one value")
-    return names
+    for kind in kinds:
+        if kind not in _INEQUALITY_KINDS:
+            raise ValueError(f"unknown kind {kind!r}, expected one of "
+                             f"{', '.join(_INEQUALITY_KINDS)}")
+    return kinds
 
 
 def _taus(text: str) -> list[float]:
@@ -120,7 +128,7 @@ def _count(low: int):
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
     """``[section] key`` read by ``convert`` (float, int, _floats,
-    _nonempty_floats, _nonempty_names, _taus, _positive or a _count):
+    _nonempty_floats, _kinds, _taus, _positive or a _count):
     ``fallback`` when the key is absent, or without one the
     configparser.Error that names the missing section or key.  Text that
     ``convert`` refuses raises InvalidParameterError naming the key and
@@ -154,9 +162,10 @@ def _compile_expr(expr: str, name: str):
     """Compile the config expression ``name`` in ``s``, built only from
     numbers, the names in _EXPR_NAMES, arithmetic and calls of
     whitelisted functions.  Every number is made a float, so a constant
-    power overflows at once instead of growing an exact integer, and an
-    ArithmeticError of an evaluation is refused as InvalidParameterError
-    naming the expression."""
+    power overflows at once instead of growing an exact integer.  An
+    evaluation runs with numpy's divide, overflow and invalid errors
+    raised (underflow is benign), and an ArithmeticError of it is
+    refused as InvalidParameterError naming the expression."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -178,17 +187,22 @@ def _compile_expr(expr: str, name: str):
 
     def fn(s):
         try:
-            return eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, s=s))
-        except ArithmeticError as exc:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, s=s))
+        except ArithmeticError as exc:  # FloatingPointError included
             raise InvalidParameterError(f"{name} = {expr!r} failed: {exc}") from None
 
     return fn
 
 
+def _weight_kind(cfg: configparser.ConfigParser) -> str:
+    return cfg.get("weight", "kind", fallback="power").strip().lower()
+
+
 def build_weight(cfg: configparser.ConfigParser) -> weights.WeightSpec:
     """The [weight] section's weight; a missing section or key raises the
     configparser.Error that names it."""
-    kind = cfg.get("weight", "kind", fallback="power").strip().lower()
+    kind = _weight_kind(cfg)
     if kind == "power":
         return weights.make_power_weight(_value(cfg, "weight", "alpha"))
     if kind == "zygmund":
@@ -241,48 +255,46 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
     s_min = _value(cfg, "weight_check", "s_min", _positive, 1e-3)
     s_max = _value(cfg, "weight_check", "s_max", _positive, 1e3)
     n = _value(cfg, "weight_check", "n_samples", _count(1), 200)
+    samples = np.geomspace(s_min, s_max, n)
+    if np.any(np.diff(samples) <= 0):
+        raise InvalidParameterError(
+            f"[weight_check] s_min, s_max: need s_min < s_max with {n} distinct "
+            f"samples between them, got s_min={s_min!r}, s_max={s_max!r}")
     if w.kind == weights.KIND_ZYGMUND:
         taus = _value(cfg, "weight_check", "tau_grid", _taus, [1e2, 1e4, 1e6, 1e8])
-    samples = np.geomspace(s_min, s_max, n)
     rng = np.random.default_rng(seed)
-
-    rows = []
-    gated_failures = 0
-
-    def record(report, gate_ok=True, gate_name=""):
-        nonlocal gated_failures
-        rows.append((report.name, "PASS" if report.passed else "FAIL",
-                     report.worst_violation, report.tolerance,
-                     gate_name if not gate_ok else ""))
-        if gate_ok and not report.passed:
-            gated_failures += 1
-
-    def attempt(name, fn, gate_ok=True, gate_name=""):
-        nonlocal gated_failures
-        try:
-            record(fn(), gate_ok=gate_ok, gate_name=gate_name)
-        except ExpdiffError as exc:
-            rows.append((name, "FAIL", "", "", f"error: {exc}"))
-            if gate_ok:
-                gated_failures += 1
-
-    record(weights.validate_envelope(w, samples))
-    attempt("primitive sandwich", lambda: weights.check_sandwich(w, samples))
-    attempt("lam bounds", lambda: weights.check_lambda_bounds(w, samples))
     zs = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=40))
-    attempt("inversion round trip",
-            lambda: weights.check_inversion_roundtrip(w, zs))
     pairs = [(float(z), float(lam)) for z, lam in zip(
         np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=40)),
         np.concatenate([np.exp(rng.uniform(0.0, math.log(100.0), size=20)),
                         np.exp(rng.uniform(math.log(0.01), 0.0, size=20))]))]
-    attempt("inverse scaling", lambda: weights.check_inverse_scaling(w, pairs))
-
     cond = weights.check_structural_conditions(w, eq)
-    gate = cond.flux_monotone_ok and cond.dual_monotone_ok
-    attempt("monotone radial quantities",
-            lambda: weights.check_monotone_quantities(w, eq, samples),
-            gate_ok=gate, gate_name="structural conditions not satisfied")
+
+    # unguarded: an error of a config expression at the samples ends the command
+    envelope = weights.validate_envelope(w, samples)
+    # (name, check, gated): an error is the check's row, and an ungated
+    # check is reported but cannot fail the command
+    checks = [
+        ("envelope", lambda: envelope, True),
+        ("primitive sandwich", lambda: weights.check_sandwich(w, samples), True),
+        ("lam bounds", lambda: weights.check_lambda_bounds(w, samples), True),
+        ("inversion round trip", lambda: weights.check_inversion_roundtrip(w, zs), True),
+        ("inverse scaling", lambda: weights.check_inverse_scaling(w, pairs), True),
+        ("monotone radial quantities",
+         lambda: weights.check_monotone_quantities(w, eq, samples),
+         cond.flux_monotone_ok and cond.dual_monotone_ok),
+    ]
+    rows = []
+    gated_failures = 0
+    for name, check, gated in checks:
+        try:
+            rep = check()
+            row = (rep.name, "PASS" if rep.passed else "FAIL", rep.worst_violation,
+                   rep.tolerance, "" if gated else "structural conditions not satisfied")
+        except ExpdiffError as exc:
+            row = (name, "FAIL", "", "", f"error: {exc}")
+        rows.append(row)
+        gated_failures += gated and row[1] == "FAIL"
     for name, ok in (("flux monotonicity condition", cond.flux_monotone_ok),
                      ("dual monotonicity condition", cond.dual_monotone_ok),
                      ("sup-decay alpha range", cond.sup_decay_range_ok),
@@ -297,10 +309,8 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
               rows, meta)
 
     if w.kind == weights.KIND_ZYGMUND:
-        table = weights.zygmund_inverse_asymptotics(
-            w.params["alpha"], w.params["beta"], w.params["c"], taus)
         write_csv(out / "zygmund_asymptotics.csv", ["tau", "A"],
-                  table, meta)
+                  weights.zygmund_inverse_asymptotics(w, taus), meta)
 
     for row in rows:
         print(f"{row[1]:>5}  {row[0]}")
@@ -315,8 +325,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     w = build_weight(cfg)
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
-    kinds = _value(cfg, "inequalities", "kinds", _nonempty_names,
-                   [ineq.POINCARE, ineq.RADIAL_SOBOLEV, ineq.BOUNDED_SOBOLEV])
+    kinds = _value(cfg, "inequalities", "kinds", _kinds, list(_INEQUALITY_KINDS))
     q = _value(cfg, "inequalities", "q", fallback=3.0)
     radii = _value(cfg, "inequalities", "radii", _nonempty_floats, [1.0, 2.0, 4.0])
     n_random = _value(cfg, "inequalities", "n_random", _count(0), 4)
@@ -325,13 +334,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     rows = []
     all_pass = True
     for kind in kinds:
-        if kind in (ineq.POINCARE, ineq.RADIAL_SOBOLEV):
-            family = ineq.bump_family() + ineq.random_family(rng, n_random)
-            rep = ineq.verify_inequality(kind, w, eq,
-                                         q=q if kind == ineq.RADIAL_SOBOLEV else None,
-                                         family=family)
-            reports = [rep]
-        elif kind == ineq.BOUNDED_SOBOLEV:
+        if kind == ineq.BOUNDED_SOBOLEV:
             reports = []
             for big_r in radii:
                 family = (ineq.bump_family(radii=(big_r / 4, big_r / 2, big_r),
@@ -340,7 +343,9 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
                 reports.append(ineq.verify_inequality(kind, w, eq, q=q,
                                                       big_r=big_r, family=family))
         else:
-            raise InvalidParameterError(f"unknown inequality kind {kind!r}")
+            family = ineq.bump_family() + ineq.random_family(rng, n_random)
+            reports = [ineq.verify_inequality(
+                kind, w, eq, q=q if kind == ineq.RADIAL_SOBOLEV else None, family=family)]
         for rep in reports:
             all_pass &= rep.verdict
             for label, lhs, rhs, ratio in rep.per_function:
@@ -367,7 +372,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
 # simulate
 
 
-def _solver_config(cfg, allow_unweighted: bool) -> solver.SolverConfig:
+def _solver_config(cfg, allow_unweighted: bool = False) -> solver.SolverConfig:
     w = build_weight(cfg)
     eq = build_equation(cfg)
     r_max, n_cells = _value(cfg, "grid", "r_max"), _value(cfg, "grid", "n_cells", int)
@@ -459,29 +464,23 @@ def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
 # sweep
 
 
-def _sweep_config(cfg, alpha: float, p: float, m: float, t_end: float | None,
-                  allow_unweighted: bool) -> solver.SolverConfig:
+def _sweep_config(cfg, alpha: float, p: float, m: float,
+                  t_end: float | None) -> solver.SolverConfig:
     """The solver config of ``cfg`` with its weight's alpha, p, m and,
     when given, t_end replaced, written into ``cfg`` (``repr`` of a float
-    reads back exactly).  Refuses a weight without an alpha."""
+    reads back exactly)."""
     for section, key, value in (("weight", "alpha", alpha), ("equation", "p", p),
                                 ("equation", "m", m), ("simulate", "t_end", t_end)):
         if value is not None:
             cfg.set(section, key, repr(value))
-    scfg = _solver_config(cfg, allow_unweighted)
-    if scfg.weight.kind not in (weights.KIND_POWER, weights.KIND_ZYGMUND):
-        raise InvalidParameterError(
-            f"an alpha sweep needs a power or zygmund weight, got {scfg.weight.kind}"
-        )
-    return scfg
+    return _solver_config(cfg)
 
 
 def _sweep_one(args):
     """One sweep row; an ExpdiffError empties its numbers and is its status."""
-    cfg_path, alpha, p, m, t_end, allow_unweighted = args
+    cfg_path, alpha, p, m, t_end = args
     try:
-        scfg = _sweep_config(_load_config(cfg_path), alpha, p, m, t_end,
-                             allow_unweighted)
+        scfg = _sweep_config(_load_config(cfg_path), alpha, p, m, t_end)
         traj = solver.run(scfg)
         rep = solver.fit_rates(traj, solver.SUPPORT_ENVELOPE)
         sup_rep = solver.fit_rates(traj, solver.SUP_ENVELOPE)
@@ -492,9 +491,12 @@ def _sweep_one(args):
             rep.c_fit, sup_rep.band_ratio, "ok")
 
 
-def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
-              jobs: int, cfg_path: str) -> int:
+def cmd_sweep(cfg, out: Path, seed: int, jobs: int, cfg_path: str) -> int:
     _require_section(cfg, "sweep")
+    kind = _weight_kind(cfg)
+    if kind not in (weights.KIND_POWER, weights.KIND_ZYGMUND):
+        raise InvalidParameterError(
+            f"an alpha sweep needs a power or zygmund weight, got {kind}")
     alphas = _value(cfg, "sweep", "alphas", _nonempty_floats, [0.5])
     ps = _value(cfg, "sweep", "ps", _nonempty_floats, [2.0])
     ms = _value(cfg, "sweep", "ms", _nonempty_floats, [2.0])
@@ -503,7 +505,7 @@ def cmd_sweep(cfg, out: Path, seed: int, allow_unweighted: bool,
     t_ends = _value(cfg, "sweep", "t_ends", _floats, []) or [None] * len(alphas)
     if len(t_ends) != len(alphas):
         raise InvalidParameterError("t_ends must match alphas in length")
-    tasks = [(cfg_path, a, p, m, te, allow_unweighted)
+    tasks = [(cfg_path, a, p, m, te)
              for a, te in zip(alphas, t_ends) for p in ps for m in ms]
     if jobs > 1 and len(tasks) > 1:
         # imported here: concurrent.futures pulls in multiprocessing and
@@ -540,7 +542,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--allow-unweighted", action="store_true",
-                        help="permit the g = 0 calibration mode")
+                        help="permit the g = 0 calibration mode (simulate)")
     args = parser.parse_args(argv)
     out = Path(args.out)
     try:
@@ -559,8 +561,7 @@ def main(argv=None) -> int:
             return cmd_inequalities(cfg, out, args.seed)
         if args.command == "simulate":
             return cmd_simulate(cfg, out, args.seed, args.allow_unweighted)
-        return cmd_sweep(cfg, out, args.seed, args.allow_unweighted,
-                         args.jobs, args.config)
+        return cmd_sweep(cfg, out, args.seed, args.jobs, args.config)
     except (ExpdiffError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -387,8 +387,8 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
 
 
 def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
-                      q: float | None = None, big_r: float | None = None,
-                      family: Sequence[TestFunction] | None = None) -> InequalityReport:
+                      q: float | None = None, big_r: float | None = None, *,
+                      family: Sequence[TestFunction]) -> InequalityReport:
     """Evaluate both sides per test function and compare the worst ratio
     against the certified constant.  The verdict fails loudly in the
     report (never raises) if any ratio exceeds it beyond 1e-8 relative,
@@ -401,8 +401,6 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
     the power of lam and the exponent of |v| on the left, the roots of
     both sides, their scale and the lam(R) factor of the ball."""
     eq.validate_with_weight(w)
-    if family is None:
-        family = bump_family()
     p = eq.p
     scale, lam_factor = 1.0, 1.0
     beta_sup, samples = math.nan, []

@@ -114,17 +114,10 @@ def tail_integrals(meas: RadialMeasure, h: Callable, x: np.ndarray,
     return vals, errs
 
 
-def integrate(meas: RadialMeasure, h: Callable, a: float, b: float,
-              rel_tol: float = INTEGRATE_RTOL) -> float:
-    """Integral of h(r) * density(r) over (a, b); b may be inf for the
-    decaying tail.  Relative error <= rel_tol."""
-    val, _ = integrate_with_error(meas, h, a, b, rel_tol=rel_tol)
-    return val
-
-
 def integrate_with_error(meas: RadialMeasure, h: Callable, a: float, b: float,
                          rel_tol: float = INTEGRATE_RTOL) -> tuple[float, float]:
-    """As ``integrate`` but also returns a conservative error estimate."""
+    """Integral of h(r) * density(r) over (a, b), relative error <= rel_tol,
+    and a conservative error estimate; b may be inf for the decaying tail."""
     if a < 0:
         raise InvalidParameterError("requires a >= 0")
     if not b > a:

@@ -54,16 +54,16 @@ FD_SLOPE_RTOL = 1e-6
 class WeightSpec:
     """Immutable weight exponent with declared envelope exponents.
 
-    ``g_eval`` and ``g_prime`` must be vectorized over numpy arrays.
-    All operations are pure, so instances are safe to share across
-    threads.
+    ``g`` and ``gp`` (the exponent and its derivative) take a float or a
+    numpy array and return floats of its shape.  All operations are
+    pure, so instances are safe to share across threads.
     """
 
     kind: str
     alpha1: float
     alpha2: float
-    g_eval: Callable[[np.ndarray], np.ndarray]
-    g_prime: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
+    gp: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -74,18 +74,10 @@ class WeightSpec:
                     "envelope exponents must satisfy 0 < alpha1 <= alpha2, "
                     f"got ({self.alpha1}, {self.alpha2})"
                 )
-            if abs(self.g(0.0)) > 0.0:
+            if not self.g(0.0) == 0.0:  # NaN fails too
                 raise InvalidParameterError("weight exponent must satisfy g(0) = 0")
             if not self.g(1.0) > 0.0:
                 raise InvalidParameterError("weight exponent must satisfy g(s) > 0 for s > 0")
-
-    # -- basic evaluations -------------------------------------------------
-
-    def g(self, s):
-        return self.g_eval(np.asarray(s, dtype=float))
-
-    def gp(self, s):
-        return self.g_prime(np.asarray(s, dtype=float))
 
     @property
     def is_weighted(self) -> bool:
@@ -114,7 +106,7 @@ class WeightSpec:
         if anchors is None:
             s_grid = np.geomspace(1e-12, 1e16, 281)
             try:
-                cum = quadrature.cumulative(self.g_eval, np.concatenate([[0.0], s_grid]),
+                cum = quadrature.cumulative(self.g, np.concatenate([[0.0], s_grid]),
                                             rel_tol=1e-13)[1:]
                 anchors = (s_grid, cum)
             except NumericFailureError as exc:
@@ -142,8 +134,6 @@ class WeightSpec:
         if self.kind == KIND_POWER:
             a = self.params["alpha"]
             return np.power(ss, a + 1.0) / (a + 1.0)
-        if self.kind == KIND_UNWEIGHTED:
-            return np.zeros_like(ss)
         s_grid, cum = self._primitive_anchors()
         if np.any(ss > s_grid[-1]):
             raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")
@@ -152,13 +142,13 @@ class WeightSpec:
         if np.any(low):
             s_low = ss[low]
             bp = np.union1d(quadrature.geometric_breakpoints(float(s_low.max())), s_low)
-            out[low] = quadrature.cumulative(self.g_eval, bp, rel_tol=1e-12)[
+            out[low] = quadrature.cumulative(self.g, bp, rel_tol=1e-12)[
                 np.searchsorted(bp, s_low)]
         high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
         idx = np.searchsorted(s_grid, ss[high], side="right") - 1
         for k in range(0, high.size, PRIMITIVE_BATCH):
             i, j = high[k:k + PRIMITIVE_BATCH], idx[k:k + PRIMITIVE_BATCH]
-            out[i] = cum[j] + quadrature.gl_fixed(self.g_eval, s_grid[j], ss[i])
+            out[i] = cum[j] + quadrature.gl_fixed(self.g, s_grid[j], ss[i])
         return out
 
 
@@ -227,7 +217,7 @@ def make_power_weight(alpha: float) -> WeightSpec:
 
     return WeightSpec(
         kind=KIND_POWER, alpha1=alpha, alpha2=alpha,
-        g_eval=g, g_prime=gp, params={"alpha": alpha},
+        g=g, gp=gp, params={"alpha": alpha},
     )
 
 
@@ -253,7 +243,7 @@ def make_zygmund_weight(alpha: float, beta: float, c: float) -> WeightSpec:
 
     return WeightSpec(
         kind=KIND_ZYGMUND, alpha1=alpha, alpha2=alpha + beta,
-        g_eval=g, g_prime=gp, params={"alpha": alpha, "beta": beta, "c": c},
+        g=g, gp=gp, params={"alpha": alpha, "beta": beta, "c": c},
     )
 
 
@@ -266,8 +256,8 @@ def make_custom_weight(g: Callable, g_prime: Callable, alpha1: float,
     """
     return WeightSpec(
         kind=KIND_CUSTOM, alpha1=alpha1, alpha2=alpha2,
-        g_eval=lambda s: np.asarray(g(np.asarray(s, dtype=float)), dtype=float),
-        g_prime=lambda s: np.asarray(g_prime(np.asarray(s, dtype=float)), dtype=float),
+        g=lambda s: np.asarray(g(np.asarray(s, dtype=float)), dtype=float),
+        gp=lambda s: np.asarray(g_prime(np.asarray(s, dtype=float)), dtype=float),
         params={},
     )
 
@@ -278,7 +268,7 @@ def make_unweighted() -> WeightSpec:
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     return WeightSpec(
         kind=KIND_UNWEIGHTED, alpha1=0.0, alpha2=0.0,
-        g_eval=zero, g_prime=zero, params={},
+        g=zero, gp=zero, params={},
     )
 
 
@@ -550,24 +540,22 @@ def check_inverse_scaling(w: WeightSpec,
         z, invert_g(w, z * lam), lo, hi, 1e-9)
 
 
-def zygmund_inverse_asymptotics(alpha: float, beta: float, c: float,
+def zygmund_inverse_asymptotics(w: WeightSpec,
                                 tau_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Correction factor A(tau) of the inverse of the log-corrected power.
+    """Correction factor A(tau) of the inverse of the log-corrected power w.
 
     Writing s = g^(-1)(tau) = alpha**(beta/alpha) tau**(1/alpha)
     (log tau)**(-beta/alpha) A(tau), returns [(tau, A(tau))]; A -> 1 as
-    tau grows.  beta = 0 degenerates to the pure power, where A = 1
-    exactly.
+    tau grows.  A power weight is the case beta = 0, where A = 1 exactly;
+    other kinds are refused.
     """
-    if beta < 0:
-        raise InvalidParameterError("requires beta >= 0")
+    if w.kind not in (KIND_POWER, KIND_ZYGMUND):
+        raise InvalidParameterError(
+            f"inverse asymptotics need a power or zygmund weight, got {w.kind}")
+    alpha, beta = w.params["alpha"], w.params.get("beta", 0.0)
     taus = np.asarray(tau_grid, dtype=float)
     if np.any(taus <= math.e):
         raise InvalidParameterError("requires tau > e so that log(tau) > 1")
-    if beta == 0.0:
-        w = make_power_weight(alpha)
-    else:
-        w = make_zygmund_weight(alpha, beta, c)
     a_val = (invert_g(w, taus) * alpha ** (-beta / alpha) * taus ** (-1.0 / alpha)
              * np.log(taus) ** (beta / alpha))
     return list(zip(taus.tolist(), a_val.tolist()))

@@ -95,7 +95,7 @@ def test_criterion_2_inequality_suite():
         consts = I.poincare_constant(w, eq)
         if consts.beta_numeric > consts.criterion_bound * (1 + 1e-9):
             problems.append(("criterion bound exceeded", w.label(), eq.p, eq.dim_n))
-        rep = I.verify_inequality(I.POINCARE, w, eq)
+        rep = I.verify_inequality(I.POINCARE, w, eq, family=I.bump_family())
         n_funcs += len(rep.per_function)
         if not rep.verdict:
             problems.append(("poincare violated", w.label(), eq.p, eq.dim_n))
@@ -104,7 +104,7 @@ def test_criterion_2_inequality_suite():
     w = W.make_power_weight(0.5)
     eq = W.EquationParams(3, 2.0, 2.0)
     q = 3.0
-    rep = I.verify_inequality(I.RADIAL_SOBOLEV, w, eq, q=q)
+    rep = I.verify_inequality(I.RADIAL_SOBOLEV, w, eq, q=q, family=I.bump_family())
     if not rep.verdict:
         problems.append(("radial sobolev violated",))
     samples = np.array(rep.samples)
@@ -181,7 +181,8 @@ def test_criterion_5_sup_envelope_shape(reference_run):
 
 def test_criterion_6_zygmund_asymptotics():
     start = time.monotonic()
-    table = W.zygmund_inverse_asymptotics(0.5, 1.0, 2.0, [1e2, 1e4, 1e6, 1e8])
+    table = W.zygmund_inverse_asymptotics(W.make_zygmund_weight(0.5, 1.0, 2.0),
+                                          [1e2, 1e4, 1e6, 1e8])
     gaps = [abs(a - 1.0) for _, a in table]
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
 

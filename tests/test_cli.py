@@ -451,9 +451,9 @@ r_max = 40
 n_cells = 200
 [simulate]
 t_end = 1e4
+[sweep]
+alphas = 0.4
 """
-
-SWEEP_POINT = (0.4, 2.0, 2.0, 1e4)
 
 
 def _cfg(text):
@@ -462,11 +462,22 @@ def _cfg(text):
     return cfg
 
 
-def test_sweep_keeps_zygmund_weight():
-    scfg = cli._sweep_config(_cfg(ZYGMUND_INI + SWEEP_SECTIONS), *SWEEP_POINT, False)
-    assert scfg.weight.kind == "zygmund"
-    assert scfg.weight.params == {"alpha": 0.4, "beta": 1.0, "c": 2.0}
-    assert scfg.weight.alpha2 == pytest.approx(1.4)
+def test_sweep_keeps_zygmund_weight(tmp_path, monkeypatch):
+    path = tmp_path / "z.ini"
+    path.write_text(ZYGMUND_INI + SWEEP_SECTIONS)
+    seen = []
+
+    def stop(scfg):
+        seen.append(scfg.weight)
+        raise InvalidParameterError("stopped before the run")
+
+    monkeypatch.setattr(cli.solver, "run", stop)
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [w] = seen
+    assert w.kind == "zygmund"
+    assert w.params == {"alpha": 0.4, "beta": 1.0, "c": 2.0}
+    assert w.alpha2 == pytest.approx(1.4)
 
 
 @pytest.mark.parametrize("weight_section", [
@@ -474,12 +485,21 @@ def test_sweep_keeps_zygmund_weight():
     "[weight]\nkind = custom\ng_expr = s\ng_prime_expr = 1 + 0 * s\n"
     "alpha1 = 1\nalpha2 = 1\n",
 ])
-def test_sweep_refuses_weight_without_alpha(weight_section):
-    cfg = _cfg(weight_section + "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
-               + SWEEP_SECTIONS)
-    kind = cfg["weight"]["kind"]
-    with pytest.raises(InvalidParameterError, match=kind):
-        cli._sweep_config(cfg, *SWEEP_POINT, True)
+def test_sweep_refuses_weight_without_alpha(weight_section, tmp_path, capsys, monkeypatch):
+    # refused once, before any row, with the flag that simulate needs for g = 0
+    path = tmp_path / "sw.ini"
+    path.write_text(weight_section + "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
+                    + SWEEP_SECTIONS)
+    rows = []
+    monkeypatch.setattr(cli, "_sweep_one", rows.append)
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
+                   "--allow-unweighted"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and _cfg(weight_section)["weight"]["kind"] in err
+    assert len(err.splitlines()) == 1
+    assert not rows
+    assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("expr", [
@@ -515,6 +535,10 @@ m = 2.0
     # an exact integer power that would not end: a float one overflows
     ("g_expr", "9**9**9"),
     ("g_prime_expr", "0**-1"),
+    # numpy errors on arrays: 0/0 and log(0) at s = 0 gave warnings and
+    # g(0) = nan instead of an error
+    ("g_expr", "s/0"),
+    ("g_expr", "s*log(s)"),
 ])
 def test_expression_arithmetic_error_named(tmp_path, key, term):
     # a subprocess, so that an evaluation without end fails by its timeout
@@ -537,6 +561,54 @@ def test_expression_arithmetic_error_named(tmp_path, key, term):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"error: [weight] {key} = ")
     assert elapsed < 5.0
+
+
+def _record_calls(monkeypatch, module, names):
+    """The list that the functions ``names`` of ``module`` append their
+    names to when called."""
+    calls = []
+    for name in names:
+        def wrapped(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("s_min, s_max", [("10", "10"), ("10", "1"), ("1", "1.0000000000000002")])
+def test_weight_check_range_refused_before_checks(tmp_path, capsys, monkeypatch, s_min, s_max):
+    # s_max <= s_min reached validate_envelope, whose error named no key
+    cfg = _cfg(POWER_INI)
+    cfg["weight_check"]["s_min"], cfg["weight_check"]["s_max"] = s_min, s_max
+    ini = tmp_path / "range.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    calls = _record_calls(monkeypatch, weights, [
+        "validate_envelope", "check_sandwich", "check_lambda_bounds",
+        "check_inversion_roundtrip", "check_inverse_scaling",
+        "check_monotone_quantities", "check_structural_conditions"])
+    rc = cli.main(["weight-check", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [weight_check] s_min, s_max:")
+    assert len(err.splitlines()) == 1
+    assert calls == []
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def test_unknown_inequality_kind_refused_before_checks(tmp_path, capsys, monkeypatch):
+    # kinds = poincare, bogus ran the Poincare check before the refusal
+    ini = tmp_path / "kinds.ini"
+    ini.write_text(POWER_INI.replace("kinds = poincare", "kinds = poincare, bogus"))
+    calls = _record_calls(monkeypatch, cli.ineq, ["verify_inequality"])
+    rc = cli.main(["inequalities", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [inequalities] kinds:") and "'bogus'" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert calls == []
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_expression_constant_too_large_for_float():

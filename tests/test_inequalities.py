@@ -190,8 +190,10 @@ class TestTalenti:
         omega = M.sphere_area(3)
         tf = I.polynomial_bump(1.0, 2.0)
         p_star = 6.0
-        lhs = (omega * M.integrate(meas, lambda r: tf.value(r) ** p_star, 0, 1.0)) ** (1 / p_star)
-        rhs = (omega * M.integrate(meas, lambda r: tf.deriv(r) ** 2, 0, 1.0)) ** 0.5
+        vq, _ = M.integrate_with_error(meas, lambda r: tf.value(r) ** p_star, 0, 1.0)
+        grad, _ = M.integrate_with_error(meas, lambda r: tf.deriv(r) ** 2, 0, 1.0)
+        lhs = (omega * vq) ** (1 / p_star)
+        rhs = (omega * grad) ** 0.5
         assert lhs <= I.talenti_constant(3, 2.0) * rhs
 
 
@@ -269,7 +271,7 @@ class TestVerify:
         assert rep.empirical_worst_ratio == 0.0
 
     def test_poincare_bumps(self, w_half, eq_ref):
-        rep = I.verify_inequality(I.POINCARE, w_half, eq_ref)
+        rep = I.verify_inequality(I.POINCARE, w_half, eq_ref, family=I.bump_family())
         assert rep.verdict
         assert len(rep.per_function) == 12
         assert rep.empirical_worst_ratio <= rep.certified_constant
@@ -284,7 +286,8 @@ class TestVerify:
             r2.empirical_worst_ratio, rel=1e-12)
 
     def test_radial_sobolev(self, w_half, eq_ref):
-        rep = I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=3.0)
+        rep = I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=3.0,
+                                  family=I.bump_family())
         assert rep.verdict
         assert rep.empirical_worst_ratio <= rep.certified_constant
 
@@ -298,7 +301,7 @@ class TestVerify:
             return 0.6, kk, certified
 
         monkeypatch.setattr(I, "_poincare_closed_form", too_small)
-        rep = I.verify_inequality(I.POINCARE, w_half, eq_ref)
+        rep = I.verify_inequality(I.POINCARE, w_half, eq_ref, family=I.bump_family())
         assert rep.empirical_worst_ratio <= rep.certified_constant
         assert rep.beta_sup > rep.closed_form_bound
         assert not rep.verdict
@@ -306,7 +309,8 @@ class TestVerify:
     def test_radial_sobolev_verdict_checks_criterion(self, w_half, eq_ref, monkeypatch):
         # Gamma = 1 covers the family's worst ratio 0.599 but not K B = 1.180
         monkeypatch.setattr(I, "gamma_constant", lambda w, eq, q: 1.0)
-        rep = I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=3.0)
+        rep = I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=3.0,
+                                  family=I.bump_family())
         assert rep.empirical_worst_ratio == pytest.approx(0.599, abs=1e-3)
         assert rep.kqp * rep.beta_sup == pytest.approx(1.180, abs=1e-3)
         assert not rep.verdict
@@ -329,7 +333,8 @@ class TestVerify:
 
 class TestFamilyPass:
     """verify_inequality integrates a whole family in one panel pass; each
-    side must match its own per-function ``measure.integrate`` reference."""
+    side must match its own per-function ``measure.integrate_with_error``
+    reference."""
 
     Q_EXP, BALL = 3.0, 2.0
 
@@ -350,14 +355,15 @@ class TestFamilyPass:
         lam_factor = I.bounded_sobolev_constant(w_half, eq_ref, q, self.BALL)[1]
         for tf, (label, lhs, rhs, ratio) in zip(family, rep.per_function):
             big_r = tf.support_radius
-            grad = M.integrate(grow, lambda r: np.abs(tf.deriv(r)) ** p, 0.0, big_r)
+            grad, _ = M.integrate_with_error(grow, lambda r: np.abs(tf.deriv(r)) ** p,
+                                             0.0, big_r)
             if kind == I.POINCARE:
-                want_lhs = M.integrate(
+                want_lhs = M.integrate_with_error(
                     grow, lambda r: W.lambda_many(w_half, r) ** p * tf.value(r) ** p,
-                    0.0, big_r)
+                    0.0, big_r)[0]
                 want_rhs = grad
             else:
-                vq = M.integrate(grow, lambda r: tf.value(r) ** q, 0.0, big_r)
+                vq, _ = M.integrate_with_error(grow, lambda r: tf.value(r) ** q, 0.0, big_r)
                 scale = omega if kind == I.BOUNDED_SOBOLEV else 1.0
                 want_lhs = (scale * vq) ** (1.0 / q)
                 want_rhs = (scale * grad) ** (1.0 / p) * (

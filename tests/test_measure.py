@@ -31,33 +31,36 @@ def test_sphere_area():
 
 def test_unweighted_ball():
     meas = M.RadialMeasure(W.make_unweighted(), 3, M.GROWING)
-    assert M.integrate(meas, ONES, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    val, _ = M.integrate_with_error(meas, ONES, 0.0, 1.0)
+    assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
     meas5 = M.RadialMeasure(W.make_unweighted(), 5, M.GROWING)
-    assert M.integrate(meas5, ONES, 0.0, 1.0) == pytest.approx(1.0 / 5.0, rel=1e-12)
+    val, _ = M.integrate_with_error(meas5, ONES, 0.0, 1.0)
+    assert val == pytest.approx(1.0 / 5.0, rel=1e-12)
 
 
 def test_linear_weight_identity():
     # int_0^1 r e^r dr = 1 exactly (integration by parts)
     meas = M.RadialMeasure(W.make_power_weight(1.0), 2, M.GROWING)
-    assert M.integrate(meas, ONES, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert M.integrate_with_error(meas, ONES, 0.0, 1.0)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_decaying_tail_oracle(tail_n3):
     # mpmath (40 digits): int_1^inf z^-2 exp(-sqrt(z)) dz = 0.21938393439552027
-    val = M.integrate(tail_n3, ONES, 1.0, math.inf)
+    val = M.integrate_with_error(tail_n3, ONES, 1.0, math.inf)[0]
     assert val == pytest.approx(0.21938393439552027, rel=1e-8)
 
 
 def test_additivity(growing_n3):
     a, b, c = 0.2, 1.7, 6.0
-    whole = M.integrate(growing_n3, ONES, a, c)
-    split = M.integrate(growing_n3, ONES, a, b) + M.integrate(growing_n3, ONES, b, c)
+    whole = M.integrate_with_error(growing_n3, ONES, a, c)[0]
+    split = (M.integrate_with_error(growing_n3, ONES, a, b)[0]
+             + M.integrate_with_error(growing_n3, ONES, b, c)[0])
     assert whole == pytest.approx(split, rel=1e-12)
 
 
 def test_monotone_in_interval(growing_n3):
-    inner = M.integrate(growing_n3, ONES, 0.5, 2.0)
-    outer = M.integrate(growing_n3, ONES, 0.25, 3.0)
+    inner = M.integrate_with_error(growing_n3, ONES, 0.5, 2.0)[0]
+    outer = M.integrate_with_error(growing_n3, ONES, 0.25, 3.0)[0]
     assert outer >= inner
 
 
@@ -88,7 +91,7 @@ def test_tail_integrals_many_points(tail_n3):
 
 def test_infinite_limit_needs_tail(growing_n3):
     with pytest.raises(InvalidParameterError):
-        M.integrate(growing_n3, ONES, 0.0, math.inf)
+        M.integrate_with_error(growing_n3, ONES, 0.0, math.inf)
 
 
 @pytest.mark.parametrize("w", [W.make_power_weight(0.5),
@@ -129,7 +132,7 @@ class TestMass:
         vols = M.cell_weighted_volumes(growing_n3, faces)
         omega = M.sphere_area(3)
         for i in (0, 1, 8, 15):
-            direct = omega * M.integrate(growing_n3, ONES,
-                                         float(faces[i]), float(faces[i + 1]),
-                                         rel_tol=1e-12)
+            direct = omega * M.integrate_with_error(growing_n3, ONES,
+                                                    float(faces[i]), float(faces[i + 1]),
+                                                    rel_tol=1e-12)[0]
             assert vols[i] == pytest.approx(direct, rel=1e-10)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,21 @@ class TestGridConvergence:
         change = abs(fine.sup_u[-1] - coarse.sup_u[-1]) / coarse.sup_u[-1]
         assert change <= 0.05
 
+    def test_observed_order_weighted(self, weighted_traj):
+        # power(0.5), N = 3, p = m = 2 to t = 1e6: sup(u) at t_end reads
+        # 2.162848e-5, 2.139058e-5 and 2.132954e-5 at 200, 400 and 800
+        # cells (2.131418e-5 at 1600), observed order 1.963 (1.99 on
+        # 400/800/1600); the Richardson-extrapolated relative error of the
+        # 800-cell value, a grid-convergence index (Roache 1994) without
+        # its safety factor, is 9.89e-4
+        coarse = [S.run(replace(weighted_traj.config, n_cells=n)).sup_u[-1]
+                  for n in (200, 400)]
+        f1, f2, f3 = *coarse, weighted_traj.sup_u[-1]
+        order = math.log2((f1 - f2) / (f2 - f3))
+        extrapolated = f3 + (f3 - f2) / (2.0 ** order - 1.0)
+        assert order >= 1.9
+        assert abs(f3 - extrapolated) / extrapolated <= 1.05e-3
+
 
 class TestUnweightedCalibration:
     def test_pme_sup_decay_exponent_n1(self):
@@ -578,6 +594,78 @@ class TestUnweightedCalibration:
         assert math.log2(l1[1] / l1[2]) >= 1.95
         assert l1[2] <= 5.5e-5
         assert traj.sup_u[-1] == pytest.approx(big_t ** (-1.0 / 3.0) * c, rel=3.1e-5)
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(40)
+
+
+def _barenblatt(n, p, m, big_t):
+    """The unweighted self-similar solution with C = 1 at time big_t,
+    u = T^-a (1 - k xi^(p/(p-1)))_+^((p-1)/(p+m-3)) with xi = r T^-b,
+    b = 1/(N(p+m-3) + p), a = N b, k = (p+m-3)/p b^(1/(p-1)), and its
+    front R(T) = k^(-(p-1)/p) T^b (Barenblatt 1952; Kamin & Vazquez 1988)."""
+    kappa = p + m - 3.0
+    b = 1.0 / (n * kappa + p)
+    k = kappa / p * b ** (1.0 / (p - 1.0))
+
+    def u(r):
+        core = 1.0 - k * (r * big_t ** -b) ** (p / (p - 1.0))
+        return big_t ** (-n * b) * np.maximum(core, 0.0) ** ((p - 1.0) / kappa)
+
+    return u, k ** (-(p - 1.0) / p) * big_t ** b
+
+
+def _cell_averages(n, u, faces):
+    """Averages of u against r^(N-1) dr, 40-point Gauss per cell."""
+    lo, hi = faces[:-1, None], faces[1:, None]
+    r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GAUSS_X
+    wts = 0.5 * (hi - lo) * _GAUSS_W * r ** (n - 1)
+    return (wts * u(r)).sum(axis=1) / wts.sum(axis=1)
+
+
+class TestBarenblattReference:
+    # every branch of the flux law (p = 2 or not, m = 1, m < 1, p < 2) and
+    # the curvature terms at N > 1 against the exact solution: started at
+    # t0 = 1 from its exact cell averages and run 4 time units.  Measured
+    # volume-weighted L1 errors relative to the mass at 200 / 400 / 800
+    # cells, with orders: (1, 2, 2) 2.460e-5, 6.348e-6, 1.643e-6 (1.955,
+    # 1.950); (3, 2, 2) 1.020e-4, 2.749e-5, 7.115e-6 (1.891, 1.950);
+    # (3, 2.5, 1) 1.046e-4, 2.609e-5, 6.477e-6 (2.003, 2.010); (4, 3, 0.5)
+    # 2.236e-4, 5.574e-5, 1.374e-5 (2.005, 2.020); (3, 1.8, 1.5) 1.827e-4,
+    # 4.602e-5, 1.154e-5 (1.989, 1.995).  At 800 cells the support radius
+    # reads 0 to 4 cells above R(5)
+    @pytest.mark.parametrize("n, p, m, finest", [
+        (1, 2.0, 2.0, 1.643e-6),
+        (3, 2.0, 2.0, 7.115e-6),
+        (3, 2.5, 1.0, 6.477e-6),
+        (4, 3.0, 0.5, 1.374e-5),
+        (3, 1.8, 1.5, 1.154e-5),
+    ])
+    def test_second_order_against_exact(self, monkeypatch, n, p, m, finest):
+        u_start, _ = _barenblatt(n, p, m, 1.0)
+        u_end, front = _barenblatt(n, p, m, 5.0)
+        built = S.initial_state
+
+        def exact_start(config):
+            grid, _ = built(config)
+            return grid, _cell_averages(n, u_start, grid.faces)
+
+        monkeypatch.setattr(S, "initial_state", exact_start)
+        r_max = 1.6 * front
+        errors = []
+        for cells in (200, 400, 800):
+            # the bump radius only has to pass the config's checks
+            cfg = S.SolverConfig(eq=W.EquationParams(n, p, m), weight=W.make_unweighted(),
+                                 r_max=r_max, n_cells=cells, t_end=4.0, output_times=[4.0],
+                                 bump_radius=0.2 * front, allow_unweighted=True)
+            traj = S.run(cfg)
+            grid = S.make_grid(cfg.weight, n, r_max, cells)
+            exact = _cell_averages(n, u_end, grid.faces)
+            vols = grid.cell_weighted_volumes
+            errors.append(np.sum(vols * np.abs(traj.u_final - exact)) / np.sum(vols * exact))
+            assert abs(traj.support_radius[-1] - front) <= 5.0 * r_max / cells
+        assert math.log2(errors[1] / errors[2]) >= 1.9
+        assert errors[2] <= 1.05 * finest
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,15 @@ class TestConstructors:
             W.make_custom_weight(lambda s: s + 1.0, lambda s: np.ones_like(s),
                                  1.0, 1.0)
 
+    def test_custom_nan_at_zero_refused(self):
+        # abs(nan) > 0 is False, so a g with g(0) = nan passed for g(0) = 0
+        def g(s):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return s * np.log(s) + s
+
+        with pytest.raises(InvalidParameterError, match="g\\(0\\) = 0"):
+            W.make_custom_weight(g, lambda s: np.log(s) + 2.0, 1.0, 1.0)
+
 
 class TestEquationParams:
     def test_degeneracy_rejected(self):
@@ -270,7 +279,7 @@ class TestInversion:
     @pytest.mark.parametrize("kind", ["zygmund", "custom"])
     def test_array_matches_scalar_calls(self, zygmund, kind):
         w = zygmund if kind == "zygmund" else W.make_custom_weight(
-            zygmund.g_eval, zygmund.g_prime, zygmund.alpha1, zygmund.alpha2)
+            zygmund.g, zygmund.gp, zygmund.alpha1, zygmund.alpha2)
         zs = np.geomspace(1e-6, 1e6, 301)
         out = W.invert_g(w, zs)
         assert out.shape == zs.shape
@@ -335,27 +344,34 @@ class TestMonotoneQuantities:
 
 
 class TestZygmundAsymptotics:
-    def test_a_decreasing_towards_one(self):
-        table = W.zygmund_inverse_asymptotics(0.5, 1.0, 2.0,
-                                              [1e2, 1e4, 1e6, 1e8])
+    def test_a_decreasing_towards_one(self, zygmund):
+        table = W.zygmund_inverse_asymptotics(zygmund, [1e2, 1e4, 1e6, 1e8])
         gaps = [abs(a - 1.0) for _, a in table]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_beta_zero_is_exact(self):
-        table = W.zygmund_inverse_asymptotics(1.0, 0.0, 2.0, [1e2, 1e4])
+        table = W.zygmund_inverse_asymptotics(W.make_power_weight(1.0), [1e2, 1e4])
         for _, a in table:
             assert a == pytest.approx(1.0, rel=1e-12)
 
-    def test_frozen_oracle_value(self):
+    def test_frozen_oracle_value(self, zygmund):
         # bisection oracle (mpmath findroot, 40 digits) for
         # sqrt(s) log(2+s) = 1e6 gives s = 2164267996.70227, whence
         # A(1e6) = 1.6523608899289855
-        table = W.zygmund_inverse_asymptotics(0.5, 1.0, 2.0, [1e6])
+        table = W.zygmund_inverse_asymptotics(zygmund, [1e6])
         assert table[0][1] == pytest.approx(1.6523608899289855, rel=1e-9)
 
-    def test_requires_tau_above_e(self):
+    def test_requires_tau_above_e(self, zygmund):
         with pytest.raises(InvalidParameterError):
-            W.zygmund_inverse_asymptotics(0.5, 1.0, 2.0, [2.0])
+            W.zygmund_inverse_asymptotics(zygmund, [2.0])
+
+    @pytest.mark.parametrize("w", [
+        W.make_unweighted(),
+        W.make_custom_weight(np.sqrt, lambda s: 0.5 / np.sqrt(s), 0.5, 0.5),
+    ])
+    def test_other_kinds_refused(self, w):
+        with pytest.raises(InvalidParameterError, match=w.kind):
+            W.zygmund_inverse_asymptotics(w, [1e2])
 
 
 @settings(max_examples=60, deadline=None)
