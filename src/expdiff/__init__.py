@@ -9,7 +9,6 @@ from .weights import (
     check_monotone_quantities,
     check_structural_conditions,
     invert_g,
-    lambda_,
     make_custom_weight,
     make_power_weight,
     make_unweighted,

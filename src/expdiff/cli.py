@@ -372,7 +372,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
 # simulate
 
 
-def _solver_config(cfg, allow_unweighted: bool = False) -> solver.SolverConfig:
+def _solver_config(cfg) -> solver.SolverConfig:
     w = build_weight(cfg)
     eq = build_equation(cfg)
     r_max, n_cells = _value(cfg, "grid", "r_max"), _value(cfg, "grid", "n_cells", int)
@@ -381,13 +381,11 @@ def _solver_config(cfg, allow_unweighted: bool = False) -> solver.SolverConfig:
     # one output would end the run at t_end * 10^-decades
     n_outputs = _value(cfg, "simulate", "n_outputs", _count(2), 97)
     decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
-    outs = solver.default_output_times(t_end, n=n_outputs, decades=decades)
+    outs = np.geomspace(t_end * 10.0 ** (-decades), t_end, n_outputs)
     return solver.SolverConfig(
-        eq=eq, weight=w, r_max=r_max, n_cells=n_cells,
-        t_end=t_end, output_times=outs,
+        eq=eq, weight=w, r_max=r_max, n_cells=n_cells, output_times=outs,
         bump_radius=_value(cfg, "simulate", "bump_radius", fallback=1.0),
         bump_height=_value(cfg, "simulate", "bump_height", fallback=1.0),
-        allow_unweighted=allow_unweighted,
     )
 
 
@@ -431,8 +429,8 @@ def _envelope_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
                     radius, support_env, radius / support_env))
 
 
-def cmd_simulate(cfg, out: Path, seed: int, allow_unweighted: bool) -> int:
-    scfg = _solver_config(cfg, allow_unweighted)
+def cmd_simulate(cfg, out: Path, seed: int) -> int:
+    scfg = _solver_config(cfg)
     traj = solver.run(scfg)
     meta = {"seed": seed, "weight": scfg.weight.label(), "dim_n": scfg.eq.dim_n,
             "p": _fmt(scfg.eq.p), "m": _fmt(scfg.eq.m),
@@ -541,8 +539,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--allow-unweighted", action="store_true",
-                        help="permit the g = 0 calibration mode (simulate)")
     args = parser.parse_args(argv)
     out = Path(args.out)
     try:
@@ -560,7 +556,7 @@ def main(argv=None) -> int:
         if args.command == "inequalities":
             return cmd_inequalities(cfg, out, args.seed)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.seed, args.allow_unweighted)
+            return cmd_simulate(cfg, out, args.seed)
         return cmd_sweep(cfg, out, args.seed, args.jobs, args.config)
     except (ExpdiffError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ import numpy as np
 from . import measure, quadrature
 from .errors import InvalidParameterError, PreconditionError
 from .measure import DECAYING_TAIL, GROWING, RadialMeasure, sphere_area
-from .weights import EquationParams, WeightSpec, check_structural_conditions, invert_g, lambda_, lambda_many
+from .weights import EquationParams, WeightSpec, check_structural_conditions, invert_g, lambda_many
 
 POINCARE = "poincare"
 RADIAL_SOBOLEV = "radial_sobolev"
@@ -254,7 +254,7 @@ def bounded_sobolev_constant(w: WeightSpec, eq: EquationParams, q: float,
         1.0 + (c_grad / p) ** p * cp)
     c_two = ((a1 + 1.0) * a2 / (a1 * (a2 + 1.0))) ** p * cp
     c_total = c_one ** (theta * p_star / (p * q)) * c_two ** ((1.0 - theta) / q)
-    lam_factor = lambda_(w, big_r) ** (n / a - 1.0)
+    lam_factor = float(lambda_many(w, big_r)[0]) ** (n / a - 1.0)
     return c_total, lam_factor
 
 

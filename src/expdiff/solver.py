@@ -17,10 +17,10 @@ the whole scheme and its reasons.  The solution is exactly 0 beyond a
 moving front, so each step works only on the leading cells its support
 can reach within the step (see ``_window``).
 
-An unweighted (g = 0) validation mode, gated behind ``allow_unweighted``,
-exists solely to calibrate the scheme against classical self-similar
-decay of the porous-medium equation; it is outside the weighted theory
-and skips the weighted admissibility checks.
+An unweighted (g = 0) weight (``make_unweighted``) runs as a validation
+mode that exists solely to calibrate the scheme against classical
+self-similar decay of the porous-medium equation; it is outside the
+weighted theory and skips the weighted admissibility checks.
 """
 
 from __future__ import annotations
@@ -106,30 +106,22 @@ class SolverConfig:
     weight: WeightSpec
     r_max: float
     n_cells: int
-    t_end: float
-    output_times: Sequence[float]
+    output_times: Sequence[float]  # the run ends at the largest
     bump_radius: float = 1.0
     bump_height: float = 1.0
-    allow_unweighted: bool = False
 
     def __post_init__(self):
-        if not self.weight.is_weighted and not self.allow_unweighted:
-            raise InvalidParameterError(
-                "the unweighted (g = 0) mode is a calibration device; "
-                "set allow_unweighted=True to use it"
-            )
         self.eq.validate_with_weight(self.weight)
-        for name in ("t_end", "r_max", "bump_height", "bump_radius"):
+        for name in ("r_max", "bump_height", "bump_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
         outs = np.asarray(self.output_times, dtype=float)
-        bad = outs[~((outs > 0) & (outs <= self.t_end * (1 + 1e-12)))]
+        bad = outs[~((outs > 0) & np.isfinite(outs))]
         if outs.size == 0 or bad.size:
             got = format(bad[0], "g") if bad.size else "none"
             raise InvalidParameterError(
-                f"output times must be a non-empty set of times in "
-                f"(0, t_end={self.t_end:g}], got {got}"
+                f"output times must be a non-empty set of finite positive times, got {got}"
             )
         if self.bump_radius > self.r_max / 8.0:
             raise InvalidParameterError(
@@ -397,16 +389,12 @@ def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float
     return gdt, c, e
 
 
-def default_output_times(t_end: float, n: int, decades: float) -> np.ndarray:
-    return np.geomspace(t_end * 10.0 ** (-decades), t_end, n)
-
-
 def run(config: SolverConfig) -> Trajectory:
-    """Integrate to t_end by variable-step BDF, recording (t, sup,
-    support radius, mass, dt) at the output times, each step shortened
-    to end exactly at the next output time if it would pass it.  Raises
-    if the support reaches the outer boundary or the weighted mass
-    drifts beyond MASS_DRIFT_TOL relative.
+    """Integrate to the last output time by variable-step BDF, recording
+    (t, sup, support radius, mass, dt) at the output times, each step
+    shortened to end exactly at the next output time if it would pass
+    it.  Raises if the support reaches the outer boundary or the
+    weighted mass drifts beyond MASS_DRIFT_TOL relative.
 
     The step's order is min(4, levels held): backward Euler, BDF2 and
     BDF3 for the first three steps, then BDF4.  Each step solves
@@ -470,7 +458,8 @@ def run(config: SolverConfig) -> Trajectory:
     grid, u0 = initial_state(config)
     outs = np.asarray(sorted(config.output_times), dtype=float)
     eq = config.eq
-    t_floor = 1e-15 * config.t_end
+    t_last = float(outs[-1])
+    t_floor = 1e-15 * t_last
     n_cells = grid.n_cells
     vols = grid.cell_weighted_volumes
     boundary_face = grid.faces[-1]
@@ -531,7 +520,7 @@ def run(config: SolverConfig) -> Trajectory:
         slope0[:-1] += flux
         slope0[1:] -= flux
         np.divide(slope0, vols, out=slope0)
-        dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * config.t_end)
+        dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * t_last)
         for t_out in [0.0] + outs.tolist():  # row 0 records u0
             failures = 0  # Newton failures since the last output time
             while t < t_out:

@@ -336,14 +336,9 @@ def validate_envelope(w: WeightSpec, samples: Sequence[float]) -> ValidationRepo
                         w.gp(s), w.alpha1 * ratio, w.alpha2 * ratio, ENVELOPE_RTOL)
 
 
-def lambda_(w: WeightSpec, s: float) -> float:
-    """lam(s) = G'(s) = (g(s) - G(s)) / s, with lam(0) = 0; one point of
-    ``lambda_many``."""
-    return float(lambda_many(w, s)[0])
-
-
 def lambda_many(w: WeightSpec, ss: np.ndarray) -> np.ndarray:
-    """Vectorized lam over an array of radii s >= 0."""
+    """lam(s) = G'(s) = (g(s) - G(s)) / s, with lam(0) = 0, over an array
+    of radii s >= 0."""
     _require_weighted(w, "lam")
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     prim = w.g_primitive_many(ss)  # refuses s < 0
@@ -458,7 +453,6 @@ def check_monotone_quantities(w: WeightSpec, eq: EquationParams,
     relative to the local quantity scale; gating conditions are reported
     alongside, not enforced.
     """
-    _require_weighted(w, "monotone quantities")
     s = np.asarray(grid, dtype=float)
     if np.any(s <= 0):
         raise InvalidParameterError("grid must be strictly positive")
@@ -504,7 +498,6 @@ def check_sandwich(w: WeightSpec, samples: Sequence[float]) -> ValidationReport:
 
 def check_lambda_bounds(w: WeightSpec, samples: Sequence[float]) -> ValidationReport:
     """a1/(a1+1) g(s)/s <= lam(s) <= a2/(a2+1) g(s)/s on the samples."""
-    _require_weighted(w, "the lam bounds")
     s = np.asarray(samples, dtype=float)
     ratio = np.asarray(w.g(s), dtype=float) / s
     return _band_report("lam bounds a1/(a1+1) g/s <= lam <= a2/(a2+1) g/s",
@@ -514,7 +507,6 @@ def check_lambda_bounds(w: WeightSpec, samples: Sequence[float]) -> ValidationRe
 
 def check_inversion_roundtrip(w: WeightSpec, zs: Sequence[float]) -> ValidationReport:
     """|g(ginv(z)) - z| <= 1e-12 max(1, z) on the samples."""
-    _require_weighted(w, "inversion")
     zs = np.asarray(zs, dtype=float)
     rel = np.abs(w.g(invert_g(w, zs)) - zs) / np.maximum(1.0, zs)
     worst = float(np.max(rel, initial=0.0))
@@ -529,7 +521,6 @@ def check_inverse_scaling(w: WeightSpec,
     """Power-like scaling of the inverse: for lam > 1,
     ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1), and with the
     exponents swapped for lam < 1."""
-    _require_weighted(w, "inverse scaling")
     z, lam = np.asarray(pairs, dtype=float).T
     base = invert_g(w, z)
     grow = lam > 1.0

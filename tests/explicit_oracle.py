@@ -14,13 +14,14 @@ def advance(grid: S.RadialGrid, u: np.ndarray, t: float, config: S.SolverConfig,
     exactly ``t_target`` by forward Euler on the solver's face fluxes,
     each step ``safety`` times the Gershgorin-stable step of
     ``S._gershgorin_dt`` (a state without flux steps by
-    ``safety / S.CFL_SAFETY`` times t_end * 1e-3); the last step is
-    shortened to land on ``t_target``.  Negative values are set to 0
-    after each step.  First order in time.  Returns t_target and the
-    last step."""
+    ``safety / S.CFL_SAFETY`` times 1e-3 times the last output time of
+    ``config``); the last step is shortened to land on ``t_target``.
+    Negative values are set to 0 after each step.  First order in time.
+    Returns t_target and the last step."""
     eq = config.eq
-    t_floor = 1e-15 * config.t_end
-    idle_dt = 1e-3 * config.t_end
+    t_last = float(max(config.output_times))
+    t_floor = 1e-15 * t_last
+    idle_dt = 1e-3 * t_last
     scale = safety / S.CFL_SAFETY
     inv_dc = 1.0 / np.diff(grid.centers)
     w_dc = grid.face_coeffs * inv_dc

@@ -39,7 +39,7 @@ def reference_run():
     """
     eq = W.EquationParams(3, 2.0, 2.0)
     w = W.make_power_weight(0.5)
-    cfg = S.SolverConfig(eq=eq, weight=w, r_max=40.0, n_cells=1600, t_end=1e6,
+    cfg = S.SolverConfig(eq=eq, weight=w, r_max=40.0, n_cells=1600,
                          output_times=np.geomspace(1e-2, 1e6, 97))
     start = time.monotonic()
     traj = S.run(cfg)
@@ -135,8 +135,7 @@ def test_criterion_3_solver_calibration():
     start = time.monotonic()
     eq = W.EquationParams(1, 2.0, 2.0)
     cfg = S.SolverConfig(eq=eq, weight=W.make_unweighted(), r_max=30.0,
-                         n_cells=2000, t_end=400.0, allow_unweighted=True,
-                         output_times=np.geomspace(0.04, 400.0, 61))
+                         n_cells=2000, output_times=np.geomspace(0.04, 400.0, 61))
     traj = S.run(cfg)
     t = traj.times[1:]
     keep = t >= t[-1] / 10.0
@@ -211,10 +210,9 @@ def test_criterion_7_scaling_coherence():
     lam = 2.0
     outs = np.geomspace(1.0, 1e3, 13)
     base = S.run(S.SolverConfig(eq=eq, weight=w, r_max=40.0, n_cells=800,
-                                t_end=1e3, output_times=outs, bump_height=1.0))
+                                output_times=outs, bump_height=1.0))
     scaled = S.run(S.SolverConfig(eq=eq, weight=w, r_max=40.0, n_cells=800,
-                                  t_end=1e3 / lam, output_times=outs / lam,
-                                  bump_height=lam))
+                                  output_times=outs / lam, bump_height=lam))
     rel = np.abs(scaled.sup_u[1:] - lam * base.sup_u[1:]) / (lam * base.sup_u[1:])
     ok = float(rel.max()) <= 0.02
     assert _report(7, ok, f"scaling coherence: max sup-norm mismatch "

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ import pytest
 
 from expdiff import cli, solver, weights
 from expdiff.errors import InvalidParameterError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 POWER_INI = """
 [weight]
@@ -170,7 +173,7 @@ def test_simulate_same_bytes_on_either_solve(tmp_path, monkeypatch):
     # writes the same files on an install without the bundled LAPACK
     if solver._tridiagonal_solver() is solver._thomas:
         pytest.skip("numpy bundles no scipy-openblas64 here")
-    ini = str(Path(__file__).resolve().parents[1] / "configs" / "power_reference.ini")
+    ini = str(ROOT / "configs" / "power_reference.ini")
     assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "dgtsv")]) == 0
     monkeypatch.setattr(solver, "_tridiagonal_solver", lambda: solver._thomas)
     assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "sweep")]) == 0
@@ -224,7 +227,9 @@ def test_sweep_keeps_rows_after_a_refusal(tmp_path):
     assert "large-time window" in second[-1]
 
 
-def test_unweighted_needs_flag(tmp_path):
+def test_unweighted_needs_no_flag(tmp_path):
+    # the weight states g = 0; the run fits sup(u) against the Barenblatt
+    # exponent in place of the weighted envelopes
     ini = tmp_path / "u.ini"
     ini.write_text("""
 [weight]
@@ -242,10 +247,10 @@ n_outputs = 9
 output_decades = 2
 """)
     rc = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    rc = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o"),
-                   "--allow-unweighted"])
     assert rc == 0
+    fit = (tmp_path / "o" / "fit_summary.csv").read_text().splitlines()
+    rows = list(csv.DictReader(l for l in fit if not l.startswith("#")))
+    assert [(row["model"], row["status"]) for row in rows] == [("sup_power_law", "ok")]
 
 
 def test_inadmissible_parameters_named(tmp_path, capsys):
@@ -486,14 +491,13 @@ def test_sweep_keeps_zygmund_weight(tmp_path, monkeypatch):
     "alpha1 = 1\nalpha2 = 1\n",
 ])
 def test_sweep_refuses_weight_without_alpha(weight_section, tmp_path, capsys, monkeypatch):
-    # refused once, before any row, with the flag that simulate needs for g = 0
+    # refused once, before any row
     path = tmp_path / "sw.ini"
     path.write_text(weight_section + "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
                     + SWEEP_SECTIONS)
     rows = []
     monkeypatch.setattr(cli, "_sweep_one", rows.append)
-    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
-                   "--allow-unweighted"])
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and _cfg(weight_section)["weight"]["kind"] in err
@@ -638,3 +642,24 @@ alpha2 = 1.5
     ref = weights.make_zygmund_weight(0.5, 1.0, 2.0)
     np.testing.assert_allclose(w.g(samples), ref.g(samples), rtol=1e-15)
     np.testing.assert_allclose(w.gp(samples), ref.gp(samples), rtol=1e-14)
+
+
+def test_readme_cli_lines_parse(tmp_path, monkeypatch):
+    # every command line of README's CLI block reaches its command
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("expdiff ")]
+    assert lines
+    called = []
+    for name in ("weight_check", "inequalities", "simulate", "sweep"):
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda *args, name=name: called.append(name) or 0)
+    monkeypatch.chdir(ROOT)  # the config paths are relative to the repository
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        try:
+            assert cli.main(argv) == 0, line
+        except SystemExit as exc:
+            pytest.fail(f"{line!r} exits {exc.code}")
+        assert called[-1] == argv[0].replace("-", "_")

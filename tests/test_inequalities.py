@@ -202,16 +202,17 @@ class TestBoundedSobolev:
         # a = pq/(q-p) = 6 > N = 3, so the lam(R) exponent N/a - 1 < 0
         c_total, lam_factor = I.bounded_sobolev_constant(w_half, eq_ref, 3.0, 2.0)
         assert c_total > 0
-        lam_r = W.lambda_(w_half, 2.0)
+        lam_r = float(W.lambda_many(w_half, 2.0)[0])
         assert lam_factor == pytest.approx(lam_r ** (3.0 / 6.0 - 1.0), rel=1e-12)
 
     def test_lambda_comparison_floor(self, w_half):
         # lam(s) >= (a1/(a1+1)) ((a2+1)/a2) lam(R) for s < R when alpha2 <= 1
         big_r = 4.0
         a1, a2 = w_half.alpha1, w_half.alpha2
-        floor = (a1 / (a1 + 1.0)) * ((a2 + 1.0) / a2) * W.lambda_(w_half, big_r)
+        lam_r = float(W.lambda_many(w_half, big_r)[0])
+        floor = (a1 / (a1 + 1.0)) * ((a2 + 1.0) / a2) * lam_r
         for s in np.linspace(0.05, big_r, 50):
-            assert W.lambda_(w_half, float(s)) >= floor * (1 - 1e-12)
+            assert float(W.lambda_many(w_half, float(s))[0]) >= floor * (1 - 1e-12)
 
     def test_no_criterion_scan(self, w_half, eq_ref, monkeypatch):
         # the constant uses only the closed-form Poincare constant

@@ -34,13 +34,13 @@ def w_half():
     return W.make_power_weight(0.5)
 
 
-def quick_config(**kw):
+def quick_config(t_end=10.0, **kw):
+    """A small power-weight run; unless given, its output times are 61
+    over four decades ending at t_end."""
     defaults = dict(eq=W.EquationParams(3, 2.0, 2.0),
-                    weight=W.make_power_weight(0.5),
-                    r_max=40.0, n_cells=200, t_end=10.0)
+                    weight=W.make_power_weight(0.5), r_max=40.0, n_cells=200,
+                    output_times=np.geomspace(t_end * 10.0 ** (-4.0), t_end, 61))
     defaults.update(kw)
-    if "output_times" not in kw:
-        defaults["output_times"] = S.default_output_times(defaults["t_end"], 61, 4.0)
     return S.SolverConfig(**defaults)
 
 
@@ -65,7 +65,7 @@ def tridiagonal(request):
 
 @pytest.fixture(scope="module")
 def quick_traj():
-    return S.run(quick_config(t_end=100.0, output_times=np.geomspace(0.01, 100.0, 25)))
+    return S.run(quick_config(output_times=np.geomspace(0.01, 100.0, 25)))
 
 
 class TestImplicitIntegrator:
@@ -203,7 +203,7 @@ class TestImplicitIntegrator:
         def run():
             return S.run(S.SolverConfig(eq=W.EquationParams(dim_n, p, m),
                                         weight=W.make_power_weight(0.5), r_max=40.0,
-                                        n_cells=200, t_end=0.5, output_times=[0.5]))
+                                        n_cells=200, output_times=[0.5]))
         traj = run()
         assert traj.steps <= traj.newton_iterations <= 1.05 * traj.steps
         assert traj.clipped_mass == 0.0
@@ -343,7 +343,7 @@ class TestImplicitIntegrator:
         monkeypatch.setattr(S, "NEWTON_MAX_ITER", 0)
         cfg = S.SolverConfig(eq=W.EquationParams(4, 3.0, 0.5),
                              weight=W.make_power_weight(0.5), r_max=40.0,
-                             n_cells=200, t_end=0.5, output_times=[0.5])
+                             n_cells=200, output_times=[0.5])
         with pytest.raises(StiffnessError, match=r"Newton failed 51 times.* t=.*dt=.*rejected"):
             S.run(cfg)
 
@@ -440,7 +440,7 @@ class TestRun:
         assert np.all(quick_traj.u_final >= 0.0)
 
     def test_mass_conserved(self, eq_ref, w_half):
-        cfg = quick_config(t_end=100.0, output_times=np.geomspace(0.01, 100.0, 25))
+        cfg = quick_config(output_times=np.geomspace(0.01, 100.0, 25))
         traj = S.run(cfg)
         drift = np.abs(traj.mass / traj.mass0 - 1.0)
         assert drift.max() <= 1e-6
@@ -458,7 +458,7 @@ class TestRun:
         assert f"{drift[k]:.3e}" in message and f"t={quick_traj.times[k]:g}" in message
 
     def test_support_monotone(self, eq_ref, w_half):
-        cfg = quick_config(t_end=100.0, output_times=np.geomspace(0.01, 100.0, 25))
+        cfg = quick_config(output_times=np.geomspace(0.01, 100.0, 25))
         traj = S.run(cfg)
         one_cell = traj.config.r_max / traj.config.n_cells
         diffs = np.diff(traj.support_radius)
@@ -466,8 +466,8 @@ class TestRun:
 
     def test_taller_data_dominates(self):
         outs = np.geomspace(0.1, 50.0, 11)
-        t1 = S.run(quick_config(t_end=50.0, output_times=outs, bump_height=1.0))
-        t2 = S.run(quick_config(t_end=50.0, output_times=outs, bump_height=2.0))
+        t1 = S.run(quick_config(output_times=outs, bump_height=1.0))
+        t2 = S.run(quick_config(output_times=outs, bump_height=2.0))
         assert np.all(t2.sup_u >= t1.sup_u - 1e-14)
 
     def test_support_boundary_error(self):
@@ -488,30 +488,20 @@ class TestRun:
         with pytest.raises(InvalidParameterError, match="finite and positive"):
             quick_config(**bump)
 
-    # at t_end = 10, output times <= 0 or NaN used to run and come back as
-    # duplicated rows at t = 0 and 5; t_end = inf died as an underflowed
-    # step, and r_max = inf was reported as a bump_radius error
+    # output times <= 0 or NaN used to run and come back as duplicated
+    # rows at t = 0 and 5, and r_max = inf was reported as a bump_radius
+    # error
     @pytest.mark.parametrize("bad, match", [
         (dict(output_times=[-1.0, 5.0, math.nan]), "output times"),
         (dict(output_times=[0.0, 5.0]), "output times"),
         (dict(output_times=[math.nan]), "output times"),
         (dict(output_times=[5.0, math.inf]), "output times"),
-        (dict(output_times=[5.0, 11.0]), "output times"),
         (dict(output_times=[]), "output times"),
-        (dict(t_end=math.inf, output_times=[1.0]), "t_end must be finite and positive"),
-        (dict(t_end=-1.0, output_times=[1.0]), "t_end must be finite and positive"),
         (dict(r_max=math.inf), "r_max must be finite and positive"),
-    ], ids=["negative-nan", "zero", "nan", "inf", "past-t_end", "empty", "t_end-inf",
-            "t_end-negative", "r_max-inf"])
+    ], ids=["negative-nan", "zero", "nan", "inf", "empty", "r_max-inf"])
     def test_times_and_radius_checked(self, bad, match):
         with pytest.raises(InvalidParameterError, match=match):
             quick_config(**bad)
-
-    def test_unweighted_requires_flag(self, ):
-        with pytest.raises(InvalidParameterError):
-            S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0),
-                           weight=W.make_unweighted(),
-                           r_max=10.0, n_cells=100, t_end=1.0, output_times=[1.0])
 
 
 class TestScalingCoherence:
@@ -520,10 +510,9 @@ class TestScalingCoherence:
         # the discrete scheme commutes with the scaling exactly
         lam = 2.0
         outs = np.geomspace(1.0, 1e3, 13)
-        base = S.run(quick_config(n_cells=400, t_end=1e3, output_times=outs,
-                                  bump_height=1.0))
-        scaled = S.run(quick_config(n_cells=400, t_end=1e3 / lam,
-                                    output_times=outs / lam, bump_height=lam))
+        base = S.run(quick_config(n_cells=400, output_times=outs, bump_height=1.0))
+        scaled = S.run(quick_config(n_cells=400, output_times=outs / lam,
+                                    bump_height=lam))
         rel = np.abs(scaled.sup_u[1:] - lam * base.sup_u[1:]) / (lam * base.sup_u[1:])
         assert rel.max() <= 0.02
         assert rel.max() <= 1e-12  # in fact exact up to roundoff
@@ -532,8 +521,8 @@ class TestScalingCoherence:
 class TestGridConvergence:
     def test_sup_stable_under_refinement(self):
         outs = [1e3]
-        coarse = S.run(quick_config(n_cells=400, t_end=1e3, output_times=outs))
-        fine = S.run(quick_config(n_cells=800, t_end=1e3, output_times=outs))
+        coarse = S.run(quick_config(n_cells=400, output_times=outs))
+        fine = S.run(quick_config(n_cells=800, output_times=outs))
         change = abs(fine.sup_u[-1] - coarse.sup_u[-1]) / coarse.sup_u[-1]
         assert change <= 0.05
 
@@ -560,8 +549,7 @@ class TestUnweightedCalibration:
         # the acceptance suite runs the full 2000-cell version
         eq = W.EquationParams(1, 2.0, 2.0)
         cfg = S.SolverConfig(eq=eq, weight=W.make_unweighted(), r_max=30.0,
-                             n_cells=500, t_end=400.0, allow_unweighted=True,
-                             output_times=np.geomspace(0.04, 400.0, 49))
+                             n_cells=500, output_times=np.geomspace(0.04, 400.0, 49))
         traj = S.run(cfg)
         t = traj.times[1:]
         keep = t >= t[-1] / 10.0
@@ -582,8 +570,7 @@ class TestUnweightedCalibration:
         l1 = []
         for n in (100, 200, 400):
             cfg = S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0), weight=W.make_unweighted(),
-                                 r_max=8.0, n_cells=n, t_end=t_end, allow_unweighted=True,
-                                 output_times=[t_end])
+                                 r_max=8.0, n_cells=n, output_times=[t_end])
             traj = S.run(cfg)
             dr = cfg.r_max / n
             x = np.minimum(np.linspace(0.0, cfg.r_max, n + 1), front)
@@ -656,8 +643,8 @@ class TestBarenblattReference:
         for cells in (200, 400, 800):
             # the bump radius only has to pass the config's checks
             cfg = S.SolverConfig(eq=W.EquationParams(n, p, m), weight=W.make_unweighted(),
-                                 r_max=r_max, n_cells=cells, t_end=4.0, output_times=[4.0],
-                                 bump_radius=0.2 * front, allow_unweighted=True)
+                                 r_max=r_max, n_cells=cells, output_times=[4.0],
+                                 bump_radius=0.2 * front)
             traj = S.run(cfg)
             grid = S.make_grid(cfg.weight, n, r_max, cells)
             exact = _cell_averages(n, u_end, grid.faces)
@@ -671,7 +658,7 @@ class TestBarenblattReference:
 @pytest.fixture(scope="module")
 def weighted_traj(eq_ref, w_half):
     cfg = S.SolverConfig(eq=eq_ref, weight=w_half, r_max=40.0, n_cells=800,
-                         t_end=1e6, output_times=np.geomspace(1e-2, 1e6, 97))
+                         output_times=np.geomspace(1e-2, 1e6, 97))
     return S.run(cfg)
 
 
@@ -706,14 +693,13 @@ class TestFitRates:
     def test_unweighted_refused(self):
         eq = W.EquationParams(1, 2.0, 2.0)
         cfg = S.SolverConfig(eq=eq, weight=W.make_unweighted(), r_max=30.0,
-                             n_cells=200, t_end=50.0, allow_unweighted=True,
-                             output_times=np.geomspace(0.5, 50.0, 9))
+                             n_cells=200, output_times=np.geomspace(0.5, 50.0, 9))
         traj = S.run(cfg)
         with pytest.raises(FitRefusedError):
             S.fit_rates(traj, S.SUPPORT_ENVELOPE)
 
     def test_short_run_refused(self, eq_ref, w_half):
-        cfg = quick_config(t_end=20.0, output_times=np.geomspace(8.0, 20.0, 9))
+        cfg = quick_config(output_times=np.geomspace(8.0, 20.0, 9))
         traj = S.run(cfg)
         with pytest.raises(FitRefusedError):
             S.fit_rates(traj, S.SUPPORT_ENVELOPE)
@@ -724,8 +710,7 @@ class TestGeneralExponents:
         # p < 2: |s|^(p-2) is singular at s = 0, where the flux is set to 0
         eq = W.EquationParams(3, 1.8, 1.5)
         cfg = S.SolverConfig(eq=eq, weight=W.make_power_weight(0.5),
-                             r_max=40.0, n_cells=200, t_end=0.5,
-                             output_times=[0.5])
+                             r_max=40.0, n_cells=200, output_times=[0.5])
         traj = S.run(cfg)
         assert np.isfinite(traj.sup_u).all()
         assert abs(traj.mass[-1] / traj.mass0 - 1.0) <= 1e-12
@@ -734,8 +719,7 @@ class TestGeneralExponents:
         # p > 2 with m < 1: singular u-factor masked at empty faces
         eq = W.EquationParams(4, 3.0, 0.5)
         cfg = S.SolverConfig(eq=eq, weight=W.make_power_weight(0.5),
-                             r_max=40.0, n_cells=200, t_end=0.5,
-                             output_times=[0.5])
+                             r_max=40.0, n_cells=200, output_times=[0.5])
         traj = S.run(cfg)
         assert np.isfinite(traj.sup_u).all()
         assert np.all(traj.sup_u >= 0)
@@ -752,7 +736,7 @@ class TestGeneralExponents:
             cfg = quick_config()
         else:
             cfg = S.SolverConfig(eq=eq, weight=W.make_power_weight(0.5), r_max=40.0,
-                                 n_cells=200, t_end=0.5, output_times=[0.5])
+                                 n_cells=200, output_times=[0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             S.run(cfg)
@@ -791,7 +775,6 @@ class TestGeneralExponents:
         assert np.array_equal(ubar, np.maximum(0.5 * (u[1:] + u[:-1]), 0.0))
 
     def test_stiffness_error(self):
-        cfg = quick_config(bump_height=1e20, t_end=1.0, n_cells=2000,
-                           output_times=[1.0])
+        cfg = quick_config(bump_height=1e20, n_cells=2000, output_times=[1.0])
         with pytest.raises(StiffnessError):
             S.run(cfg)
