@@ -16,7 +16,7 @@ from .weights import (
     validate_envelope,
     zygmund_inverse_asymptotics,
 )
-from .measure import RadialMeasure, cell_weighted_volumes, sphere_area
+from .measure import cell_weighted_volumes, dual_density, growing_density, sphere_area
 from .inequalities import (
     InequalityReport,
     bounded_sobolev_constant,

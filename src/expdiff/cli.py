@@ -239,17 +239,22 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
+def _growing_weight(cfg: configparser.ConfigParser, command: str) -> weights.WeightSpec:
+    """The [weight] section's weight, refused when it is the unweighted
+    (g = 0) mode, which has no envelope or structural condition to check."""
+    w = build_weight(cfg)
+    if not w.is_weighted:
+        raise InvalidParameterError(
+            f"{command} applies to growing weights, not the unweighted (g = 0) mode")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # weight-check
 
 
 def cmd_weight_check(cfg, out: Path, seed: int) -> int:
-    w = build_weight(cfg)
-    if not w.is_weighted:
-        raise InvalidParameterError(
-            "weight-check applies to growing weights; the unweighted mode has "
-            "no envelope to validate"
-        )
+    w = _growing_weight(cfg, "weight-check")
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
     s_min = _value(cfg, "weight_check", "s_min", _positive, 1e-3)
@@ -322,7 +327,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
 
 
 def cmd_inequalities(cfg, out: Path, seed: int) -> int:
-    w = build_weight(cfg)
+    w = _growing_weight(cfg, "inequalities")
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
     kinds = _value(cfg, "inequalities", "kinds", _kinds, list(_INEQUALITY_KINDS))
@@ -396,6 +401,10 @@ def _barenblatt_exponent(eq: weights.EquationParams) -> float:
     return -n / (n * eq.kappa + eq.p)
 
 
+def _refused_fit_row(model: str, reason: str) -> tuple:
+    return (model, "", "", "", "", "", "", "", 0, reason)
+
+
 def _fit_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
     rows = []
     if scfg.weight.is_weighted:
@@ -406,13 +415,19 @@ def _fit_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
                              rep.band_max, rep.band_min,
                              rep.window[0], rep.window[1], rep.n_points, "ok"))
             except FitRefusedError as exc:
-                rows.append((model, "", "", "", "", "", "", "", 0, str(exc)))
+                rows.append(_refused_fit_row(model, str(exc)))
     else:
         t = traj.times[1:]
         keep = t >= t[-1] / 10.0
-        slope = float(np.polyfit(np.log(t[keep]), np.log(traj.sup_u[1:][keep]), 1)[0])
-        rows.append(("sup_power_law", slope, _barenblatt_exponent(scfg.eq),
-                     "", "", "", t[keep][0], t[-1], int(keep.sum()), "ok"))
+        n_keep = int(keep.sum())
+        if n_keep < solver.MIN_FIT_SAMPLES:
+            rows.append(_refused_fit_row(
+                "sup_power_law", f"too few samples in the last decade "
+                                 f"({n_keep} < {solver.MIN_FIT_SAMPLES})"))
+        else:
+            slope = float(np.polyfit(np.log(t[keep]), np.log(traj.sup_u[1:][keep]), 1)[0])
+            rows.append(("sup_power_law", slope, _barenblatt_exponent(scfg.eq),
+                         "", "", "", t[keep][0], t[-1], n_keep, "ok"))
     return rows
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import measure, quadrature
 from .errors import InvalidParameterError, PreconditionError
-from .measure import DECAYING_TAIL, GROWING, RadialMeasure, sphere_area
+from .measure import dual_density, growing_density, sphere_area
 from .weights import EquationParams, WeightSpec, check_structural_conditions, invert_g, lambda_many
 
 POINCARE = "poincare"
@@ -77,23 +77,24 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
     """Scan-and-zoom estimate of the criterion supremum of the left
     density ``w_density`` at exponent q >= eq.p, with (sup, [(r, A(r))])
     returned.  The right weight is phi(r) = r**(N-1) exp(g(r)) of ``w``,
-    whose dual phi**(-1/(p-1)) is the decaying-tail density.
+    whose dual phi**(-1/(p-1)) is ``measure.dual_density``.
 
     The profile A(r) is evaluated on 400 log-spaced radii from 1e-4 to
     the end of the scan (cumulative panel integrals for the left factor,
-    ``measure.tail_integrals`` of the dual density for the right one).
-    When the scan's argmax is interior, each zoom level then samples
-    ZOOM_POINTS equispaced radii between the neighbours of the best
-    radius so far, from one panel pass per factor, and the best value of
-    all is returned.  When the argmax is the scan's last radius (the
-    q = p profile still rises there) the scan cannot bracket the
-    maximum: no zoom runs and the value there is returned, a lower end
-    of the supremum, as every scanned A(r) is.
+    ``measure.tail_integrals`` for the right one).  When the scan's
+    argmax is interior, each zoom level then samples ZOOM_POINTS
+    equispaced radii between the neighbours of the best radius so far,
+    from one panel pass per factor (the dual density, built once per
+    scan, for the right one), and the best value of all is returned.
+    When the argmax is the scan's last radius (the q = p profile still
+    rises there) the scan cannot bracket the maximum: no zoom runs and
+    the value there is returned, a lower end of the supremum, as every
+    scanned A(r) is.
     """
     p = eq.p
     if not q >= p:
         raise InvalidParameterError(f"requires q >= p, got q={q}, p={p}")
-    dual = RadialMeasure(w, eq.dim_n, DECAYING_TAIL, p=p)
+    dual = dual_density(w, eq.dim_n, p)
     # the profile decays like exp(-g(r)(q-p)/(pq)) beyond its hump for
     # q > p, and plateaus for q = p; end the scan where e^g stays finite
     a_param = p * q / (q - p) if q > p else p
@@ -105,7 +106,7 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
 
     left_cum = quadrature.cumulative(w_density, np.concatenate([[0.0], grid]),
                                      rel_tol=1e-11)[1:]
-    tails, _ = measure.tail_integrals(dual, np.ones_like, grid, rel_tol=1e-11)
+    tails, _ = measure.tail_integrals(w, eq.dim_n, p, grid, rel_tol=1e-11)
     profile = profile_of(left_cum, tails)
     j = int(np.argmax(profile))
     samples = list(zip(grid.tolist(), profile.tolist()))
@@ -118,7 +119,7 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
         lo, hi = max(k - 1, 0), min(k + 1, x.size - 1)
         x_new = np.linspace(x[lo], x[hi], ZOOM_POINTS)
         left = left[lo] + quadrature.cumulative(w_density, x_new, rel_tol=1e-11)
-        segs, _ = quadrature.panels(dual.density, x_new[:-1], x_new[1:], rel_tol=1e-11)
+        segs, _ = quadrature.panels(dual, x_new[:-1], x_new[1:], rel_tol=1e-11)
         right = right[hi] + np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
         x = x_new
         level = profile_of(left, right)
@@ -154,11 +155,11 @@ def _poincare_closed_form(w: WeightSpec, eq: EquationParams) -> tuple[float, flo
 
 def _poincare_left(w: WeightSpec, eq: EquationParams) -> Callable[[np.ndarray], np.ndarray]:
     """Left density lam**p r**(N-1) e^g of the Poincare criterion (q = p)."""
-    grow = RadialMeasure(w, eq.dim_n, GROWING)
+    grow = growing_density(w, eq.dim_n)
     p = eq.p
 
     def left(r):
-        return lambda_many(w, r) ** p * grow.density(r)
+        return lambda_many(w, r) ** p * grow(r)
 
     return left
 
@@ -371,7 +372,7 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
     if bad.size:
         raise InvalidParameterError(
             f"test function {family[bad[0]].label} needs a finite support radius > 0")
-    grow = RadialMeasure(w, eq.dim_n, GROWING)
+    grow = growing_density(w, eq.dim_n)
     bp = np.union1d(quadrature.geometric_breakpoints(radii.max()), radii)
 
     def integrand(r):
@@ -379,7 +380,7 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
         left = lam * np.column_stack([np.abs(tf.value(r)) ** s for tf in family])
         right = np.column_stack([np.abs(tf.deriv(r)) ** eq.p for tf in family])
         inside = np.tile(r[:, None] < radii, 2)
-        return np.where(inside, np.hstack([left, right]), 0.0) * grow.density(r)[:, None]
+        return np.where(inside, np.hstack([left, right]), 0.0) * grow(r)[:, None]
 
     sides, _ = quadrature.panels(integrand, bp[:-1], bp[1:], measure.INTEGRATE_RTOL)
     total = sides.sum(axis=0)
@@ -415,8 +416,7 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
         if q is None:
             raise InvalidParameterError("radial Sobolev requires q")
         certified = gamma_constant(w, eq, q)
-        beta_sup, samples = hardy_criterion_sup(
-            w, eq, q, RadialMeasure(w, eq.dim_n, GROWING).density)
+        beta_sup, samples = hardy_criterion_sup(w, eq, q, growing_density(w, eq.dim_n))
         closed_bound, kk = certified, k_qp(q, p)
         criterion_ok = kk * beta_sup <= certified * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)

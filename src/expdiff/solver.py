@@ -44,7 +44,6 @@ from .errors import (
     StiffnessError,
     SupportBoundaryError,
 )
-from .measure import GROWING, RadialMeasure
 from .weights import EquationParams, WeightSpec
 
 SUP_ENVELOPE = "sup_envelope"
@@ -72,6 +71,8 @@ NEWTON_MAX_ITER = 8
 #: Newton failures allowed before one output time; one more raises
 #: StiffnessError instead of crawling on steps that need no solve
 MAX_NEWTON_FAILURES = 50
+#: fewest samples a rate fit takes from its window
+MIN_FIT_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,9 @@ def make_grid(weight: WeightSpec, dim_n: int, r_max: float, n_cells: int) -> Rad
         raise InvalidParameterError("grid requires r_max > 0 and n_cells >= 8")
     faces = np.linspace(0.0, r_max, n_cells + 1)
     centers = 0.5 * (faces[:-1] + faces[1:])
-    meas = RadialMeasure(weight, dim_n, GROWING)
-    vols = measure.cell_weighted_volumes(meas, faces)
+    vols = measure.cell_weighted_volumes(weight, dim_n, faces)
     omega = measure.sphere_area(dim_n)
-    inner = faces[1:-1]
-    face_coeffs = omega * meas.density(inner)
+    face_coeffs = omega * measure.growing_density(weight, dim_n)(faces[1:-1])
     return RadialGrid(n_cells=n_cells, faces=faces, centers=centers,
                       cell_weighted_volumes=vols, face_coeffs=face_coeffs)
 
@@ -634,7 +633,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
         raise FitRefusedError("envelope fits are undefined without a weight")
     par = env_mod.EnvelopeParams(eq=traj.config.eq, weight=weight, mass0=traj.mass0)
     idx = np.flatnonzero(par.large_time(traj.times))
-    if idx.size < 5:
+    if idx.size < MIN_FIT_SAMPLES:
         raise FitRefusedError("too few samples in the large-time window")
     t_all = traj.times[idx]
     if t_all[-1] / t_all[0] < 100.0:

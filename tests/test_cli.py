@@ -253,6 +253,41 @@ output_decades = 2
     assert [(row["model"], row["status"]) for row in rows] == [("sup_power_law", "ok")]
 
 
+def test_unweighted_fit_refuses_short_last_decade(tmp_path):
+    # two outputs leave one sample in the last decade, and polyfit took a
+    # line through that one point
+    cfg = _cfg((ROOT / "configs" / "pme_calibration.ini").read_text())
+    cfg.set("simulate", "t_end", "40")
+    cfg.set("simulate", "n_outputs", "2")
+    ini = tmp_path / "short.ini"
+    with open(ini, "w") as fh:
+        cfg.write(fh)
+    rc = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    fit = (tmp_path / "o" / "fit_summary.csv").read_text().splitlines()
+    [row] = list(csv.DictReader(l for l in fit if not l.startswith("#")))
+    assert row["model"] == "sup_power_law"
+    assert row["slope"] == row["target_slope"] == row["window_lo"] == ""
+    assert row["n_points"] == "0"
+    assert row["status"] == "too few samples in the last decade (1 < 5)"
+
+
+@pytest.mark.parametrize("command", ["weight-check", "inequalities"])
+def test_unweighted_refused_before_checks(tmp_path, capsys, monkeypatch, command):
+    # inequalities reached check_structural_conditions inside its first check
+    conditions = _record_calls(monkeypatch, cli.weights, ["check_structural_conditions"])
+    checks = _record_calls(monkeypatch, cli.ineq, ["verify_inequality"])
+    rc = cli.main([command, "--config", str(ROOT / "configs" / "pme_calibration.ini"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {command} applies to growing weights")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert conditions == checks == []
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_inadmissible_parameters_named(tmp_path, capsys):
     ini = tmp_path / "bad_eq.ini"
     ini.write_text("""

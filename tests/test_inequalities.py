@@ -83,9 +83,9 @@ class TestCriterion:
         assert scaled == pytest.approx(base * lam ** (1.0 / p), rel=1e-8)
 
     def test_refuses_q_below_p(self, w_half, eq_ref):
-        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
+        grow = M.growing_density(w_half, eq_ref.dim_n)
         with pytest.raises(InvalidParameterError, match="q >= p"):
-            I.hardy_criterion_sup(w_half, eq_ref, 1.5, grow.density)
+            I.hardy_criterion_sup(w_half, eq_ref, 1.5, grow)
 
 
 class TestScanZoom:
@@ -111,8 +111,8 @@ class TestScanZoom:
         assert beta == max(profile) == profile[-1]
 
     def test_interior_argmax_zooms(self, w_half, eq_ref, cumulative_calls):
-        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
-        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, 3.0, grow.density)
+        grow = M.growing_density(w_half, eq_ref.dim_n)
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, 3.0, grow)
         assert len(cumulative_calls) == 1 + I.ZOOM_LEVELS
         assert all(beta >= a for _, a in samples)
 
@@ -186,12 +186,12 @@ class TestTalenti:
     def test_extremal_ratio_not_exceeded(self):
         # evaluate the embedding ratio for a generic bump; must stay below
         from expdiff import measure as M
-        meas = M.RadialMeasure(W.make_unweighted(), 3, M.GROWING)
+        grow = M.growing_density(W.make_unweighted(), 3)
         omega = M.sphere_area(3)
         tf = I.polynomial_bump(1.0, 2.0)
         p_star = 6.0
-        vq, _ = M.integrate_with_error(meas, lambda r: tf.value(r) ** p_star, 0, 1.0)
-        grad, _ = M.integrate_with_error(meas, lambda r: tf.deriv(r) ** 2, 0, 1.0)
+        vq, _ = M.integrate_with_error(lambda r: tf.value(r) ** p_star * grow(r), 0, 1.0)
+        grad, _ = M.integrate_with_error(lambda r: tf.deriv(r) ** 2 * grow(r), 0, 1.0)
         lhs = (omega * vq) ** (1 / p_star)
         rhs = (omega * grad) ** 0.5
         assert lhs <= I.talenti_constant(3, 2.0) * rhs
@@ -233,8 +233,8 @@ class TestBoundedSobolev:
 class TestProfileBounds:
     def test_sobolev_profile_pointwise(self, w_half, eq_ref):
         q = 3.0
-        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
-        _, samples = I.hardy_criterion_sup(w_half, eq_ref, q, grow.density)
+        grow = M.growing_density(w_half, eq_ref.dim_n)
+        _, samples = I.hardy_criterion_sup(w_half, eq_ref, q, grow)
         samples = np.array(samples)
         r = samples[:, 0]
         a_vals = samples[:, 1]
@@ -351,20 +351,21 @@ class TestFamilyPass:
         q, p = self.Q_EXP, eq_ref.p
         rep = I.verify_inequality(kind, w_half, eq_ref, q=q, big_r=self.BALL,
                                   family=family)
-        grow = M.RadialMeasure(w_half, eq_ref.dim_n, M.GROWING)
+        grow = M.growing_density(w_half, eq_ref.dim_n)
         omega = M.sphere_area(eq_ref.dim_n)
         lam_factor = I.bounded_sobolev_constant(w_half, eq_ref, q, self.BALL)[1]
         for tf, (label, lhs, rhs, ratio) in zip(family, rep.per_function):
             big_r = tf.support_radius
-            grad, _ = M.integrate_with_error(grow, lambda r: np.abs(tf.deriv(r)) ** p,
-                                             0.0, big_r)
+            grad, _ = M.integrate_with_error(
+                lambda r: np.abs(tf.deriv(r)) ** p * grow(r), 0.0, big_r)
             if kind == I.POINCARE:
                 want_lhs = M.integrate_with_error(
-                    grow, lambda r: W.lambda_many(w_half, r) ** p * tf.value(r) ** p,
+                    lambda r: W.lambda_many(w_half, r) ** p * tf.value(r) ** p * grow(r),
                     0.0, big_r)[0]
                 want_rhs = grad
             else:
-                vq, _ = M.integrate_with_error(grow, lambda r: tf.value(r) ** q, 0.0, big_r)
+                vq, _ = M.integrate_with_error(
+                    lambda r: tf.value(r) ** q * grow(r), 0.0, big_r)
                 scale = omega if kind == I.BOUNDED_SOBOLEV else 1.0
                 want_lhs = (scale * vq) ** (1.0 / q)
                 want_rhs = (scale * grad) ** (1.0 / p) * (

@@ -1,4 +1,4 @@
-"""Radial weighted measure: quadrature identities, additivity, tails."""
+"""Radial densities: quadrature identities, additivity, tails."""
 
 import math
 
@@ -8,19 +8,21 @@ import pytest
 
 from expdiff import measure as M
 from expdiff import weights as W
-from expdiff.errors import InvalidParameterError
+from expdiff.errors import InvalidParameterError, PreconditionError
 
-ONES = lambda r: np.ones_like(r)
+
+W_HALF = W.make_power_weight(0.5)
 
 
 @pytest.fixture(scope="module")
 def growing_n3():
-    return M.RadialMeasure(W.make_power_weight(0.5), 3, M.GROWING)
+    return M.growing_density(W_HALF, 3)
 
 
-@pytest.fixture(scope="module")
-def tail_n3():
-    return M.RadialMeasure(W.make_power_weight(0.5), 3, M.DECAYING_TAIL, p=2.0)
+def tail_n3(x):
+    """Tails of the dual density of power(0.5) at N = 3, p = 2:
+    int_x^inf z^-2 exp(-sqrt(z)) dz."""
+    return M.tail_integrals(W_HALF, 3, 2.0, x)
 
 
 def test_sphere_area():
@@ -30,68 +32,76 @@ def test_sphere_area():
 
 
 def test_unweighted_ball():
-    meas = M.RadialMeasure(W.make_unweighted(), 3, M.GROWING)
-    val, _ = M.integrate_with_error(meas, ONES, 0.0, 1.0)
+    val, _ = M.integrate_with_error(M.growing_density(W.make_unweighted(), 3), 0.0, 1.0)
     assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
-    meas5 = M.RadialMeasure(W.make_unweighted(), 5, M.GROWING)
-    val, _ = M.integrate_with_error(meas5, ONES, 0.0, 1.0)
+    val, _ = M.integrate_with_error(M.growing_density(W.make_unweighted(), 5), 0.0, 1.0)
     assert val == pytest.approx(1.0 / 5.0, rel=1e-12)
 
 
 def test_linear_weight_identity():
     # int_0^1 r e^r dr = 1 exactly (integration by parts)
-    meas = M.RadialMeasure(W.make_power_weight(1.0), 2, M.GROWING)
-    assert M.integrate_with_error(meas, ONES, 0.0, 1.0)[0] == pytest.approx(1.0, rel=1e-12)
+    density = M.growing_density(W.make_power_weight(1.0), 2)
+    assert M.integrate_with_error(density, 0.0, 1.0)[0] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_decaying_tail_oracle(tail_n3):
+def test_decaying_tail_oracle():
     # mpmath (40 digits): int_1^inf z^-2 exp(-sqrt(z)) dz = 0.21938393439552027
-    val = M.integrate_with_error(tail_n3, ONES, 1.0, math.inf)[0]
+    [val], _ = tail_n3([1.0])
     assert val == pytest.approx(0.21938393439552027, rel=1e-8)
 
 
 def test_additivity(growing_n3):
     a, b, c = 0.2, 1.7, 6.0
-    whole = M.integrate_with_error(growing_n3, ONES, a, c)[0]
-    split = (M.integrate_with_error(growing_n3, ONES, a, b)[0]
-             + M.integrate_with_error(growing_n3, ONES, b, c)[0])
+    whole = M.integrate_with_error(growing_n3, a, c)[0]
+    split = (M.integrate_with_error(growing_n3, a, b)[0]
+             + M.integrate_with_error(growing_n3, b, c)[0])
     assert whole == pytest.approx(split, rel=1e-12)
 
 
 def test_monotone_in_interval(growing_n3):
-    inner = M.integrate_with_error(growing_n3, ONES, 0.5, 2.0)[0]
-    outer = M.integrate_with_error(growing_n3, ONES, 0.25, 3.0)[0]
+    inner = M.integrate_with_error(growing_n3, 0.5, 2.0)[0]
+    outer = M.integrate_with_error(growing_n3, 0.25, 3.0)[0]
     assert outer >= inner
 
 
-def test_tail_error_estimate_conservative(tail_n3):
+def test_tail_error_estimate_conservative():
     # reported estimate must dominate the true error on random cases
     rng = np.random.default_rng(5)
     mp.mp.dps = 40
     for a in rng.uniform(0.3, 5.0, size=20):
-        val, est = M.integrate_with_error(tail_n3, ONES, float(a), math.inf)
+        [val], [est] = tail_n3([float(a)])
         exact = float(mp.quad(lambda z: z ** -2 * mp.exp(-mp.sqrt(z)),
                               [a, 4 * a, 16 * a, mp.inf]))
         assert abs(val - exact) <= max(est, 1e-15 * exact)
 
 
-def test_tail_integrals_many_points(tail_n3):
+def test_tail_integrals_many_points():
     # every tail of one pass matches mpmath and its own error estimate
     mp.mp.dps = 40
     x = np.array([0.3, 1.0, 2.5, 7.0, 40.0])
-    vals, errs = M.tail_integrals(tail_n3, ONES, x)
+    vals, errs = tail_n3(x)
     for a, val, est in zip(x, vals, errs):
         exact = float(mp.quad(lambda z: z ** -2 * mp.exp(-mp.sqrt(z)),
                               [a, 4 * a, 16 * a, mp.inf]))
         assert val == pytest.approx(exact, rel=1e-12)
         assert abs(val - exact) <= max(est, 1e-15 * exact)
     with pytest.raises(InvalidParameterError):
-        M.tail_integrals(tail_n3, ONES, x[::-1])
+        tail_n3(x[::-1])
 
 
 def test_infinite_limit_needs_tail(growing_n3):
-    with pytest.raises(InvalidParameterError):
-        M.integrate_with_error(growing_n3, ONES, 0.0, math.inf)
+    # integrate_with_error takes finite intervals; tails are tail_integrals'
+    for a in (0.0, 1.0):
+        with pytest.raises(InvalidParameterError):
+            M.integrate_with_error(growing_n3, a, math.inf)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_dual_density_needs_p_above_one(p):
+    with pytest.raises(InvalidParameterError, match="p > 1"):
+        M.dual_density(W_HALF, 3, p)
+    with pytest.raises(InvalidParameterError, match="p > 1"):
+        M.tail_integrals(W_HALF, 3, p, [1.0])
 
 
 @pytest.mark.parametrize("w", [W.make_power_weight(0.5),
@@ -100,39 +110,38 @@ def test_infinite_limit_needs_tail(growing_n3):
 @pytest.mark.parametrize("n, p", [(3, 2.0), (3, 2.5), (5, 2.0), (5, 2.5), (5, 3.0)])
 def test_tail_cutoff_collapse(w, n, p):
     # beyond a the density falls at least by TAIL_DENSITY_FACTOR at the cutoff
-    meas = M.RadialMeasure(w, n, M.DECAYING_TAIL, p=p)
+    density = M.dual_density(w, n, p)
     for a in (0.5, 5.0, 50.0):
-        cutoff = M._tail_cutoff(meas, a)
+        cutoff = M._tail_cutoff(w, p, a)
         assert cutoff > a
-        assert meas.density(cutoff) <= M.TAIL_DENSITY_FACTOR * meas.density(a)
+        assert density(cutoff) <= M.TAIL_DENSITY_FACTOR * density(a)
 
 
 def test_tail_rejects_unweighted():
-    with pytest.raises(InvalidParameterError):
-        M.RadialMeasure(W.make_unweighted(), 3, M.DECAYING_TAIL, p=2.0)
+    # the unweighted dual density is not summable with this truncation rule
+    with pytest.raises(PreconditionError):
+        M.tail_integrals(W.make_unweighted(), 3, 2.0, [1.0])
 
 
 class TestMass:
     def test_unit_ball_volume(self):
-        meas = M.RadialMeasure(W.make_unweighted(), 3, M.GROWING)
         faces = np.linspace(0.0, 1.0, 51)
-        assert M.cell_weighted_volumes(meas, faces).sum() == pytest.approx(
+        assert M.cell_weighted_volumes(W.make_unweighted(), 3, faces).sum() == pytest.approx(
             4 * math.pi / 3, rel=1e-10)
 
     def test_linear_weight_disk(self):
         # g = r, N = 2: the cells of [0,1] sum to 2 pi int r e^r = 2 pi
-        meas = M.RadialMeasure(W.make_power_weight(1.0), 2, M.GROWING)
         faces = np.linspace(0.0, 1.0, 51)
-        assert M.cell_weighted_volumes(meas, faces).sum() == pytest.approx(
+        assert M.cell_weighted_volumes(W.make_power_weight(1.0), 2, faces).sum() == pytest.approx(
             2 * math.pi, rel=1e-10)
 
     def test_cell_volume_accuracy(self, growing_n3):
         # each volume equals a direct adaptive quadrature to 1e-10
         faces = np.linspace(0.0, 2.0, 17)
-        vols = M.cell_weighted_volumes(growing_n3, faces)
+        vols = M.cell_weighted_volumes(W_HALF, 3, faces)
         omega = M.sphere_area(3)
         for i in (0, 1, 8, 15):
-            direct = omega * M.integrate_with_error(growing_n3, ONES,
+            direct = omega * M.integrate_with_error(growing_n3,
                                                     float(faces[i]), float(faces[i + 1]),
                                                     rel_tol=1e-12)[0]
             assert vols[i] == pytest.approx(direct, rel=1e-10)

@@ -518,6 +518,16 @@ class TestScalingCoherence:
         assert rel.max() <= 1e-12  # in fact exact up to roundoff
 
 
+class TestGrid:
+    def test_face_coeffs_closed_form(self):
+        # power(1) at N = 2: omega r^(N-1) e^g(r) = 2 pi r e^r at the interior faces
+        grid = S.make_grid(W.make_power_weight(1.0), 2, 5.0, 20)
+        inner = grid.faces[1:-1]
+        assert inner.size == grid.n_cells - 1
+        np.testing.assert_allclose(grid.face_coeffs, 2.0 * math.pi * inner * np.exp(inner),
+                                   rtol=1e-14)
+
+
 class TestGridConvergence:
     def test_sup_stable_under_refinement(self):
         outs = [1e3]
