@@ -12,10 +12,14 @@ rescaling with |K| as its scale; the raw difference when K = 0).
 ``panels`` integrates many panels at once and refines the panels that
 miss their tolerance in any component level by level, with one batched
 integrand call per level for the sub-panels of all of them; a value or
-estimate that is not finite is refused.  ``adaptive`` is its one-panel
-call.  Every integral over a partition (cumulative integrals, graded
-breakpoints, cell volumes, criterion tails, test-function families) goes
-through ``panels``.
+estimate that is not finite is refused.  A sub-panel that misses its
+share is cut into quarters with a 1/64-wide child at each end (6
+children): the end children grade the mesh geometrically toward an
+endpoint singularity, as QUADPACK's bisection and the geometric meshes
+of hp methods do, while an interior kink is still found to a quarter
+per level.  ``adaptive`` is its one-panel call.  Every integral over a
+partition (cumulative integrals, graded breakpoints, cell volumes,
+criterion tails, test-function families) goes through ``panels``.
 """
 
 from __future__ import annotations
@@ -69,13 +73,17 @@ _GAUSS = np.array([
 ABS_FLOOR = 1e-300
 #: hard cap on the sub-panels one ``panels`` call may add before giving up
 MAX_PANELS = 20_000
-#: equal children of each split sub-panel
-CHILDREN = 4
+#: where a split sub-panel is cut, as fractions of its width: quarters
+#: with a 1/64-wide child at each end, so that the error of an endpoint
+#: singularity |s - a|**g shrinks by 64**-(1 + g) per level (equal
+#: quarters give 4**-(1 + g))
+_SPLIT_POINTS = np.array([0.0, 1 / 64, 0.25, 0.5, 0.75, 63 / 64, 1.0])
+#: children of each split sub-panel
+CHILDREN = _SPLIT_POINTS.size - 1
 #: consecutive levels that cut a panel's error estimate by less than 5%
-#: before its integrand is taken to be noisy at the tolerance
+#: before its integrand is taken to be noisy at the tolerance (s**-0.99
+#: at 0 loses 64**-0.01, about 4.1%, per level and counts as stalled)
 STALL_LEVELS = 16
-
-_SPLIT_POINTS = np.linspace(0.0, 1.0, CHILDREN + 1)
 
 
 def _node_values(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +132,15 @@ def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return kronrod, estimate
 
 
+def _split_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Edges of the CHILDREN children of each sub-panel [a_k, b_k], one
+    row of CHILDREN + 1 per sub-panel: a_k + (b_k - a_k) * _SPLIT_POINTS,
+    with the last edge b_k itself, so that the children tile [a_k, b_k]."""
+    edges = a[:, None] + (b - a)[:, None] * _SPLIT_POINTS
+    edges[:, -1] = b
+    return edges
+
+
 def _refuse_nonfinite(values: np.ndarray, errors: np.ndarray,
                       lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise NumericFailureError naming the first panel [lo_k, hi_k]
@@ -142,10 +159,14 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
 
     f maps n nodes to n values or to an (n, m) array of m components.
     Each panel is refined until the error estimate of every component
-    is at most ``max(rel_tol * |value|, ABS_FLOOR)`` of that component;
-    a sub-panel too narrow to split is accepted as it is and its error
-    leaves the estimate.  Returns (values, error estimates), each of
-    shape (n_panels,) or (n_panels, m) as f's output.  A panel counts a
+    is at most ``max(rel_tol * |value|, ABS_FLOOR)`` of that component.
+    A sub-panel whose error exceeds its even share of its panel's
+    tolerance is cut into the CHILDREN children of ``_split_edges``
+    (quarters with a 1/64-wide child at each end); one too narrow for
+    its 1/64 end child, whose edges would not increase in floating
+    point, is accepted as it is and its error leaves the estimate.
+    Returns (values, error estimates), each of shape (n_panels,) or
+    (n_panels, m) as f's output.  A panel counts a
     stalled level when none of its components that miss their tolerance
     cut their estimate by 5%.  Raises NumericFailureError, naming the
     worst unconverged panel over all components, when the call would add
@@ -175,8 +196,7 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
     while own.size:
         count = np.bincount(own, minlength=n)
         owners = np.flatnonzero(count)
-        edges = a[:, None] + (b - a)[:, None] * _SPLIT_POINTS
-        edges[:, -1] = b
+        edges = _split_edges(a, b)
         serr[np.any(np.diff(edges, axis=1) <= 0.0, axis=1)] = 0.0  # too narrow to split
         split = np.any(serr > tol[own] / count[own, None], axis=1)
         new = CHILDREN * np.count_nonzero(split)
@@ -192,13 +212,14 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
                    if stuck.size else ""),
                 achieved=float(err_k),
             )
-        added += new
-        ca, cb = edges[split, :-1].ravel(), edges[split, 1:].ravel()
-        cval, cerr = _rule_pair(f, ca, cb)
-        own = np.concatenate([own[~split], np.repeat(own[split], CHILDREN)])
-        a, b = np.concatenate([a[~split], ca]), np.concatenate([b[~split], cb])
-        sval = np.concatenate([sval[~split], _columns(cval)])
-        serr = np.concatenate([serr[~split], _columns(cerr)])
+        if new:  # else every failing sub-panel is too narrow: f gets no empty call
+            added += new
+            ca, cb = edges[split, :-1].ravel(), edges[split, 1:].ravel()
+            cval, cerr = _rule_pair(f, ca, cb)
+            own = np.concatenate([own[~split], np.repeat(own[split], CHILDREN)])
+            a, b = np.concatenate([a[~split], ca]), np.concatenate([b[~split], cb])
+            sval = np.concatenate([sval[~split], _columns(cval)])
+            serr = np.concatenate([serr[~split], _columns(cerr)])
 
         old = errors[owners]
         flat = (own[:, None] * m + np.arange(m)).ravel()  # (panel, component)

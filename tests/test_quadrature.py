@@ -76,9 +76,79 @@ def test_noisy_integrand_fails_within_panel_cap():
 
 
 def test_slow_singularity_stalls():
-    # each level cuts the error of s**-0.99 at 0 by about 1%
+    # each level cuts the error of s**-0.99 at 0 by 64**-0.01, about 4.1%
+    # (the 1/64-wide end child), under the 5% that resets the stall count
     with pytest.raises(NumericFailureError, match=r"\[0, 1\].*stalled"):
         Q.adaptive(lambda s: s ** -0.99, 0.0, 1.0, rel_tol=RTOL)
+
+
+@pytest.mark.parametrize("beta, at_right, max_calls", [
+    (-0.5, False, 13),
+    (0.3, False, 5), (0.3, True, 5),
+    (0.6, False, 4), (0.6, True, 4),
+    (1.5, False, 3), (1.5, True, 3),
+])
+def test_endpoint_singularity_calls(beta, at_right, max_calls):
+    # the 1/64-wide end children grade the mesh toward a branch point at
+    # either end, s**beta or (1 - s)**beta; (1 - s)**-0.5 is left out, as
+    # 1 - s rounds to 0 at the nodes next to s = 1
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return (1.0 - s if at_right else s) ** beta
+
+    rel_tol = 1e-10
+    values, _ = Q.panels(f, np.array([0.0]), np.array([1.0]), rel_tol)
+    assert len(calls) <= max_calls
+    assert values[0] == pytest.approx(1.0 / (beta + 1.0), rel=rel_tol, abs=0.0)
+
+
+@pytest.mark.parametrize("e, max_calls", [(0.5, 13), (1.5, 8), (2.5, 5)])
+def test_interior_kink_calls(e, max_calls):
+    # unit panels with a kink |s - c_k|**e at a random interior point: a
+    # split must still find a kink to a quarter per level, so that no
+    # layout trades interior kinks for endpoint singularities
+    k = np.arange(100.0)
+    c = k + np.random.default_rng(1).uniform(0.0, 1.0, k.size)
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return np.abs(s - c[np.minimum(s.astype(int), k.size - 1)]) ** e
+
+    Q.panels(f, k, k + 1.0, rel_tol=1e-10)
+    assert len(calls) <= max_calls
+
+
+def test_split_children_tile_parent():
+    a = np.array([0.0, -3.0, 0.1, 1e-300, 1.0, 2.0 ** 40])
+    b = np.array([1.0, 1e-300, 0.7, 2e-300, 1.0 + 2.0 ** -40, 2.0 ** 41 + 3.0])
+    edges = Q._split_edges(a, b)
+    assert edges.shape == (a.size, Q.CHILDREN + 1) == (a.size, 7)
+    np.testing.assert_array_equal(edges[:, 0], a)
+    np.testing.assert_array_equal(edges[:, -1], b)
+    assert np.all(np.diff(edges, axis=1) > 0.0)
+    # quarters, with a 1/64-wide child at each end
+    np.testing.assert_allclose(np.diff(edges, axis=1) / (b - a)[:, None],
+                               np.tile([1, 15, 16, 16, 15, 1], (a.size, 1)) / 64,
+                               rtol=1e-12)
+
+
+def test_no_integrand_call_on_empty_array():
+    # a panel a few ulps wide is too narrow for its 1/64 end child: it is
+    # accepted as it is, with no call of f on zero sub-panels
+    a, b = np.array([1.0]), np.array([np.nextafter(1.0, 2.0) + 8e-16])
+    sizes = []
+
+    def f(s):
+        sizes.append(s.size)
+        return np.abs(s - (1.0 + 3e-16)) ** 0.3
+
+    values, errors = Q.panels(f, a, b, 1e-14)
+    assert min(sizes) > 0
+    np.testing.assert_array_equal(values, Q.gl_fixed(f, a, b))
+    np.testing.assert_array_equal(errors, [0.0])
 
 
 def test_cumulative_is_prefix_sum_of_panels():
