@@ -364,8 +364,16 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
     lam**lam_power |v_k|**s and of |v_k'|**p, for every test function of
     the family, from one ``quadrature.panels`` pass.  Its breakpoints are
     the geometric grid to the largest radius merged with every support
-    radius, so each kink of a test function sits on a panel edge."""
-    if not family:
+    radius, so each kink of a test function sits on a panel edge.
+
+    The integrand fills one preallocated (2m, n) block row by row, rows
+    0..m-1 with |v_k|**s and rows m..2m-1 with |v_k'|**p; lam**lam_power
+    and the density multiply whole row blocks in place, and one mask
+    zeroes each row beyond its support radius.  It returns the (n, 2m)
+    transpose view, which ``panels`` reshapes to (2m, panels, 21)
+    without a copy."""
+    m = len(family)
+    if not m:
         return np.zeros(0), np.zeros(0)
     radii = np.array([tf.support_radius for tf in family], dtype=float)
     bad = np.flatnonzero(~((radii > 0) & np.isfinite(radii)))
@@ -376,15 +384,19 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
     bp = np.union1d(quadrature.geometric_breakpoints(radii.max()), radii)
 
     def integrand(r):
-        lam = lambda_many(w, r)[:, None] ** lam_power if lam_power else 1.0
-        left = lam * np.column_stack([np.abs(tf.value(r)) ** s for tf in family])
-        right = np.column_stack([np.abs(tf.deriv(r)) ** eq.p for tf in family])
-        inside = np.tile(r[:, None] < radii, 2)
-        return np.where(inside, np.hstack([left, right]), 0.0) * grow(r)[:, None]
+        out = np.empty((2 * m, r.size))
+        for k, tf in enumerate(family):
+            out[k] = np.abs(tf.value(r)) ** s
+            out[m + k] = np.abs(tf.deriv(r)) ** eq.p
+        if lam_power:
+            out[:m] *= lambda_many(w, r) ** lam_power
+        out *= grow(r)
+        np.copyto(out.reshape(2, m, r.size), 0.0, where=r >= radii[:, None])
+        return out.T
 
     sides, _ = quadrature.panels(integrand, bp[:-1], bp[1:], measure.INTEGRATE_RTOL)
     total = sides.sum(axis=0)
-    return total[:len(family)], total[len(family):]
+    return total[:m], total[m:]
 
 
 def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,

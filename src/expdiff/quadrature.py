@@ -162,16 +162,18 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
     is at most ``max(rel_tol * |value|, ABS_FLOOR)`` of that component.
     A sub-panel whose error exceeds its even share of its panel's
     tolerance is cut into the CHILDREN children of ``_split_edges``
-    (quarters with a 1/64-wide child at each end); one too narrow for
-    its 1/64 end child, whose edges would not increase in floating
-    point, is accepted as it is and its error leaves the estimate.
+    (quarters with a 1/64-wide child at each end).
     Returns (values, error estimates), each of shape (n_panels,) or
     (n_panels, m) as f's output.  A panel counts a
     stalled level when none of its components that miss their tolerance
     cut their estimate by 5%.  Raises NumericFailureError, naming the
     worst unconverged panel over all components, when the call would add
     more than MAX_PANELS sub-panels or when a panel's estimate stalls
-    for STALL_LEVELS levels, and, naming the first such panel, when a
+    for STALL_LEVELS levels; naming the first such panel and sub-panel,
+    when a sub-panel that misses its share is too narrow for its 1/64
+    end child (its edges would not increase in floating point), as
+    QUADPACK flags roundoff (its ier = 2) rather than accept the error;
+    and, naming the first such panel, when a
     panel's value or estimate is not finite in some component, at the
     first pass or at any level of refinement (a non-finite sub-panel
     makes its panel's sums non-finite).
@@ -197,8 +199,15 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
         count = np.bincount(own, minlength=n)
         owners = np.flatnonzero(count)
         edges = _split_edges(a, b)
-        serr[np.any(np.diff(edges, axis=1) <= 0.0, axis=1)] = 0.0  # too narrow to split
         split = np.any(serr > tol[own] / count[own, None], axis=1)
+        narrow = np.flatnonzero(split & np.any(np.diff(edges, axis=1) <= 0.0, axis=1))
+        if narrow.size:
+            j = narrow[0]
+            k = own[j]
+            raise NumericFailureError(
+                f"quadrature did not converge on [{lo[k]:g}, {hi[k]:g}]: its sub-panel "
+                f"[{a[j]:.17g}, {b[j]:.17g}] misses its share of the tolerance "
+                "and is too narrow to split", achieved=float(np.max(errors[k])))
         new = CHILDREN * np.count_nonzero(split)
         stuck = owners[stalled[owners] >= STALL_LEVELS]
         if added + new > MAX_PANELS or stuck.size:
@@ -212,7 +221,7 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
                    if stuck.size else ""),
                 achieved=float(err_k),
             )
-        if new:  # else every failing sub-panel is too narrow: f gets no empty call
+        if new:  # else the shares round so that none is missed: f gets no empty call
             added += new
             ca, cb = edges[split, :-1].ravel(), edges[split, 1:].ravel()
             cval, cerr = _rule_pair(f, ca, cb)
@@ -270,13 +279,15 @@ def cumulative(
 
 
 def geometric_breakpoints(b: float) -> np.ndarray:
-    """Breakpoints on [0, b] refined geometrically toward 0: 0, then 49
-    geometric points from b * 2**-48 to b (b, b/2, b/4, ... down to
-    about 3.6e-15 b).
+    """Breakpoints on [0, b] refined geometrically toward 0: 0, then the
+    49 points b * 2**-48, ..., b/4, b/2, b (down to about 3.6e-15 b).
+    Each is b times an exact power of two, so a breakpoint at b/2**j
+    merged with another at that radius gives no sliver panel between them
+    (``np.geomspace`` misses b/2 by about 17 ulps).
 
     Useful for integrands with a branch-point singularity at 0, e.g.
     s**alpha with 0 < alpha < 1.
     """
     if not b > 0:
         raise ValueError("need b > 0")
-    return np.concatenate([[0.0], np.geomspace(b * 2.0 ** -48, b, num=49)])
+    return np.concatenate([[0.0], b * 2.0 ** np.arange(-48.0, 1.0)])

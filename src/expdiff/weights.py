@@ -354,10 +354,10 @@ def invert_g(w: WeightSpec, z):
     or an array of targets z > 0; a float z gives a float.
 
     Closed form for powers, refused past INVERT_CAP like every other
-    kind.  Else one masked pass over all targets:
-    bracket expansion by doubling from [0, 1] up to INVERT_CAP, then
-    bisection, each target stopping on its own at a relative width of
-    1e-15, and the midpoint checked against
+    kind.  Else one masked pass over all targets (``_invert_masked``):
+    a bracket grown from [0, 1] by squaring up to INVERT_CAP, then
+    Newton steps with ``w.gp`` safeguarded by bisection, each target
+    stopping on its own, and the result checked against
     |g(s) - z| <= INVERT_RTOL * max(1, z).  OutOfRangeError for a target
     beyond g(INVERT_CAP), NumericFailureError for one that misses the
     check (a g that jumps across z).
@@ -382,28 +382,58 @@ def _beyond_cap(z: float) -> OutOfRangeError:
 
 
 def _invert_masked(w: WeightSpec, z: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton (``rtsafe``, Numerical Recipes 9.4) on every
+    target at once, each target's steps independent of the others.
+
+    The bracket [lo, hi] with g(lo) < z <= g(hi) grows from [0, 1] by
+    squaring (1, 4, 16, 256, ...) up to INVERT_CAP, one g call per
+    growth.  Newton then starts at hi and steps on log g = log z in
+    log s, whose slope s g'/g lies in [alpha1, alpha2] for an admissible
+    weight, so a power needs one step.  Each point narrows the bracket,
+    and a step that leaves it, that is not half the step before last
+    (rtsafe's test, so that a wrong g' cannot crawl), or that stalls
+    while the residual still misses the check, is replaced by bisection
+    (geometric once lo > 0).
+    A target stops once its step or its bracket is below 1e-15 of s;
+    zygmund(0.5, 1, 2) takes 6 to 12 g calls per target over
+    1e-2 <= z <= 1e11."""
     tol = INVERT_RTOL * np.maximum(1.0, z)
     lo, hi = np.zeros_like(z), np.ones_like(z)
-    live = np.flatnonzero(w.g(hi) < z)
+    g_hi = w.g(hi)
+    live = np.flatnonzero(g_hi < z)
     while live.size:
-        lo[live] = hi[live]
-        hi[live] *= 2.0
-        if hi[live[0]] > INVERT_CAP:  # every live target has the same hi
+        if hi[live[0]] == INVERT_CAP:  # every live target has the same hi
             raise _beyond_cap(z[live[0]])
-        live = live[w.g(hi[live]) < z[live]]
+        lo[live] = hi[live]
+        hi[live] = np.minimum(np.maximum(hi[live], 2.0) ** 2, INVERT_CAP)
+        g_hi[live] = w.g(hi[live])
+        live = live[g_hi[live] < z[live]]
+    s, gs = hi.copy(), g_hi
+    # |log| of each target's last two steps, for rtsafe's halving test
+    last, older = np.full_like(z, np.inf), np.full_like(z, np.inf)
     live = np.arange(z.size)
     for _ in range(200):
-        mid = 0.5 * (lo[live] + hi[live])
-        keep = (mid > lo[live]) & (mid < hi[live])
-        live, mid = live[keep], mid[keep]
         if not live.size:
             break
-        below = w.g(mid) < z[live]
-        lo[live[below]] = mid[below]
-        hi[live[~below]] = mid[~below]
-        live = live[hi[live] - lo[live] > 1e-15 * hi[live]]
-    s = 0.5 * (lo + hi)
-    resid = np.abs(w.g(s) - z)
+        sl, gl, zl = s[live], gs[live], z[live]
+        below = gl < zl
+        lo[live[below]] = sl[below]
+        hi[live[~below]] = sl[~below]
+        a, b = lo[live], hi[live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            du = np.log(zl / gl) * gl / (sl * w.gp(sl))
+            new = sl * np.exp(du)
+        stalled = (np.abs(new - sl) <= 1e-15 * sl) & (np.abs(gl - zl) > tol[live])
+        slow = np.abs(du) > 0.5 * older[live]
+        bisect = ~((new >= a) & (new <= b)) | stalled | slow
+        new[bisect] = np.where(a[bisect] > 0.0, np.sqrt(a[bisect] * b[bisect]),
+                               0.5 * b[bisect])
+        moving = (np.abs(new - sl) > 1e-15 * sl) & (b - a > 1e-15 * b)
+        with np.errstate(divide="ignore"):
+            older[live], last[live] = last[live], np.abs(np.log(new / sl))
+        s[live], gs[live] = new, w.g(new)
+        live = live[moving]
+    resid = np.abs(gs - z)
     bad = np.flatnonzero(resid > tol)
     if bad.size:
         k = bad[0]

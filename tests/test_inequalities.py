@@ -390,6 +390,66 @@ class TestFamilyPass:
                             big_r=self.BALL, family=family)
         assert len(calls) == 1
 
+    #: (lam power, exponent of |v|) of each kind's left side, as
+    #: verify_inequality sets them; the two Sobolev kinds at different q
+    SIDES = {I.POINCARE: (2.0, 2.0), I.RADIAL_SOBOLEV: (0.0, 3.0),
+             I.BOUNDED_SOBOLEV: (0.0, 2.5)}
+
+    @pytest.fixture(scope="class")
+    def mixed_family(self):
+        # 16 functions: integer-k and non-integer-k bumps and tapered
+        # gaussians, on dyadic and non-dyadic radii
+        radii = (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 2.9, 4.0)
+        return ([I.polynomial_bump(r, k) for r, k in zip(radii, (1.0, 2.0, 3.0, 1.0, 2.0))]
+                + [I.polynomial_bump(r, k) for r, k in zip(radii[3:], (1.5, 2.7, 3.3, 1.2, 3.9))]
+                + [I.gaussian_tapered(r, s * r)
+                   for r, s in zip(radii[::-1], (0.3, 0.5, 0.7, 0.9, 1.0, 0.4))])
+
+    @pytest.mark.parametrize("kind", [I.POINCARE, I.RADIAL_SOBOLEV, I.BOUNDED_SOBOLEV])
+    def test_block_matches_single_function_panels(self, w_half, eq_ref, mixed_family, kind):
+        lam_power, s = self.SIDES[kind]
+        p = eq_ref.p
+        grow = M.growing_density(w_half, eq_ref.dim_n)
+        left, right = I._family_sides(w_half, eq_ref, mixed_family, lam_power, s)
+        assert len(mixed_family) == left.size == right.size == 16
+        for tf, got_left, got_right in zip(mixed_family, left, right):
+            bp = I.quadrature.geometric_breakpoints(tf.support_radius)
+
+            def alone(r, tf=tf):
+                lam = W.lambda_many(w_half, r) ** lam_power
+                return np.stack([lam * np.abs(tf.value(r)) ** s,
+                                 np.abs(tf.deriv(r)) ** p], axis=-1) * grow(r)[:, None]
+
+            want = I.quadrature.panels(alone, bp[:-1], bp[1:], rel_tol=1e-13)[0].sum(axis=0)
+            assert got_left == pytest.approx(want[0], rel=1e-12, abs=0.0), tf.label
+            assert got_right == pytest.approx(want[1], rel=1e-12, abs=0.0), tf.label
+
+    def test_integrand_is_component_major(self, w_half, eq_ref, mixed_family, monkeypatch):
+        # the integrand returns the transpose of a (2m, n) C-ordered block,
+        # which quadrature._node_values reshapes without a copy
+        seen = []
+        panels = I.quadrature.panels
+
+        def capture(f, *args):
+            seen.append(f)
+            return panels(f, *args)
+
+        monkeypatch.setattr(I.quadrature, "panels", capture)
+        I._family_sides(w_half, eq_ref, mixed_family, 2.0, 2.0)
+        r = np.linspace(0.0, 4.0, 21 * 5)
+        vals = seen[0](r)
+        assert vals.shape == (r.size, 2 * len(mixed_family))
+        assert vals.T.flags.c_contiguous
+        returned = []
+
+        def kept(r):
+            returned.append(seen[0](r))
+            return returned[-1]
+
+        _, nodes = I.quadrature._node_values(kept, np.arange(3.0), np.arange(1.0, 4.0))
+        assert nodes.shape == (2 * len(mixed_family), 3, 21)
+        assert np.shares_memory(nodes, returned[0])
+
     def test_empty_family_passes(self, w_half, eq_ref):
         rep = I.verify_inequality(I.BOUNDED_SOBOLEV, w_half, eq_ref, q=self.Q_EXP,
                                   big_r=self.BALL, family=[])

@@ -296,6 +296,33 @@ class TestInversion:
         with pytest.raises(InvalidParameterError):
             W.invert_g(zygmund, 0.0)
 
+    @pytest.mark.parametrize("z", [1e-2, 0.5, 2.75, 1e2, 6e2, 1e5, 1e9, 1e11])
+    def test_newton_g_calls(self, zygmund, z):
+        # the squaring bracket and the safeguarded Newton steps take 6 to
+        # 12 passes of g per target here
+        calls = []
+
+        def g(s):
+            calls.append(np.size(s))
+            return zygmund.g(s)
+
+        w = W.make_custom_weight(g, zygmund.gp, zygmund.alpha1, zygmund.alpha2)
+        calls.clear()
+        s = W.invert_g(w, z)
+        assert len(calls) <= 20
+        assert abs(float(zygmund.g(s)) - z) <= W.INVERT_RTOL * max(1.0, z)
+
+    @pytest.mark.parametrize("factor", [0.0, 1e-3, 1e3, -1.0])
+    def test_wrong_derivative_falls_back_to_bisection(self, zygmund, factor):
+        # a declared g' that is zero, far off or of the wrong sign gives
+        # Newton steps that leave the bracket or barely move: bisection
+        # still reaches the root
+        w = W.make_custom_weight(zygmund.g, lambda s: factor * zygmund.gp(s),
+                                 zygmund.alpha1, zygmund.alpha2)
+        zs = np.array([1e-2, 0.5, 2.75, 1e2, 1e5, 1e9])
+        np.testing.assert_allclose(W.invert_g(w, zs), W.invert_g(zygmund, zs),
+                                   rtol=1e-12, atol=0.0)
+
     def test_target_in_jump_refused(self):
         # g jumps by 1e-6 at s = 1: bisection closes on the jump, where no s
         # meets |g(s) - z| <= INVERT_RTOL * max(1, z)
