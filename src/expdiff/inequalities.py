@@ -366,12 +366,15 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
     the geometric grid to the largest radius merged with every support
     radius, so each kink of a test function sits on a panel edge.
 
-    The integrand fills one preallocated (2m, n) block row by row, rows
-    0..m-1 with |v_k|**s and rows m..2m-1 with |v_k'|**p; lam**lam_power
-    and the density multiply whole row blocks in place, and one mask
-    zeroes each row beyond its support radius.  It returns the (n, 2m)
-    transpose view, which ``panels`` reshapes to (2m, panels, 21)
-    without a copy."""
+    The integrand's components are the 2m rows, 0..m-1 for |v_k|**s and
+    m..2m-1 for |v_k'|**p, and it takes ``panels``' ``rows``: the first
+    pass fills all of them, and a refinement level only the rows that
+    missed their share on some split sub-panel.  It fills one
+    preallocated (rows, n) block row by row; lam**lam_power (evaluated
+    only when a |v|**s row is requested) and the density multiply whole
+    row blocks in place, and one mask zeroes each row beyond its support
+    radius.  It returns the (n, rows) transpose view, which ``panels``
+    reshapes to (rows, panels, 21) without a copy."""
     m = len(family)
     if not m:
         return np.zeros(0), np.zeros(0)
@@ -381,17 +384,22 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
         raise InvalidParameterError(
             f"test function {family[bad[0]].label} needs a finite support radius > 0")
     grow = growing_density(w, eq.dim_n)
-    bp = np.union1d(quadrature.geometric_breakpoints(radii.max()), radii)
+    bp = quadrature.sorted_union(quadrature.geometric_breakpoints(radii.max()), radii)
+    ends = np.concatenate([radii, radii])
 
-    def integrand(r):
-        out = np.empty((2 * m, r.size))
-        for k, tf in enumerate(family):
-            out[k] = np.abs(tf.value(r)) ** s
-            out[m + k] = np.abs(tf.deriv(r)) ** eq.p
-        if lam_power:
-            out[:m] *= lambda_many(w, r) ** lam_power
+    def integrand(r, rows=None):
+        rows = np.arange(2 * m) if rows is None else rows
+        out = np.empty((rows.size, r.size))
+        for i, j in enumerate(rows.tolist()):
+            if j < m:
+                out[i] = np.abs(family[j].value(r)) ** s
+            else:
+                out[i] = np.abs(family[j - m].deriv(r)) ** eq.p
+        n_left = int(np.searchsorted(rows, m))
+        if lam_power and n_left:
+            out[:n_left] *= lambda_many(w, r) ** lam_power
         out *= grow(r)
-        np.copyto(out.reshape(2, m, r.size), 0.0, where=r >= radii[:, None])
+        np.copyto(out, 0.0, where=r >= ends[rows, None])
         return out.T
 
     sides, _ = quadrature.panels(integrand, bp[:-1], bp[1:], measure.INTEGRATE_RTOL)

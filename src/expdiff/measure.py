@@ -73,9 +73,13 @@ def tail_integrals(w: WeightSpec, dim_n: int, p: float, x: np.ndarray,
                    rel_tol: float = INTEGRATE_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Tails ``int_{x_k}^inf`` of the dual density at the ascending
     points x, and conservative error estimates, from one panel pass over
-    the gaps of x, 39 geometric panels out to the truncation point and
-    the doubling check.  Suffix sums run right to left, which avoids the
-    cancellation of total-minus-prefix at large r.
+    the gaps of x and 39 geometric panels out to the truncation point.
+    Suffix sums run right to left, which avoids the cancellation of
+    total-minus-prefix at large r.  What lies beyond the truncation
+    point only bounds the error: the doubling check [cutoff, 2 cutoff]
+    is one Kronrod-Gauss pair, not refined, and its |K| plus estimate,
+    with the geometric series it sets for the rest, goes into every
+    error estimate.
     """
     density = dual_density(w, dim_n, p)
     x = np.asarray(x, dtype=float)
@@ -84,16 +88,19 @@ def tail_integrals(w: WeightSpec, dim_n: int, p: float, x: np.ndarray,
 
     start = max(float(x[-1]), 1e-300)
     cutoff = _tail_cutoff(w, p, start)
-    # the last panel, [cutoff, 2 cutoff], is the doubling check; a geometric
-    # series bounds the rest (each further doubling shrinks the integrand
-    # by at least the density collapse measured across that panel)
-    bp = np.concatenate([x, np.geomspace(start, cutoff, 40)[1:], [2.0 * cutoff]])
+    bp = np.concatenate([x, np.geomspace(start, cutoff, 40)[1:]])
     segs, errs = quadrature.panels(density, bp[:-1], bp[1:], rel_tol)
+    # the doubling check: one Kronrod-Gauss pair K on [cutoff, 2 cutoff],
+    # and the geometric series |K| d / (1 - d) for the rest (each further
+    # doubling shrinks the integrand by at least the collapse d measured
+    # across that panel); all of it goes to the error bound, not to the tails
+    check, check_err = quadrature.rule_pair(density, np.array([cutoff]),
+                                            np.array([2.0 * cutoff]))
     d_ratio = float(density(2.0 * cutoff)) / max(float(density(cutoff)), 1e-300)
     d_ratio = min(d_ratio, 0.5)
-    tail_bound = abs(segs[-1]) * d_ratio / (1.0 - d_ratio)
+    beyond = abs(float(check[0])) / (1.0 - d_ratio) + float(check_err[0])
     vals = np.cumsum(segs[::-1])[::-1][: x.size]
-    errs = np.cumsum(errs[::-1])[::-1][: x.size] + abs(segs[-1]) + tail_bound
+    errs = np.cumsum(errs[::-1])[::-1][: x.size] + beyond
     return vals, errs
 
 

@@ -2,24 +2,32 @@
 
 All integrands are expected to be vectorized over numpy arrays.  An
 integrand maps n nodes to n values, or to an (n, m) array of m
-components (say, the m functions of a family on common breakpoints).
+components (say, the m functions of a family on common breakpoints);
+a multi-component integrand also takes ``rows``, a sorted integer array
+of component indices, and ``f(nodes, rows=rows)`` returns the
+(n, rows.size) array of just those components.
 Every panel uses the Gauss-Kronrod (10, 21) pair of QUADPACK's QAG: the
 integrand is called once on the 21 Kronrod nodes of all panels, the
 panel's value is the 21-point Kronrod sum K, and the 10-point Gauss sum
 G over every other node gives the error estimate, per component,
 ``max(|K - G|, |K| * min(1, (200 |K - G| / |K|)**1.5))`` (QUADPACK's
 rescaling with |K| as its scale; the raw difference when K = 0).
-``panels`` integrates many panels at once and refines the panels that
-miss their tolerance in any component level by level, with one batched
-integrand call per level for the sub-panels of all of them; a value or
-estimate that is not finite is refused.  A sub-panel that misses its
-share is cut into quarters with a 1/64-wide child at each end (6
-children): the end children grade the mesh geometrically toward an
-endpoint singularity, as QUADPACK's bisection and the geometric meshes
-of hp methods do, while an interior kink is still found to a quarter
-per level.  ``adaptive`` is its one-panel call.  Every integral over a
-partition (cumulative integrals, graded breakpoints, cell volumes,
-criterion tails, test-function families) goes through ``panels``.
+``panels`` integrates many panels at once and refines each component
+of each panel on its own, level by level: a sub-panel is split for the
+components that miss their share of their panel's tolerance there, and
+one batched integrand call per level evaluates the children of all
+split sub-panels on the union of just those components; a component
+that met its share keeps its value on that sub-panel.  A value or
+estimate that is not finite is refused.  A split sub-panel is cut into
+quarters with a 1/64-wide child at each end (6 children): the end
+children grade the mesh geometrically toward an endpoint singularity,
+as QUADPACK's bisection and the geometric meshes of hp methods do,
+while an interior kink is still found to a quarter per level; MAX_PANELS
+caps the child intervals, however many components share them.
+``adaptive`` is its one-panel call, and ``rule_pair`` the one-level
+pair on given panels.  Every integral over a partition (cumulative
+integrals, graded breakpoints, cell volumes, criterion tails,
+test-function families) goes through ``panels``.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ _GAUSS = np.array([
 
 #: absolute error every panel may keep, so that integrals of 0 converge
 ABS_FLOOR = 1e-300
-#: hard cap on the sub-panels one ``panels`` call may add before giving up
+#: hard cap on the child intervals one ``panels`` call may add before
+#: giving up (a sub-panel split for several components adds CHILDREN)
 MAX_PANELS = 20_000
 #: where a split sub-panel is cut, as fractions of its width: quarters
 #: with a 1/64-wide child at each end, so that the error of an endpoint
@@ -86,13 +95,16 @@ CHILDREN = _SPLIT_POINTS.size - 1
 STALL_LEVELS = 16
 
 
-def _node_values(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _node_values(f: Callable, a: np.ndarray, b: np.ndarray,
+                 rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths of the panels [a, b] and f on their 21 Kronrod nodes,
-    components first: (m, *a.shape, 21), or (*a.shape, 21) for a scalar f."""
+    components first: (m, *a.shape, 21), or (*a.shape, 21) for a scalar f;
+    f is passed ``rows`` unless it is None."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[..., None] + half[..., None] * _NODES
-    vals = np.asarray(f(nodes.ravel()), dtype=float)
+    vals = np.asarray(f(nodes.ravel()) if rows is None else f(nodes.ravel(), rows=rows),
+                      dtype=float)
     return half, vals.T.reshape(vals.shape[1:] + nodes.shape)
 
 
@@ -116,11 +128,14 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return np.atleast_2d(x.T).T
 
 
-def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates on [a, b], from one call of f.
-    Non-finite node values give non-finite sums or estimates silently
-    (``panels`` refuses them); warnings raised by f itself still show."""
-    half, vals = _node_values(f, a, b)
+def rule_pair(f: Callable, a: np.ndarray, b: np.ndarray,
+              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates on the panels [a, b], from one
+    call of f (on the components ``rows`` only, unless None): one level
+    of ``panels``, with no refinement.  Non-finite node values give
+    non-finite sums or estimates silently (``panels`` refuses them);
+    warnings raised by f itself still show."""
+    half, vals = _node_values(f, a, b, rows)
     with np.errstate(invalid="ignore", over="ignore"):
         kronrod = _weighted_sum(half, vals, _KRONROD)
         diff = np.abs(kronrod - _weighted_sum(half, vals[..., 1::2], _GAUSS))
@@ -130,6 +145,22 @@ def _rule_pair(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
                           out=np.ones_like(diff), where=scale > 0.0)
         estimate = np.maximum(diff, scale * ratio ** 1.5)
     return kronrod, estimate
+
+
+def _starts(x: np.ndarray) -> np.ndarray:
+    """True at each entry of the sorted array x that differs from the one
+    before it: a sort plus this mask dedupes as ``np.unique`` does, which
+    (like ``np.union1d`` and ``np.isin``) imports ``numpy.ma`` on its
+    first call."""
+    out = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=out[1:])
+    return out
+
+
+def sorted_union(*points: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the given 1-d arrays, as ``np.union1d``."""
+    merged = np.sort(np.concatenate(points))
+    return merged[_starts(merged)]
 
 
 def _split_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,26 +188,36 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
            rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over the panels [lo_k, hi_k] of two 1-d arrays.
 
-    f maps n nodes to n values or to an (n, m) array of m components.
-    Each panel is refined until the error estimate of every component
-    is at most ``max(rel_tol * |value|, ABS_FLOOR)`` of that component.
-    A sub-panel whose error exceeds its even share of its panel's
-    tolerance is cut into the CHILDREN children of ``_split_edges``
-    (quarters with a 1/64-wide child at each end).
+    f maps n nodes to n values, or to an (n, m) array of m components;
+    such an f is also called as ``f(nodes, rows=rows)``, with ``rows`` a
+    sorted integer array of component indices, and then returns the
+    (n, rows.size) array of just those components.  The first pass calls
+    ``f(nodes)``; a scalar f is never passed ``rows``.
+
+    Each component of each panel is refined on its own until its error
+    estimate is at most ``max(rel_tol * |value|, ABS_FLOOR)``.  A
+    sub-panel whose error in a component exceeds that component's even
+    share of its panel's tolerance is cut into the CHILDREN children of
+    ``_split_edges`` (quarters with a 1/64-wide child at each end) for
+    that component; each level evaluates the children of all such
+    sub-panels in one call of f, on the union of the components they
+    missed.  A component that met its share on a sub-panel, or its
+    tolerance on a panel, keeps its value there.
     Returns (values, error estimates), each of shape (n_panels,) or
-    (n_panels, m) as f's output.  A panel counts a
-    stalled level when none of its components that miss their tolerance
-    cut their estimate by 5%.  Raises NumericFailureError, naming the
-    worst unconverged panel over all components, when the call would add
-    more than MAX_PANELS sub-panels or when a panel's estimate stalls
-    for STALL_LEVELS levels; naming the first such panel and sub-panel,
-    when a sub-panel that misses its share is too narrow for its 1/64
-    end child (its edges would not increase in floating point), as
-    QUADPACK flags roundoff (its ier = 2) rather than accept the error;
-    and, naming the first such panel, when a
-    panel's value or estimate is not finite in some component, at the
-    first pass or at any level of refinement (a non-finite sub-panel
-    makes its panel's sums non-finite).
+    (n_panels, m) as f's output.  A panel counts a stalled level when
+    none of its components that miss their tolerance cut their estimate
+    by 5%.  Raises NumericFailureError, naming the worst unconverged
+    panel over all components, when the call would add more than
+    MAX_PANELS child intervals (a sub-panel split for several components
+    counts its children once) or when a panel's estimate stalls for
+    STALL_LEVELS levels; naming the first such panel and sub-panel, when
+    a sub-panel that misses its share is too narrow for its 1/64 end
+    child (its edges would not increase in floating point), as QUADPACK
+    flags roundoff (its ier = 2) rather than accept the error; and,
+    naming the first such panel, when a panel's value or estimate is not
+    finite in some component, at the first pass or at any level of
+    refinement (a non-finite sub-panel makes its panel's sums
+    non-finite).
 
     Each (sub-)panel gets its value from the 21-point Kronrod rule and
     its estimate from the Kronrod and 10-point Gauss sums, as in the
@@ -184,36 +225,54 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    values, errors = _rule_pair(f, lo, hi)
+    values, errors = rule_pair(f, lo, hi)
     shape = values.shape
     values, errors = _columns(values), _columns(errors)
-    _refuse_nonfinite(values, errors, lo, hi)
     n, m = values.shape
+    # (panel, component) values and estimates, flat at key panel * m + component
+    values, errors = values.ravel(), errors.ravel()
+    vals2, errs2 = values.reshape(n, m), errors.reshape(n, m)
+    _refuse_nonfinite(vals2, errs2, lo, hi)
     tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
-    # live sub-panels of the unconverged panels: owner, ends, value, error
-    own = np.flatnonzero(np.any(errors > tol, axis=1))
-    a, b, sval, serr = lo[own], hi[own], values[own], errors[own]
+    tol2 = tol.reshape(n, m)
+    # the unconverged keys, ascending, and their live (sub-panel,
+    # component) pairs: the pair's index into keys, sub-panel id (the
+    # panels are 0..n-1, the children added after them n, n+1, ...),
+    # sub-panel ends, value and error estimate
+    keys = np.flatnonzero(errors > tol)
+    owner = np.arange(keys.size)
+    sub = keys // m
+    a, b = lo[sub], hi[sub]
+    sval, serr = values[keys], errors[keys]
     stalled = np.zeros(n, dtype=int)
     added = 0
-    while own.size:
-        count = np.bincount(own, minlength=n)
-        owners = np.flatnonzero(count)
-        edges = _split_edges(a, b)
-        split = np.any(serr > tol[own] / count[own, None], axis=1)
-        narrow = np.flatnonzero(split & np.any(np.diff(edges, axis=1) <= 0.0, axis=1))
+    while keys.size:
+        count = np.bincount(owner, minlength=keys.size)
+        owners = keys // m
+        owners = owners[_starts(owners)]
+        miss = serr > (tol[keys] / count)[owner]
+        # the pairs that miss their share, grouped by sub-panel: each
+        # sub-panel is cut once, at its first pair
+        split = np.flatnonzero(miss)
+        split = split[np.argsort(sub[split], kind="stable")]
+        first = _starts(sub[split])
+        heads = split[first]
+        edges = _split_edges(a[heads], b[heads])
+        narrow = np.flatnonzero(np.any(np.diff(edges, axis=1) <= 0.0, axis=1))
         if narrow.size:
-            j = narrow[0]
-            k = own[j]
+            j = heads[narrow[0]]
+            k = keys[owner[j]] // m
             raise NumericFailureError(
                 f"quadrature did not converge on [{lo[k]:g}, {hi[k]:g}]: its sub-panel "
                 f"[{a[j]:.17g}, {b[j]:.17g}] misses its share of the tolerance "
-                "and is too narrow to split", achieved=float(np.max(errors[k])))
-        new = CHILDREN * np.count_nonzero(split)
+                "and is too narrow to split",
+                achieved=float(np.max(errs2[k])))
+        new = CHILDREN * heads.size
         stuck = owners[stalled[owners] >= STALL_LEVELS]
         if added + new > MAX_PANELS or stuck.size:
             worst = stuck if stuck.size else owners
-            k = worst[np.argmax(np.max(errors[worst] / tol[worst], axis=1))]
-            err_k = errors[k, np.argmax(errors[k] / tol[k])]
+            k = worst[np.argmax(np.max(errs2[worst] / tol2[worst], axis=1))]
+            err_k = errs2[k, np.argmax(errs2[k] / tol2[k])]
             raise NumericFailureError(
                 f"quadrature did not converge on [{lo[k]:g}, {hi[k]:g}]: "
                 f"estimated error {err_k:.3e} after {added} added sub-panels"
@@ -222,26 +281,40 @@ def panels(f: Callable, lo: np.ndarray, hi: np.ndarray,
                 achieved=float(err_k),
             )
         if new:  # else the shares round so that none is missed: f gets no empty call
+            ca, cb = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+            comp = keys[owner[split]] % m
+            needed = np.zeros(m, dtype=bool)
+            needed[comp] = True
+            rows = None if len(shape) == 1 else np.flatnonzero(needed)
+            cval, cerr = rule_pair(f, ca, cb, rows)
+            # each split pair's children, and where they sit in the
+            # (rows, children) blocks of cval and cerr
+            child = ((CHILDREN * (np.cumsum(first) - 1))[:, None] + np.arange(CHILDREN)).ravel()
+            at = np.repeat((np.cumsum(needed) - 1)[comp] * ca.size, CHILDREN) + child
+            keep = ~miss
+            owner = np.concatenate([owner[keep], np.repeat(owner[split], CHILDREN)])
+            sub = np.concatenate([sub[keep], n + added + child])
             added += new
-            ca, cb = edges[split, :-1].ravel(), edges[split, 1:].ravel()
-            cval, cerr = _rule_pair(f, ca, cb)
-            own = np.concatenate([own[~split], np.repeat(own[split], CHILDREN)])
-            a, b = np.concatenate([a[~split], ca]), np.concatenate([b[~split], cb])
-            sval = np.concatenate([sval[~split], _columns(cval)])
-            serr = np.concatenate([serr[~split], _columns(cerr)])
+            a, b = np.concatenate([a[keep], ca[child]]), np.concatenate([b[keep], cb[child]])
+            sval = np.concatenate([sval[keep], _columns(cval).T.ravel()[at]])
+            serr = np.concatenate([serr[keep], _columns(cerr).T.ravel()[at]])
 
-        old = errors[owners]
-        flat = (own[:, None] * m + np.arange(m)).ravel()  # (panel, component)
-        values[owners] = np.bincount(flat, sval.ravel(), minlength=n * m).reshape(n, m)[owners]
-        errors[owners] = np.bincount(flat, serr.ravel(), minlength=n * m).reshape(n, m)[owners]
-        _refuse_nonfinite(values[owners], errors[owners], lo[owners], hi[owners])
-        tol = np.maximum(rel_tol * np.abs(values), ABS_FLOOR)
+        old = errs2[owners]
+        values[keys] = np.bincount(owner, sval, minlength=keys.size)
+        errors[keys] = np.bincount(owner, serr, minlength=keys.size)
+        _refuse_nonfinite(vals2[owners], errs2[owners], lo[owners], hi[owners])
+        tol[keys] = np.maximum(rel_tol * np.abs(values[keys]), ABS_FLOOR)
         # a level that barely cuts the estimate signals an integrand
         # evaluated with cancellation noise: bail out before burning panels
-        cut = (errors[owners] > tol[owners]) & (errors[owners] <= 0.95 * old)
+        now = errs2[owners]
+        cut = (now > tol2[owners]) & (now <= 0.95 * old)
         stalled[owners] = np.where(np.any(cut, axis=1), 0, stalled[owners] + 1)
-        live = np.any(errors[own] > tol[own], axis=1)
-        own, a, b, sval, serr = own[live], a[live], b[live], sval[live], serr[live]
+        # the keys still unconverged keep their pairs, renumbered onto them
+        still = errors[keys] > tol[keys]
+        live = still[owner]
+        owner = (np.cumsum(still) - 1)[owner[live]]
+        keys, sub, a, b = keys[still], sub[live], a[live], b[live]
+        sval, serr = sval[live], serr[live]
     return values.reshape(shape), errors.reshape(shape)
 
 

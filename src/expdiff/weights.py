@@ -141,7 +141,8 @@ class WeightSpec:
         low = (ss > 0.0) & (ss < s_grid[0])
         if np.any(low):
             s_low = ss[low]
-            bp = np.union1d(quadrature.geometric_breakpoints(float(s_low.max())), s_low)
+            bp = quadrature.sorted_union(
+                quadrature.geometric_breakpoints(float(s_low.max())), s_low)
             out[low] = quadrature.cumulative(self.g, bp, rel_tol=1e-12)[
                 np.searchsorted(bp, s_low)]
         high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch

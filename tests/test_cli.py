@@ -129,6 +129,25 @@ def test_inequalities_csv_schema(power_cfg, tmp_path):
     assert any(l.startswith("# seed=5") for l in lines)
 
 
+def test_inequalities_keep_numpy_ma_out(tmp_path):
+    # np.unique, np.isin and np.union1d import numpy.ma on their first
+    # call, which raises peak memory; a zygmund weight runs both the
+    # family pass and g's primitive below its first anchor
+    ini = tmp_path / "small.ini"
+    ini.write_text("[weight]\nkind = zygmund\nalpha = 0.5\nbeta = 1.0\nc = 2.0\n"
+                   "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
+                   "[inequalities]\nkinds = poincare\nn_random = 0\n")
+    code = ("import sys\n"
+            "from expdiff import cli\n"
+            f"assert cli.main(['inequalities', '--config', {str(ini)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_outputs_and_schema(power_cfg, tmp_path):
     rc = cli.main(["simulate", "--config", power_cfg,
                    "--out", str(tmp_path / "o")])

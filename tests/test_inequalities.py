@@ -415,14 +415,45 @@ class TestFamilyPass:
         for tf, got_left, got_right in zip(mixed_family, left, right):
             bp = I.quadrature.geometric_breakpoints(tf.support_radius)
 
-            def alone(r, tf=tf):
+            def alone(r, rows=None, tf=tf):
                 lam = W.lambda_many(w_half, r) ** lam_power
-                return np.stack([lam * np.abs(tf.value(r)) ** s,
+                both = np.stack([lam * np.abs(tf.value(r)) ** s,
                                  np.abs(tf.deriv(r)) ** p], axis=-1) * grow(r)[:, None]
+                return both if rows is None else both[:, rows]
 
             want = I.quadrature.panels(alone, bp[:-1], bp[1:], rel_tol=1e-13)[0].sum(axis=0)
             assert got_left == pytest.approx(want[0], rel=1e-12, abs=0.0), tf.label
             assert got_right == pytest.approx(want[1], rel=1e-12, abs=0.0), tf.label
+
+    #: family values computed at refinement calls per kind, against
+    #: 32,256, 36,288 and 44,352 when every call fills all 32 rows
+    REFINED_VALUES = {I.POINCARE: 2_200, I.RADIAL_SOBOLEV: 3_200, I.BOUNDED_SOBOLEV: 9_000}
+
+    @pytest.mark.parametrize("kind", [I.POINCARE, I.RADIAL_SOBOLEV, I.BOUNDED_SOBOLEV])
+    def test_refinement_fills_only_missed_rows(self, w_half, eq_ref, mixed_family, kind,
+                                               monkeypatch):
+        # a split sub-panel is evaluated for the rows that missed their
+        # share there; the first pass fills the whole block
+        lam_power, s = self.SIDES[kind]
+        calls = []
+        panels = I.quadrature.panels
+
+        def capture(f, *args):
+            def logged(r, rows=None):
+                out = f(r, rows=rows)
+                calls.append((rows, out.shape))
+                return out
+            return panels(logged, *args)
+
+        monkeypatch.setattr(I.quadrature, "panels", capture)
+        I._family_sides(w_half, eq_ref, mixed_family, lam_power, s)
+        (first, shape), refined = calls[0], calls[1:]
+        assert first is None and shape[1] == 2 * len(mixed_family)
+        assert refined
+        for rows, shape in refined:
+            assert shape[1] == rows.size < 2 * len(mixed_family)
+            assert np.all(np.diff(rows) > 0)
+        assert sum(n * k for _, (n, k) in refined) <= self.REFINED_VALUES[kind]
 
     def test_integrand_is_component_major(self, w_half, eq_ref, mixed_family, monkeypatch):
         # the integrand returns the transpose of a (2m, n) C-ordered block,

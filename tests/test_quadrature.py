@@ -14,6 +14,19 @@ from expdiff.errors import NumericFailureError
 RTOL = 1e-12
 
 
+def _stacked(*fs, requested=None):
+    """The integrand whose components are fs, under the rows contract of
+    ``Q.panels``: f(s) gives every component, f(s, rows=rows) the
+    components rows only.  Each call appends its rows to ``requested``
+    (None at a call for all of them)."""
+    def f(s, rows=None):
+        if requested is not None:
+            requested.append(rows)
+        return np.stack([fs[j](s) for j in (range(len(fs)) if rows is None else rows)],
+                        axis=-1)
+    return f
+
+
 @pytest.mark.parametrize("f, primitive, edges", [
     (lambda s: np.exp(-s) * np.cos(3.0 * s),
      lambda s: np.exp(-s) * (3.0 * np.sin(3.0 * s) - np.cos(3.0 * s)) / 10.0,
@@ -23,7 +36,8 @@ RTOL = 1e-12
      np.concatenate([[0.0], np.geomspace(1e-6, 5.0, 30)])),
     # two components of one integrand, a branch point and a smooth power:
     # every column meets the tolerance
-    (lambda s: np.stack([s ** 0.3, s ** 2.5], axis=-1),
+    (lambda s, rows=None: np.stack([s ** 0.3, s ** 2.5], axis=-1)[
+        :, slice(None) if rows is None else rows],
      lambda s: np.stack([s ** 1.3 / 1.3, s ** 3.5 / 3.5], axis=-1),
      np.concatenate([[0.0], np.geomspace(1e-6, 5.0, 30)])),
 ])
@@ -34,6 +48,30 @@ def test_panels_match_closed_form(f, primitive, edges):
     assert values.shape == errors.shape == exact.shape
     np.testing.assert_allclose(values, exact, rtol=RTOL, atol=0.0)
     assert np.all(errors <= RTOL * np.abs(values))
+
+
+def test_components_refine_on_their_own():
+    # only the middle component has a kink, inside the panel [1, 2]: every
+    # refinement call asks for that row alone, as many calls as the kink
+    # takes on its own
+    requested = []
+    f = _stacked(lambda s: s ** 3, lambda s: np.sqrt(np.abs(s - 1.3)), np.exp,
+                 requested=requested)
+    edges = np.arange(4.0)
+    values, errors = Q.panels(f, edges[:-1], edges[1:], rel_tol=1e-10)
+    assert requested[0] is None and len(requested) > 2
+    for rows in requested[1:]:
+        np.testing.assert_array_equal(rows, [1])
+    lo, hi = edges[:-1], edges[1:]
+    kink = np.sign(hi - 1.3) * np.abs(hi - 1.3) ** 1.5 / 1.5 \
+        - np.sign(lo - 1.3) * np.abs(lo - 1.3) ** 1.5 / 1.5
+    exact = np.stack([(hi ** 4 - lo ** 4) / 4, kink, np.exp(hi) - np.exp(lo)], axis=-1)
+    np.testing.assert_allclose(values, exact, rtol=1e-10, atol=0.0)
+    assert np.all(errors <= 1e-10 * np.abs(values))
+    alone = []
+    Q.panels(_stacked(lambda s: np.sqrt(np.abs(s - 1.3)), requested=alone), lo, hi,
+             rel_tol=1e-10)
+    assert len(alone) == len(requested)
 
 
 def test_panels_refine_many_kinks_at_once():
@@ -73,8 +111,8 @@ def test_noisy_integrand_fails_within_panel_cap():
         Q.panels(f, np.array([0.0]), np.array([1e-12]), rel_tol=1e-13)
     # next to a smooth column, which converges at once, it still fails
     with pytest.raises(NumericFailureError, match=r"\[0, 1e-12\]"):
-        Q.panels(lambda s: np.stack([1.0 + s, f(s)], axis=-1),
-                 np.array([0.0]), np.array([1e-12]), rel_tol=1e-13)
+        Q.panels(_stacked(lambda s: 1.0 + s, f), np.array([0.0]), np.array([1e-12]),
+                 rel_tol=1e-13)
     assert max(sizes) <= 20 * Q.MAX_PANELS
 
 
