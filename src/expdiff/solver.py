@@ -137,24 +137,61 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """What ``run`` returns: the cell averages ``profiles`` on ``grid``
+    at ``times``, one row for t = 0 (the initial data) and one per
+    output time, the step ``dt_last`` that ended at each row (NaN in row
+    0), and the run's counts.  ``sup_u``, ``mass`` and
+    ``support_radius`` are computed from the profiles on first access
+    and kept; like the profiles they are read-only."""
+
     times: np.ndarray
-    sup_u: np.ndarray
-    support_radius: np.ndarray
-    mass: np.ndarray
+    profiles: np.ndarray
     dt_last: np.ndarray
-    mass0: float
+    grid: RadialGrid
     config: SolverConfig
     steps: int
     rejected_steps: int
     newton_iterations: int
     clipped_mass: float
-    u_final: np.ndarray  # cell averages at the last output time
+
+    COLUMNS = ("t", "sup_u", "support_radius", "mass", "dt_last")
+
+    @functools.cached_property
+    def sup_u(self) -> np.ndarray:
+        return _read_only(self.profiles.max(axis=1))
+
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        # row by row, bitwise the sum of run's drift check; the product
+        # profiles @ vols is another BLAS call and rounds differently
+        vols = self.grid.cell_weighted_volumes
+        return _read_only(np.array([np.dot(u, vols) for u in self.profiles]))
+
+    @functools.cached_property
+    def support_radius(self) -> np.ndarray:
+        u0, faces = self.profiles[0], self.grid.faces
+        return _read_only(np.array([support_radius_of(u, u0, faces) for u in self.profiles]))
+
+    @property
+    def mass0(self) -> float:
+        return float(self.mass[0])
 
     def rows(self) -> list[tuple]:
         return list(zip(self.times, self.sup_u, self.support_radius,
                         self.mass, self.dt_last))
 
-    COLUMNS = ("t", "sup_u", "support_radius", "mass", "dt_last")
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def support_radius_of(u: np.ndarray, u0: np.ndarray, faces: np.ndarray) -> float:
+    """The numerical support radius of the cell averages ``u`` on the
+    mesh with ``faces``: the outer face of the last cell above
+    SUPPORT_THRESHOLD_REL times sup(u0), or 0 when no cell is."""
+    above = np.flatnonzero(u > SUPPORT_THRESHOLD_REL * float(u0.max()))
+    return float(faces[above[-1] + 1]) if above.size else 0.0
 
 
 def initial_state(config: SolverConfig) -> tuple[RadialGrid, np.ndarray]:
@@ -389,11 +426,11 @@ def _bdf_weights(steps: Sequence[float]) -> tuple[float, list[float], list[float
 
 
 def run(config: SolverConfig) -> Trajectory:
-    """Integrate to the last output time by variable-step BDF, recording
-    (t, sup, support radius, mass, dt) at the output times, each step
+    """Integrate to the last output time by variable-step BDF, storing
+    the cell averages and the last step at each output time, each step
     shortened to end exactly at the next output time if it would pass
-    it.  Raises if the support reaches the outer boundary or the
-    weighted mass drifts beyond MASS_DRIFT_TOL relative.
+    it.  Raises if the support (``support_radius_of``) reaches the outer
+    boundary or the weighted mass drifts beyond MASS_DRIFT_TOL relative.
 
     The step's order is min(4, levels held): backward Euler, BDF2 and
     BDF3 for the first three steps, then BDF4.  Each step solves
@@ -465,7 +502,6 @@ def run(config: SolverConfig) -> Trajectory:
     inv_dc = 1.0 / np.diff(grid.centers)
     w_dc = grid.face_coeffs * inv_dc
     mass0 = float(np.dot(u0, vols))
-    threshold = SUPPORT_THRESHOLD_REL * float(u0.max())
     lev = np.zeros((5, n_cells))  # u^n, u^(n-1), ..., u^(n-4): len(steps) + 1 rows held
     lev[0] = u0
     steps: list[float] = []  # the steps that ended at u^n, ..., u^(n-3)
@@ -473,7 +509,9 @@ def run(config: SolverConfig) -> Trajectory:
     t, dt = 0.0, math.nan  # dt: the last step taken
     n_steps = rejected = newton_iterations = 0
     clipped_mass = 0.0
-    rows = []
+    times = np.concatenate(([0.0], outs))  # t lands on each output exactly
+    profiles = np.empty((times.size, n_cells))
+    dts = np.empty(times.size)
     solve = _tridiagonal_solver()
 
     def converge(u: np.ndarray, tilde: np.ndarray, gdt: float) -> bool:
@@ -520,7 +558,7 @@ def run(config: SolverConfig) -> Trajectory:
         slope0[1:] -= flux
         np.divide(slope0, vols, out=slope0)
         dt_want = _gershgorin_dt(conduct, 1.0 / vols, eq.p, 1e-3 * t_last)
-        for t_out in [0.0] + outs.tolist():  # row 0 records u0
+        for i, t_out in enumerate(times.tolist()):  # row 0 stores u0
             failures = 0  # Newton failures since the last output time
             while t < t_out:
                 hi = _window(reach, n_cells)
@@ -572,27 +610,22 @@ def run(config: SolverConfig) -> Trajectory:
                 steps = [dt] + steps[:3]
                 t = t_out if landing else t + dt
                 n_steps += 1
-            above = np.flatnonzero(lev[0] > threshold)
-            radius = float(grid.faces[above[-1] + 1]) if above.size else 0.0
-            mass = float(np.dot(lev[0], vols))
-            rows.append((t, float(lev[0].max()), radius, mass, dt))
-            if radius >= boundary_face:
+            profiles[i], dts[i] = lev[0], dt
+            if support_radius_of(lev[0], u0, grid.faces) >= boundary_face:
                 raise SupportBoundaryError(
                     f"numerical support reached r_max={boundary_face:g} at t={t:g}; "
                     "enlarge r_max"
                 )
-            drift = abs(mass / mass0 - 1.0)
+            drift = abs(float(np.dot(lev[0], vols)) / mass0 - 1.0)
             if drift > MASS_DRIFT_TOL:
                 raise MassConservationError(
                     f"relative mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g} "
                     f"at t={t:g}"
                 )
-    times, sups, supports, masses, dts = (np.array(col) for col in zip(*rows))
     return Trajectory(
-        times=times, sup_u=sups, support_radius=supports, mass=masses,
-        dt_last=dts, mass0=mass0, config=config, steps=n_steps,
-        rejected_steps=rejected, newton_iterations=newton_iterations,
-        clipped_mass=clipped_mass, u_final=lev[0].copy(),
+        times=times, profiles=_read_only(profiles), dt_last=dts, grid=grid,
+        config=config, steps=n_steps, rejected_steps=rejected,
+        newton_iterations=newton_iterations, clipped_mass=clipped_mass,
     )
 
 
