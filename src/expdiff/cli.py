@@ -115,6 +115,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _radii(text: str) -> list[float]:
+    radii = _nonempty_floats(text)
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError("every radius must be finite and positive")
+    return radii
+
+
 def _count(low: int):
     """Conversion to an int that is at least ``low``."""
     def convert(text: str) -> int:
@@ -128,7 +135,7 @@ def _count(low: int):
 def _value(cfg: configparser.ConfigParser, section: str, key: str,
            convert=float, fallback=None):
     """``[section] key`` read by ``convert`` (float, int, _floats,
-    _nonempty_floats, _kinds, _taus, _positive or a _count):
+    _nonempty_floats, _kinds, _taus, _radii, _positive or a _count):
     ``fallback`` when the key is absent, or without one the
     configparser.Error that names the missing section or key.  Text that
     ``convert`` refuses raises InvalidParameterError naming the key and
@@ -261,7 +268,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
     s_max = _value(cfg, "weight_check", "s_max", _positive, 1e3)
     n = _value(cfg, "weight_check", "n_samples", _count(1), 200)
     samples = np.geomspace(s_min, s_max, n)
-    if np.any(np.diff(samples) <= 0):
+    if not s_min < s_max or np.any(np.diff(samples) <= 0):
         raise InvalidParameterError(
             f"[weight_check] s_min, s_max: need s_min < s_max with {n} distinct "
             f"samples between them, got s_min={s_min!r}, s_max={s_max!r}")
@@ -277,15 +284,20 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
 
     # unguarded: an error of a config expression at the samples ends the command
     envelope = weights.validate_envelope(w, samples)
-    # (name, check, gated): an error is the check's row, and an ungated
-    # check is reported but cannot fail the command
+    # (name, check, gated): the name heads the check's row whatever its
+    # outcome, an error is the row's note, and an ungated check is
+    # reported but cannot fail the command
     checks = [
-        ("envelope", lambda: envelope, True),
-        ("primitive sandwich", lambda: weights.check_sandwich(w, samples), True),
-        ("lam bounds", lambda: weights.check_lambda_bounds(w, samples), True),
-        ("inversion round trip", lambda: weights.check_inversion_roundtrip(w, zs), True),
-        ("inverse scaling", lambda: weights.check_inverse_scaling(w, pairs), True),
-        ("monotone radial quantities",
+        ("envelope alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s", lambda: envelope, True),
+        ("primitive sandwich g(s)s/(a2+1) <= int_0^s g <= g(s)s/(a1+1)",
+         lambda: weights.check_sandwich(w, samples), True),
+        ("lam bounds a1/(a1+1) g/s <= lam <= a2/(a2+1) g/s",
+         lambda: weights.check_lambda_bounds(w, samples), True),
+        ("inversion round trip |g(ginv(z)) - z| <= tol * max(1, z)",
+         lambda: weights.check_inversion_roundtrip(w, zs), True),
+        ("inverse scaling ginv(z) lam^(1/a2) <= ginv(z lam) <= ginv(z) lam^(1/a1)",
+         lambda: weights.check_inverse_scaling(w, pairs), True),
+        ("monotone radial quantities (finite differences)",
          lambda: weights.check_monotone_quantities(w, eq, samples),
          cond.flux_monotone_ok and cond.dual_monotone_ok),
     ]
@@ -294,7 +306,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
     for name, check, gated in checks:
         try:
             rep = check()
-            row = (rep.name, "PASS" if rep.passed else "FAIL", rep.worst_violation,
+            row = (name, "PASS" if rep.passed else "FAIL", rep.worst_violation,
                    rep.tolerance, "" if gated else "structural conditions not satisfied")
         except ExpdiffError as exc:
             row = (name, "FAIL", "", "", f"error: {exc}")
@@ -332,7 +344,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     eq.validate_with_weight(w)
     kinds = _value(cfg, "inequalities", "kinds", _kinds, list(_INEQUALITY_KINDS))
     q = _value(cfg, "inequalities", "q", fallback=3.0)
-    radii = _value(cfg, "inequalities", "radii", _nonempty_floats, [1.0, 2.0, 4.0])
+    radii = _value(cfg, "inequalities", "radii", _radii, [1.0, 2.0, 4.0])
     n_random = _value(cfg, "inequalities", "n_random", _count(0), 4)
     rng = np.random.default_rng(seed)
 
@@ -451,8 +463,9 @@ def cmd_simulate(cfg, out: Path, seed: int) -> int:
             "p": _fmt(scfg.eq.p), "m": _fmt(scfg.eq.m),
             "mass0": _fmt(traj.mass0), "n_cells": scfg.n_cells,
             "r_max": _fmt(scfg.r_max)}
-    write_csv(out / "trajectory.csv", list(solver.Trajectory.COLUMNS),
-              traj.rows(), meta)
+    write_csv(out / "trajectory.csv", ["t", "sup_u", "support_radius", "mass", "dt_last"],
+              list(zip(traj.times, traj.sup_u, traj.support_radius, traj.mass,
+                       traj.dt_last)), meta)
     write_csv(out / "envelope_comparison.csv",
               ["t", "sup_u", "sup_envelope", "sup_ratio",
                "support_radius", "support_envelope", "support_ratio"],

@@ -154,8 +154,6 @@ class Trajectory:
     newton_iterations: int
     clipped_mass: float
 
-    COLUMNS = ("t", "sup_u", "support_radius", "mass", "dt_last")
-
     @functools.cached_property
     def sup_u(self) -> np.ndarray:
         return _read_only(self.profiles.max(axis=1))
@@ -175,10 +173,6 @@ class Trajectory:
     @property
     def mass0(self) -> float:
         return float(self.mass[0])
-
-    def rows(self) -> list[tuple]:
-        return list(zip(self.times, self.sup_u, self.support_radius,
-                        self.mass, self.dt_last))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -635,7 +629,6 @@ def run(config: SolverConfig) -> Trajectory:
 
 @dataclass(frozen=True)
 class FitReport:
-    model: str
     slope: float
     target_slope: float
     c_fit: float
@@ -692,7 +685,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
         c_fit = float(np.exp(np.mean(np.log(c_last))))
         target = 1.0 / weight.alpha1 if weight.alpha1 == weight.alpha2 else math.nan
         return FitReport(
-            model=model, slope=slope, target_slope=target, c_fit=c_fit,
+            slope=slope, target_slope=target, c_fit=c_fit,
             band_max=float(c_last.max()), band_min=float(c_last.min()),
             window=(float(t[0]), float(t[-1])), n_points=int(idx.size),
         )
@@ -702,7 +695,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
     slope = float(np.polyfit(np.log(t[last]), np.log(r_last), 1)[0])
     c_fit = float(np.exp(np.mean(np.log(r_last))))
     return FitReport(
-        model=model, slope=slope, target_slope=0.0, c_fit=c_fit,
+        slope=slope, target_slope=0.0, c_fit=c_fit,
         band_max=float(r_last.max()), band_min=float(r_last.min()),
         window=(float(t[last][0]), float(t[-1])), n_points=int(r_last.size),
     )

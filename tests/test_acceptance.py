@@ -70,8 +70,8 @@ def test_criterion_1_weight_class_suite():
         cond = W.check_structural_conditions(w, eq)
         if cond.flux_monotone_ok and cond.dual_monotone_ok:
             checks.append(W.check_monotone_quantities(w, eq, SAMPLES))
-        failures.extend((w.label(), c.name, c.worst_violation)
-                        for c in checks if not c.passed)
+        failures.extend((w.label(), k, c.worst_violation)
+                        for k, c in enumerate(checks) if not c.passed)
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 10.0
     assert _report(1, ok, f"weight-class suite (4 weights, all batteries), "

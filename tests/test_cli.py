@@ -106,6 +106,38 @@ def test_weight_check_invalid_custom_nonzero(tmp_path, capsys):
     assert "alpha1*g(s)/s <= g'(s) <= alpha2*g(s)/s" in out
 
 
+TANH_INI = """
+[weight]
+kind = custom
+# g = tanh(s) is bounded, so inverting it at z >= 1 raises
+g_expr = tanh(s)
+g_prime_expr = 1 - tanh(s)**2
+alpha1 = 0.5
+alpha2 = 1.0
+[equation]
+dim_n = 3
+p = 2.0
+m = 2.0
+"""
+
+
+def test_weight_check_row_names_do_not_depend_on_outcome(power_cfg, tmp_path):
+    # a check that raised was written under a shorter name than the one
+    # it has when it passes or fails
+    tanh_cfg = tmp_path / "tanh.ini"
+    tanh_cfg.write_text(TANH_INI)
+    tables = []
+    for name, config in (("tanh", str(tanh_cfg)), ("power", power_cfg)):
+        cli.main(["weight-check", "--config", config, "--out", str(tmp_path / name)])
+        text = (tmp_path / name / "weight_check.csv").read_text()
+        tables.append(list(csv.DictReader(l for l in text.splitlines()
+                                          if not l.startswith("#"))))
+    tanh_rows, power_rows = tables
+    assert sum(row["note"].startswith("error:") for row in tanh_rows) == 2
+    assert not any(row["note"].startswith("error:") for row in power_rows)
+    assert [row["check"] for row in tanh_rows] == [row["check"] for row in power_rows]
+
+
 def test_weight_check_zygmund_writes_asymptotics(tmp_path):
     path = tmp_path / "z.ini"
     path.write_text(ZYGMUND_INI)
@@ -464,11 +496,13 @@ def test_missing_key_named(tmp_path, capsys):
 # with exit 0; so did an empty radii or kinds with an inequalities.csv of
 # only a header, and an empty tau_grid with a header-only
 # zygmund_asymptotics.csv; tau_grid = 2 wrote weight_check.csv before the
-# refusal, which did not name the key
+# refusal, which did not name the key; radii = 1, -2 ran the poincare and
+# radial_sobolev checks before a refusal that did not name the key
 @pytest.mark.parametrize("command, section, key, bad", [
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
     ("inequalities", "inequalities", "radii", "1, two"),
+    ("inequalities", "inequalities", "radii", "1, -2"),
     ("weight-check", "weight_check", "n_samples", "-1"),
     ("weight-check", "weight_check", "s_min", "0"),
     ("weight-check", "weight_check", "s_max", "-5"),
@@ -484,7 +518,7 @@ def test_missing_key_named(tmp_path, capsys):
     ("inequalities", "inequalities", "kinds", ""),
     ("weight-check", "weight_check", "tau_grid", ""),
     ("weight-check", "weight_check", "tau_grid", "2, 1e4"),
-], ids=["alpha", "n_samples", "radii", "n_samples-negative", "s_min-zero",
+], ids=["alpha", "n_samples", "radii", "radii-negative", "n_samples-negative", "s_min-zero",
         "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
         "output_decades-zero", "n_random-negative", "alphas-empty", "ps-empty",
         "ms-empty", "radii-empty", "kinds-empty", "tau_grid-empty",
@@ -633,11 +667,17 @@ def _record_calls(monkeypatch, module, names):
     return calls
 
 
-@pytest.mark.parametrize("s_min, s_max", [("10", "10"), ("10", "1"), ("1", "1.0000000000000002")])
-def test_weight_check_range_refused_before_checks(tmp_path, capsys, monkeypatch, s_min, s_max):
-    # s_max <= s_min reached validate_envelope, whose error named no key
+@pytest.mark.parametrize("s_min, s_max, n_samples", [
+    ("10", "10", "120"), ("10", "1", "120"), ("1", "1.0000000000000002", "120"),
+    ("10", "1", "1"),
+], ids=["10-10", "10-1", "1-1.0000000000000002", "10-1-n_samples-1"])
+def test_weight_check_range_refused_before_checks(tmp_path, capsys, monkeypatch,
+                                                  s_min, s_max, n_samples):
+    # s_max <= s_min reached validate_envelope, whose error named no key;
+    # with one sample a reversed range ran every check and exited 0
     cfg = _cfg(POWER_INI)
     cfg["weight_check"]["s_min"], cfg["weight_check"]["s_max"] = s_min, s_max
+    cfg["weight_check"]["n_samples"] = n_samples
     ini = tmp_path / "range.ini"
     with open(ini, "w", encoding="utf-8") as fh:
         cfg.write(fh)

@@ -358,7 +358,7 @@ class TestStructuralConditions:
 class TestMonotoneQuantities:
     def test_power_reference(self, power_half, eq_ref):
         rep = W.check_monotone_quantities(power_half, eq_ref, SAMPLES)
-        assert rep.passed, rep.detail
+        assert rep.passed, rep
 
     def test_zygmund_runs_even_when_gate_fails(self, eq_ref):
         # alpha2 = 1.5 violates the dual monotonicity gate; contract says
