@@ -103,8 +103,8 @@ def _kinds(text: str) -> list[str]:
 
 def _taus(text: str) -> list[float]:
     taus = _nonempty_floats(text)
-    if not all(tau > math.e for tau in taus):
-        raise ValueError("every tau must exceed e so that log(tau) > 1")
+    if not all(math.isfinite(tau) and tau > math.e for tau in taus):
+        raise ValueError("every tau must be finite and exceed e so that log(tau) > 1")
     return taus
 
 
@@ -343,7 +343,7 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
     eq = build_equation(cfg)
     eq.validate_with_weight(w)
     kinds = _value(cfg, "inequalities", "kinds", _kinds, list(_INEQUALITY_KINDS))
-    q = _value(cfg, "inequalities", "q", fallback=3.0)
+    q = _value(cfg, "inequalities", "q", _positive, 3.0)
     radii = _value(cfg, "inequalities", "radii", _radii, [1.0, 2.0, 4.0])
     n_random = _value(cfg, "inequalities", "n_random", _count(0), 4)
     rng = np.random.default_rng(seed)

@@ -12,6 +12,19 @@ g(s) = s**alpha * log(c + s)**beta (alpha1 = alpha, alpha2 = alpha + beta).
 Derived objects: the smoothed exponent G(s) = (1/s) * int_0^s g, its
 derivative lam(s) = G'(s), the inverse of g, and validators for every
 structural inequality the downstream constants rely on.
+
+The primitive int_0^s g is closed-form for powers.  For every other
+weight it comes from a table built once per weight: 281 anchors, 10 per
+decade over [1e-12, 1e16], with the cumulative integral of g at each,
+and on each of the 280 anchor intervals the piecewise-Chebyshev
+antiderivative (Trefethen, Approximation Theory and Approximation
+Practice, ch. 3 and 19): the degree-13 interpolant of g at 14 Chebyshev
+points, integrated exactly.  The build refuses, and caches the refusal,
+when an interval's trailing Chebyshev coefficients exceed TABLE_RTOL of
+its largest (g not smooth there, say g' jumping inside it).  A radius in
+[1e-12, 1e16] then costs one polynomial evaluation and no call of g;
+radii below 1e-12 share one adaptive pass, and radii above 1e16 are
+refused.
 """
 
 from __future__ import annotations
@@ -41,9 +54,16 @@ ENVELOPE_RTOL = 1e-10
 INVERT_RTOL = 1e-12
 #: largest radius the inverse brackets; targets beyond g(INVERT_CAP) are refused
 INVERT_CAP = 1e21
-#: radii per batched 21-point anchor-panel evaluation; bounds the
-#: temporaries of g to 512 * 21 nodes each
-PRIMITIVE_BATCH = 512
+#: degree of the Chebyshev interpolant of g on each anchor interval of
+#: the primitive table (its antiderivative has one degree more)
+TABLE_DEGREE = 13
+#: largest accepted ratio of an anchor interval's two trailing Chebyshev
+#: coefficients of g to its largest one.  Rounding leaves them near 1e-15
+#: (3.5e-15 on zygmund(0.05, 0.5, 1.01)), and at 2.2e-13 where g itself
+#: carries noise of 1e-12 (zygmund with c = 1.0001 near s = 1e-12, the
+#: noisiest g whose anchors still converge); a jump of g' inside an
+#: interval leaves about 1e-4
+TABLE_RTOL = 1e-12
 #: relative finite-difference step for monotonicity checks
 FD_REL_STEP = 1e-5
 #: relative truncation tolerance for finite-difference slopes
@@ -93,40 +113,38 @@ class WeightSpec:
 
     # -- primitive of g and the smoothed exponent --------------------------
 
-    def _primitive_anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached cumulative integral of g on a geometric anchor grid (or
-        the NumericFailureError of building it, raised again on each call).
-
-        Anchors are ~10 per decade over [1e-12, 1e16]; a single 21-point
-        Kronrod panel from the nearest anchor then recovers int_0^s g to
-        machine precision for arbitrary s (g is smooth between anchors; the
-        branch point at 0 sits inside the first panel, [0, 1e-12]).
-        """
-        anchors = self._cache.get("anchors")
-        if anchors is None:
-            s_grid = np.geomspace(1e-12, 1e16, 281)
+    def _primitive_anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached primitive table of g (or the NumericFailureError of
+        building it, raised again on each call), from ``_primitive_table``:
+        the anchors, the primitive at each, and per anchor interval the
+        coefficients of its antiderivative polynomial."""
+        table = self._cache.get("anchors")
+        if table is None:
             try:
-                cum = quadrature.cumulative(self.g, np.concatenate([[0.0], s_grid]),
-                                            rel_tol=1e-13)[1:]
-                anchors = (s_grid, cum)
+                table = _primitive_table(self.g)
             except NumericFailureError as exc:
-                anchors = exc.with_traceback(None)
-            self._cache["anchors"] = anchors
-        if isinstance(anchors, NumericFailureError):
-            raise NumericFailureError(str(anchors), achieved=anchors.achieved)
-        return anchors
+                table = exc.with_traceback(None)
+            self._cache["anchors"] = table
+        if isinstance(table, NumericFailureError):
+            raise NumericFailureError(str(table), achieved=table.achieved)
+        return table
 
     def g_primitive(self, s: float) -> float:
         """int_0^s g(z) dz; one point of ``g_primitive_many``."""
         return float(self.g_primitive_many(s)[0])
 
     def g_primitive_many(self, ss: np.ndarray) -> np.ndarray:
-        """int_0^s g(z) dz over an array of radii (closed form for powers,
-        anchored panels else).
+        """int_0^s g(z) dz over an array of radii: closed form for powers,
+        else from the primitive table (``_primitive_anchors``).
 
-        Radii below the first anchor share one cumulative pass over
-        breakpoints graded geometrically toward 0, where g(z) <= g(1) *
-        z**alpha1 for z < 1 keeps the branch point benign.
+        A radius s in [1e-12, 1e16] in the anchor interval [s_j, s_j+1]
+        costs one Horner pass, cum_j + sum_k coef[k, j] u**(k+1) with
+        u = (s - s_j) / (s_j+1 - s_j), and no call of g; at an anchor it
+        is cum_j exactly.  Radii below the first anchor share one
+        cumulative pass over breakpoints graded geometrically toward 0,
+        where g(z) <= g(1) * z**alpha1 for z < 1 keeps the branch point
+        benign.  A NaN radius gives NaN; radii above the last anchor are
+        refused.
         """
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
         if np.any(ss < 0):
@@ -134,7 +152,7 @@ class WeightSpec:
         if self.kind == KIND_POWER:
             a = self.params["alpha"]
             return np.power(ss, a + 1.0) / (a + 1.0)
-        s_grid, cum = self._primitive_anchors()
+        s_grid, cum, coef = self._primitive_anchors()
         if np.any(ss > s_grid[-1]):
             raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")
         out = np.zeros_like(ss)
@@ -146,11 +164,81 @@ class WeightSpec:
             out[low] = quadrature.cumulative(self.g, bp, rel_tol=1e-12)[
                 np.searchsorted(bp, s_low)]
         high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
-        idx = np.searchsorted(s_grid, ss[high], side="right") - 1
-        for k in range(0, high.size, PRIMITIVE_BATCH):
-            i, j = high[k:k + PRIMITIVE_BATCH], idx[k:k + PRIMITIVE_BATCH]
-            out[i] = cum[j] + quadrature.gl_fixed(self.g, s_grid[j], ss[i])
+        s = ss[high]
+        # the last anchor, and NaN, fall in the last interval
+        j = np.searchsorted(s_grid[:-1], s, side="right")
+        j -= 1
+        u = s - s_grid[j]
+        u /= np.diff(s_grid)[j]
+        acc = coef[-1][j]
+        for row in coef[-2::-1]:
+            acc *= u
+            acc += row[j]
+        acc *= u
+        acc += cum[j]
+        out[high] = acc
         return out
+
+
+def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n + 1 Chebyshev points of the first kind mapped to [0, 1]
+    (u = (1 + t) / 2 for t = cos((k + 1/2) pi / (n + 1))), the matrix
+    from values at them to the Chebyshev coefficients a_k of the degree-n
+    interpolant, and the matrix from those coefficients to c_k with
+    int_0^u sum_k a_k T_k(2v - 1) dv = sum_k c_k u**(k+1)."""
+    k = np.arange(n + 1)
+    theta = (k + 0.5) * math.pi / (n + 1)
+    to_cheb = 2.0 / (n + 1) * np.cos(np.outer(k, theta))
+    to_cheb[0] *= 0.5
+    # row i: the coefficients of T_i(2u - 1) in powers of u, by
+    # T_i = 2 (2u - 1) T_(i-1) - T_(i-2); integers below 2**31 for n = 13
+    mono = np.zeros((n + 1, n + 1))
+    mono[0, 0] = 1.0
+    mono[1, :2] = (-1.0, 2.0)
+    for i in range(2, n + 1):
+        mono[i] = -2.0 * mono[i - 1] - mono[i - 2]
+        mono[i, 1:] += 4.0 * mono[i - 1, :-1]
+    return 0.5 * (1.0 + np.cos(theta)), to_cheb, mono.T / (k + 1.0)[:, None]
+
+
+def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primitive table of g: anchors s_grid, 10 per decade over
+    [1e-12, 1e16] (281), cum = int_0^s g at each (``quadrature.cumulative``,
+    rel_tol 1e-13; the branch point at 0 sits in its first panel,
+    [0, 1e-12]), and coef of shape (TABLE_DEGREE + 1, 280) with
+    int_(s_j)^s g = sum_k coef[k, j] u**(k+1), u = (s - s_j)/(s_j+1 - s_j).
+
+    coef integrates the degree-TABLE_DEGREE Chebyshev interpolant of g
+    at the interval's TABLE_DEGREE + 1 Chebyshev points: one call of g
+    on 280 * 14 nodes.  A power-like g converges like 17**-k there, its
+    branch point at 0 being 8.7 half-widths from each interval's centre
+    (each interval spans a factor 10**0.1), so its two trailing
+    coefficients are rounding.  The first interval where they exceed
+    TABLE_RTOL times the largest coefficient, or are not finite, is
+    refused with a NumericFailureError that names it.
+    """
+    nodes, to_cheb, to_primitive = _chebyshev_tables(TABLE_DEGREE)
+    s_grid = np.geomspace(1e-12, 1e16, 281)
+    cum = quadrature.cumulative(g, np.concatenate([[0.0], s_grid]), rel_tol=1e-13)[1:]
+    width = np.diff(s_grid)
+    at = s_grid[:-1] + width * nodes[:, None]
+    vals = np.asarray(g(at.ravel()), dtype=float).reshape(at.shape)
+    # einsum, not @: a product of two 2-d arrays runs BLAS gemm, whose
+    # first call adds 0.25-0.4 MB of library code to the resident set,
+    # and nothing else in a run calls it
+    cheb = np.einsum("ik,kj->ij", to_cheb, vals)
+    scale = np.max(np.abs(cheb), axis=0)
+    tail = np.max(np.abs(cheb[-2:]), axis=0)
+    bad = np.flatnonzero(~(tail <= TABLE_RTOL * scale))  # NaN fails too
+    if bad.size:
+        j = bad[0]
+        ratio = tail[j] / scale[j]
+        raise NumericFailureError(
+            f"primitive table of g refused on [{s_grid[j]:g}, {s_grid[j + 1]:g}]: "
+            f"the trailing Chebyshev coefficients of g's degree-{TABLE_DEGREE} "
+            f"interpolant there are {ratio:.3g} of its largest, above "
+            f"{TABLE_RTOL:g} (g not smooth on that interval)", achieved=float(ratio))
+    return s_grid, cum, width * np.einsum("ik,kj->ij", to_primitive, cheb)
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,9 @@ def test_inequalities_csv_schema(power_cfg, tmp_path):
 
 def test_inequalities_keep_numpy_ma_out(tmp_path):
     # np.unique, np.isin and np.union1d import numpy.ma on their first
-    # call, which raises peak memory; a zygmund weight runs both the
-    # family pass and g's primitive below its first anchor
+    # call, which raises peak memory, and so does importing
+    # numpy.polynomial; a zygmund weight runs the family pass, g's
+    # primitive below its first anchor and its primitive table
     ini = tmp_path / "small.ini"
     ini.write_text("[weight]\nkind = zygmund\nalpha = 0.5\nbeta = 1.0\nc = 2.0\n"
                    "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
@@ -173,7 +174,8 @@ def test_inequalities_keep_numpy_ma_out(tmp_path):
             "from expdiff import cli\n"
             f"assert cli.main(['inequalities', '--config', {str(ini)!r}, "
             f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
-            "assert 'numpy.ma' not in sys.modules\n")
+            "assert 'numpy.ma' not in sys.modules\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
@@ -497,7 +499,10 @@ def test_missing_key_named(tmp_path, capsys):
 # only a header, and an empty tau_grid with a header-only
 # zygmund_asymptotics.csv; tau_grid = 2 wrote weight_check.csv before the
 # refusal, which did not name the key; radii = 1, -2 ran the poincare and
-# radial_sobolev checks before a refusal that did not name the key
+# radial_sobolev checks before a refusal that did not name the key;
+# tau_grid = 1e2, inf wrote weight_check.csv before a refusal that did not
+# name the key; q = nan, inf or -1 ran the poincare check (which does not
+# read q) and exited 0
 @pytest.mark.parametrize("command, section, key, bad", [
     ("weight-check", "weight", "alpha", "abc"),
     ("weight-check", "weight_check", "n_samples", "many"),
@@ -518,11 +523,15 @@ def test_missing_key_named(tmp_path, capsys):
     ("inequalities", "inequalities", "kinds", ""),
     ("weight-check", "weight_check", "tau_grid", ""),
     ("weight-check", "weight_check", "tau_grid", "2, 1e4"),
+    ("weight-check", "weight_check", "tau_grid", "1e2, inf"),
+    ("inequalities", "inequalities", "q", "nan"),
+    ("inequalities", "inequalities", "q", "inf"),
+    ("inequalities", "inequalities", "q", "-1"),
 ], ids=["alpha", "n_samples", "radii", "radii-negative", "n_samples-negative", "s_min-zero",
         "s_max-negative", "n_outputs-negative", "n_outputs-one", "t_end-inf",
         "output_decades-zero", "n_random-negative", "alphas-empty", "ps-empty",
         "ms-empty", "radii-empty", "kinds-empty", "tau_grid-empty",
-        "tau_grid-below-e"])
+        "tau_grid-below-e", "tau_grid-inf", "q-nan", "q-inf", "q-negative"])
 def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     cfg = _cfg(POWER_INI)
     if key == "tau_grid":
@@ -533,7 +542,8 @@ def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
         cfg.write(fh)
     rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o")])
     assert rc == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any check ran
     assert err.startswith("error:") and f"[{section}] {key}" in err and repr(bad) in err
     assert len(err.splitlines()) == 1
     assert not list((tmp_path / "o").glob("*.csv"))

@@ -415,7 +415,9 @@ class TestImplicitIntegrator:
     def test_no_scipy_import(self, tmp_path):
         # importing scipy.linalg doubles peak memory and adds ~0.4 s of
         # start-up; concurrent.futures pulls in multiprocessing and logging,
-        # which only a sweep with --jobs > 1 needs
+        # which only a sweep with --jobs > 1 needs; the first
+        # np.random.default_rng adds 5-6 MB of peak memory, and a run
+        # draws nothing
         ini = tmp_path / "small.ini"
         ini.write_text("[weight]\nkind = power\nalpha = 0.5\n"
                        "[equation]\ndim_n = 3\np = 2.0\nm = 2.0\n"
@@ -426,7 +428,8 @@ class TestImplicitIntegrator:
                 f"assert cli.main(['simulate', '--config', {str(ini)!r}, "
                 f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
                 "heavy = sorted(m for m in sys.modules if m.split('.')[0] in\n"
-                "               ('scipy', 'concurrent', 'multiprocessing'))\n"
+                "               ('scipy', 'concurrent', 'multiprocessing')\n"
+                "               or m.startswith('numpy.random'))\n"
                 "assert not heavy, heavy\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", code],

@@ -150,10 +150,16 @@ class TestSmoothedExponent:
 
     def test_primitive_many_oracle(self, zygmund):
         # mpmath 40-digit quadrature of int_0^s sqrt(z) log(2+z) dz; the
-        # points below 1e-12 sit under the first anchor of the table
+        # points below 1e-12 sit under the first anchor of the table, the
+        # rest include anchors (1e16 the last), interval midpoints and
+        # radii just above the first anchor
         mp.mp.dps = 40
+        anchors = np.geomspace(1e-12, 1e16, 281)
         ss = np.concatenate([[1e-15, 3e-14, 7e-13], np.geomspace(1e-12, 1e6, 19),
-                             [2.5e-3, 0.77, 4.2e5]])
+                             [2.5e-3, 0.77, 4.2e5],
+                             anchors[[1, 95, 160, 250, 280]],
+                             0.5 * (anchors[[0, 120, 279]] + anchors[[1, 121, 280]]),
+                             [np.nextafter(1e-12, 1.0), 1e-12 * (1.0 + 1e-9)]])
         got = zygmund.g_primitive_many(ss)
         for s, val in zip(ss, got):
             s_mp = mp.mpf(float(s))
@@ -185,6 +191,45 @@ class TestSmoothedExponent:
         calls.clear()
         with pytest.raises(NumericFailureError) as second:
             w.g_primitive_many(np.array([0.5, 2.0]))
+        assert calls == []
+        assert str(second.value) == str(first.value)
+        assert second.value.achieved == first.value.achieved
+
+    def test_table_calls_no_g(self, zygmund):
+        # once the table exists, a radius >= 1e-12 costs a polynomial
+        # evaluation and no call of g
+        calls = []
+
+        def g(s):
+            calls.append(np.size(s))
+            return zygmund.g(s)
+
+        w = W.make_custom_weight(g, zygmund.gp, zygmund.alpha1, zygmund.alpha2)
+        w.g_primitive(1.0)
+        assert 280 * (W.TABLE_DEGREE + 1) in calls  # the table's one pass
+        calls.clear()
+        ss = np.geomspace(1e-12, 1e16, 10_000)
+        got = w.g_primitive_many(ss)
+        assert calls == []
+        assert np.array_equal(got, zygmund.g_primitive_many(ss))
+
+    def test_kink_in_interval_refused_and_cached(self):
+        # g' jumps from 1 to 2 at s = 1.1, inside the anchor interval
+        # [1, 10**0.1], where no polynomial of the table's degree gets
+        # near TABLE_RTOL; the refusal is kept like a failed anchor build
+        calls = []
+
+        def g(s):
+            calls.append(np.size(s))
+            return s + np.maximum(s - 1.1, 0.0)
+
+        w = W.make_custom_weight(g, lambda s: 1.0 + (s > 1.1), 1.0, 2.0)
+        with pytest.raises(NumericFailureError, match=r"refused on \[1, 1\.25893\]") as first:
+            w.g_primitive_many(np.array([0.5, 2.0]))
+        assert first.value.achieved > 1e3 * W.TABLE_RTOL
+        calls.clear()
+        with pytest.raises(NumericFailureError) as second:
+            W.lambda_many(w, np.array([3.0]))
         assert calls == []
         assert str(second.value) == str(first.value)
         assert second.value.achieved == first.value.achieved
