@@ -27,7 +27,8 @@ caps the child intervals, however many components share them.
 ``adaptive`` is its one-panel call, and ``rule_pair`` the one-level
 pair on given panels.  Every integral over a partition (cumulative
 integrals, graded breakpoints, cell volumes, criterion tails,
-test-function families) goes through ``panels``.
+test-function families) goes through ``panels``, except the primitive of
+g on [1e-12, 1e16], which ``weights`` takes from its Chebyshev table.
 """
 
 from __future__ import annotations

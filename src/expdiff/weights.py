@@ -15,13 +15,14 @@ structural inequality the downstream constants rely on.
 
 The primitive int_0^s g is closed-form for powers.  For every other
 weight it comes from a table built once per weight: 281 anchors, 10 per
-decade over [1e-12, 1e16], with the cumulative integral of g at each,
-and on each of the 280 anchor intervals the piecewise-Chebyshev
-antiderivative (Trefethen, Approximation Theory and Approximation
-Practice, ch. 3 and 19): the degree-13 interpolant of g at 14 Chebyshev
-points, integrated exactly.  The build refuses, and caches the refusal,
-when an interval's trailing Chebyshev coefficients exceed TABLE_RTOL of
-its largest (g not smooth there, say g' jumping inside it).  A radius in
+decade over [1e-12, 1e16], and on each of the 280 anchor intervals the
+piecewise-Chebyshev antiderivative (Trefethen, Approximation Theory and
+Approximation Practice, ch. 3 and 19): the degree-13 interpolant of g at
+14 Chebyshev points, integrated exactly, plus the primitive at its left
+anchor: int_0^1e-12 g (one adaptive pass) plus the integrals of the
+intervals before it.  The build refuses, and caches the refusal, when an
+interval's trailing Chebyshev coefficients exceed TABLE_RTOL of its
+largest (g not smooth there, say g' jumping inside it).  A radius in
 [1e-12, 1e16] then costs one polynomial evaluation and no call of g;
 radii below 1e-12 share one adaptive pass, and radii above 1e16 are
 refused.
@@ -59,10 +60,9 @@ INVERT_CAP = 1e21
 TABLE_DEGREE = 13
 #: largest accepted ratio of an anchor interval's two trailing Chebyshev
 #: coefficients of g to its largest one.  Rounding leaves them near 1e-15
-#: (3.5e-15 on zygmund(0.05, 0.5, 1.01)), and at 2.2e-13 where g itself
-#: carries noise of 1e-12 (zygmund with c = 1.0001 near s = 1e-12, the
-#: noisiest g whose anchors still converge); a jump of g' inside an
-#: interval leaves about 1e-4
+#: (1.2e-15 on zygmund(0.5, 2, 1.0001)), and at 5.2e-13 where g itself
+#: carries noise of 1e-12 (a custom sqrt(s) * log(1.0001 + s) near
+#: s = 1e-12); a jump of g' inside an interval leaves about 1e-4
 TABLE_RTOL = 1e-12
 #: relative finite-difference step for monotonicity checks
 FD_REL_STEP = 1e-5
@@ -113,11 +113,11 @@ class WeightSpec:
 
     # -- primitive of g and the smoothed exponent --------------------------
 
-    def _primitive_anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _primitive_anchors(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached primitive table of g (or the NumericFailureError of
         building it, raised again on each call), from ``_primitive_table``:
-        the anchors, the primitive at each, and per anchor interval the
-        coefficients of its antiderivative polynomial."""
+        the anchors and, per anchor interval, the coefficients of the
+        primitive's polynomial there (row 0 its value at the left anchor)."""
         table = self._cache.get("anchors")
         if table is None:
             try:
@@ -138,13 +138,12 @@ class WeightSpec:
         else from the primitive table (``_primitive_anchors``).
 
         A radius s in [1e-12, 1e16] in the anchor interval [s_j, s_j+1]
-        costs one Horner pass, cum_j + sum_k coef[k, j] u**(k+1) with
+        costs one Horner pass, sum_k coef[k, j] u**k with
         u = (s - s_j) / (s_j+1 - s_j), and no call of g; at an anchor it
-        is cum_j exactly.  Radii below the first anchor share one
-        cumulative pass over breakpoints graded geometrically toward 0,
-        where g(z) <= g(1) * z**alpha1 for z < 1 keeps the branch point
-        benign.  A NaN radius gives NaN; radii above the last anchor are
-        refused.
+        is coef[0, j], the primitive there, exactly.  Radii below the
+        first anchor share one pass of ``_near_zero_primitive``, the one
+        that gives the table its first primitive.  A NaN radius gives
+        NaN; radii above the last anchor are refused.
         """
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
         if np.any(ss < 0):
@@ -152,17 +151,13 @@ class WeightSpec:
         if self.kind == KIND_POWER:
             a = self.params["alpha"]
             return np.power(ss, a + 1.0) / (a + 1.0)
-        s_grid, cum, coef = self._primitive_anchors()
+        s_grid, coef = self._primitive_anchors()
         if np.any(ss > s_grid[-1]):
             raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")
         out = np.zeros_like(ss)
         low = (ss > 0.0) & (ss < s_grid[0])
         if np.any(low):
-            s_low = ss[low]
-            bp = quadrature.sorted_union(
-                quadrature.geometric_breakpoints(float(s_low.max())), s_low)
-            out[low] = quadrature.cumulative(self.g, bp, rel_tol=1e-12)[
-                np.searchsorted(bp, s_low)]
+            out[low] = _near_zero_primitive(self.g, ss[low])
         high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
         s = ss[high]
         # the last anchor, and NaN, fall in the last interval
@@ -174,10 +169,17 @@ class WeightSpec:
         for row in coef[-2::-1]:
             acc *= u
             acc += row[j]
-        acc *= u
-        acc += cum[j]
         out[high] = acc
         return out
+
+
+def _near_zero_primitive(g: Callable, s: np.ndarray) -> np.ndarray:
+    """int_0^s g over an array of radii 0 < s <= 1e-12 (the first anchor):
+    one ``quadrature.cumulative`` pass over breakpoints graded
+    geometrically toward 0 and the radii themselves, where
+    g(z) <= g(1) * z**alpha1 for z < 1 keeps the branch point benign."""
+    bp = quadrature.sorted_union(quadrature.geometric_breakpoints(float(s.max())), s)
+    return quadrature.cumulative(g, bp, rel_tol=1e-12)[np.searchsorted(bp, s)]
 
 
 def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,25 +203,25 @@ def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + np.cos(theta)), to_cheb, mono.T / (k + 1.0)[:, None]
 
 
-def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The primitive table of g: anchors s_grid, 10 per decade over
-    [1e-12, 1e16] (281), cum = int_0^s g at each (``quadrature.cumulative``,
-    rel_tol 1e-13; the branch point at 0 sits in its first panel,
-    [0, 1e-12]), and coef of shape (TABLE_DEGREE + 1, 280) with
-    int_(s_j)^s g = sum_k coef[k, j] u**(k+1), u = (s - s_j)/(s_j+1 - s_j).
+    [1e-12, 1e16] (281), and coef of shape (TABLE_DEGREE + 2, 280) with
+    int_0^s g = sum_k coef[k, j] u**k, u = (s - s_j)/(s_j+1 - s_j).
 
-    coef integrates the degree-TABLE_DEGREE Chebyshev interpolant of g
-    at the interval's TABLE_DEGREE + 1 Chebyshev points: one call of g
-    on 280 * 14 nodes.  A power-like g converges like 17**-k there, its
-    branch point at 0 being 8.7 half-widths from each interval's centre
-    (each interval spans a factor 10**0.1), so its two trailing
-    coefficients are rounding.  The first interval where they exceed
-    TABLE_RTOL times the largest coefficient, or are not finite, is
-    refused with a NumericFailureError that names it.
+    coef[1:] integrates the degree-TABLE_DEGREE Chebyshev interpolant of
+    g at the interval's TABLE_DEGREE + 1 Chebyshev points, the only call
+    of g above 1e-12 (280 * 14 nodes).  A power-like g converges like
+    17**-k there, its branch point at 0 being 8.7 half-widths from each
+    interval's centre (each spans a factor 10**0.1), so its two trailing
+    coefficients are rounding; the first interval where they exceed
+    TABLE_RTOL times the largest, or are not finite, is refused with a
+    NumericFailureError that names it.  coef[0], the primitive at each
+    left anchor, is int_0^1e-12 g (``_near_zero_primitive``) plus one
+    cumsum of the interval integrals sum_k coef[k, j] (u = 1), so the
+    primitive has no jump at an anchor beyond rounding.
     """
     nodes, to_cheb, to_primitive = _chebyshev_tables(TABLE_DEGREE)
     s_grid = np.geomspace(1e-12, 1e16, 281)
-    cum = quadrature.cumulative(g, np.concatenate([[0.0], s_grid]), rel_tol=1e-13)[1:]
     width = np.diff(s_grid)
     at = s_grid[:-1] + width * nodes[:, None]
     vals = np.asarray(g(at.ravel()), dtype=float).reshape(at.shape)
@@ -238,7 +240,9 @@ def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"the trailing Chebyshev coefficients of g's degree-{TABLE_DEGREE} "
             f"interpolant there are {ratio:.3g} of its largest, above "
             f"{TABLE_RTOL:g} (g not smooth on that interval)", achieved=float(ratio))
-    return s_grid, cum, width * np.einsum("ik,kj->ij", to_primitive, cheb)
+    coef = width * np.einsum("ik,kj->ij", to_primitive, cheb)
+    cum = np.cumsum(np.concatenate([_near_zero_primitive(g, s_grid[:1]), coef[:, :-1].sum(0)]))
+    return s_grid, np.vstack([cum, coef])
 
 
 @dataclass(frozen=True)
@@ -319,13 +323,14 @@ def make_zygmund_weight(alpha: float, beta: float, c: float) -> WeightSpec:
     if not c > 1:
         raise InvalidParameterError(f"requires c > 1, got c={c}")
 
+    # log1p, as log(c + s) drops the digits of s under the 1 of c near c = 1
     def g(s):
         s = np.asarray(s, dtype=float)
-        return np.power(s, alpha) * np.power(np.log(c + s), beta)
+        return np.power(s, alpha) * np.power(np.log1p((c - 1.0) + s), beta)
 
     def gp(s):
         s = np.asarray(s, dtype=float)
-        lg = np.log(c + s)
+        lg = np.log1p((c - 1.0) + s)
         return np.power(s, alpha - 1.0) * np.power(lg, beta - 1.0) * (
             alpha * lg + beta * s / (c + s)
         )
@@ -393,7 +398,6 @@ class ConditionReport:
     sup_decay_range_ok: bool    # 1 > a2 >= a1 >= a2/(a2+1)
     alpha2_below_one: bool
     alpha2_below_cap: bool      # a2 < min(N, p/(p-1))
-    values: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +548,6 @@ def check_structural_conditions(w: WeightSpec, eq: EquationParams) -> ConditionR
         sup_decay_range_ok=(1.0 > a2 >= a1 >= a2 / (a2 + 1.0)),
         alpha2_below_one=a2 < 1.0,
         alpha2_below_cap=a2 < cap,
-        values={
-            "flux_monotone_lhs": flux_lhs,
-            "dual_monotone_lhs": dual_lhs,
-            "alpha_ratio_floor": a2 / (a2 + 1.0),
-            "alpha2_cap": cap,
-        },
     )
 
 

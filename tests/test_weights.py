@@ -62,6 +62,15 @@ class TestConstructors:
         assert zygmund.alpha1 == 0.5
         assert zygmund.alpha2 == 1.5
 
+    def test_zygmund_c_near_one(self):
+        # log(c + s) keeps only the digits of s beyond the 1 of c: at
+        # c = 1.0001 near s = 1e-12 it missed mpmath (40 digits) by 1.1e-12
+        mp.mp.dps = 40
+        w = W.make_zygmund_weight(0.5, 1.0, 1.0001)
+        for s in (1e-12, 3.7e-12):
+            exact = mp.sqrt(s) * mp.log(mp.mpf(1.0001) + s)
+            assert float(w.g(s)) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
     def test_zygmund_rejects_bad_c(self):
         with pytest.raises(InvalidParameterError):
             W.make_zygmund_weight(0.5, 1.0, 1.0)
@@ -148,24 +157,46 @@ class TestSmoothedExponent:
         assert g_s * s / (zygmund.alpha2 + 1.0) <= prim * (1 + 1e-12)
         assert prim <= g_s * s / (zygmund.alpha1 + 1.0) * (1 + 1e-12)
 
-    def test_primitive_many_oracle(self, zygmund):
-        # mpmath 40-digit quadrature of int_0^s sqrt(z) log(2+z) dz; the
-        # points below 1e-12 sit under the first anchor of the table, the
-        # rest include anchors (1e16 the last), interval midpoints and
-        # radii just above the first anchor
+    @pytest.mark.parametrize("alpha, beta, c", [
+        (0.5, 1.0, 2.0), (0.5, 1.5, 1.0001), (0.5, 2.0, 1.0001), (0.5, 1.0, 1.0000001)])
+    def test_primitive_many_oracle(self, alpha, beta, c):
+        # mpmath 40-digit quadrature of int_0^s z**alpha log(c+z)**beta dz,
+        # split where log(c+z) turns from linear to logarithmic (z = c - 1);
+        # the points below 1e-12 sit under the first anchor of the table,
+        # the rest include anchors (1e16 the last), interval midpoints and
+        # radii just above the first anchor.  The cases with c near 1
+        # check the log1p form of g, on which their tables build
         mp.mp.dps = 40
+        w = W.make_zygmund_weight(alpha, beta, c)
+        c_mp = mp.mpf(c)
         anchors = np.geomspace(1e-12, 1e16, 281)
         ss = np.concatenate([[1e-15, 3e-14, 7e-13], np.geomspace(1e-12, 1e6, 19),
                              [2.5e-3, 0.77, 4.2e5],
                              anchors[[1, 95, 160, 250, 280]],
                              0.5 * (anchors[[0, 120, 279]] + anchors[[1, 121, 280]]),
                              [np.nextafter(1e-12, 1.0), 1e-12 * (1.0 + 1e-9)]])
-        got = zygmund.g_primitive_many(ss)
+        got = w.g_primitive_many(ss)
         for s, val in zip(ss, got):
             s_mp = mp.mpf(float(s))
-            nodes = [0, s_mp] if s <= 1 else [0, 1, mp.sqrt(s_mp), s_mp]
-            exact = mp.quad(lambda z: mp.sqrt(z) * mp.log(2 + z), nodes)
+            nodes = [0] + sorted(x for x in (c_mp - 1, 1, mp.sqrt(s_mp)) if x < s_mp) + [s_mp]
+            exact = mp.quad(lambda z: z ** alpha * mp.log(c_mp + z) ** beta, nodes)
             assert val == pytest.approx(float(exact), rel=1e-12), s
+
+    def test_primitive_continuous_at_anchors(self):
+        # the primitive at each anchor is the sum of the table's own
+        # interval integrals, so its step across an anchor s_j is g(s_j)
+        # times the step in s, to rounding, even on this g, whose rounding
+        # noise of 1e-12 near 0 (log(c + s) at c = 1.0001) makes a second
+        # integrator of g disagree with the table by about 2e-13
+        w = W.make_custom_weight(
+            lambda s: np.sqrt(s) * np.log(1.0001 + s),
+            lambda s: 0.5 / np.sqrt(s) * np.log(1.0001 + s) + np.sqrt(s) / (1.0001 + s),
+            0.5, 1.5)
+        anchors = np.geomspace(1e-12, 1e16, 281)
+        below = np.nextafter(anchors, 0.0)
+        prim = w.g_primitive_many(anchors)
+        step = prim - w.g_primitive_many(below) - w.g(anchors) * (anchors - below)
+        assert np.all(np.abs(step) <= 1e-15 * prim)
 
     def test_sandwich_bulk(self, zygmund):
         rng = np.random.default_rng(42)
@@ -196,17 +227,22 @@ class TestSmoothedExponent:
         assert second.value.achieved == first.value.achieved
 
     def test_table_calls_no_g(self, zygmund):
-        # once the table exists, a radius >= 1e-12 costs a polynomial
-        # evaluation and no call of g
+        # the build calls g above 1e-12 on the table's 280 * 14 Chebyshev
+        # nodes only, and once the table exists, a radius >= 1e-12 costs a
+        # polynomial evaluation and no call of g
         calls = []
 
         def g(s):
-            calls.append(np.size(s))
+            calls.append(np.ravel(s))
             return zygmund.g(s)
 
         w = W.make_custom_weight(g, zygmund.gp, zygmund.alpha1, zygmund.alpha2)
+        calls.clear()
         w.g_primitive(1.0)
-        assert 280 * (W.TABLE_DEGREE + 1) in calls  # the table's one pass
+        nodes = np.concatenate(calls)
+        anchors = np.geomspace(1e-12, 1e16, 281)
+        table = anchors[:-1] + np.diff(anchors) * W._chebyshev_tables(W.TABLE_DEGREE)[0][:, None]
+        assert np.array_equal(np.sort(nodes[nodes > 1e-12]), np.sort(table.ravel()))
         calls.clear()
         ss = np.geomspace(1e-12, 1e16, 10_000)
         got = w.g_primitive_many(ss)
@@ -384,8 +420,13 @@ class TestStructuralConditions:
         rep = W.check_structural_conditions(power_half, eq_ref)
         assert rep.flux_monotone_ok and rep.dual_monotone_ok and rep.sup_decay_range_ok
         assert rep.alpha2_below_one and rep.alpha2_below_cap
-        # closed-form check: (3-2)*0.5/1.5 + 1*(0.5 - 0.5/1.5) = 0.5
-        assert rep.values["flux_monotone_lhs"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("alpha2, ok", [(0.81, True), (0.82, False)])
+    def test_flux_monotone_threshold(self, eq_ref, alpha2, ok):
+        # (N-p) a1/(a1+1) + (p-1)(a1 - a2/(a2+1)) at N = 3, p = 2, a1 = 0.25
+        # is 0.45 - a2/(a2+1): +2.5e-3 at a2 = 0.81, -5.5e-4 at a2 = 0.82
+        w = W.make_custom_weight(np.sqrt, lambda s: 0.5 / np.sqrt(s), 0.25, alpha2)
+        assert W.check_structural_conditions(w, eq_ref).flux_monotone_ok is ok
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     def test_equal_exponents_satisfy_monotonicity(self, alpha, eq_ref):
