@@ -437,7 +437,7 @@ def _fit_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
                 "sup_power_law", f"too few samples in the last decade "
                                  f"({n_keep} < {solver.MIN_FIT_SAMPLES})"))
         else:
-            slope = float(np.polyfit(np.log(t[keep]), np.log(traj.sup_u[1:][keep]), 1)[0])
+            slope = solver.line_slope(np.log(t[keep]), np.log(traj.sup_u[1:][keep]))
             rows.append(("sup_power_law", slope, _barenblatt_exponent(scfg.eq),
                          "", "", "", t[keep][0], t[-1], n_keep, "ok"))
     return rows

@@ -11,7 +11,10 @@ integrand is called once on the 21 Kronrod nodes of all panels, the
 panel's value is the 21-point Kronrod sum K, and the 10-point Gauss sum
 G over every other node gives the error estimate, per component,
 ``max(|K - G|, |K| * min(1, (200 |K - G| / |K|)**1.5))`` (QUADPACK's
-rescaling with |K| as its scale; the raw difference when K = 0).
+rescaling with |K| as its scale; the raw difference when K = 0), and at
+least eps max(|a|, |b|) times the variation of f over the end nodes and
+the centre: the error of nodes placed in floating point on a panel
+[a, b] far narrower than its distance from 0, which K - G does not see.
 ``panels`` integrates many panels at once and refines each component
 of each panel on its own, level by level: a sub-panel is split for the
 components that miss their share of their panel's tolerance there, and
@@ -77,6 +80,7 @@ _GAUSS = np.array([
     0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
     0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
 ])
+_EPS = np.finfo(float).eps
 
 #: absolute error every panel may keep, so that integrals of 0 converge
 ABS_FLOOR = 1e-300
@@ -145,6 +149,16 @@ def rule_pair(f: Callable, a: np.ndarray, b: np.ndarray,
         ratio = np.divide(np.minimum(200.0 * diff, scale), scale,
                           out=np.ones_like(diff), where=scale > 0.0)
         estimate = np.maximum(diff, scale * ratio ** 1.5)
+        # each node is a float, off its true place by up to about
+        # eps max(|a|, |b|), which moves the sum by up to about that times
+        # the variation of f, unseen by K - G on the same nodes; the
+        # variation is read at the two end nodes and the centre
+        spread = _EPS * np.maximum(np.abs(a), np.abs(b))
+        centre = vals[..., 10]
+        floor = spread * (np.abs(vals[..., 0] - centre) + np.abs(centre - vals[..., 20]))
+        if floor.ndim > spread.ndim:
+            floor = np.moveaxis(floor, 0, -1)
+        estimate = np.maximum(estimate, floor)
     return kronrod, estimate
 
 

@@ -308,55 +308,84 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return np.array(b)
 
 
+def _bind_thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 rhs: np.ndarray):
+    """``_thomas`` bound as ``_tridiagonal_solver`` binds ``dgtsv``: a
+    function of ``rows`` that solves the leading rows of the bands into
+    ``rhs[:rows]``."""
+    def solve(rows: int) -> None:
+        rhs[:rows] = _thomas(sub[:rows - 1], diag[:rows], sup[:rows - 1], rhs[:rows])
+
+    return solve
+
+
 @functools.cache
 def _tridiagonal_solver():
-    """The tridiagonal solve of Newton's step: a function of (sub, diag,
-    sup, rhs) in ``_thomas``'s order that returns the solution and
-    raises ``ZeroDivisionError`` on an exactly zero pivot.
+    """The tridiagonal solve of Newton's step, as a binding: given 1-D
+    arrays for the sub-diagonal, diagonal, super-diagonal and right side
+    of the largest system, ``bind(sub, diag, sup, rhs)`` returns a
+    function of ``rows`` that solves the system on the leading ``rows``
+    rows in ``_thomas``'s order, overwriting the four arrays there and
+    leaving the solution in ``rhs[:rows]``, and raises
+    ``ZeroDivisionError`` on an exactly zero pivot.  ``run`` binds once
+    per run, to rows of its workspace.
 
     It is LAPACK's ``dgtsv`` (Gaussian elimination with partial
     pivoting) from the scipy-openblas64 library that numpy's Linux
     wheels bundle in ``numpy.libs`` and have already loaded, called
-    through ctypes: about 9 µs on 165-190 rows against 50-90 µs for
-    the ``_thomas`` sweep.  That library's LAPACK takes 64-bit integers
+    through ctypes: about 4 µs on 170 rows, where marshalling the four
+    arrays on every call took 7.5 µs, against 50-90 µs for the
+    ``_thomas`` sweep.  That library's LAPACK takes 64-bit integers
     (ILP64) and is exported as ``scipy_dgtsv_64_``; only that spelling
     is looked up, since a guessed symbol with 32-bit integers would
     corrupt memory silently.  Where it is not found (numpy from conda
-    or a Linux distribution, or a macOS wheel) the solve is ``_thomas``,
-    which gives the same solutions bitwise on Newton's systems.
-    ``dgtsv`` overwrites its four arrays, which must be C-contiguous
-    float64 with at least two rows, and returns the solution in ``rhs``;
-    sizes, dtype and contiguity are checked, so a mismatch raises
-    instead of letting LAPACK write past an array.  Resolved on the
-    first call, so importing the package does not pay for it.
+    or a Linux distribution, or a macOS wheel) the binding is
+    ``_bind_thomas``, which gives the same solutions bitwise on Newton's
+    systems.  LAPACK trusts the addresses and sizes it is given, so
+    binding checks that the arrays are writable C-contiguous float64 and
+    that the bands fit ``rhs.size`` rows, and each solve checks its row
+    count against that capacity: a mismatch raises instead of letting
+    LAPACK write past an array.  ``dgtsv`` gets bare addresses, so the
+    binding holds the arrays and the ctypes integers behind them for as
+    long as it lives.  Resolved on the first call, so importing the
+    package does not pay for it.
     """
     lib_dir = Path(np.__file__).parents[1] / "numpy.libs"
     libs = sorted(lib_dir.glob("libscipy_openblas64_*.so"))
     try:
         dgtsv = ctypes.CDLL(str(libs[0])).scipy_dgtsv_64_
     except (IndexError, OSError, AttributeError):
-        return _thomas
-    int_p, double_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    dgtsv.argtypes = [int_p, int_p, double_p, double_p, double_p, double_p, int_p, int_p]
+        return _bind_thomas
+    # (n, nrhs, dl, d, du, b, ldb, info), all by address
+    dgtsv.argtypes = [ctypes.c_void_p] * 8
     dgtsv.restype = None
-    one, as_double = ctypes.c_int64(1), ctypes.c_double.from_buffer
 
-    def solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-              rhs: np.ndarray) -> np.ndarray:
-        rows = rhs.size
-        if not (diag.size == rows and sub.size == sup.size == rows - 1
-                and sub.dtype == diag.dtype == sup.dtype == rhs.dtype == np.float64):
-            raise ValueError(f"dgtsv: bands do not fit {rows} float64 rows")
-        n, info = ctypes.c_int64(rows), ctypes.c_int64()
-        dgtsv(n, one, as_double(sub), as_double(diag), as_double(sup), as_double(rhs),
-              n, info)
-        if info.value > 0:
-            raise ZeroDivisionError(f"dgtsv: zero pivot in row {info.value}")
-        if info.value < 0:
-            raise RuntimeError(f"dgtsv: argument {-info.value} is invalid")
-        return rhs
+    def bind(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray):
+        capacity = rhs.size
+        bands = (sub, diag, sup, rhs)
+        if not (diag.size == capacity and min(sub.size, sup.size) >= capacity - 1
+                and all(x.dtype == np.float64 for x in bands)):
+            raise ValueError(f"dgtsv: bands do not fit {capacity} float64 rows")
+        if not all(x.flags.c_contiguous and x.flags.writeable for x in bands):
+            raise TypeError("dgtsv: bands must be writable C-contiguous arrays")
+        n, one, info = ctypes.c_int64(), ctypes.c_int64(1), ctypes.c_int64()
+        args = (ctypes.addressof(n), ctypes.addressof(one),
+                *(x.ctypes.data for x in bands), ctypes.addressof(n), ctypes.addressof(info))
 
-    return solve
+        def solve(rows: int) -> None:
+            if not 0 < rows <= capacity:
+                raise ValueError(f"dgtsv: {rows} rows do not fit the {capacity} bound")
+            n.value = rows
+            dgtsv(*args)
+            if info.value > 0:
+                raise ZeroDivisionError(f"dgtsv: zero pivot in row {info.value}")
+            if info.value < 0:
+                raise RuntimeError(f"dgtsv: argument {-info.value} is invalid")
+
+        solve.held = (one, bands)  # what args points into besides n and info
+        return solve
+
+    return bind
 
 
 def _window(reach: int, n_cells: int) -> int:
@@ -455,23 +484,33 @@ def run(config: SolverConfig) -> Trajectory:
     ``reach`` is one past the last cell any of the last five levels ever
     made nonzero: start, residual, Jacobian, tridiagonal solve, error
     estimate and clipping all run on that slice, and the accepted slice
-    is written into the levels.  The five levels are the rows of one
-    array, so the start and u~ are one ``np.dot`` each.  One
-    ``np.errstate`` covers the initial slope and the whole integration
-    loop: the fluxes, evaluated once per step attempt, once per Newton
-    solve and once for the slope, enter none of their own.
+    is written into the levels.
+
+    Workspace: the five levels and the step's own arrays (residual and
+    right side, the three bands, start, Newton iterate, u~ and a
+    scratch row) are the rows of one array allocated once per run.  A
+    step writes them in place and allocates no array beyond those the
+    flux functions return; the views of the window are built again only
+    when the window moves or a level is added, and the tridiagonal solve
+    is bound to the band rows once per run (see
+    ``_tridiagonal_solver``).  The start and u~ are one ``np.matmul``
+    each, which reads the strided level rows in place where ``np.dot``
+    copied them first (the same values bitwise).  One ``np.errstate``
+    covers the initial slope and the whole integration loop: the fluxes,
+    evaluated once per step attempt, once per Newton solve and once for
+    the slope, enter none of their own.
 
     Step control: the Milne estimate on the Newton start,
     err = 12/137 |V (u - start)|_1 / mass, where 12/137 = C / (1 + C)
     for C = 12/125, the error constant of constant-step BDF4 against
     that of the quartic extrapolation.  The sum runs in cell order
-    (``np.cumsum``), so trailing zero cells leave err bitwise unchanged
-    and the window does not move the step controller.  While fewer than
-    five levels exist the start is one order short of the step, so err
-    overstates the error.  On the first step the explicit Euler start
-    makes err O(dt^2); from the constant start u^0 it was O(dt), and
-    nine rejections cut the Gershgorin step about 6e4-fold.  A step
-    with err > BDF_TOL is rejected.  The next step wanted is
+    (``np.add.accumulate``), so trailing zero cells leave err bitwise
+    unchanged and the window does not move the step controller.  While
+    fewer than five levels exist the start is one order short of the
+    step, so err overstates the error.  On the first step the explicit
+    Euler start makes err O(dt^2); from the constant start u^0 it was
+    O(dt), and nine rejections cut the Gershgorin step about 6e4-fold.
+    A step with err > BDF_TOL is rejected.  The next step wanted is
     dt * 0.7 (BDF_TOL/err)^(1/5), the factor clipped to [0.2,
     RATIO_MAX], and every step taken is at most RATIO_MAX times the one
     before, also the first step after a landing: variable-step BDF is
@@ -496,8 +535,13 @@ def run(config: SolverConfig) -> Trajectory:
     inv_dc = 1.0 / np.diff(grid.centers)
     w_dc = grid.face_coeffs * inv_dc
     mass0 = float(np.dot(u0, vols))
-    lev = np.zeros((5, n_cells))  # u^n, u^(n-1), ..., u^(n-4): len(steps) + 1 rows held
+    # the workspace: rows 0-4 are the levels u^n, u^(n-1), ..., u^(n-4)
+    # (len(steps) + 1 held), the rest the step's own arrays
+    work = np.zeros((13, n_cells))
+    lev = work[:5]
     lev[0] = u0
+    resid_row, sub_row, diag_row, sup_row, start_row, u_row, tilde_row, scratch_row = work[5:]
+    solve = _tridiagonal_solver()(sub_row, diag_row, sup_row, resid_row)
     steps: list[float] = []  # the steps that ended at u^n, ..., u^(n-3)
     reach = int(np.flatnonzero(u0)[-1]) + 1
     t, dt = 0.0, math.nan  # dt: the last step taken
@@ -506,25 +550,26 @@ def run(config: SolverConfig) -> Trajectory:
     times = np.concatenate(([0.0], outs))  # t lands on each output exactly
     profiles = np.empty((times.size, n_cells))
     dts = np.empty(times.size)
-    solve = _tridiagonal_solver()
+    viewed = None  # (window end, steps held) the window's views were built for
 
-    def converge(u: np.ndarray, tilde: np.ndarray, gdt: float) -> bool:
+    def converge(gdt: float) -> bool:
         # in place on the window: u -> root of R; False when Newton
         # fails.  The cap counts solves; the residual after the last
-        # one still counts.
+        # one still counts.  The window's views are run's names, so
+        # they are written through out= (an augmented assignment would
+        # make them local here).
         nonlocal newton_iterations
-        hi = u.size
-        vol, w, idc = vols[:hi], w_dc[:hi - 1], inv_dc[:hi - 1]
         tol = NEWTON_TOL * mass0
         solves = NEWTON_MAX_ITER
         while True:
             flux, conduct, ubar = _face_fluxes(u, idc, w, eq)
-            resid = u - tilde
-            resid *= vol
-            gflux = gdt * flux
-            resid[:-1] -= gflux
-            resid[1:] += gflux
-            norm = float(np.add.reduce(np.abs(resid)))
+            np.subtract(u, tilde, out=resid)
+            np.multiply(resid, vol, out=resid)
+            np.multiply(flux, gdt, out=gflux)
+            np.subtract(resid_lo, gflux, out=resid_lo)
+            np.add(resid_hi, gflux, out=resid_hi)
+            np.abs(resid, out=scratch)
+            norm = float(np.add.reduce(scratch))
             if not math.isfinite(norm):
                 return False
             if norm <= tol:
@@ -533,16 +578,16 @@ def run(config: SolverConfig) -> Trajectory:
                 return False
             solves -= 1
             a, b = _flux_derivatives(flux, conduct, ubar, eq)
-            a *= gdt
-            b *= -gdt
-            diag = vol.copy()
-            diag[:-1] -= a
-            diag[1:] -= b
-            try:  # a, diag, b and resid are fresh: the solve may overwrite them
-                delta = solve(a, diag, b, resid)
+            np.multiply(a, gdt, out=sub)
+            np.multiply(b, -gdt, out=sup)
+            diag[...] = vol
+            np.subtract(diag_lo, sub, out=diag_lo)
+            np.subtract(diag_hi, sup, out=diag_hi)
+            try:  # overwrites the bands and leaves the update in resid
+                solve(hi)
             except ZeroDivisionError:
                 return False
-            u -= delta
+            np.subtract(u, resid, out=u)
             newton_iterations += 1
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -556,7 +601,21 @@ def run(config: SolverConfig) -> Trajectory:
             failures = 0  # Newton failures since the last output time
             while t < t_out:
                 hi = _window(reach, n_cells)
-                levels = lev[:len(steps) + 1, :hi]
+                if viewed != (hi, len(steps)):
+                    # about once in 9 steps on the 800-cell power-weight run
+                    viewed = hi, len(steps)
+                    levels = lev[:len(steps) + 1, :hi]
+                    bdf_levels = levels[:4]
+                    # row by row from the oldest, so no row is written before
+                    # it is read (one overlapping copy would go through a temporary)
+                    shifts = [(lev[j, :hi], lev[j - 1, :hi]) for j in (4, 3, 2, 1)]
+                    u_new = lev[0, :hi]
+                    vol, w, idc = vols[:hi], w_dc[:hi - 1], inv_dc[:hi - 1]
+                    start, u, tilde = start_row[:hi], u_row[:hi], tilde_row[:hi]
+                    resid, scratch, gflux = resid_row[:hi], scratch_row[:hi], scratch_row[:hi - 1]
+                    resid_lo, resid_hi = resid[:-1], resid[1:]
+                    sub, diag, sup = sub_row[:hi - 1], diag_row[:hi], sup_row[:hi - 1]
+                    diag_lo, diag_hi = diag[:-1], diag[1:]
                 while True:
                     if dt_want < t_floor:
                         raise StiffnessError(
@@ -568,11 +627,12 @@ def run(config: SolverConfig) -> Trajectory:
                     landing = dt >= remaining
                     dt = remaining if landing else min(dt, 0.5 * remaining)
                     gdt, c, e = _bdf_weights([dt] + steps)
-                    start = np.dot(e, levels)
+                    np.matmul(e, levels, out=start)
                     if not steps:
                         start += dt * slope0[:hi]
-                    u = start.copy()
-                    if not converge(u, np.dot(c, levels[:len(c)]), gdt):
+                    u[...] = start
+                    np.matmul(c, bdf_levels, out=tilde)
+                    if not converge(gdt):
                         rejected += 1
                         failures += 1
                         if failures > MAX_NEWTON_FAILURES:
@@ -583,7 +643,10 @@ def run(config: SolverConfig) -> Trajectory:
                             )
                         dt_want = 0.2 * dt
                         continue
-                    change = (vols[:hi] * np.abs(u - start)).cumsum()[-1]  # in cell order
+                    np.subtract(u, start, out=scratch)
+                    np.abs(scratch, out=scratch)
+                    scratch *= vol
+                    change = np.add.accumulate(scratch, out=scratch)[-1]  # in cell order
                     err = 12.0 / 137.0 * float(change) / mass0
                     fac = RATIO_MAX if err == 0.0 else min(RATIO_MAX, max(0.2, 0.7 * (BDF_TOL / err) ** 0.2))
                     if err > BDF_TOL:
@@ -592,15 +655,16 @@ def run(config: SolverConfig) -> Trajectory:
                         continue
                     break
                 dt_want = max(dt_want, dt * fac) if dt < dt_want else dt * fac
-                if u.min() < 0.0:
+                if np.minimum.reduce(u) < 0.0:
                     neg = np.flatnonzero(u < 0.0)
                     clipped_mass += float(-np.dot(u[neg], vols[neg]))
                     u[neg] = 0.0
                 nonzero = u[reach:].nonzero()[0]
                 if nonzero.size:
                     reach += int(nonzero[-1]) + 1
-                lev[1:, :hi] = lev[:-1, :hi]
-                lev[0, :hi] = u
+                for older, newer in shifts:
+                    older[...] = newer
+                u_new[...] = u
                 steps = [dt] + steps[:3]
                 t = t_out if landing else t + dt
                 n_steps += 1
@@ -642,15 +706,29 @@ class FitReport:
         return self.band_max / self.band_min if self.band_min > 0 else math.inf
 
 
+def line_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, from the centred data:
+    sum(dx dy) / sum(dx^2).  The first ``np.polyfit`` of a process, a
+    LAPACK least-squares solve, adds about 1 MB to its peak memory."""
+    dx = x - x.mean()
+    return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
+
+
 def fit_rates(traj: Trajectory, model: str) -> FitReport:
     """Fit the large-time window of a trajectory against the envelope
     shape predicted for its own weight and equation.
 
-    support model: regress log R against log log(e + t * M^(p+m-3));
-    the slope approaches 1/alpha for power-like weights.  sup model:
-    form the ratio sup(t) / envelope(t) with unit prefactor and report
-    the max/min band over the last decade (the theory asserts
-    boundedness, not a value).
+    support model: regress log R against log log(e + t * M^(p+m-3))
+    over the last two decades of the large-time window; the slope
+    approaches 1/alpha for power-like weights, and the prefactor and
+    its band come from the last decade.  sup model: form the ratio
+    sup(t) / envelope(t) with unit prefactor over the last decade and
+    report its max/min band (the theory asserts boundedness, not a
+    value) and the slope of its log against log t.  Slopes are
+    least-squares fits (``line_slope``).  Refused with
+    ``FitRefusedError`` when fewer than MIN_FIT_SAMPLES output times
+    fall in the large-time window or in its last decade, which every
+    fit reads.
     """
     if model not in (SUP_ENVELOPE, SUPPORT_ENVELOPE):
         raise InvalidParameterError(f"unknown fit model {model!r}")
@@ -671,6 +749,10 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
     idx = idx[keep]
     t = t_all[keep]
     last = t >= t[-1] / 10.0
+    n_last = int(np.count_nonzero(last))  # both models read the last decade
+    if n_last < MIN_FIT_SAMPLES:
+        raise FitRefusedError(
+            f"too few samples in the last decade ({n_last} < {MIN_FIT_SAMPLES})")
     log_arg = np.log(math.e + par.log_arg(t))
 
     if model == SUPPORT_ENVELOPE:
@@ -679,7 +761,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
             raise FitRefusedError("support radius vanished inside the fit window")
         x = np.log(log_arg)
         y = np.log(radius)
-        slope = float(np.polyfit(x, y, 1)[0])
+        slope = line_slope(x, y)
         c_series = radius / env_mod.support_envelope(par, t)
         c_last = c_series[last]
         c_fit = float(np.exp(np.mean(np.log(c_last))))
@@ -692,7 +774,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
 
     ratio = traj.sup_u[idx] / env_mod.sup_envelope(par, t)
     r_last = ratio[last]
-    slope = float(np.polyfit(np.log(t[last]), np.log(r_last), 1)[0])
+    slope = line_slope(np.log(t[last]), np.log(r_last))
     c_fit = float(np.exp(np.mean(np.log(r_last))))
     return FitReport(
         slope=slope, target_slope=0.0, c_fit=c_fit,

@@ -224,11 +224,11 @@ def test_simulate_deterministic(power_cfg, tmp_path):
 def test_simulate_same_bytes_on_either_solve(tmp_path, monkeypatch):
     # the Python sweep does dgtsv's elimination, so the reference run
     # writes the same files on an install without the bundled LAPACK
-    if solver._tridiagonal_solver() is solver._thomas:
+    if solver._tridiagonal_solver() is solver._bind_thomas:
         pytest.skip("numpy bundles no scipy-openblas64 here")
     ini = str(ROOT / "configs" / "power_reference.ini")
     assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "dgtsv")]) == 0
-    monkeypatch.setattr(solver, "_tridiagonal_solver", lambda: solver._thomas)
+    monkeypatch.setattr(solver, "_tridiagonal_solver", lambda: solver._bind_thomas)
     assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "sweep")]) == 0
     for fname in ("trajectory.csv", "envelope_comparison.csv", "fit_summary.csv"):
         a = (tmp_path / "dgtsv" / fname).read_bytes()
@@ -323,6 +323,41 @@ def test_unweighted_fit_refuses_short_last_decade(tmp_path):
     assert row["slope"] == row["target_slope"] == row["window_lo"] == ""
     assert row["n_points"] == "0"
     assert row["status"] == "too few samples in the last decade (1 < 5)"
+
+
+def test_weighted_fits_refuse_short_last_decade(tmp_path):
+    # one output per decade leaves 3 samples in the support fit's two
+    # decades and 2 in the last decade, which both fits read; each was
+    # fitted and written as ok
+    cfg = _cfg((ROOT / "configs" / "power_reference.ini").read_text())
+    cfg.set("simulate", "n_outputs", "9")
+    cfg.set("simulate", "output_decades", "8")
+    ini = tmp_path / "sparse.ini"
+    with open(ini, "w") as fh:
+        cfg.write(fh)
+    rc = cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    fit = (tmp_path / "o" / "fit_summary.csv").read_text().splitlines()
+    rows = list(csv.DictReader(l for l in fit if not l.startswith("#")))
+    assert [(row["model"], row["slope"], row["n_points"], row["status"]) for row in rows] == [
+        (model, "", "0", "too few samples in the last decade (2 < 5)")
+        for model in (solver.SUPPORT_ENVELOPE, solver.SUP_ENVELOPE)]
+
+
+@pytest.mark.parametrize("ini", [None, "pme_calibration.ini"])
+def test_simulate_calls_no_polyfit(power_cfg, tmp_path, monkeypatch, ini):
+    # the first np.polyfit of a process, a LAPACK least-squares solve,
+    # raised the peak memory of a run by about 1 MB; the fits take their
+    # slopes in closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    path = power_cfg if ini is None else str(ROOT / "configs" / ini)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    fit = (tmp_path / "o" / "fit_summary.csv").read_text().splitlines()
+    rows = list(csv.DictReader(l for l in fit if not l.startswith("#")))
+    assert rows and all(row["status"] == "ok" and row["slope"] for row in rows)
 
 
 @pytest.mark.parametrize("command", ["weight-check", "inequalities"])

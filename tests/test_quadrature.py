@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expdiff import quadrature as Q
@@ -208,6 +208,8 @@ def _power_integral(lo: float, hi: float, c: float, gamma: float) -> float:
        gamma=st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True),
        where=st.sampled_from(["left", "right", "inside"]), at=st.floats(0.0, 1.0),
        log_tol=st.floats(-12.0, -6.0))
+@example(a=8.0, width=0.001, shares=[0.0625, 1.0], gamma=1.0, where="left", at=0.0,
+         log_tol=-12.0)
 def test_singular_power_accepted_only_when_right(a, width, shares, gamma, where, at, log_tol):
     # |s - c|**gamma over a random partition of [a, b] in [-2, 11] into 1
     # to 5 panels, c at an end or at a breakpoint inside (a singularity on
@@ -242,6 +244,20 @@ def test_singular_panel_refused():
     a, b, gamma = -1.03049, -0.325021, -0.878
     with pytest.raises(NumericFailureError, match=r"\[-1.03049, -0.325021\].*too narrow"):
         Q.panels(lambda s: np.abs(s - a) ** gamma, np.array([a]), np.array([b]), 1.3e-7)
+
+
+def test_estimate_covers_node_placement():
+    # |s - 8| on [8, 8 + 1.8e-4]: K and G are exact on a line, but the
+    # nodes near 8 are floats, up to an ulp of 8 off their places, which
+    # moves the sum by 1.0e-11 relative while K - G is 0 on the same
+    # nodes; the estimate is at least the actual error, and 1e-12 is
+    # refused rather than accepted
+    a, b = 8.0, 8.000176470588235
+    exact = 0.5 * float((mpmath.mpf(b) - mpmath.mpf(a)) ** 2)
+    value, estimate = Q.rule_pair(lambda s: np.abs(s - a), np.array([a]), np.array([b]))
+    assert estimate[0] >= abs(value[0] - exact) > 1e-12 * exact
+    with pytest.raises(NumericFailureError):
+        Q.panels(lambda s: np.abs(s - a), np.array([a]), np.array([b]), 1e-12)
 
 
 def test_cumulative_is_prefix_sum_of_panels():

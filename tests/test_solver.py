@@ -55,12 +55,21 @@ def uneven_steps():
         yield steps
 
 
+def solve_once(bind, sub, diag, sup, rhs):
+    """The solution of one tridiagonal system by a binding of
+    ``_tridiagonal_solver``'s kind, bound to copies of the arrays, which
+    the solve overwrites."""
+    sub, diag, sup, rhs = (np.array(x, dtype=float) for x in (sub, diag, sup, rhs))
+    bind(sub, diag, sup, rhs)(rhs.size)
+    return rhs
+
+
 @pytest.fixture(params=["dgtsv", "thomas"])
 def tridiagonal(request):
     # the solve Newton uses (dgtsv wherever numpy bundles it) and the
-    # Python sweep; dgtsv overwrites its arguments, so each call gets copies
-    kernel = S._tridiagonal_solver() if request.param == "dgtsv" else S._thomas
-    return lambda *arrays: kernel(*(np.array(x, dtype=float) for x in arrays))
+    # Python sweep, each as a function of (sub, diag, sup, rhs)
+    bind = S._tridiagonal_solver() if request.param == "dgtsv" else S._bind_thomas
+    return lambda *arrays: solve_once(bind, *arrays)
 
 
 @pytest.fixture(scope="module")
@@ -234,14 +243,14 @@ class TestImplicitIntegrator:
         # on column diagonally dominant systems, as Newton's J, dgtsv
         # interchanges no rows and the sweep gives its solution bitwise
         dgtsv = S._tridiagonal_solver()
-        if dgtsv is S._thomas:
+        if dgtsv is S._bind_thomas:
             pytest.skip("numpy bundles no scipy-openblas64 here")
         for rows in rng.integers(2, 200, 50):
             sub, sup, rhs = (rng.standard_normal(size) for size in (rows - 1, rows - 1, rows))
             diag = np.abs(np.append(sub, 0.0)) + np.abs(np.insert(sup, 0, 0.0)) + rng.random(rows)
             diag *= rng.choice([-1.0, 1.0], rows)
             assert np.array_equal(tridiagonal(sub, diag, sup, rhs),
-                                  dgtsv(sub.copy(), diag.copy(), sup.copy(), rhs.copy()))
+                                  solve_once(dgtsv, sub, diag, sup, rhs))
 
     def test_residual_bounds_update(self, tridiagonal):
         # Newton stops on |R|_1 <= NEWTON_TOL mass: for an M-matrix J whose
@@ -361,56 +370,115 @@ class TestImplicitIntegrator:
         # Newton solves through dgtsv whenever numpy's wheel bundles its
         # OpenBLAS, so no test or benchmark measures the sweep unnoticed
         libs = list((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
-        assert (S._tridiagonal_solver() is not S._thomas) == bool(libs)
+        assert (S._tridiagonal_solver() is not S._bind_thomas) == bool(libs)
 
     def test_dgtsv_checks_bands(self):
-        # LAPACK trusts the sizes it is given: a short band or one of
-        # another dtype raises before the call instead of being overrun
-        solve = S._tridiagonal_solver()
-        if solve is S._thomas:
+        # LAPACK trusts the addresses and sizes it is given: a short band,
+        # one of another dtype, a strided one or a row count past the bound
+        # capacity raises before the call instead of being overrun
+        bind = S._tridiagonal_solver()
+        if bind is S._bind_thomas:
             pytest.skip("numpy bundles no scipy-openblas64 here")
         sub, diag, rhs = -np.ones(4), 3.0 * np.ones(5), np.ones(5)
         for bad in ((sub[:3].copy(), diag, sub, rhs), (sub.astype(np.float32), diag, sub, rhs)):
             with pytest.raises(ValueError, match="do not fit 5 float64 rows"):
-                solve(*(x.copy() for x in bad))
+                bind(*(x.copy() for x in bad))
         with pytest.raises(TypeError, match="contiguous"):
-            solve(sub.copy(), diag.copy(), sub.copy(), np.ones(10)[::2])
+            bind(sub.copy(), diag.copy(), sub.copy(), np.ones(10)[::2])
+        bands = np.zeros((4, 8))  # bound at 5 rows in rows of 8: LAPACK could run on
+        bands[:, :5] = [[-1.0], [3.0], [-1.0], [1.0]]
+        before = bands.copy()
+        solve = bind(bands[0, :4], bands[1, :5], bands[2, :4], bands[3, :5])
+        for rows in (6, 0):
+            with pytest.raises(ValueError, match="do not fit the 5 bound"):
+                solve(rows)
+        assert np.array_equal(bands, before)
+        solve(5)
+        assert np.array_equal(bands[3, :5], solve_once(S._bind_thomas, sub, diag, sub, rhs))
+        assert np.all(bands[:, 5:] == 0.0)
 
-    def test_sweep_run_matches_dgtsv(self, quick_traj, monkeypatch):
-        # the sweep does dgtsv's elimination in the same order, so a run is
-        # bitwise the same on either path (row 0's dt_last is NaN)
-        if S._tridiagonal_solver() is S._thomas:
+    def test_dgtsv_binding_outlives_gc(self):
+        # the binding passes bare addresses: it holds the arrays and ctypes
+        # integers behind them, so a collection between binding and solving
+        # frees none of them, and memory allocated after it does not alias them
+        import gc
+
+        bind = S._tridiagonal_solver()
+        if bind is S._bind_thomas:
             pytest.skip("numpy bundles no scipy-openblas64 here")
-        monkeypatch.setattr(S, "_tridiagonal_solver", lambda: S._thomas)
-        sweep = S.run(quick_traj.config)
-        assert (sweep.steps, sweep.rejected_steps, sweep.newton_iterations) == (
-            quick_traj.steps, quick_traj.rejected_steps, quick_traj.newton_iterations)
-        for col in ("times", "sup_u", "support_radius", "mass", "dt_last", "profiles"):
-            assert np.array_equal(getattr(sweep, col), getattr(quick_traj, col), equal_nan=True), col
+        rng = np.random.default_rng(3)
+        rows = 170
+        sub, sup, rhs = -rng.random(rows - 1), -rng.random(rows - 1), rng.random(rows)
+        diag = 3.0 + rng.random(rows)
+        want = solve_once(S._bind_thomas, sub, diag, sup, rhs)
+        out = rhs.copy()
+        solve = bind(sub.copy(), diag.copy(), sup.copy(), out)
+        gc.collect()
+        clobber = [np.full(rows, 7.0) for _ in range(64)]
+        solve(rows)
+        assert np.array_equal(out, want)
+        assert all(np.all(x == 7.0) for x in clobber)
+
+    def test_sweep_run_matches_dgtsv(self, quick_traj, weighted_traj, monkeypatch):
+        # the sweep does dgtsv's elimination in the same order, so a run is
+        # bitwise the same on either path (row 0's dt_last is NaN), on the
+        # 200-cell and the 800-cell power-weight runs
+        if S._tridiagonal_solver() is S._bind_thomas:
+            pytest.skip("numpy bundles no scipy-openblas64 here")
+        monkeypatch.setattr(S, "_tridiagonal_solver", lambda: S._bind_thomas)
+        for traj in (quick_traj, weighted_traj):
+            sweep = S.run(traj.config)
+            assert (sweep.steps, sweep.rejected_steps, sweep.newton_iterations) == (
+                traj.steps, traj.rejected_steps, traj.newton_iterations)
+            for col in ("times", "sup_u", "support_radius", "mass", "dt_last", "profiles"):
+                assert np.array_equal(getattr(sweep, col), getattr(traj, col),
+                                      equal_nan=True), col
 
     def test_zero_pivot_rejects_step(self, monkeypatch):
         # dgtsv's INFO > 0 is the sweep's ZeroDivisionError, so an exactly
         # zero pivot fails Newton and rejects the step the same way
-        kernels = [S._tridiagonal_solver(), S._thomas]
-        for kernel in kernels:
+        binders = [S._tridiagonal_solver(), S._bind_thomas]
+        for bind in binders:
             with pytest.raises(ZeroDivisionError):
-                kernel(np.zeros(3), np.zeros(4), np.ones(3), np.ones(4))
+                solve_once(bind, np.zeros(3), np.zeros(4), np.ones(3), np.ones(4))
         base = S.run(quick_config())
         counts = []
-        for kernel in kernels:
+        for bind in binders:
             calls = []
 
-            def singular(sub, diag, sup, rhs):
-                calls.append(1)
-                if len(calls) == 20:  # a zero first column
-                    sub[0] = diag[0] = 0.0
-                return kernel(sub, diag, sup, rhs)
+            def singular(sub, diag, sup, rhs, bind=bind):
+                solve = bind(sub, diag, sup, rhs)
+
+                def solve_rows(rows):
+                    calls.append(1)
+                    if len(calls) == 20:  # a zero first column
+                        sub[0] = diag[0] = 0.0
+                    solve(rows)
+
+                return solve_rows
 
             monkeypatch.setattr(S, "_tridiagonal_solver", lambda: singular)
             traj = S.run(quick_config())
             counts.append((traj.steps, traj.rejected_steps, traj.newton_iterations))
         assert counts[0] == counts[1]
         assert counts[0][1] == base.rejected_steps + 1
+
+    def test_workspace_isolated_between_runs(self, weighted_traj):
+        # each run binds its own workspace: runs of other sizes and
+        # exponents in between leave a run bitwise what it is when alone
+        other = quick_config(eq=W.EquationParams(4, 3.0, 0.5))
+        alone = S.run(other)
+        first = S.run(weighted_traj.config)
+        between = S.run(other)
+        again = S.run(weighted_traj.config)
+        for fresh, runs in ((weighted_traj, (first, again)), (alone, (between,))):
+            for traj in runs:
+                assert (traj.steps, traj.rejected_steps, traj.newton_iterations,
+                        traj.clipped_mass) == (fresh.steps, fresh.rejected_steps,
+                                               fresh.newton_iterations, fresh.clipped_mass)
+                for col in ("times", "profiles", "dt_last"):
+                    assert np.array_equal(getattr(traj, col), getattr(fresh, col),
+                                          equal_nan=True), col
 
     def test_no_scipy_import(self, tmp_path):
         # importing scipy.linalg doubles peak memory and adds ~0.4 s of
