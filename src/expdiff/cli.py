@@ -389,6 +389,19 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
 # simulate
 
 
+def _first_output_time(cfg, t_end: float) -> float:
+    """t_end * 10^-output_decades, the first output time of a run to
+    ``t_end``; refused where it underflows to 0, from which no geometric
+    sequence of output times can start."""
+    decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
+    first = t_end * 10.0 ** (-decades)
+    if first == 0.0:
+        raise InvalidParameterError(
+            f"[simulate] output_decades = {decades:g}: the first output time "
+            f"t_end * 10^-{decades:g} underflows to 0 for t_end = {t_end:g}")
+    return first
+
+
 def _solver_config(cfg) -> solver.SolverConfig:
     w = build_weight(cfg)
     eq = build_equation(cfg)
@@ -397,8 +410,7 @@ def _solver_config(cfg) -> solver.SolverConfig:
     t_end = _value(cfg, "simulate", "t_end", _positive)
     # one output would end the run at t_end * 10^-decades
     n_outputs = _value(cfg, "simulate", "n_outputs", _count(2), 97)
-    decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
-    outs = np.geomspace(t_end * 10.0 ** (-decades), t_end, n_outputs)
+    outs = np.geomspace(_first_output_time(cfg, t_end), t_end, n_outputs)
     return solver.SolverConfig(
         eq=eq, weight=w, r_max=r_max, n_cells=n_cells, output_times=outs,
         bump_radius=_value(cfg, "simulate", "bump_radius", fallback=1.0),
@@ -531,6 +543,12 @@ def cmd_sweep(cfg, out: Path, seed: int, jobs: int, cfg_path: str) -> int:
     t_ends = _value(cfg, "sweep", "t_ends", _floats, []) or [None] * len(alphas)
     if len(t_ends) != len(alphas):
         raise InvalidParameterError("t_ends must match alphas in length")
+    # an underflowing first output is refused once, before any row runs;
+    # a t_end that is not positive stays the refusal of its own rows
+    horizons = ([_value(cfg, "simulate", "t_end", _positive)] if t_ends[0] is None
+                else [te for te in t_ends if te > 0.0])
+    for t_end in horizons:
+        _first_output_time(cfg, t_end)
     tasks = [(cfg_path, a, p, m, te)
              for a, te in zip(alphas, t_ends) for p in ps for m in ms]
     if jobs > 1 and len(tasks) > 1:

@@ -27,10 +27,12 @@ def advance(grid: S.RadialGrid, u: np.ndarray, t: float, config: S.SolverConfig,
     w_dc = grid.face_coeffs * inv_dc
     inv_vols = 1.0 / grid.cell_weighted_volumes
     dudt = np.empty_like(inv_vols)
+    rows = S._flux_rows(inv_dc.size)
+    _, _, conduct, flux, _, _ = rows
     dt = np.nan
     while t < t_target:
         with np.errstate(divide="ignore"):  # 0^(p-2) on flat faces for p < 2
-            flux, conduct, _ = S._face_fluxes(u, inv_dc, w_dc, eq)
+            S._face_fluxes(u, inv_dc, w_dc, eq, rows)
         dt = scale * S._gershgorin_dt(conduct, inv_vols, eq.p, idle_dt)
         if dt < t_floor:
             raise StiffnessError(f"stable dt {dt:.3e} underflowed at t={t:.6g}")

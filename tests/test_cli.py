@@ -583,6 +583,37 @@ def test_malformed_value_named(tmp_path, capsys, command, section, key, bad):
     assert len(err.splitlines()) == 1
     assert not list((tmp_path / "o").glob("*.csv"))
 
+
+# output_decades = 400 on power_reference.ini made np.geomspace raise
+# "Geometric sequence cannot include zero" as a traceback in both commands;
+# the sweep case gives one of two rows an end time whose first output
+# underflows, which still refuses the whole sweep before any row runs
+@pytest.mark.parametrize("command, decades, t_ends", [
+    ("simulate", "400", None),
+    ("sweep", "400", None),
+    ("sweep", "300", "1e4, 1e-30"),
+], ids=["simulate", "sweep", "sweep-t_ends"])
+def test_underflowing_first_output_refused(tmp_path, capsys, monkeypatch, command,
+                                           decades, t_ends):
+    cfg = _cfg(POWER_INI)
+    cfg["simulate"]["output_decades"] = decades
+    if t_ends is not None:
+        cfg["sweep"]["alphas"] = "0.5, 0.5"
+        cfg["sweep"]["t_ends"] = t_ends
+    ini = tmp_path / "underflow.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    rows = []
+    monkeypatch.setattr(cli, "_sweep_one", rows.append)
+    rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not rows
+    assert err.startswith("error:") and "[simulate] output_decades" in err and "t_end" in err
+    assert len(err.splitlines()) == 1
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 SWEEP_SECTIONS = """
 [grid]
 r_max = 40

@@ -55,6 +55,59 @@ def uneven_steps():
         yield steps
 
 
+def extrapolation_weights(back):
+    """Weights of the value at t_(n+1) of the polynomial through the
+    levels that lie ``back`` = [s_1, s_2, ...] before it (distinct s_j):
+    e_j = prod_(i != j) s_i / (s_i - s_j), multiplied left to right in
+    order of i; they sum to 1.  The loop form of the solver's BDF weights
+    (``S._bdf_weights``) and their reference."""
+    weights = []
+    for sj in back:
+        w = 1.0
+        for si in back:
+            if si != sj:
+                w *= si / (si - sj)
+        weights.append(w)
+    return weights
+
+
+def array_face_fluxes(u, inv_dc, w_dc, eq):
+    """The flux law as it returned fresh arrays (flux, k, ubar), ubar None
+    for m = 1: the reference of ``S._face_fluxes``."""
+    p, m = eq.p, eq.m
+    du = u[1:] - u[:-1]
+    k = w_dc
+    ubar = None
+    if m != 1.0:
+        ubar = u[1:] + u[:-1]
+        ubar *= 0.5
+        np.maximum(ubar, 0.0, out=ubar)
+        if m == 2.0:
+            k = k * ubar
+        elif m > 1.0:
+            k = k * ubar ** (m - 1.0)
+        else:
+            k = k * np.power(ubar, m - 1.0, out=np.zeros_like(ubar), where=ubar > 0.0)
+    if p != 2.0:
+        sp = np.abs(du * inv_dc) ** (p - 2.0)
+        if p < 2.0:
+            sp[~np.isfinite(sp)] = 0.0
+        k = k * sp
+    return k * du, k, ubar
+
+
+def array_flux_derivatives(flux, conduct, ubar, eq):
+    """The flux derivatives (a, b) as fresh arrays: the reference of
+    ``S._flux_derivatives``, which writes a gdt and b (-gdt)."""
+    grad = conduct if eq.p == 2.0 else (eq.p - 1.0) * conduct
+    if eq.m == 1.0:
+        return -grad, grad
+    half = flux / ubar
+    half *= 0.5 * (eq.m - 1.0)
+    half[~np.isfinite(half)] = 0.0
+    return half - grad, half + grad
+
+
 def solve_once(bind, sub, diag, sup, rhs):
     """The solution of one tridiagonal system by a binding of
     ``_tridiagonal_solver``'s kind, bound to copies of the arrays, which
@@ -166,16 +219,24 @@ class TestImplicitIntegrator:
                     assert slope == pytest.approx(float(degree == 1), abs=1e-9)
 
     def test_bdf_weights_one_pass(self):
-        # both weight sets come from one pass over the step sums, bitwise
-        # equal to the two-call form: c and gdt from the extrapolation
-        # weights through four levels, e through five
-        for steps in uneven_steps():
+        # the straight-line weights are bitwise those of the loop form: c
+        # and gdt from the extrapolation weights through four levels, e
+        # through five; also on 2,000 histories whose step ratios lie in
+        # the controller's [0.2, RATIO_MAX] (repr tells every float apart)
+        rng = np.random.default_rng(8)
+        histories = list(uneven_steps())
+        for _ in range(2000):
+            steps = [10.0 ** rng.uniform(-9.0, 3.0)]
+            for ratio in rng.uniform(0.2, S.RATIO_MAX, 4):
+                steps.append(steps[-1] / ratio)
+            histories.append(steps)
+        for steps in histories:
             for levels in range(1, 6):
                 back = list(itertools.accumulate(steps[:levels]))
-                d = [w / s for w, s in zip(S._extrapolation_weights(back[:4]), back)]
+                d = [w / s for w, s in zip(extrapolation_weights(back[:4]), back)]
                 gdt = 1.0 / sum(d)
-                assert S._bdf_weights(steps[:levels]) == (
-                    gdt, [gdt * x for x in d], S._extrapolation_weights(back[:5]))
+                assert repr(S._bdf_weights(steps[:levels])) == repr(
+                    (gdt, [gdt * x for x in d], extrapolation_weights(back[:5])))
 
     @pytest.mark.parametrize("weight, eq", [
         (W.make_power_weight(0.5), W.EquationParams(3, 2.0, 2.0)),
@@ -276,7 +337,9 @@ class TestImplicitIntegrator:
         grid, u = S.initial_state(cfg)
         _, last_dt = advance(grid, u, 0.0, cfg, 0.05, S.CFL_SAFETY)
         inv_dc = 1.0 / np.diff(grid.centers)
-        flux, k, _ = S._face_fluxes(u, inv_dc, grid.face_coeffs * inv_dc, cfg.eq)
+        rows = S._flux_rows(inv_dc.size)
+        S._face_fluxes(u, inv_dc, grid.face_coeffs * inv_dc, cfg.eq, rows)
+        _, _, k, flux, _, _ = rows
         dt = 1e3 * last_dt
         resid = np.zeros_like(u)
         resid[:-1] -= dt * flux
@@ -863,8 +926,8 @@ class TestGeneralExponents:
     def test_face_fluxes_edges(self):
         # a flat face carries no flux: for p > 2, 0^(p-2) = 0 is finite
         # without a mask or an errstate; for p < 2 the infinite power is
-        # still set to 0; for m = 1 no face mean is formed, and flux and k
-        # are bitwise those of k = w |s|^(p-2) / dc
+        # still set to 0; for m = 1 the face mean's row is not written, and
+        # flux and k are bitwise those of k = w |s|^(p-2) / dc
         rng = np.random.default_rng(3)
         n = 40
         inv_dc, w_dc = rng.uniform(1.0, 2.0, n - 1), rng.uniform(0.5, 1.5, n - 1)
@@ -873,10 +936,13 @@ class TestGeneralExponents:
         u[30:] = 0.0  # flat empty faces beyond it
         du = u[1:] - u[:-1]
         flat = du == 0.0
+        rows = S._flux_rows(n - 1)
+        _, ubar, k, flux, _, _ = rows
+        ubar.fill(np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            flux, k, ubar = S._face_fluxes(u, inv_dc, w_dc, W.EquationParams(3, 2.5, 1.0))
-        assert ubar is None
+            S._face_fluxes(u, inv_dc, w_dc, W.EquationParams(3, 2.5, 1.0), rows)
+        assert np.isnan(ubar).all()
         assert np.isfinite(flux).all() and np.isfinite(k).all()
         assert np.all(k[flat] == 0.0) and np.all(flux[flat] == 0.0)
         sp = np.abs(du * inv_dc) ** 0.5
@@ -884,10 +950,61 @@ class TestGeneralExponents:
         ref_k = w_dc * sp
         assert (k.tobytes(), flux.tobytes()) == (ref_k.tobytes(), (ref_k * du).tobytes())
         with np.errstate(divide="ignore"):
-            flux, k, ubar = S._face_fluxes(u, inv_dc, w_dc, W.EquationParams(3, 1.8, 1.5))
+            S._face_fluxes(u, inv_dc, w_dc, W.EquationParams(3, 1.8, 1.5), rows)
         assert np.isfinite(flux).all() and np.isfinite(k).all()
         assert np.all(k[flat] == 0.0) and np.all(flux[flat] == 0.0)
         assert np.array_equal(ubar, np.maximum(0.5 * (u[1:] + u[:-1]), 0.0))
+
+    @pytest.mark.parametrize("p, m", [
+        (2.5, 1.0), (3.0, 1.0), (4.0, 1.0),
+        (1.5, 2.0), (2.0, 2.0), (2.5, 2.0),
+        (1.8, 1.5), (2.0, 1.5), (2.5, 1.5), (2.0, 2.5), (1.6, 3.0), (2.0, 3.0),
+        (3.0, 0.5), (4.0, 0.5), (2.7, 0.5),
+    ])
+    def test_flux_rows_match_array_forms(self, p, m):
+        # every branch of the flux law and band build, written into rows,
+        # is bitwise the array-returning form it replaced (kept here as
+        # the reference): m = 1, m = 2, 1 < m != 2 (the exponent 0.5 and
+        # 2 fast paths included) and m < 1, each with p < 2, p = 2 and
+        # p > 2 where p + m > 3 admits it; the data hold flat faces, a
+        # negative cell, a diverging pair whose fluxes and mobility
+        # derivatives overflow, nearly empty faces and an empty tail.  A
+        # call on a short window after one on all faces writes what
+        # fresh rows get
+        eq = W.EquationParams(3, p, m)
+        rng = np.random.default_rng(21)
+        n, gdt = 60, 0.37
+        inv_dc, w_dc = rng.uniform(1.0, 2.0, n - 1), rng.uniform(0.5, 1.5, n - 1)
+        u = rng.random(n)
+        u[10:13] = u[9]
+        u[20] = -0.01
+        u[25:27] = 1e300, -0.9e300  # a diverging iterate: infinite fluxes
+        u[40:44] = 1e-300, 1e-310, 0.0, 1e-200
+        u[50:] = 0.0
+
+        def as_bytes(ubar, *arrays):  # ubar is not formed for m = 1
+            return [x.tobytes() for x in ([ubar] if m != 1.0 else []) + list(arrays)]
+
+        def written(u, rows=None):
+            if rows is None:
+                rows = tuple(np.full_like(row, np.nan if row.dtype == float else True)
+                             for row in S._flux_rows(u.size - 1))
+            bands = np.full((2, n - 1), np.nan)
+            sub, sup = bands[:, :u.size - 1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                S._face_fluxes(u, inv_dc[:u.size - 1], w_dc[:u.size - 1], eq, rows)
+                S._flux_derivatives(rows, eq, gdt, sub, sup)
+            _, ubar, k, flux, _, _ = rows
+            return as_bytes(ubar, k, flux, sub, sup)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            flux, k, ubar = array_face_fluxes(u, inv_dc, w_dc, eq)
+            a, b = array_flux_derivatives(flux, k, ubar, eq)
+        assert written(u) == as_bytes(ubar, k, flux, a * gdt, b * -gdt)
+        long_rows = S._flux_rows(n - 1)
+        written(u, long_rows)
+        short = u[:30].copy()
+        assert written(short, tuple(row[:29] for row in long_rows)) == written(short)
 
     def test_stiffness_error(self):
         cfg = quick_config(bump_height=1e20, n_cells=2000, output_times=[1.0])
