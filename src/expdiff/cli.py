@@ -389,11 +389,11 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
 # simulate
 
 
-def _first_output_time(cfg, t_end: float) -> float:
-    """t_end * 10^-output_decades, the first output time of a run to
-    ``t_end``; refused where it underflows to 0, from which no geometric
-    sequence of output times can start."""
-    decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
+def _first_output_time(t_end: float, decades: float) -> float:
+    """t_end * 10^-decades, the first output time of a run to ``t_end``
+    with ``[simulate] output_decades`` = ``decades``; refused where it
+    underflows to 0, from which no geometric sequence of output times
+    can start."""
     first = t_end * 10.0 ** (-decades)
     if first == 0.0:
         raise InvalidParameterError(
@@ -410,7 +410,8 @@ def _solver_config(cfg) -> solver.SolverConfig:
     t_end = _value(cfg, "simulate", "t_end", _positive)
     # one output would end the run at t_end * 10^-decades
     n_outputs = _value(cfg, "simulate", "n_outputs", _count(2), 97)
-    outs = np.geomspace(_first_output_time(cfg, t_end), t_end, n_outputs)
+    decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
+    outs = np.geomspace(_first_output_time(t_end, decades), t_end, n_outputs)
     return solver.SolverConfig(
         eq=eq, weight=w, r_max=r_max, n_cells=n_cells, output_times=outs,
         bump_radius=_value(cfg, "simulate", "bump_radius", fallback=1.0),
@@ -543,12 +544,18 @@ def cmd_sweep(cfg, out: Path, seed: int, jobs: int, cfg_path: str) -> int:
     t_ends = _value(cfg, "sweep", "t_ends", _floats, []) or [None] * len(alphas)
     if len(t_ends) != len(alphas):
         raise InvalidParameterError("t_ends must match alphas in length")
-    # an underflowing first output is refused once, before any row runs;
-    # a t_end that is not positive stays the refusal of its own rows
-    horizons = ([_value(cfg, "simulate", "t_end", _positive)] if t_ends[0] is None
-                else [te for te in t_ends if te > 0.0])
+    # a first output time that underflows to 0 refuses the sweep before
+    # any row runs; a malformed or non-positive t_end or output_decades
+    # stays the refusal of each row it reaches
+    try:
+        decades = _value(cfg, "simulate", "output_decades", _positive, 8.0)
+        horizons = [_value(cfg, "simulate", "t_end", _positive) if te is None else te
+                    for te in t_ends]
+    except InvalidParameterError:
+        horizons = []
     for t_end in horizons:
-        _first_output_time(cfg, t_end)
+        if t_end > 0.0:
+            _first_output_time(t_end, decades)
     tasks = [(cfg_path, a, p, m, te)
              for a, te in zip(alphas, t_ends) for p in ps for m in ms]
     if jobs > 1 and len(tasks) > 1:

@@ -28,7 +28,7 @@ def advance(grid: S.RadialGrid, u: np.ndarray, t: float, config: S.SolverConfig,
     inv_vols = 1.0 / grid.cell_weighted_volumes
     dudt = np.empty_like(inv_vols)
     rows = S._flux_rows(inv_dc.size)
-    _, _, conduct, flux, _, _ = rows
+    conduct, flux = rows.k, rows.flux
     dt = np.nan
     while t < t_target:
         with np.errstate(divide="ignore"):  # 0^(p-2) on flat faces for p < 2

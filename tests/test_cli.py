@@ -614,6 +614,33 @@ def test_underflowing_first_output_refused(tmp_path, capsys, monkeypatch, comman
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+@pytest.mark.parametrize("key, bad, t_ends", [
+    ("t_end", "soon", None),
+    ("t_end", "-1e4", None),
+    ("output_decades", "many", None),
+    ("output_decades", "many", "1e4, 1e5"),
+])
+def test_sweep_rows_refuse_malformed_horizon(tmp_path, key, bad, t_ends):
+    # the check for an underflowing first output time leaves a malformed
+    # or non-positive [simulate] key to the rows, each of which reports
+    # it in its status
+    cfg = _cfg(POWER_INI)
+    cfg["simulate"][key] = bad
+    cfg["sweep"]["alphas"] = "0.5, 0.6"
+    if t_ends is not None:
+        cfg["sweep"]["t_ends"] = t_ends
+    ini = tmp_path / "bad.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    rc = cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    lines = [l for l in (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    _, *rows = csv.reader(lines)
+    assert len(rows) == 2
+    assert all(f"[simulate] {key}" in row[-1] and row[3:9] == [""] * 6 for row in rows)
+
+
 SWEEP_SECTIONS = """
 [grid]
 r_max = 40

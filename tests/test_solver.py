@@ -339,7 +339,7 @@ class TestImplicitIntegrator:
         inv_dc = 1.0 / np.diff(grid.centers)
         rows = S._flux_rows(inv_dc.size)
         S._face_fluxes(u, inv_dc, grid.face_coeffs * inv_dc, cfg.eq, rows)
-        _, _, k, flux, _, _ = rows
+        k, flux = rows.k, rows.flux
         dt = 1e3 * last_dt
         resid = np.zeros_like(u)
         resid[:-1] -= dt * flux
@@ -937,7 +937,7 @@ class TestGeneralExponents:
         du = u[1:] - u[:-1]
         flat = du == 0.0
         rows = S._flux_rows(n - 1)
-        _, ubar, k, flux, _, _ = rows
+        ubar, k, flux = rows.ubar, rows.k, rows.flux
         ubar.fill(np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -968,9 +968,9 @@ class TestGeneralExponents:
         # 2 fast paths included) and m < 1, each with p < 2, p = 2 and
         # p > 2 where p + m > 3 admits it; the data hold flat faces, a
         # negative cell, a diverging pair whose fluxes and mobility
-        # derivatives overflow, nearly empty faces and an empty tail.  A
-        # call on a short window after one on all faces writes what
-        # fresh rows get
+        # derivatives overflow, nearly empty faces and an empty tail.  So
+        # are rows laid over the bands as ``run`` lays them, and a call on
+        # a short window after one on all faces writes what fresh rows get
         eq = W.EquationParams(3, p, m)
         rng = np.random.default_rng(21)
         n, gdt = 60, 0.37
@@ -983,28 +983,37 @@ class TestGeneralExponents:
         u[50:] = 0.0
 
         def as_bytes(ubar, *arrays):  # ubar is not formed for m = 1
-            return [x.tobytes() for x in ([ubar] if m != 1.0 else []) + list(arrays)]
+            return [x.tobytes() for x in ([ubar] if m != 1.0 and ubar is not None else [])
+                    + list(arrays)]
 
-        def written(u, rows=None):
+        def written(u, rows=None, bands=None):
             if rows is None:
-                rows = tuple(np.full_like(row, np.nan if row.dtype == float else True)
-                             for row in S._flux_rows(u.size - 1))
-            bands = np.full((2, n - 1), np.nan)
-            sub, sup = bands[:, :u.size - 1]
+                rows = S.FluxRows._make(
+                    np.full_like(row, np.nan if row.dtype == float else True)
+                    for row in S._flux_rows(u.size - 1))
+            if bands is None:
+                bands = np.full((2, u.size - 1), np.nan)
+            sub, sup = bands
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 S._face_fluxes(u, inv_dc[:u.size - 1], w_dc[:u.size - 1], eq, rows)
+                fluxes = as_bytes(rows.ubar, rows.k, rows.flux)  # before the bands
                 S._flux_derivatives(rows, eq, gdt, sub, sup)
-            _, ubar, k, flux, _, _ = rows
-            return as_bytes(ubar, k, flux, sub, sup)
+            return fluxes + as_bytes(None, sub, sup)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             flux, k, ubar = array_face_fluxes(u, inv_dc, w_dc, eq)
             a, b = array_flux_derivatives(flux, k, ubar, eq)
-        assert written(u) == as_bytes(ubar, k, flux, a * gdt, b * -gdt)
+        expected = as_bytes(ubar, k, flux) + as_bytes(None, a * gdt, b * -gdt)
+        assert written(u) == expected
+        # run's layout: du and the flux on the sub band, ubar on the
+        # diagonal, k on the super band, which the bands then overwrite
+        sub, diag, sup, scratch = np.full((4, n - 1), np.nan)
+        over_bands = S.FluxRows.over_bands(sub, diag, sup, scratch, np.ones(n - 1, dtype=bool))
+        assert written(u, over_bands, (sub, sup)) == expected
         long_rows = S._flux_rows(n - 1)
         written(u, long_rows)
         short = u[:30].copy()
-        assert written(short, tuple(row[:29] for row in long_rows)) == written(short)
+        assert written(short, S.FluxRows._make(row[:29] for row in long_rows)) == written(short)
 
     def test_stiffness_error(self):
         cfg = quick_config(bump_height=1e20, n_cells=2000, output_times=[1.0])
