@@ -272,6 +272,16 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
         raise InvalidParameterError(
             f"[weight_check] s_min, s_max: need s_min < s_max with {n} distinct "
             f"samples between them, got s_min={s_min!r}, s_max={s_max!r}")
+    # the sandwich's lower bound on int_0^s g; below the smallest normal
+    # float the primitive and lam have lost their digits
+    low = np.asarray(w.g(samples), dtype=float) * samples / (w.alpha2 + 1.0)
+    lost = np.flatnonzero(low < np.finfo(float).tiny)
+    if lost.size:
+        k = lost[0]
+        raise InvalidParameterError(
+            f"[weight_check] s_min: g(s) s/(alpha2+1) = {low[k]:.3g} at the sample "
+            f"s={float(samples[k])!r} is below the smallest normal float "
+            f"{np.finfo(float).tiny:.3g}; raise s_min")
     if w.kind == weights.KIND_ZYGMUND:
         taus = _value(cfg, "weight_check", "tau_grid", _taus, [1e2, 1e4, 1e6, 1e8])
     rng = np.random.default_rng(seed)

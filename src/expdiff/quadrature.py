@@ -31,7 +31,7 @@ caps the child intervals, however many components share them.
 pair on given panels.  Every integral over a partition (cumulative
 integrals, graded breakpoints, cell volumes, criterion tails,
 test-function families) goes through ``panels``, except the primitive of
-g on [1e-12, 1e16], which ``weights`` takes from its Chebyshev table.
+g, which ``weights`` takes from a closed form, a table or g's power law.
 """
 
 from __future__ import annotations

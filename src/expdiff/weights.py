@@ -14,18 +14,18 @@ derivative lam(s) = G'(s), the inverse of g, and validators for every
 structural inequality the downstream constants rely on.
 
 The primitive int_0^s g is closed-form for powers.  For every other
-weight it comes from a table built once per weight: 281 anchors, 10 per
-decade over [1e-12, 1e16], and on each of the 280 anchor intervals the
+weight it comes from a table built once per weight: 561 anchors, 10 per
+decade over [1e-40, 1e16], and on each of the 560 anchor intervals the
 piecewise-Chebyshev antiderivative (Trefethen, Approximation Theory and
 Approximation Practice, ch. 3 and 19): the degree-13 interpolant of g at
 14 Chebyshev points, integrated exactly, plus the primitive at its left
-anchor: int_0^1e-12 g (one adaptive pass) plus the integrals of the
-intervals before it.  The build refuses, and caches the refusal, when an
-interval's trailing Chebyshev coefficients exceed TABLE_RTOL of its
-largest (g not smooth there, say g' jumping inside it).  A radius in
-[1e-12, 1e16] then costs one polynomial evaluation and no call of g;
-radii below 1e-12 share one adaptive pass, and radii above 1e16 are
-refused.
+anchor: int_0^1e-40 g plus the integrals of the intervals before it.
+The build refuses, and caches the refusal, when an interval's trailing
+Chebyshev coefficients exceed TABLE_RTOL of its largest (g not smooth
+there, say g' jumping inside it).  A radius in [1e-40, 1e16] then costs
+one polynomial evaluation and no call of g; radii below 1e-40, and
+int_0^1e-40 g, take the local power law of g (``_power_law_mean``), and
+radii above 1e16 are refused.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import quadrature
 from .errors import (
     InvalidParameterError,
     NumericFailureError,
@@ -59,10 +58,10 @@ INVERT_CAP = 1e21
 #: the primitive table (its antiderivative has one degree more)
 TABLE_DEGREE = 13
 #: largest accepted ratio of an anchor interval's two trailing Chebyshev
-#: coefficients of g to its largest one.  Rounding leaves them near 1e-15
-#: (1.2e-15 on zygmund(0.5, 2, 1.0001)), and at 5.2e-13 where g itself
-#: carries noise of 1e-12 (a custom sqrt(s) * log(1.0001 + s) near
-#: s = 1e-12); a jump of g' inside an interval leaves about 1e-4
+#: coefficients of g to its largest one.  Rounding leaves them below
+#: 1.7e-15 on log-corrected powers (alpha 0.05-1.9, beta 0.1-4, c from
+#: 1 + 1e-12 to 1e6), 5.7e-13 where g carries noise of 1e-12 (a custom
+#: sqrt(s) * log(1.0001 + s) at s = 2.5e-13), a jump of g' in it about 1e-4
 TABLE_RTOL = 1e-12
 #: relative finite-difference step for monotonicity checks
 FD_REL_STEP = 1e-5
@@ -113,18 +112,18 @@ class WeightSpec:
 
     # -- primitive of g and the smoothed exponent --------------------------
 
-    def _primitive_anchors(self) -> tuple[np.ndarray, np.ndarray]:
+    def _cached_primitive_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached primitive table of g (or the NumericFailureError of
         building it, raised again on each call), from ``_primitive_table``:
         the anchors and, per anchor interval, the coefficients of the
         primitive's polynomial there (row 0 its value at the left anchor)."""
-        table = self._cache.get("anchors")
+        table = self._cache.get("primitive_table")
         if table is None:
             try:
                 table = _primitive_table(self.g)
             except NumericFailureError as exc:
                 table = exc.with_traceback(None)
-            self._cache["anchors"] = table
+            self._cache["primitive_table"] = table
         if isinstance(table, NumericFailureError):
             raise NumericFailureError(str(table), achieved=table.achieved)
         return table
@@ -135,15 +134,15 @@ class WeightSpec:
 
     def g_primitive_many(self, ss: np.ndarray) -> np.ndarray:
         """int_0^s g(z) dz over an array of radii: closed form for powers,
-        else from the primitive table (``_primitive_anchors``).
+        else from the primitive table (``_cached_primitive_table``).
 
-        A radius s in [1e-12, 1e16] in the anchor interval [s_j, s_j+1]
+        A radius s in [1e-40, 1e16] in the anchor interval [s_j, s_j+1]
         costs one Horner pass, sum_k coef[k, j] u**k with
         u = (s - s_j) / (s_j+1 - s_j), and no call of g; at an anchor it
-        is coef[0, j], the primitive there, exactly.  Radii below the
-        first anchor share one pass of ``_near_zero_primitive``, the one
-        that gives the table its first primitive.  A NaN radius gives
-        NaN; radii above the last anchor are refused.
+        is coef[0, j], the primitive there, exactly.  A radius below the
+        first anchor gets s * ``_power_law_mean``, the form that gives the
+        table its first primitive.  A NaN radius gives NaN; radii above
+        the last anchor are refused.
         """
         ss = np.atleast_1d(np.asarray(ss, dtype=float))
         if np.any(ss < 0):
@@ -151,35 +150,32 @@ class WeightSpec:
         if self.kind == KIND_POWER:
             a = self.params["alpha"]
             return np.power(ss, a + 1.0) / (a + 1.0)
-        s_grid, coef = self._primitive_anchors()
+        s_grid, coef = self._cached_primitive_table()
         if np.any(ss > s_grid[-1]):
             raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")
-        out = np.zeros_like(ss)
-        low = (ss > 0.0) & (ss < s_grid[0])
-        if np.any(low):
-            out[low] = _near_zero_primitive(self.g, ss[low])
-        high = np.flatnonzero(~(ss < s_grid[0]))  # NaN propagates through this branch
-        s = ss[high]
-        # the last anchor, and NaN, fall in the last interval
-        j = np.searchsorted(s_grid[:-1], s, side="right")
-        j -= 1
-        u = s - s_grid[j]
+        # the last anchor, and NaN, fall in the last interval; radii below
+        # the first anchor in the first, where the power law replaces them
+        j = np.searchsorted(s_grid[1:-1], ss, side="right")
+        u = ss - s_grid[j]
         u /= np.diff(s_grid)[j]
         acc = coef[-1][j]
         for row in coef[-2::-1]:
             acc *= u
             acc += row[j]
-        out[high] = acc
-        return out
+        low = ss < s_grid[0]
+        if np.any(low):
+            acc[low] = ss[low] * _power_law_mean(self.g, ss[low])
+        return acc
 
 
-def _near_zero_primitive(g: Callable, s: np.ndarray) -> np.ndarray:
-    """int_0^s g over an array of radii 0 < s <= 1e-12 (the first anchor):
-    one ``quadrature.cumulative`` pass over breakpoints graded
-    geometrically toward 0 and the radii themselves, where
-    g(z) <= g(1) * z**alpha1 for z < 1 keeps the branch point benign."""
-    bp = quadrature.sorted_union(quadrature.geometric_breakpoints(float(s.max())), s)
-    return quadrature.cumulative(g, bp, rel_tol=1e-12)[np.searchsorted(bp, s)]
+def _power_law_mean(g: Callable, s: np.ndarray) -> np.ndarray:
+    """G(s) = g(s) / (1 + a) at radii s >= 0, with a = log(g(s) / g(s/10))
+    / log(10) the exponent of g over the decade below s; exact for a power,
+    O(s) off for the log-corrected one, and 0 where g(s) or g(s/10) is 0."""
+    gs = g(s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # g(s/10) = 0 gives a = inf
+        a = np.log(gs / g(s / 10.0)) / math.log(10.0)
+    return np.where(gs > 0.0, gs / (1.0 + a), 0.0)
 
 
 def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,23 +201,24 @@ def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The primitive table of g: anchors s_grid, 10 per decade over
-    [1e-12, 1e16] (281), and coef of shape (TABLE_DEGREE + 2, 280) with
+    [1e-40, 1e16] (561), and coef of shape (TABLE_DEGREE + 2, 560) with
     int_0^s g = sum_k coef[k, j] u**k, u = (s - s_j)/(s_j+1 - s_j).
 
     coef[1:] integrates the degree-TABLE_DEGREE Chebyshev interpolant of
     g at the interval's TABLE_DEGREE + 1 Chebyshev points, the only call
-    of g above 1e-12 (280 * 14 nodes).  A power-like g converges like
+    of g above 1e-40 (560 * 14 nodes).  A power-like g converges like
     17**-k there, its branch point at 0 being 8.7 half-widths from each
     interval's centre (each spans a factor 10**0.1), so its two trailing
     coefficients are rounding; the first interval where they exceed
     TABLE_RTOL times the largest, or are not finite, is refused with a
     NumericFailureError that names it.  coef[0], the primitive at each
-    left anchor, is int_0^1e-12 g (``_near_zero_primitive``) plus one
-    cumsum of the interval integrals sum_k coef[k, j] (u = 1), so the
+    left anchor, is int_0^1e-40 g (``_power_law_mean``, whose error enters
+    the primitive at s as a share of about (1e-40/s)**(alpha1 + 1)) plus
+    one cumsum of the interval integrals sum_k coef[k, j] (u = 1), so the
     primitive has no jump at an anchor beyond rounding.
     """
     nodes, to_cheb, to_primitive = _chebyshev_tables(TABLE_DEGREE)
-    s_grid = np.geomspace(1e-12, 1e16, 281)
+    s_grid = np.geomspace(1e-40, 1e16, 561)
     width = np.diff(s_grid)
     at = s_grid[:-1] + width * nodes[:, None]
     vals = np.asarray(g(at.ravel()), dtype=float).reshape(at.shape)
@@ -241,7 +238,8 @@ def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray]:
             f"interpolant there are {ratio:.3g} of its largest, above "
             f"{TABLE_RTOL:g} (g not smooth on that interval)", achieved=float(ratio))
     coef = width * np.einsum("ik,kj->ij", to_primitive, cheb)
-    cum = np.cumsum(np.concatenate([_near_zero_primitive(g, s_grid[:1]), coef[:, :-1].sum(0)]))
+    cum = np.cumsum(np.concatenate([s_grid[:1] * _power_law_mean(g, s_grid[:1]),
+                                    coef[:, :-1].sum(0)]))
     return s_grid, np.vstack([cum, coef])
 
 
@@ -428,14 +426,19 @@ def validate_envelope(w: WeightSpec, samples: Sequence[float]) -> ValidationRepo
 
 def lambda_many(w: WeightSpec, ss: np.ndarray) -> np.ndarray:
     """lam(s) = G'(s) = (g(s) - G(s)) / s, with lam(0) = 0, over an array
-    of radii s >= 0."""
+    of radii s >= 0.  Where int_0^s g is subnormal or 0, its digits are
+    lost and G comes from ``_power_law_mean``."""
     _require_weighted(w, "lam")
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     prim = w.g_primitive_many(ss)  # refuses s < 0
     out = np.zeros_like(ss)
     pos = ss != 0.0  # lam(0) = 0; a NaN radius gives NaN
-    sp = ss[pos]
-    out[pos] = (w.g(sp) - prim[pos] / sp) / sp
+    sp, prim = ss[pos], prim[pos]
+    mean = prim / sp
+    lost = prim < np.finfo(float).tiny
+    if np.any(lost):
+        mean[lost] = _power_law_mean(w.g, sp[lost])
+    out[pos] = (w.g(sp) - mean) / sp
     return out
 
 
@@ -578,12 +581,15 @@ def check_monotone_quantities(w: WeightSpec, eq: EquationParams,
         (+1, lambda x: w.g(x) * x ** (-w.alpha1)),
         (-1, lambda x: w.g(x) * x ** (-w.alpha2)),
     ]
-    worst = 0.0
-    for sign, fn in quantities:
-        slope = sign * _fd_slope(fn, s)
-        scale = np.abs(fn(s)) / s  # natural slope scale of the quantity
-        worst = max(worst, float(np.max(-slope / scale)))
-    return ValidationReport(worst, FD_SLOPE_RTOL)
+    worst = [0.0]
+    # a quantity that underflows or overflows at a sample gives a NaN or
+    # inf violation there, which fails the check
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sign, fn in quantities:
+            slope = sign * _fd_slope(fn, s)
+            scale = np.abs(fn(s)) / s  # natural slope scale of the quantity
+            worst.append(np.max(-slope / scale))
+    return ValidationReport(float(np.max(worst)), FD_SLOPE_RTOL)  # NaN propagates
 
 
 def check_sandwich(w: WeightSpec, samples: Sequence[float]) -> ValidationReport:

@@ -797,6 +797,30 @@ def test_weight_check_range_refused_before_checks(tmp_path, capsys, monkeypatch,
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+@pytest.mark.parametrize("ini", ["power_reference.ini", "zygmund_check.ini"])
+def test_weight_check_underflowing_samples_refused(tmp_path, capsys, monkeypatch, ini):
+    # at s = 1e-300 int_0^s g underflows to 0: the sandwich row failed with
+    # worst_violation nan, the lam-bounds row with 0.667, and the command
+    # exited 1 on weights that satisfy both
+    cfg = _cfg((ROOT / "configs" / ini).read_text())
+    cfg["weight_check"]["s_min"], cfg["weight_check"]["s_max"] = "1e-300", "1e-250"
+    path = tmp_path / "tiny.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    calls = _record_calls(monkeypatch, weights, [
+        "validate_envelope", "check_sandwich", "check_lambda_bounds",
+        "check_inversion_roundtrip", "check_inverse_scaling",
+        "check_monotone_quantities", "check_structural_conditions"])
+    rc = cli.main(["weight-check", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [weight_check] s_min:") and "s=1e-300" in err
+    assert len(err.splitlines()) == 1
+    assert calls == []
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_unknown_inequality_kind_refused_before_checks(tmp_path, capsys, monkeypatch):
     # kinds = poincare, bogus ran the Poincare check before the refusal
     ini = tmp_path / "kinds.ini"

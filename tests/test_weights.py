@@ -5,7 +5,9 @@ Expected values tagged as oracle-derived were computed with mpmath
 expressions.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -162,25 +164,55 @@ class TestSmoothedExponent:
     def test_primitive_many_oracle(self, alpha, beta, c):
         # mpmath 40-digit quadrature of int_0^s z**alpha log(c+z)**beta dz,
         # split where log(c+z) turns from linear to logarithmic (z = c - 1);
-        # the points below 1e-12 sit under the first anchor of the table,
-        # the rest include anchors (1e16 the last), interval midpoints and
-        # radii just above the first anchor.  The cases with c near 1
-        # check the log1p form of g, on which their tables build
+        # the radii include anchors (1e16 the last), interval midpoints,
+        # radii just above the first anchor and radii in the table's low
+        # intervals.  The cases with c near 1 check the log1p form of g, on
+        # which their tables build
         mp.mp.dps = 40
         w = W.make_zygmund_weight(alpha, beta, c)
         c_mp = mp.mpf(c)
-        anchors = np.geomspace(1e-12, 1e16, 281)
+        anchors = np.geomspace(1e-40, 1e16, 561)
         ss = np.concatenate([[1e-15, 3e-14, 7e-13], np.geomspace(1e-12, 1e6, 19),
                              [2.5e-3, 0.77, 4.2e5],
-                             anchors[[1, 95, 160, 250, 280]],
-                             0.5 * (anchors[[0, 120, 279]] + anchors[[1, 121, 280]]),
-                             [np.nextafter(1e-12, 1.0), 1e-12 * (1.0 + 1e-9)]])
+                             anchors[[1, 281, 375, 440, 530, 560]],
+                             0.5 * (anchors[[0, 400, 559]] + anchors[[1, 401, 560]]),
+                             [np.nextafter(1e-40, 1.0), 1e-40 * (1.0 + 1e-9)]])
         got = w.g_primitive_many(ss)
         for s, val in zip(ss, got):
             s_mp = mp.mpf(float(s))
             nodes = [0] + sorted(x for x in (c_mp - 1, 1, mp.sqrt(s_mp)) if x < s_mp) + [s_mp]
             exact = mp.quad(lambda z: z ** alpha * mp.log(c_mp + z) ** beta, nodes)
             assert val == pytest.approx(float(exact), rel=1e-12), s
+
+    @pytest.mark.parametrize("alpha, beta, c", [
+        (0.5, 1.0, 2.0), (0.05, 0.5, 1.01), (0.5, 2.0, 1.0001), (1.9, 0.05, 3.0)])
+    def test_primitive_near_zero_oracle(self, alpha, beta, c):
+        # below and near the table's first anchor (1e-40) int_0^s g is
+        # log(c)**beta s**(alpha+1)/(alpha+1) (1 + O(s)), the correction
+        # about beta s / (c log c); compared where it is below 1e-16
+        mp.mp.dps = 40
+        w = W.make_zygmund_weight(alpha, beta, c)
+        ss = np.array([1e-60, 1e-40, 1e-33, 1e-20, 1e-15])
+        got = w.g_primitive_many(ss)
+        a1 = mp.mpf(alpha) + 1
+        checked = 0
+        for s, val in zip(ss, got):
+            if beta * s / (c * math.log(c)) >= 1e-16:
+                continue
+            lead = mp.log(mp.mpf(c)) ** beta * mp.mpf(float(s)) ** a1 / a1
+            assert val == pytest.approx(float(lead), rel=2e-15, abs=0.0), s
+            checked += 1
+        assert checked >= 3
+
+    def test_primitive_zero_nan_and_underflow(self):
+        # g(1e-200) = 1e-380 underflows to 0, and so does its primitive;
+        # radius 0 gives 0 and a NaN radius NaN, in and below the table
+        w = W.make_zygmund_weight(1.9, 0.05, 3.0)
+        got = w.g_primitive_many(np.array([0.0, np.nan, 1e-200, 1e-300, 1e-50, 1.0]))
+        assert got[0] == 0.0 and np.isnan(got[1])
+        assert got[2] == 0.0 and got[3] == 0.0
+        assert got[4] > 0.0 and got[5] > 0.0
+        assert np.array_equal(W.lambda_many(w, np.array([0.0, 1e-200])), [0.0, 0.0])
 
     def test_primitive_continuous_at_anchors(self):
         # the primitive at each anchor is the sum of the table's own
@@ -192,7 +224,7 @@ class TestSmoothedExponent:
             lambda s: np.sqrt(s) * np.log(1.0001 + s),
             lambda s: 0.5 / np.sqrt(s) * np.log(1.0001 + s) + np.sqrt(s) / (1.0001 + s),
             0.5, 1.5)
-        anchors = np.geomspace(1e-12, 1e16, 281)
+        anchors = np.geomspace(1e-40, 1e16, 561)
         below = np.nextafter(anchors, 0.0)
         prim = w.g_primitive_many(anchors)
         step = prim - w.g_primitive_many(below) - w.g(anchors) * (anchors - below)
@@ -227,9 +259,9 @@ class TestSmoothedExponent:
         assert second.value.achieved == first.value.achieved
 
     def test_table_calls_no_g(self, zygmund):
-        # the build calls g above 1e-12 on the table's 280 * 14 Chebyshev
-        # nodes only, and once the table exists, a radius >= 1e-12 costs a
-        # polynomial evaluation and no call of g
+        # the build calls g on the table's 560 * 14 Chebyshev nodes and, for
+        # int_0^1e-40 g, at 1e-40 and 1e-41 only; once the table exists, a
+        # radius >= 1e-40 costs a polynomial evaluation and no call of g
         calls = []
 
         def g(s):
@@ -240,14 +272,22 @@ class TestSmoothedExponent:
         calls.clear()
         w.g_primitive(1.0)
         nodes = np.concatenate(calls)
-        anchors = np.geomspace(1e-12, 1e16, 281)
+        anchors = np.geomspace(1e-40, 1e16, 561)
         table = anchors[:-1] + np.diff(anchors) * W._chebyshev_tables(W.TABLE_DEGREE)[0][:, None]
-        assert np.array_equal(np.sort(nodes[nodes > 1e-12]), np.sort(table.ravel()))
+        expected = np.concatenate([table.ravel(), [1e-40, 1e-40 / 10.0]])
+        assert np.array_equal(np.sort(nodes), np.sort(expected))
         calls.clear()
-        ss = np.geomspace(1e-12, 1e16, 10_000)
+        ss = np.geomspace(1e-40, 1e16, 10_000)
         got = w.g_primitive_many(ss)
         assert calls == []
         assert np.array_equal(got, zygmund.g_primitive_many(ss))
+
+    def test_primitive_ignores_declared_derivative(self, zygmund):
+        # the table and the power law below it read g only, so a wrong
+        # declared g' leaves the primitive as it is
+        w = W.make_custom_weight(zygmund.g, lambda s: -np.ones_like(s), 0.5, 1.5)
+        ss = np.array([1e-60, 1e-40, 1e-12, 1.0, 1e16])
+        assert np.array_equal(w.g_primitive_many(ss), zygmund.g_primitive_many(ss))
 
     def test_kink_in_interval_refused_and_cached(self):
         # g' jumps from 1 to 2 at s = 1.1, inside the anchor interval
@@ -271,6 +311,20 @@ class TestSmoothedExponent:
         assert second.value.achieved == first.value.achieved
 
 
+def test_weights_imports_nothing_from_quadrature():
+    # every primitive of g comes from its closed form, its table or the
+    # power law below the table, none from an adaptive pass
+    tree = ast.parse(Path(W.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("quadrature" in name for name in names), ast.dump(node)
+
+
 def _lambda_prime(w, s):
     """lam'(s) = G''(s) = (2 G(s) - 2 g(s) + s g'(s)) / s^2, G(s) = g_primitive(s) / s."""
     return (2.0 * w.g_primitive(s) / s - 2.0 * float(w.g(s)) + s * float(w.gp(s))) / s ** 2
@@ -287,6 +341,17 @@ class TestLambda:
     def test_zero_at_origin(self, power_half, zygmund):
         assert float(W.lambda_many(power_half, 0.0)[0]) == 0.0
         assert float(W.lambda_many(zygmund, 0.0)[0]) == 0.0
+
+    @pytest.mark.parametrize("kind", ["power", "zygmund"])
+    def test_underflowing_primitive(self, power_half, zygmund, kind):
+        # int_0^s g underflows to 0 at s = 1e-300, where g(s) is about
+        # 1e-150: lam took G = 0 and read g/s, alpha + 1 times too large.
+        # G = g(s)/(alpha + 1) to O(s), so lam = alpha/(alpha+1) g(s)/s
+        w = power_half if kind == "power" else zygmund
+        s = 1e-300
+        assert w.g_primitive(s) == 0.0
+        expected = 0.5 / 1.5 * float(w.g(s)) / s
+        assert float(W.lambda_many(w, s)[0]) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_negative_radius_refused(self, zygmund):
         with pytest.raises(InvalidParameterError):
@@ -458,6 +523,13 @@ class TestMonotoneQuantities:
     def test_unweighted_rejected(self, eq_ref):
         with pytest.raises(PreconditionError):
             W.check_monotone_quantities(W.make_unweighted(), eq_ref, SAMPLES)
+
+    def test_nan_violation_fails(self, power_half, eq_ref):
+        # at s = 1e-300, lam(s) s**2 underflows to 0, so its slope and
+        # scale are 0 and the violation 0/0; max(0.0, nan) read it as 0
+        rep = W.check_monotone_quantities(power_half, eq_ref, [1e-300, 1e-299])
+        assert math.isnan(rep.worst_violation)
+        assert not rep.passed
 
 
 class TestZygmundAsymptotics:
