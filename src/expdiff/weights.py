@@ -14,18 +14,13 @@ derivative lam(s) = G'(s), the inverse of g, and validators for every
 structural inequality the downstream constants rely on.
 
 The primitive int_0^s g is closed-form for powers.  For every other
-weight it comes from a table built once per weight: 561 anchors, 10 per
-decade over [1e-40, 1e16], and on each of the 560 anchor intervals the
+weight it comes from a table built once per weight over [1e-40, 1e16]
+(``_primitive_table``): on each of 560 anchor intervals the
 piecewise-Chebyshev antiderivative (Trefethen, Approximation Theory and
-Approximation Practice, ch. 3 and 19): the degree-13 interpolant of g at
-14 Chebyshev points, integrated exactly, plus the primitive at its left
-anchor: int_0^1e-40 g plus the integrals of the intervals before it.
-The build refuses, and caches the refusal, when an interval's trailing
-Chebyshev coefficients exceed TABLE_RTOL of its largest (g not smooth
-there, say g' jumping inside it).  A radius in [1e-40, 1e16] then costs
-one polynomial evaluation and no call of g; radii below 1e-40, and
-int_0^1e-40 g, take the local power law of g (``_power_law_mean``), and
-radii above 1e16 are refused.
+Approximation Practice, ch. 3 and 19) of g, plus the primitive at its
+left anchor.  A radius in the table costs one polynomial evaluation and
+no call of g; radii below 1e-40, and int_0^1e-40 g, take the local
+power law of g (``_power_law_mean``); radii above 1e16 are refused.
 """
 
 from __future__ import annotations
@@ -171,7 +166,8 @@ class WeightSpec:
 def _power_law_mean(g: Callable, s: np.ndarray) -> np.ndarray:
     """G(s) = g(s) / (1 + a) at radii s >= 0, with a = log(g(s) / g(s/10))
     / log(10) the exponent of g over the decade below s; exact for a power,
-    O(s) off for the log-corrected one, and 0 where g(s) or g(s/10) is 0."""
+    O(s) off for the log-corrected one, and 0 where g(s) or g(s/10) is 0.
+    Unchecked: a custom g whose exponent drifts below s is off by that."""
     gs = g(s)
     with np.errstate(divide="ignore", invalid="ignore"):  # g(s/10) = 0 gives a = inf
         a = np.log(gs / g(s / 10.0)) / math.log(10.0)
@@ -211,10 +207,13 @@ def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray]:
     interval's centre (each spans a factor 10**0.1), so its two trailing
     coefficients are rounding; the first interval where they exceed
     TABLE_RTOL times the largest, or are not finite, is refused with a
-    NumericFailureError that names it.  coef[0], the primitive at each
-    left anchor, is int_0^1e-40 g (``_power_law_mean``, whose error enters
-    the primitive at s as a share of about (1e-40/s)**(alpha1 + 1)) plus
-    one cumsum of the interval integrals sum_k coef[k, j] (u = 1), so the
+    NumericFailureError that names it, unless s_j+1 times the largest is
+    below the smallest normal float: there g may be subnormal (zygmund(8,
+    0.5, 2) below 1e-38.5, tails 2e-4 of the largest) and the primitive
+    has no normal digits to lose.  coef[0], the primitive at each left
+    anchor, is int_0^1e-40 g (``_power_law_mean``; its error enters the
+    primitive at s as a share of about (1e-40/s)**(alpha1 + 1)) plus one
+    cumsum of the interval integrals sum_k coef[k, j] (u = 1), so the
     primitive has no jump at an anchor beyond rounding.
     """
     nodes, to_cheb, to_primitive = _chebyshev_tables(TABLE_DEGREE)
@@ -228,7 +227,8 @@ def _primitive_table(g: Callable) -> tuple[np.ndarray, np.ndarray]:
     cheb = np.einsum("ik,kj->ij", to_cheb, vals)
     scale = np.max(np.abs(cheb), axis=0)
     tail = np.max(np.abs(cheb[-2:]), axis=0)
-    bad = np.flatnonzero(~(tail <= TABLE_RTOL * scale))  # NaN fails too
+    lost = s_grid[1:] * scale < np.finfo(float).tiny
+    bad = np.flatnonzero(~(tail <= TABLE_RTOL * scale) & ~lost)  # NaN fails too
     if bad.size:
         j = bad[0]
         ratio = tail[j] / scale[j]

@@ -204,6 +204,26 @@ class TestSmoothedExponent:
             checked += 1
         assert checked >= 3
 
+    @pytest.mark.parametrize("alpha,beta,c", [(8.0, 0.5, 2.0), (7.7, 4.0, 1.0001)])
+    def test_primitive_with_subnormal_g_builds(self, alpha, beta, c):
+        # g is subnormal on the table's lowest intervals (s**8 < 1e-308
+        # below 1e-38.5), where its Chebyshev tails cannot be rounding of
+        # 15 digits; the table still builds and, where the primitive is a
+        # normal float, matches the leading-order form
+        mp.mp.dps = 40
+        w = W.make_zygmund_weight(alpha, beta, c)
+        ss = np.array([1e-36, 1e-33, 1e-30, 1e-25, 1e-22, 1e-17])
+        got = w.g_primitive_many(ss)
+        a1 = mp.mpf(alpha) + 1
+        checked = 0
+        for s, val in zip(ss, got):
+            if beta * s / (c * math.log(c)) >= 1e-16 or val < np.finfo(float).tiny:
+                continue
+            lead = mp.log(mp.mpf(c)) ** beta * mp.mpf(float(s)) ** a1 / a1
+            assert val == pytest.approx(float(lead), rel=2e-15, abs=0.0), s
+            checked += 1
+        assert checked >= 3
+
     def test_primitive_zero_nan_and_underflow(self):
         # g(1e-200) = 1e-380 underflows to 0, and so does its primitive;
         # radius 0 gives 0 and a NaN radius NaN, in and below the table
