@@ -26,7 +26,7 @@ from .inequalities import (
     poincare_constant,
     verify_inequality,
 )
-from .envelopes import EnvelopeParams, sup_envelope, support_envelope, zygmund_envelopes
+from .envelopes import EnvelopeParams, sup_envelope, support_envelope
 from .solver import (
     RadialGrid,
     SolverConfig,

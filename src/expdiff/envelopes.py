@@ -11,10 +11,7 @@ and compactly supported data stay supported in the ball of radius
 
 up to constants that are not explicit.  The envelopes are evaluated
 with unit prefactor and used as shape predictions; ``solver.fit_rates``
-fits the prefactor from trajectories.  For the log-corrected
-power weight both the exact forms above and their closed asymptotic
-simplifications are provided so their ratio can be tested for
-convergence.
+fits the prefactor from trajectories.
 """
 
 from __future__ import annotations
@@ -25,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvelopeUndefinedError, InvalidParameterError, PreconditionError
-from .weights import (
-    KIND_ZYGMUND,
-    EquationParams,
-    WeightSpec,
-    check_structural_conditions,
-    invert_g,
-)
+from .weights import EquationParams, WeightSpec, check_structural_conditions, invert_g
 
 #: large-time validity gate: log(t * M**kappa) must reach this value
 LOG_GATE = 2.0
@@ -86,60 +77,6 @@ def support_envelope(par: EnvelopeParams, t):
         raise InvalidParameterError("requires t >= 0")
     env = invert_g(par.weight, np.log(math.e + par.log_arg(t)))
     return float(env) if t.ndim == 0 else env
-
-
-@dataclass(frozen=True)
-class ZygmundEnvelopes:
-    """Exact and asymptotic envelope values at one time."""
-
-    t: float
-    support_exact: float
-    support_asymptotic: float
-    sup_exact: float | None = None
-    sup_asymptotic: float | None = None
-
-
-def zygmund_envelopes(par: EnvelopeParams, t: float,
-                      with_sup: bool = False) -> ZygmundEnvelopes:
-    """Exact (through the numeric inverse) and asymptotic closed forms of
-    the envelopes for the log-corrected power weight.
-
-    The asymptotic forms require unit mass and t with log(log(t)) > 1.
-    The sup forms additionally require the sup-decay range of
-    ``require_sup_envelope_range``, 1 > alpha + beta >= alpha >=
-    (alpha+beta)/(alpha+beta+1); they are only evaluated when
-    ``with_sup`` is set, and the range is then enforced.
-    """
-    if par.weight.kind != KIND_ZYGMUND:
-        raise InvalidParameterError("requires the log-corrected power weight")
-    if par.mass0 != 1.0:
-        raise PreconditionError("asymptotic forms are stated for unit mass")
-    if t <= math.e or math.log(math.log(t)) <= 1.0:
-        raise EnvelopeUndefinedError("requires log(log(t)) > 1")
-    alpha = par.weight.params["alpha"]
-    beta = par.weight.params["beta"]
-    kappa = par.eq.kappa
-    p = par.eq.p
-
-    lt = math.log(t)
-    llt = math.log(lt)
-    support_asym = (lt / llt ** beta) ** (1.0 / alpha)
-    support_ex = support_envelope(par, t)
-
-    sup_ex = None
-    sup_asym = None
-    if with_sup:
-        require_sup_envelope_range(par)
-        sup_ex = sup_envelope(par, t)
-        sup_asym = (((1.0 / lt) * (lt / llt ** beta) ** (p / alpha)) ** (1.0 / kappa)
-                    * t ** (-1.0 / kappa))
-    return ZygmundEnvelopes(
-        t=t,
-        support_exact=support_ex,
-        support_asymptotic=support_asym,
-        sup_exact=sup_ex,
-        sup_asymptotic=sup_asym,
-    )
 
 
 def require_sup_envelope_range(par: EnvelopeParams) -> None:

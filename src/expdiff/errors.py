@@ -25,11 +25,13 @@ class NumericFailureError(ExpdiffError):
 
 
 class OutOfRangeError(ExpdiffError):
-    """Inversion target exceeds the tabulated domain even after extension."""
+    """Inversion target lies beyond g(INVERT_CAP)."""
 
 
 class StiffnessError(ExpdiffError):
-    """Stable time step underflowed; suggests changing grid or parameters."""
+    """The time step underflowed, or Newton failed more than
+    MAX_NEWTON_FAILURES times before one output time; suggests changing
+    grid or parameters."""
 
 
 class SupportBoundaryError(ExpdiffError):

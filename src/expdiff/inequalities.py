@@ -136,7 +136,6 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
 class PoincareConstants:
     criterion_bound: float   # closed-form bound on the criterion sup
     beta_numeric: float      # scanned criterion sup (lower approximation)
-    certified: float         # (K(p,p) * criterion_bound)**p
 
 
 def _poincare_closed_form(w: WeightSpec, eq: EquationParams) -> tuple[float, float, float]:
@@ -165,16 +164,16 @@ def _poincare_left(w: WeightSpec, eq: EquationParams) -> Callable[[np.ndarray], 
 
 
 def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
-    """Certified constant of the weighted Poincare inequality.
+    """Closed-form bound and scanned value of the weighted Poincare
+    criterion; the certified constant is (K(p,p) * criterion_bound)**p.
 
     Requires the flux-monotonicity condition
     (N-p)a1/(a1+1) + (p-1)(a1 - a2/(a2+1)) >= 0.  The closed form uses
     c1 = (p-1)a1/(a2(a1+1)):  criterion_bound = (c1**(p-1)/a1)**(1/p).
     """
-    bound, _, certified = _poincare_closed_form(w, eq)
+    bound = _poincare_closed_form(w, eq)[0]
     beta, _ = hardy_criterion_sup(w, eq, eq.p, _poincare_left(w, eq))
-    return PoincareConstants(criterion_bound=bound, beta_numeric=beta,
-                             certified=certified)
+    return PoincareConstants(criterion_bound=bound, beta_numeric=beta)
 
 
 def _check_q_range(eq: EquationParams, q: float) -> None:
@@ -343,14 +342,6 @@ class InequalityReport:
     per_function: list = field(default_factory=list)  # (label, lhs, rhs, ratio)
     params: dict = field(default_factory=dict)
 
-    @property
-    def beta_is_lower_end(self) -> bool:
-        """True when the criterion scan peaks at its last radius, so that
-        ``beta_sup`` is the profile where the scan stops: a lower end of
-        the criterion supremum, not a bracketed maximum."""
-        profile = [a for _, a in self.samples]
-        return bool(profile) and int(np.argmax(profile)) == len(profile) - 1
-
 
 def _ratio(lhs: float, rhs: float) -> float:
     if lhs == 0.0 and rhs == 0.0:
@@ -472,6 +463,5 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
                  and criterion_ok),
         samples=samples,
         per_function=per_function,
-        params={"weight": w.label(), "N": eq.dim_n, "p": p,
-                "q": q if q is not None else p, "R": big_r},
+        params={"weight": w.label(), "q": q if q is not None else p, "R": big_r},
     )

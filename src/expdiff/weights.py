@@ -144,7 +144,7 @@ class WeightSpec:
             raise InvalidParameterError("primitive requires s >= 0")
         if self.kind == KIND_POWER:
             a = self.params["alpha"]
-            return np.power(ss, a + 1.0) / (a + 1.0)
+            return ss * np.power(ss, a) / (a + 1.0)
         s_grid, coef = self._cached_primitive_table()
         if np.any(ss > s_grid[-1]):
             raise InvalidParameterError(f"primitive tabulation capped at {s_grid[-1]:g}")

@@ -30,6 +30,15 @@ def power_support_closed_form(par, t):
     return math.log(math.e + par.log_arg(t)) ** (1.0 / alpha)
 
 
+def zygmund_support_leading_form(par, t):
+    """(log t / (log log t)**beta)**(1/alpha): the leading form of
+    support_envelope for the log-corrected power weight at unit mass,
+    without the inverse's alpha**(beta/alpha) factor."""
+    alpha, beta = par.weight.params["alpha"], par.weight.params["beta"]
+    lt = math.log(t)
+    return (lt / math.log(lt) ** beta) ** (1.0 / alpha)
+
+
 @pytest.fixture(scope="module")
 def eq_ref():
     return W.EquationParams(3, 2.0, 2.0)
@@ -116,54 +125,17 @@ class TestSupportEnvelope:
 class TestZygmund:
     def test_support_ratio_in_band(self, par_zyg):
         for t in (1e6, 1e9, 1e12):
-            ze = E.zygmund_envelopes(par_zyg, t)
-            ratio = ze.support_exact / ze.support_asymptotic
+            ratio = E.support_envelope(par_zyg, t) / zygmund_support_leading_form(par_zyg, t)
             assert 0.5 <= ratio <= 2.0
 
     def test_ratio_converges_to_limit(self, par_zyg):
-        # limit of exact/asymptotic is alpha^(beta/alpha) = 0.25 since the
-        # inverse correction factor tends to 1
+        # limit of envelope/leading form is alpha^(beta/alpha) = 0.25 since
+        # the inverse correction factor tends to 1
         limit = 0.25
-        r6 = E.zygmund_envelopes(par_zyg, 1e6)
-        r12 = E.zygmund_envelopes(par_zyg, 1e12)
-        d6 = abs(r6.support_exact / r6.support_asymptotic - limit)
-        d12 = abs(r12.support_exact / r12.support_asymptotic - limit)
+        d6, d12 = (abs(E.support_envelope(par_zyg, t)
+                       / zygmund_support_leading_form(par_zyg, t) - limit)
+                   for t in (1e6, 1e12))
         assert d12 < d6
-
-    def test_sup_range_enforced(self, par_zyg, eq_ref):
-        # alpha + beta = 1.5 >= 1: the sup asymptotics are out of range
-        with pytest.raises(PreconditionError):
-            E.zygmund_envelopes(par_zyg, 1e6, with_sup=True)
-        ok = E.EnvelopeParams(eq=eq_ref, weight=W.make_zygmund_weight(0.45, 0.2, 2.0),
-                              mass0=1.0)
-        ze = E.zygmund_envelopes(ok, 1e8, with_sup=True)
-        assert ze.sup_exact > 0 and ze.sup_asymptotic > 0
-
-    def test_needs_unit_mass(self, eq_ref):
-        par = E.EnvelopeParams(eq=eq_ref, weight=W.make_zygmund_weight(0.5, 1.0, 2.0),
-                               mass0=2.0)
-        with pytest.raises(PreconditionError):
-            E.zygmund_envelopes(par, 1e6)
-
-    def test_needs_large_t(self, par_zyg):
-        with pytest.raises(EnvelopeUndefinedError):
-            E.zygmund_envelopes(par_zyg, 10.0)
-
-    def test_requires_zygmund_weight(self, par_power):
-        with pytest.raises(InvalidParameterError):
-            E.zygmund_envelopes(par_power, 1e6)
-
-    def test_beta_to_zero_recovers_power(self, eq_ref):
-        # small beta: asymptotic support form approaches the pure power form
-        t = 1e9
-        lt, llt = math.log(t), math.log(math.log(t))
-        for beta in (1e-3, 1e-6):
-            w = W.make_zygmund_weight(0.5, beta, 2.0)
-            par = E.EnvelopeParams(eq=eq_ref, weight=w, mass0=1.0)
-            ze = E.zygmund_envelopes(par, t)
-            assert ze.support_asymptotic == pytest.approx(
-                (lt / llt ** beta) ** 2.0, rel=1e-12)
-            assert ze.support_asymptotic == pytest.approx(lt ** 2, rel=20 * beta)
 
 
 def test_envelope_params_validation(eq_ref):

@@ -145,6 +145,21 @@ class TestSmoothedExponent:
         # oracle: G(1) = int_0^1 z^0.5 dz = 2/3
         assert power_half.g_primitive(1.0) / 1.0 == pytest.approx(2.0 / 3.0, rel=1e-14)
 
+    @pytest.mark.parametrize("s", [1e-250, 1e-20, 1e15])
+    def test_power_primitive_keeps_alpha_digits(self, s):
+        # s**(alpha+1) rounds alpha + 1 inside the exponent, a relative
+        # error of about |log s| ulp(1): 2.4e-14 in G and 4.8e-13 in lam at
+        # s = 1e-250 for alpha = 0.05.  s * s**alpha keeps alpha's digits.
+        # Oracle: mpmath 50 digits at the float alpha and s
+        alpha = 0.05
+        w = W.make_power_weight(alpha)
+        with mp.workdps(50):
+            a, s_mp = mp.mpf(alpha), mp.mpf(s)
+            prim = float(s_mp ** (a + 1) / (a + 1))
+            lam = float(a * s_mp ** (a - 1) / (a + 1))
+        assert w.g_primitive(s) == pytest.approx(prim, rel=2.5e-16, abs=0.0)
+        assert float(W.lambda_many(w, s)[0]) == pytest.approx(lam, rel=5e-15, abs=0.0)
+
     def test_vanishes_at_origin(self, zygmund):
         assert zygmund.g_primitive(1e-10) / 1e-10 < 1e-4
 
