@@ -246,14 +246,23 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _growing_weight(cfg: configparser.ConfigParser, command: str) -> weights.WeightSpec:
-    """The [weight] section's weight, refused when it is the unweighted
-    (g = 0) mode, which has no envelope or structural condition to check."""
+def _weighted_inputs(cfg: configparser.ConfigParser, command: str) -> tuple:
+    """The config's weight, refused first when it is the unweighted (g = 0)
+    mode, which has no envelope or structural condition to check, and its
+    equation, validated with the weight."""
     w = build_weight(cfg)
     if not w.is_weighted:
         raise InvalidParameterError(
             f"{command} applies to growing weights, not the unweighted (g = 0) mode")
-    return w
+    eq = build_equation(cfg)
+    eq.validate_with_weight(w)
+    return w, eq
+
+
+def _meta(seed: int, w: weights.WeightSpec, eq: weights.EquationParams) -> dict:
+    """The header comments shared by every CSV but sweep.csv."""
+    return {"seed": seed, "weight": w.label(), "dim_n": eq.dim_n,
+            "p": _fmt(eq.p), "m": _fmt(eq.m)}
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +270,7 @@ def _growing_weight(cfg: configparser.ConfigParser, command: str) -> weights.Wei
 
 
 def cmd_weight_check(cfg, out: Path, seed: int) -> int:
-    w = _growing_weight(cfg, "weight-check")
-    eq = build_equation(cfg)
-    eq.validate_with_weight(w)
+    w, eq = _weighted_inputs(cfg, "weight-check")
     s_min = _value(cfg, "weight_check", "s_min", _positive, 1e-3)
     s_max = _value(cfg, "weight_check", "s_max", _positive, 1e3)
     n = _value(cfg, "weight_check", "n_samples", _count(1), 200)
@@ -329,8 +336,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
                      ("alpha2 < min(N, p/(p-1))", cond.alpha2_below_cap)):
         rows.append((name, "TRUE" if ok else "FALSE", "", "", "informational"))
 
-    meta = {"seed": seed, "weight": w.label(), "dim_n": eq.dim_n,
-            "p": _fmt(eq.p), "m": _fmt(eq.m)}
+    meta = _meta(seed, w, eq)
     write_csv(out / "weight_check.csv",
               ["check", "verdict", "worst_violation", "tolerance", "note"],
               rows, meta)
@@ -349,9 +355,7 @@ def cmd_weight_check(cfg, out: Path, seed: int) -> int:
 
 
 def cmd_inequalities(cfg, out: Path, seed: int) -> int:
-    w = _growing_weight(cfg, "inequalities")
-    eq = build_equation(cfg)
-    eq.validate_with_weight(w)
+    w, eq = _weighted_inputs(cfg, "inequalities")
     kinds = _value(cfg, "inequalities", "kinds", _kinds, list(_INEQUALITY_KINDS))
     q = _value(cfg, "inequalities", "q", _positive, 3.0)
     radii = _value(cfg, "inequalities", "radii", _radii, [1.0, 2.0, 4.0])
@@ -385,13 +389,11 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
                   f"  worst_ratio={rep.empirical_worst_ratio:.6g}"
                   f"  certified={rep.certified_constant:.6g}")
 
-    meta = {"seed": seed, "weight": w.label(), "dim_n": eq.dim_n,
-            "p": _fmt(eq.p), "m": _fmt(eq.m)}
     write_csv(out / "inequalities.csv",
               ["kind", "weight", "N", "p", "q", "R", "function", "lhs", "rhs",
                "ratio", "certified", "beta_sup", "closed_form_bound", "kqp",
                "verdict"],
-              rows, meta)
+              rows, _meta(seed, w, eq))
     return 0 if all_pass else 1
 
 
@@ -482,10 +484,8 @@ def _envelope_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
 def cmd_simulate(cfg, out: Path, seed: int) -> int:
     scfg = _solver_config(cfg)
     traj = solver.run(scfg)
-    meta = {"seed": seed, "weight": scfg.weight.label(), "dim_n": scfg.eq.dim_n,
-            "p": _fmt(scfg.eq.p), "m": _fmt(scfg.eq.m),
-            "mass0": _fmt(traj.mass0), "n_cells": scfg.n_cells,
-            "r_max": _fmt(scfg.r_max)}
+    meta = {**_meta(seed, scfg.weight, scfg.eq), "mass0": _fmt(traj.mass0),
+            "n_cells": scfg.n_cells, "r_max": _fmt(scfg.r_max)}
     write_csv(out / "trajectory.csv", ["t", "sup_u", "support_radius", "mass", "dt_last"],
               list(zip(traj.times, traj.sup_u, traj.support_radius, traj.mass,
                        traj.dt_last)), meta)

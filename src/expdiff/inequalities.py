@@ -71,42 +71,61 @@ ZOOM_POINTS = 17
 ZOOM_LEVELS = 6
 
 
-def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
-                        w_density: Callable[[np.ndarray], np.ndarray]
-                        ) -> tuple[float, list]:
-    """Scan-and-zoom estimate of the criterion supremum of the left
-    density ``w_density`` at exponent q >= eq.p, with (sup, [(r, A(r))])
-    returned.  The right weight is phi(r) = r**(N-1) exp(g(r)) of ``w``,
-    whose dual phi**(-1/(p-1)) is ``measure.dual_density``.
+def _suffix_sums(segs: np.ndarray) -> np.ndarray:
+    """sum(segs[k:]) for every k, added right to left (no cancellation of
+    total minus prefix where the tails are small).  It stays a reversed
+    view: on a contiguous copy numpy's power loop rounds 18 of the 400
+    scanned samples 1 ulp apart at p = 2.5."""
+    return np.cumsum(segs[::-1])[::-1]
 
-    The profile A(r) is evaluated on 400 log-spaced radii from 1e-4 to
-    the end of the scan (cumulative panel integrals for the left factor,
-    ``measure.tail_integrals`` for the right one).  When the scan's
-    argmax is interior, each zoom level then samples ZOOM_POINTS
-    equispaced radii between the neighbours of the best radius so far,
-    from one panel pass per factor (the dual density, built once per
-    scan, for the right one), and the best value of all is returned.
-    When the argmax is the scan's last radius (the q = p profile still
-    rises there) the scan cannot bracket the maximum: no zoom runs and
-    the value there is returned, a lower end of the supremum, as every
-    scanned A(r) is.
+
+def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float
+                        ) -> tuple[float, list]:
+    """Scan-and-zoom estimate of the criterion supremum at exponent
+    q >= eq.p, with (sup, [(r, A(r))]) returned.  The left density is
+    lam**p r**(N-1) e^g at q = p (weighted Poincare) and r**(N-1) e^g at
+    q > p (radial Sobolev); the right factor integrates
+    ``measure.dual_density``, the dual of phi(r) = r**(N-1) exp(g(r)).
+
+    A(r) is evaluated on 400 log-spaced radii from 1e-4 to the end of
+    the scan: cumulative panel integrals for the left factor, and for
+    the right one suffix sums of one panel pass over the scan's gaps
+    and 39 geometric panels out to the cutoff, where g has grown by
+    (p-1) ln 1e16 past its value at the last radius (so the dual
+    density there is at most 1e-16 of its value at that radius).
+    When the scan's argmax is interior, each zoom level then samples
+    ZOOM_POINTS equispaced radii between the neighbours of the best
+    radius so far, from one panel pass per factor, and the best value
+    of all is returned.  When the argmax is the scan's last radius (the
+    q = p profile still rises there) the scan cannot bracket the
+    maximum: no zoom runs and the value there is returned, a lower end
+    of the supremum, as every scanned A(r) is.
     """
     p = eq.p
     if not q >= p:
         raise InvalidParameterError(f"requires q >= p, got q={q}, p={p}")
+    grow = growing_density(w, eq.dim_n)
+    if q == p:
+        def left_density(r):
+            return lambda_many(w, r) ** p * grow(r)
+    else:
+        left_density = grow
     dual = dual_density(w, eq.dim_n, p)
     # the profile decays like exp(-g(r)(q-p)/(pq)) beyond its hump for
     # q > p, and plateaus for q = p; end the scan where e^g stays finite
     a_param = p * q / (q - p) if q > p else p
     r_max = max(10.0, invert_g(w, min(50.0 * a_param, 600.0)))
     grid = np.geomspace(1e-4, r_max, 400)
+    cutoff = invert_g(w, float(w.g(grid[-1])) + (p - 1.0) * math.log(1e16))
 
     def profile_of(left, tails):
         return left ** (1.0 / q) * tails ** ((p - 1.0) / p)
 
-    left_cum = quadrature.cumulative(w_density, np.concatenate([[0.0], grid]),
+    left_cum = quadrature.cumulative(left_density, np.concatenate([[0.0], grid]),
                                      rel_tol=1e-11)[1:]
-    tails, _ = measure.tail_integrals(w, eq.dim_n, p, grid, rel_tol=1e-11)
+    bp = np.concatenate([grid, np.geomspace(grid[-1], cutoff, 40)[1:]])
+    segs, _ = quadrature.panels(dual, bp[:-1], bp[1:], rel_tol=1e-11)
+    tails = _suffix_sums(segs)[: grid.size]
     profile = profile_of(left_cum, tails)
     j = int(np.argmax(profile))
     samples = list(zip(grid.tolist(), profile.tolist()))
@@ -118,9 +137,9 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float,
     for _ in range(ZOOM_LEVELS):
         lo, hi = max(k - 1, 0), min(k + 1, x.size - 1)
         x_new = np.linspace(x[lo], x[hi], ZOOM_POINTS)
-        left = left[lo] + quadrature.cumulative(w_density, x_new, rel_tol=1e-11)
+        left = left[lo] + quadrature.cumulative(left_density, x_new, rel_tol=1e-11)
         segs, _ = quadrature.panels(dual, x_new[:-1], x_new[1:], rel_tol=1e-11)
-        right = right[hi] + np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
+        right = right[hi] + np.concatenate([_suffix_sums(segs), [0.0]])
         x = x_new
         level = profile_of(left, right)
         k = int(np.argmax(level))
@@ -152,17 +171,6 @@ def _poincare_closed_form(w: WeightSpec, eq: EquationParams) -> tuple[float, flo
     return bound, kk, (kk * bound) ** p
 
 
-def _poincare_left(w: WeightSpec, eq: EquationParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Left density lam**p r**(N-1) e^g of the Poincare criterion (q = p)."""
-    grow = growing_density(w, eq.dim_n)
-    p = eq.p
-
-    def left(r):
-        return lambda_many(w, r) ** p * grow(r)
-
-    return left
-
-
 def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
     """Closed-form bound and scanned value of the weighted Poincare
     criterion; the certified constant is (K(p,p) * criterion_bound)**p.
@@ -172,7 +180,7 @@ def poincare_constant(w: WeightSpec, eq: EquationParams) -> PoincareConstants:
     c1 = (p-1)a1/(a2(a1+1)):  criterion_bound = (c1**(p-1)/a1)**(1/p).
     """
     bound = _poincare_closed_form(w, eq)[0]
-    beta, _ = hardy_criterion_sup(w, eq, eq.p, _poincare_left(w, eq))
+    beta, _ = hardy_criterion_sup(w, eq, eq.p)
     return PoincareConstants(criterion_bound=bound, beta_numeric=beta)
 
 
@@ -272,8 +280,9 @@ class TestFunction:
 
 def polynomial_bump(big_r: float, k: float) -> TestFunction:
     """(1 - (r/R)**2)_+**k with analytic derivative."""
-    if not (big_r > 0 and k >= 1):
-        raise InvalidParameterError("requires R > 0 and k >= 1")
+    if not (big_r > 0 and math.isfinite(big_r * big_r) and k >= 1):
+        raise InvalidParameterError(f"requires R > 0 with a finite R**2 and k >= 1, "
+                                    f"got R={big_r:g}, k={k:g}")
 
     def v(r):
         r = np.asarray(r, dtype=float)
@@ -420,14 +429,14 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
 
     if kind == POINCARE:
         closed_bound, kk, certified = _poincare_closed_form(w, eq)
-        beta_sup, samples = hardy_criterion_sup(w, eq, p, _poincare_left(w, eq))
+        beta_sup, samples = hardy_criterion_sup(w, eq, p)
         criterion_ok = beta_sup <= closed_bound * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = p, p, (1.0, 1.0)
     elif kind == RADIAL_SOBOLEV:
         if q is None:
             raise InvalidParameterError("radial Sobolev requires q")
         certified = gamma_constant(w, eq, q)
-        beta_sup, samples = hardy_criterion_sup(w, eq, q, growing_density(w, eq.dim_n))
+        beta_sup, samples = hardy_criterion_sup(w, eq, q)
         closed_bound, kk = certified, k_qp(q, p)
         criterion_ok = kk * beta_sup <= certified * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)

@@ -2,7 +2,10 @@
 
 import configparser
 import csv
+import importlib
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import expdiff
 from expdiff import cli, solver, weights
 from expdiff.errors import InvalidParameterError
 
@@ -836,6 +840,21 @@ def test_unknown_inequality_kind_refused_before_checks(tmp_path, capsys, monkeyp
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_bump_radius_with_overflowing_square_refused(tmp_path, capsys):
+    # radii = 1e300 passed the finite-radius check, and the derivative's
+    # R**2 of the bounded-ball bumps ended the command in an OverflowError
+    # traceback with exit code 1, the code of a failed check
+    ini = tmp_path / "big_radius.ini"
+    ini.write_text(POWER_INI.replace("kinds = poincare", "kinds = bounded_sobolev")
+                   .replace("radii = 1\n", "radii = 1e300\n"))
+    rc = cli.main(["inequalities", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite R**2" in err
+    assert len(err.splitlines()) == 1
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_expression_constant_too_large_for_float():
     with pytest.raises(InvalidParameterError, match=r"\[weight\] g_expr.*too large"):
         cli._compile_expr("s + 1" + "0" * 400, "[weight] g_expr")
@@ -884,3 +903,21 @@ def test_readme_cli_lines_parse(tmp_path, monkeypatch):
         except SystemExit as exc:
             pytest.fail(f"{line!r} exits {exc.code}")
         assert called[-1] == argv[0].replace("-", "_")
+
+
+def test_readme_code_references_resolve():
+    # every backticked `module.name` of an expdiff module names one of its
+    # attributes, so a deleted function cannot stay documented; file names
+    # such as `inequalities.csv` are not references
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {info.name for info in pkgutil.iter_modules(expdiff.__path__)}
+    refs = []
+    for tok in re.findall(r"`([^`\n]+)`", readme):
+        ref = re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", tok)
+        if (ref and ref.group(1) in modules
+                and not re.fullmatch(r"[\w.-]+\.(csv|ini|json|md|py)", tok)):
+            refs.append(ref.groups())
+    assert refs
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"expdiff.{module}"), name)]
+    assert missing == []

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -47,8 +48,7 @@ def test_c4_half_is_inverse_e():
 
 class TestCriterion:
     def test_poincare_below_closed_bound(self, w_half, eq_ref):
-        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, eq_ref.p,
-                                              I._poincare_left(w_half, eq_ref))
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, eq_ref.p)
         bound = I.poincare_constant(w_half, eq_ref).criterion_bound
         assert beta <= bound
         # mpmath profile values: A(32) = 0.4333572771, A(9999) = 0.6468492534
@@ -74,18 +74,41 @@ class TestCriterion:
             assert consts.beta_numeric <= consts.criterion_bound * (1 + 1e-9), (
                 w.label(), eq)
 
-    def test_left_scaling_homogeneity(self, w_half, eq_ref):
-        left = I._poincare_left(w_half, eq_ref)
-        p = eq_ref.p
-        lam = 7.3
-        base, _ = I.hardy_criterion_sup(w_half, eq_ref, p, left)
-        scaled, _ = I.hardy_criterion_sup(w_half, eq_ref, p, lambda r: lam * left(r))
-        assert scaled == pytest.approx(base * lam ** (1.0 / p), rel=1e-8)
-
     def test_refuses_q_below_p(self, w_half, eq_ref):
-        grow = M.growing_density(w_half, eq_ref.dim_n)
         with pytest.raises(InvalidParameterError, match="q >= p"):
-            I.hardy_criterion_sup(w_half, eq_ref, 1.5, grow)
+            I.hardy_criterion_sup(w_half, eq_ref, 1.5)
+
+    @pytest.mark.parametrize("w, g, n, p, q", [
+        (W.make_power_weight(0.5), mp.sqrt, 3, 2.0, 3.0),
+        (W.make_power_weight(0.5), mp.sqrt, 4, 2.5, 4.0),
+        (W.make_zygmund_weight(0.5, 1.0, 2.0), lambda s: mp.sqrt(s) * mp.log(2 + s),
+         3, 2.0, 3.0),
+    ], ids=["power-3-2-3", "power-4-2.5-4", "zygmund-3-2-3"])
+    def test_profile_matches_mpmath(self, w, g, n, p, q):
+        # A(r) = L(r)**(1/q) T(r)**((p-1)/p) with L = int_0^r s**(N-1) e^g and
+        # T = int_r^inf s**(-(N-1)/(p-1)) e^(-g/(p-1)), at the scan's first,
+        # middle and last radius; at the last one the whole tail is the
+        # part beyond the scan.  Both integrands peak at r on the scale
+        # h = 1/g'(r), so mpmath gets breakpoints graded geometrically
+        # toward r from h/4.  Its tanh-sinh tails still carry about 1e-11:
+        # on power(0.5) at r = 9e4 it reads T 1.1e-11 off the closed form
+        # 2 Gamma(-2, 300), where the scan is within 4e-15 of it.
+        _, samples = I.hardy_criterion_sup(w, W.EquationParams(n, p, 2.0), q)
+        for k in (0, 199, 399):
+            r, profile = samples[k]
+            with mp.workdps(20):
+                r = mp.mpf(r)
+                h = 1 / mp.diff(g, r)
+                below = [0] + [r - r / 2 ** j for j in range(1, 200) if r / 2 ** j > h / 4]
+                above, d = [r], h / 4
+                while g(r + d) - g(r) < 60 * (p - 1):
+                    above.append(r + d)
+                    d *= 2
+                big_l = mp.quad(lambda s: s ** (n - 1) * mp.exp(g(s)), below + [r])
+                big_t = mp.quad(lambda s: s ** (-(n - 1) / (p - 1)) * mp.exp(-g(s) / (p - 1)),
+                                above + [r + d, mp.inf])
+                exact = big_l ** (1 / mp.mpf(q)) * big_t ** ((p - 1) / mp.mpf(p))
+            assert profile == pytest.approx(float(exact), rel=1e-10, abs=0), (k, float(r))
 
 
 class TestScanZoom:
@@ -104,15 +127,13 @@ class TestScanZoom:
         return calls
 
     def test_scan_at_its_end_skips_zoom(self, w_half, eq_ref, cumulative_calls):
-        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, eq_ref.p,
-                                              I._poincare_left(w_half, eq_ref))
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, eq_ref.p)
         assert len(cumulative_calls) == 1
         profile = [a for _, a in samples]
         assert beta == max(profile) == profile[-1]
 
     def test_interior_argmax_zooms(self, w_half, eq_ref, cumulative_calls):
-        grow = M.growing_density(w_half, eq_ref.dim_n)
-        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, 3.0, grow)
+        beta, samples = I.hardy_criterion_sup(w_half, eq_ref, 3.0)
         assert len(cumulative_calls) == 1 + I.ZOOM_LEVELS
         assert all(beta >= a for _, a in samples)
 
@@ -120,7 +141,7 @@ class TestScanZoom:
     def test_power_weight_limit_at_p2(self, alpha, scanned):
         # the q = p = 2 profile of power(alpha) rises toward 1/(alpha+1)
         w, eq = W.make_power_weight(alpha), W.EquationParams(3, 2.0, 2.0)
-        beta, _ = I.hardy_criterion_sup(w, eq, eq.p, I._poincare_left(w, eq))
+        beta, _ = I.hardy_criterion_sup(w, eq, eq.p)
         limit = 1.0 / (alpha + 1.0)
         assert 0.95 * limit < beta < limit
         assert beta == pytest.approx(scanned, abs=5e-5)
@@ -226,8 +247,7 @@ class TestBoundedSobolev:
 class TestProfileBounds:
     def test_sobolev_profile_pointwise(self, w_half, eq_ref):
         q = 3.0
-        grow = M.growing_density(w_half, eq_ref.dim_n)
-        _, samples = I.hardy_criterion_sup(w_half, eq_ref, q, grow)
+        _, samples = I.hardy_criterion_sup(w_half, eq_ref, q)
         samples = np.array(samples)
         r = samples[:, 0]
         a_vals = samples[:, 1]

@@ -1,11 +1,11 @@
-"""Radial densities: quadrature identities, additivity, tails."""
+"""Radial densities: quadrature identities, additivity, the dual decay."""
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
+from expdiff import inequalities as I
 from expdiff import measure as M
 from expdiff import weights as W
 from expdiff.errors import InvalidParameterError, PreconditionError
@@ -17,12 +17,6 @@ W_HALF = W.make_power_weight(0.5)
 @pytest.fixture(scope="module")
 def growing_n3():
     return M.growing_density(W_HALF, 3)
-
-
-def tail_n3(x):
-    """Tails of the dual density of power(0.5) at N = 3, p = 2:
-    int_x^inf z^-2 exp(-sqrt(z)) dz."""
-    return M.tail_integrals(W_HALF, 3, 2.0, x)
 
 
 def test_sphere_area():
@@ -44,12 +38,6 @@ def test_linear_weight_identity():
     assert M.integrate_with_error(density, 0.0, 1.0)[0] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_decaying_tail_oracle():
-    # mpmath (40 digits): int_1^inf z^-2 exp(-sqrt(z)) dz = 0.21938393439552027
-    [val], _ = tail_n3([1.0])
-    assert val == pytest.approx(0.21938393439552027, rel=1e-8)
-
-
 def test_additivity(growing_n3):
     a, b, c = 0.2, 1.7, 6.0
     whole = M.integrate_with_error(growing_n3, a, c)[0]
@@ -64,33 +52,8 @@ def test_monotone_in_interval(growing_n3):
     assert outer >= inner
 
 
-def test_tail_error_estimate_conservative():
-    # reported estimate must dominate the true error on random cases
-    rng = np.random.default_rng(5)
-    mp.mp.dps = 40
-    for a in rng.uniform(0.3, 5.0, size=20):
-        [val], [est] = tail_n3([float(a)])
-        exact = float(mp.quad(lambda z: z ** -2 * mp.exp(-mp.sqrt(z)),
-                              [a, 4 * a, 16 * a, mp.inf]))
-        assert abs(val - exact) <= max(est, 1e-15 * exact)
-
-
-def test_tail_integrals_many_points():
-    # every tail of one pass matches mpmath and its own error estimate
-    mp.mp.dps = 40
-    x = np.array([0.3, 1.0, 2.5, 7.0, 40.0])
-    vals, errs = tail_n3(x)
-    for a, val, est in zip(x, vals, errs):
-        exact = float(mp.quad(lambda z: z ** -2 * mp.exp(-mp.sqrt(z)),
-                              [a, 4 * a, 16 * a, mp.inf]))
-        assert val == pytest.approx(exact, rel=1e-12)
-        assert abs(val - exact) <= max(est, 1e-15 * exact)
-    with pytest.raises(InvalidParameterError):
-        tail_n3(x[::-1])
-
-
 def test_infinite_limit_needs_tail(growing_n3):
-    # integrate_with_error takes finite intervals; tails are tail_integrals'
+    # integrate_with_error takes finite intervals; the Hardy scan owns its tails
     for a in (0.0, 1.0):
         with pytest.raises(InvalidParameterError):
             M.integrate_with_error(growing_n3, a, math.inf)
@@ -100,8 +63,6 @@ def test_infinite_limit_needs_tail(growing_n3):
 def test_dual_density_needs_p_above_one(p):
     with pytest.raises(InvalidParameterError, match="p > 1"):
         M.dual_density(W_HALF, 3, p)
-    with pytest.raises(InvalidParameterError, match="p > 1"):
-        M.tail_integrals(W_HALF, 3, p, [1.0])
 
 
 @pytest.mark.parametrize("w", [W.make_power_weight(0.5),
@@ -109,18 +70,21 @@ def test_dual_density_needs_p_above_one(p):
                          ids=["power", "zygmund"])
 @pytest.mark.parametrize("n, p", [(3, 2.0), (3, 2.5), (5, 2.0), (5, 2.5), (5, 3.0)])
 def test_tail_cutoff_collapse(w, n, p):
-    # beyond a the density falls at least by TAIL_DENSITY_FACTOR at the cutoff
+    # the rule that cuts the Hardy scan's tail: where g has grown by
+    # (p-1) ln 1e16 past g(a), the dual density is at most 1e-16 of its
+    # value at a, as its factor r**(-(N-1)/(p-1)) only shrinks
     density = M.dual_density(w, n, p)
     for a in (0.5, 5.0, 50.0):
-        cutoff = M._tail_cutoff(w, p, a)
+        cutoff = W.invert_g(w, float(w.g(a)) + (p - 1.0) * math.log(1e16))
         assert cutoff > a
-        assert density(cutoff) <= M.TAIL_DENSITY_FACTOR * density(a)
+        assert density(cutoff) <= 1e-16 * density(a)
 
 
 def test_tail_rejects_unweighted():
-    # the unweighted dual density is not summable with this truncation rule
+    # the unweighted dual density is not summable with this truncation
+    # rule, so the Hardy scan refuses the g = 0 mode
     with pytest.raises(PreconditionError):
-        M.tail_integrals(W.make_unweighted(), 3, 2.0, [1.0])
+        I.hardy_criterion_sup(W.make_unweighted(), W.EquationParams(3, 2.0, 2.0), 3.0)
 
 
 class TestMass:
