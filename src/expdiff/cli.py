@@ -56,6 +56,8 @@ _EXPR_NAMES = {
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "PASS" if x else "FAIL"
     if isinstance(x, (int, np.integer)):
@@ -431,40 +433,17 @@ def _solver_config(cfg) -> solver.SolverConfig:
     )
 
 
-def _barenblatt_exponent(eq: weights.EquationParams) -> float:
-    """Self-similar sup decay exponent of the unweighted doubly nonlinear
-    equation: -N / (N(p+m-3) + p)."""
-    n = eq.dim_n
-    return -n / (n * eq.kappa + eq.p)
-
-
-def _refused_fit_row(model: str, reason: str) -> tuple:
-    return (model, "", "", "", "", "", "", "", 0, reason)
-
-
-def _fit_rows(traj: solver.Trajectory, scfg: solver.SolverConfig) -> list:
+def _fit_rows(traj: solver.Trajectory) -> list:
+    models = ((solver.SUPPORT_ENVELOPE, solver.SUP_ENVELOPE)
+              if traj.config.weight.is_weighted else (solver.SUP_POWER_LAW,))
     rows = []
-    if scfg.weight.is_weighted:
-        for model in (solver.SUPPORT_ENVELOPE, solver.SUP_ENVELOPE):
-            try:
-                rep = solver.fit_rates(traj, model)
-                rows.append((model, rep.slope, rep.target_slope, rep.c_fit,
-                             rep.band_max, rep.band_min,
-                             rep.window[0], rep.window[1], rep.n_points, "ok"))
-            except FitRefusedError as exc:
-                rows.append(_refused_fit_row(model, str(exc)))
-    else:
-        t = traj.times[1:]
-        keep = t >= t[-1] / 10.0
-        n_keep = int(keep.sum())
-        if n_keep < solver.MIN_FIT_SAMPLES:
-            rows.append(_refused_fit_row(
-                "sup_power_law", f"too few samples in the last decade "
-                                 f"({n_keep} < {solver.MIN_FIT_SAMPLES})"))
-        else:
-            slope = solver.line_slope(np.log(t[keep]), np.log(traj.sup_u[1:][keep]))
-            rows.append(("sup_power_law", slope, _barenblatt_exponent(scfg.eq),
-                         "", "", "", t[keep][0], t[-1], n_keep, "ok"))
+    for model in models:
+        try:
+            rep = solver.fit_rates(traj, model)
+            rows.append((model, rep.slope, rep.target_slope, rep.c_fit, rep.band_max,
+                         rep.band_min, *rep.window, rep.n_points, "ok"))
+        except FitRefusedError as exc:
+            rows.append((model, "", "", "", "", "", "", "", 0, str(exc)))
     return rows
 
 
@@ -493,7 +472,7 @@ def cmd_simulate(cfg, out: Path, seed: int) -> int:
               ["t", "sup_u", "sup_envelope", "sup_ratio",
                "support_radius", "support_envelope", "support_ratio"],
               _envelope_rows(traj, scfg), meta)
-    fit_rows = _fit_rows(traj, scfg)
+    fit_rows = _fit_rows(traj)
     write_csv(out / "fit_summary.csv",
               ["model", "slope", "target_slope", "c_fit", "band_max",
                "band_min", "window_lo", "window_hi", "n_points", "status"],

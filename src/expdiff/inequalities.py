@@ -80,9 +80,10 @@ def _suffix_sums(segs: np.ndarray) -> np.ndarray:
 
 
 def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float
-                        ) -> tuple[float, list]:
+                        ) -> tuple[float, np.ndarray]:
     """Scan-and-zoom estimate of the criterion supremum at exponent
-    q >= eq.p, with (sup, [(r, A(r))]) returned.  The left density is
+    q >= eq.p, with (sup, profile) returned, the profile the (400, 2)
+    array of the scanned (r, A(r)).  The left density is
     lam**p r**(N-1) e^g at q = p (weighted Poincare) and r**(N-1) e^g at
     q > p (radial Sobolev); the right factor integrates
     ``measure.dual_density``, the dual of phi(r) = r**(N-1) exp(g(r)).
@@ -128,7 +129,7 @@ def hardy_criterion_sup(w: WeightSpec, eq: EquationParams, q: float
     tails = _suffix_sums(segs)[: grid.size]
     profile = profile_of(left_cum, tails)
     j = int(np.argmax(profile))
-    samples = list(zip(grid.tolist(), profile.tolist()))
+    samples = np.column_stack((grid, profile))
     best = float(profile[j])
     if j == grid.size - 1:
         return best, samples
@@ -278,11 +279,15 @@ class TestFunction:
     support_radius: float
 
 
+#: smallest normal float: the derivatives divide by a square at least this
+_TINY = float(np.finfo(float).tiny)
+
+
 def polynomial_bump(big_r: float, k: float) -> TestFunction:
     """(1 - (r/R)**2)_+**k with analytic derivative."""
-    if not (big_r > 0 and math.isfinite(big_r * big_r) and k >= 1):
-        raise InvalidParameterError(f"requires R > 0 with a finite R**2 and k >= 1, "
-                                    f"got R={big_r:g}, k={k:g}")
+    if not (big_r > 0 and _TINY <= big_r * big_r < math.inf and k >= 1):
+        raise InvalidParameterError(f"requires R > 0 with a finite R**2 of at least "
+                                    f"{_TINY:.3g} and k >= 1, got R={big_r:g}, k={k:g}")
 
     def v(r):
         r = np.asarray(r, dtype=float)
@@ -299,8 +304,9 @@ def polynomial_bump(big_r: float, k: float) -> TestFunction:
 
 def gaussian_tapered(big_r: float, sigma: float) -> TestFunction:
     """exp(-r**2/sigma**2) - exp(-R**2/sigma**2), truncated at R."""
-    if not (big_r > 0 and sigma > 0):
-        raise InvalidParameterError("requires R > 0 and sigma > 0")
+    if not (big_r > 0 and sigma > 0 and _TINY <= sigma * sigma < math.inf):
+        raise InvalidParameterError(f"requires R > 0 and sigma > 0 with a finite sigma**2 "
+                                    f"of at least {_TINY:.3g}, got R={big_r:g}, sigma={sigma:g}")
     offset = math.exp(-(big_r / sigma) ** 2)
 
     def v(r):
@@ -347,7 +353,6 @@ class InequalityReport:
     certified_constant: float
     empirical_worst_ratio: float
     verdict: bool
-    samples: list = field(default_factory=list)
     per_function: list = field(default_factory=list)  # (label, lhs, rhs, ratio)
     params: dict = field(default_factory=dict)
 
@@ -384,6 +389,12 @@ def _family_sides(w: WeightSpec, eq: EquationParams, family: Sequence[TestFuncti
         raise InvalidParameterError(
             f"test function {family[bad[0]].label} needs a finite support radius > 0")
     grow = growing_density(w, eq.dim_n)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(grow(radii)))
+    if bad.size:
+        raise InvalidParameterError(
+            f"test function {family[bad[0]].label}: the density r**(N-1) e^g is not "
+            f"finite at its support radius {radii[bad[0]]:g}")
     bp = quadrature.sorted_union(quadrature.geometric_breakpoints(radii.max()), radii)
     ends = np.concatenate([radii, radii])
 
@@ -424,19 +435,19 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
     eq.validate_with_weight(w)
     p = eq.p
     scale, lam_factor = 1.0, 1.0
-    beta_sup, samples = math.nan, []
+    beta_sup = math.nan
     criterion_ok = True  # the bounded ball has no scan
 
     if kind == POINCARE:
         closed_bound, kk, certified = _poincare_closed_form(w, eq)
-        beta_sup, samples = hardy_criterion_sup(w, eq, p)
+        beta_sup, _ = hardy_criterion_sup(w, eq, p)
         criterion_ok = beta_sup <= closed_bound * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = p, p, (1.0, 1.0)
     elif kind == RADIAL_SOBOLEV:
         if q is None:
             raise InvalidParameterError("radial Sobolev requires q")
         certified = gamma_constant(w, eq, q)
-        beta_sup, samples = hardy_criterion_sup(w, eq, q)
+        beta_sup, _ = hardy_criterion_sup(w, eq, q)
         closed_bound, kk = certified, k_qp(q, p)
         criterion_ok = kk * beta_sup <= certified * (1.0 + CRITERION_RTOL)
         lam_power, s, roots = 0.0, q, (1.0 / q, 1.0 / p)
@@ -470,7 +481,6 @@ def verify_inequality(kind: str, w: WeightSpec, eq: EquationParams,
         empirical_worst_ratio=worst,
         verdict=(bool(worst <= certified * (1.0 + VERDICT_RTOL)) and math.isfinite(worst)
                  and criterion_ok),
-        samples=samples,
         per_function=per_function,
         params={"weight": w.label(), "q": q if q is not None else p, "R": big_r},
     )

@@ -47,6 +47,7 @@ from .weights import EquationParams, WeightSpec
 
 SUP_ENVELOPE = "sup_envelope"
 SUPPORT_ENVELOPE = "support_envelope"
+SUP_POWER_LAW = "sup_power_law"
 
 #: per-run relative mass conservation tolerance
 MASS_DRIFT_TOL = 1e-6
@@ -770,11 +771,11 @@ def run(config: SolverConfig) -> Trajectory:
 class FitReport:
     slope: float
     target_slope: float
-    c_fit: float
-    band_max: float
-    band_min: float
     window: tuple[float, float]
     n_points: int
+    c_fit: float | None = None
+    band_max: float | None = None
+    band_min: float | None = None
 
     @property
     def band_ratio(self) -> float:
@@ -789,28 +790,49 @@ def line_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
-def fit_rates(traj: Trajectory, model: str) -> FitReport:
-    """Fit the large-time window of a trajectory against the envelope
-    shape predicted for its own weight and equation.
+def _last_decade(t: np.ndarray) -> np.ndarray:
+    """Mask of the last decade of the times ``t``, which every fit reads;
+    refused with fewer than MIN_FIT_SAMPLES in it."""
+    last = t >= t[-1] / 10.0
+    if np.count_nonzero(last) < MIN_FIT_SAMPLES:
+        raise FitRefusedError(f"too few samples in the last decade "
+                              f"({np.count_nonzero(last)} < {MIN_FIT_SAMPLES})")
+    return last
 
-    support model: regress log R against log log(e + t * M^(p+m-3))
-    over the last two decades of the large-time window; the slope
-    approaches 1/alpha for power-like weights, and the prefactor and
-    its band come from the last decade.  sup model: form the ratio
-    sup(t) / envelope(t) with unit prefactor over the last decade and
-    report its max/min band (the theory asserts boundedness, not a
-    value) and the slope of its log against log t.  Slopes are
-    least-squares fits (``line_slope``).  Refused with
-    ``FitRefusedError`` when fewer than MIN_FIT_SAMPLES output times
-    fall in the large-time window or in its last decade, which every
-    fit reads.
+
+def fit_rates(traj: Trajectory, model: str) -> FitReport:
+    """Fit a trajectory against the law predicted for its own weight and
+    equation; slopes are least-squares fits (``line_slope``).
+
+    sup power-law model (unweighted run only): regress log sup(u)
+    against log t over the last decade; the slope approaches the
+    Barenblatt exponent -N/(N(p+m-3)+p), with no prefactor or band.
+    support model (weighted run only, as the sup model): regress log R
+    against log log(e + t * M^(p+m-3)) over the last two decades of the
+    large-time window; the slope approaches 1/alpha for power-like
+    weights, and the prefactor and its band come from the last decade.
+    sup model: form the ratio sup(t) / envelope(t) with unit prefactor
+    over the last decade and report its max/min band (the theory
+    asserts boundedness, not a value) and the slope of its log against
+    log t.  Refused with ``FitRefusedError`` for the other kind of
+    weight, and when fewer than MIN_FIT_SAMPLES output times fall in
+    the large-time window or in the last decade.
     """
-    if model not in (SUP_ENVELOPE, SUPPORT_ENVELOPE):
+    if model not in (SUP_ENVELOPE, SUPPORT_ENVELOPE, SUP_POWER_LAW):
         raise InvalidParameterError(f"unknown fit model {model!r}")
-    weight = traj.config.weight
+    eq, weight = traj.config.eq, traj.config.weight
+    if model == SUP_POWER_LAW:
+        if weight.is_weighted:
+            raise FitRefusedError("the Barenblatt power law is undefined with a weight")
+        t = traj.times[1:]
+        last = _last_decade(t)
+        return FitReport(
+            slope=line_slope(np.log(t[last]), np.log(traj.sup_u[1:][last])),
+            target_slope=-eq.dim_n / (eq.dim_n * eq.kappa + eq.p),
+            window=(float(t[last][0]), float(t[-1])), n_points=int(np.count_nonzero(last)))
     if not weight.is_weighted:
         raise FitRefusedError("envelope fits are undefined without a weight")
-    par = env_mod.EnvelopeParams(eq=traj.config.eq, weight=weight, mass0=traj.mass0)
+    par = env_mod.EnvelopeParams(eq=eq, weight=weight, mass0=traj.mass0)
     idx = np.flatnonzero(par.large_time(traj.times))
     if idx.size < MIN_FIT_SAMPLES:
         raise FitRefusedError("too few samples in the large-time window")
@@ -823,11 +845,7 @@ def fit_rates(traj: Trajectory, model: str) -> FitReport:
     keep = t_all >= t_all[-1] / 100.0
     idx = idx[keep]
     t = t_all[keep]
-    last = t >= t[-1] / 10.0
-    n_last = int(np.count_nonzero(last))  # both models read the last decade
-    if n_last < MIN_FIT_SAMPLES:
-        raise FitRefusedError(
-            f"too few samples in the last decade ({n_last} < {MIN_FIT_SAMPLES})")
+    last = _last_decade(t)
     log_arg = np.log(math.e + par.log_arg(t))
 
     if model == SUPPORT_ENVELOPE:

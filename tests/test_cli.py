@@ -684,7 +684,7 @@ def test_sweep_keeps_zygmund_weight(tmp_path, monkeypatch):
     "[weight]\nkind = unweighted\n",
     "[weight]\nkind = custom\ng_expr = s\ng_prime_expr = 1 + 0 * s\n"
     "alpha1 = 1\nalpha2 = 1\n",
-])
+], ids=["unweighted", "custom"])
 def test_sweep_refuses_weight_without_alpha(weight_section, tmp_path, capsys, monkeypatch):
     # refused once, before any row
     path = tmp_path / "sw.ini"
@@ -840,17 +840,58 @@ def test_unknown_inequality_kind_refused_before_checks(tmp_path, capsys, monkeyp
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
-def test_bump_radius_with_overflowing_square_refused(tmp_path, capsys):
-    # radii = 1e300 passed the finite-radius check, and the derivative's
-    # R**2 of the bounded-ball bumps ended the command in an OverflowError
-    # traceback with exit code 1, the code of a failed check
+@pytest.mark.parametrize("radius, refusal", [
+    ("1e300", "finite R**2 of at least 2.23e-308 and k >= 1, got R=2.5e+299,"),
+    ("1e20", "not finite at its support radius 2.5e+19"),
+    ("1e154", "not finite at its support radius 2.5e+153"),
+    ("1e-200", "finite R**2 of at least 2.23e-308 and k >= 1, got R=2.5e-201,"),
+], ids=["1e300", "1e20", "1e154", "1e-200"])
+def test_bump_radius_with_overflowing_square_refused(tmp_path, capsys, radius, refusal):
+    # each ball's family starts with the bump of radius R/4.  radii = 1e300
+    # passed the finite-radius check, and the derivative's R**2 of the
+    # bounded-ball bumps ended the command in an OverflowError traceback
+    # with exit code 1, the code of a failed check; 1e20 and 1e154
+    # overflowed exp(g) in the density and 1e-200 underflowed R**2 in the
+    # derivative, each in numpy warnings before a quadrature error
     ini = tmp_path / "big_radius.ini"
     ini.write_text(POWER_INI.replace("kinds = poincare", "kinds = bounded_sobolev")
-                   .replace("radii = 1\n", "radii = 1e300\n"))
+                   .replace("radii = 1\n", f"radii = {radius}\n"))
     rc = cli.main(["inequalities", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "finite R**2" in err
+    assert err.startswith("error:") and refusal in err
+    assert len(err.splitlines()) == 1
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+_CUSTOM_WEIGHT = "[weight]\nkind = custom\ng_expr = {}\ng_prime_expr = {}\nalpha1 = {}\nalpha2 = {}\n"
+
+
+@pytest.mark.parametrize("command, weight, extra, refusal", [
+    ("weight-check", _CUSTOM_WEIGHT.format("s**", "1 + 0 * s", 1, 1), "",
+     "[weight] g_expr: cannot parse expression 's**'"),
+    ("weight-check", "[weight]\nkind = bogus\n", "", "unknown weight kind 'bogus'"),
+    ("sweep", "[weight]\nkind = power\nalpha = 0.5\n", None, "No section: 'sweep'"),
+    ("sweep", "[weight]\nkind = power\nalpha = 0.5\n", "alphas = 0.4, 0.6\nt_ends = 1e3\n",
+     "t_ends must match alphas in length"),
+    ("weight-check", _CUSTOM_WEIGHT.format("s**0.6", "0.6 * s**-0.4", 0.7, 0.5), "",
+     "envelope exponents must satisfy 0 < alpha1 <= alpha2, got (0.7, 0.5)"),
+    ("weight-check", _CUSTOM_WEIGHT.format("-s", "-1 + 0 * s", 1, 1), "",
+     "weight exponent must satisfy g(s) > 0 for s > 0"),
+    ("weight-check", "[weight]\nkind = zygmund\nalpha = 0\nbeta = 1.0\nc = 2.0\n", "",
+     "requires alpha > 0, got 0.0"),
+], ids=["unparsable-g", "unknown-kind", "no-sweep-section", "t-ends-length",
+        "alpha1-above-alpha2", "negative-g", "zygmund-alpha-0"])
+def test_config_refused_before_any_output(tmp_path, capsys, command, weight, extra, refusal):
+    # the weight and [sweep] of POWER_INI replaced; extra is the new
+    # [sweep] section's body, None for no [sweep] section
+    body = POWER_INI[POWER_INI.index("[equation]"):POWER_INI.index("[sweep]")]
+    ini = tmp_path / "refused.ini"
+    ini.write_text(weight + body + ("" if extra is None else "[sweep]\n" + extra))
+    rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and refusal in err
     assert len(err.splitlines()) == 1
     assert not list((tmp_path / "o").glob("*.csv"))
 

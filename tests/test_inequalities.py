@@ -507,3 +507,16 @@ class TestFamilyPass:
         with pytest.raises(InvalidParameterError, match="bad"):
             I.verify_inequality(I.RADIAL_SOBOLEV, w_half, eq_ref, q=self.Q_EXP,
                                 family=[I.polynomial_bump(1.0, 2.0), bad])
+
+
+@pytest.mark.parametrize("make, args", [
+    (I.polynomial_bump, (1e-200, 1.0)),
+    (I.polynomial_bump, (1e300, 1.0)),
+    (I.gaussian_tapered, (1.0, 1e-200)),
+    (I.gaussian_tapered, (1.0, 1e200)),
+], ids=["bump-tiny", "bump-huge", "gauss-tiny", "gauss-huge"])
+def test_test_function_refuses_square_off_the_normal_floats(make, args):
+    # the derivatives divide by R**2 or sigma**2: 0 after an underflow, inf
+    # after an overflow
+    with pytest.raises(InvalidParameterError, match=r"finite (R|sigma)\*\*2 of at least"):
+        make(*args)

@@ -730,10 +730,9 @@ class TestUnweightedCalibration:
         cfg = S.SolverConfig(eq=eq, weight=W.make_unweighted(), r_max=30.0,
                              n_cells=500, output_times=np.geomspace(0.04, 400.0, 49))
         traj = S.run(cfg)
-        t = traj.times[1:]
-        keep = t >= t[-1] / 10.0
-        slope = np.polyfit(np.log(t[keep]), np.log(traj.sup_u[1:][keep]), 1)[0]
-        assert slope == pytest.approx(-1.0 / 3.0, rel=0.10)
+        rep = S.fit_rates(traj, S.SUP_POWER_LAW)
+        assert rep.target_slope == -1.0 / 3.0
+        assert rep.slope == pytest.approx(rep.target_slope, rel=0.10)
         drift = np.abs(traj.mass / traj.mass0 - 1.0).max()
         assert drift <= 1e-6
 
@@ -840,6 +839,13 @@ def weighted_traj(eq_ref, w_half):
     return S.run(cfg)
 
 
+@pytest.fixture(scope="module")
+def unweighted_traj():
+    cfg = S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0), weight=W.make_unweighted(),
+                         r_max=30.0, n_cells=200, output_times=np.geomspace(0.5, 50.0, 13))
+    return S.run(cfg)
+
+
 class TestFitRates:
     def test_support_slope(self, weighted_traj, eq_ref, w_half):
         rep = S.fit_rates(weighted_traj, S.SUPPORT_ENVELOPE)
@@ -868,13 +874,31 @@ class TestFitRates:
         assert np.all(R[keep] <= bound[keep])
         assert weighted_traj.support_radius[-1] < weighted_traj.config.r_max
 
-    def test_unweighted_refused(self):
-        eq = W.EquationParams(1, 2.0, 2.0)
-        cfg = S.SolverConfig(eq=eq, weight=W.make_unweighted(), r_max=30.0,
-                             n_cells=200, output_times=np.geomspace(0.5, 50.0, 9))
-        traj = S.run(cfg)
+    def test_unweighted_refused(self, unweighted_traj):
         with pytest.raises(FitRefusedError):
-            S.fit_rates(traj, S.SUPPORT_ENVELOPE)
+            S.fit_rates(unweighted_traj, S.SUPPORT_ENVELOPE)
+
+    def test_sup_power_law(self, unweighted_traj):
+        # the slope over the last decade of the output times, bitwise
+        rep = S.fit_rates(unweighted_traj, S.SUP_POWER_LAW)
+        t = unweighted_traj.times[1:]
+        keep = t >= t[-1] / 10.0
+        assert rep.slope == S.line_slope(np.log(t[keep]),
+                                         np.log(unweighted_traj.sup_u[1:][keep]))
+        assert rep.target_slope == -1.0 / 3.0  # -N/(N(p+m-3)+p) at N = 1, p = m = 2
+        assert rep.window == (t[keep][0], t[-1]) and rep.n_points == keep.sum() == 6
+        assert rep.c_fit is rep.band_max is rep.band_min is None
+
+    def test_sup_power_law_refused_with_weight(self, weighted_traj):
+        with pytest.raises(FitRefusedError, match="with a weight"):
+            S.fit_rates(weighted_traj, S.SUP_POWER_LAW)
+
+    def test_sup_power_law_refuses_short_last_decade(self):
+        cfg = S.SolverConfig(eq=W.EquationParams(1, 2.0, 2.0), weight=W.make_unweighted(),
+                             r_max=30.0, n_cells=100, output_times=[0.4, 40.0])
+        with pytest.raises(FitRefusedError) as exc:
+            S.fit_rates(S.run(cfg), S.SUP_POWER_LAW)
+        assert str(exc.value) == "too few samples in the last decade (1 < 5)"
 
     def test_short_run_refused(self, eq_ref, w_half):
         cfg = quick_config(output_times=np.geomspace(8.0, 20.0, 9))
