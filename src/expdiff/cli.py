@@ -44,7 +44,7 @@ from . import envelopes as env_mod
 from . import inequalities as ineq
 from . import solver
 from . import weights
-from .errors import ExpdiffError, FitRefusedError, InvalidParameterError
+from .errors import ExpdiffError, FitRefusedError, InvalidParameterError, NumericFailureError
 
 FLOAT_FMT = ".17g"
 
@@ -373,8 +373,12 @@ def cmd_inequalities(cfg, out: Path, seed: int) -> int:
                 family = (ineq.bump_family(radii=(big_r / 4, big_r / 2, big_r),
                                            powers=(1.0, 2.0, 3.0))
                           + ineq.random_family(rng, n_random, fixed_radius=big_r))
-                reports.append(ineq.verify_inequality(kind, w, eq, q=q,
-                                                      big_r=big_r, family=family))
+                try:  # the message names the ball whose quadrature failed
+                    reports.append(ineq.verify_inequality(kind, w, eq, q=q,
+                                                          big_r=big_r, family=family))
+                except NumericFailureError as exc:
+                    raise NumericFailureError(f"{kind} at R = {big_r:g}: {exc}",
+                                              exc.achieved) from exc
         else:
             family = ineq.bump_family() + ineq.random_family(rng, n_random)
             reports = [ineq.verify_inequality(

@@ -208,10 +208,38 @@ def test_simulate_prints_solver_counts(power_cfg, tmp_path, capsys):
     counts = dict(item.split("=") for item in summary.split(", ")[-1].split())
     assert set(counts) == {"steps", "rejected", "newton", "clipped_mass"}
     assert int(counts["steps"]) > 0
-    # holds only at the default BDF_TOL: at a tight one a step's start
-    # often meets NEWTON_TOL without a solve
+    # measured at the default tolerances: a step whose start already meets
+    # the Newton stop, NEWTON_KAPPA * BDF_TOL * mass, takes no solve
     assert int(counts["newton"]) >= int(counts["steps"])
     assert float(counts["clipped_mass"]) == 0.0
+
+
+def test_p_laplacian_newton_counts():
+    # the 800-cell p = 2.5 zygmund run over 8 decades: measured 1,202
+    # Newton solves in 1,195 steps, 4 rejected.  Newton stopped at 1e-10
+    # mass, 2,000 times below BDF_TOL, it took 1,641 solves in the same
+    # steps; at 200 cells the counts barely move, so the gate runs at 800
+    scfg = cli._solver_config(_cfg("""
+[weight]
+kind = zygmund
+alpha = 0.5
+beta = 1.0
+c = 2.0
+[equation]
+dim_n = 3
+p = 2.5
+m = 1.0
+[grid]
+r_max = 60
+n_cells = 800
+[simulate]
+t_end = 1e6
+n_outputs = 97
+output_decades = 8
+"""))
+    traj = solver.run(scfg)
+    assert traj.newton_iterations <= 1.02 * traj.steps
+    assert traj.steps <= 1.05 * 1195
 
 
 def test_simulate_deterministic(power_cfg, tmp_path):
@@ -845,14 +873,17 @@ def test_unknown_inequality_kind_refused_before_checks(tmp_path, capsys, monkeyp
     ("1e20", "not finite at its support radius 2.5e+19"),
     ("1e154", "not finite at its support radius 2.5e+153"),
     ("1e-200", "finite R**2 of at least 2.23e-308 and k >= 1, got R=2.5e-201,"),
-], ids=["1e300", "1e20", "1e154", "1e-200"])
+    ("1e-150", "error: bounded_sobolev at R = 1e-150: quadrature did not converge on"),
+], ids=["1e300", "1e20", "1e154", "1e-200", "1e-150"])
 def test_bump_radius_with_overflowing_square_refused(tmp_path, capsys, radius, refusal):
     # each ball's family starts with the bump of radius R/4.  radii = 1e300
     # passed the finite-radius check, and the derivative's R**2 of the
     # bounded-ball bumps ended the command in an OverflowError traceback
     # with exit code 1, the code of a failed check; 1e20 and 1e154
     # overflowed exp(g) in the density and 1e-200 underflowed R**2 in the
-    # derivative, each in numpy warnings before a quadrature error
+    # derivative, each in numpy warnings before a quadrature error.  At
+    # 1e-150 a panel of the family's quadrature stalls, and the refusal
+    # names the ball, which the quadrature's own message did not
     ini = tmp_path / "big_radius.ini"
     ini.write_text(POWER_INI.replace("kinds = poincare", "kinds = bounded_sobolev")
                    .replace("radii = 1\n", f"radii = {radius}\n"))

@@ -160,8 +160,10 @@ class TestImplicitIntegrator:
 
     def test_solver_counts(self, quick_traj):
         assert quick_traj.steps > 0
-        # holds only at the default BDF_TOL: at 1e-10 a step's quartic start
-        # often meets NEWTON_TOL already (1,521 solves in 1,647 steps)
+        # Newton stops at NEWTON_KAPPA BDF_TOL mass, so this holds at a tight
+        # BDF_TOL too: 1,608 solves in 1,601 steps at 1e-10 (stopped at a
+        # fixed 1e-10 mass, a step's quartic start often met the stop:
+        # 1,520 solves in 1,647 steps)
         assert quick_traj.newton_iterations >= quick_traj.steps
         # residual stop and quartic start: measured 385 Newton solves in 380
         # steps (BDF3: 589 in 585; BDF2: 1,568 in 1,562; the explicit oracle
@@ -174,9 +176,10 @@ class TestImplicitIntegrator:
         assert np.all(quick_traj.dt_last[2:] <= np.diff(quick_traj.times[1:]) * (1 + 1e-12))
 
     def test_quartic_start_counts(self, weighted_traj):
-        # the 800-cell power-weight run over 8 decades: measured 2,845 Newton
+        # the 800-cell power-weight run over 8 decades: measured 2,844 Newton
         # solves in 2,840 steps (BDF3 from its cubic start: 3,606 in 3,576;
-        # BDF2 from its quadratic start: 5,681 in 4,739)
+        # BDF2 from its quadratic start: 5,681 in 4,739; both with Newton
+        # stopped at 1e-10 mass)
         assert weighted_traj.newton_iterations <= 1.3 * weighted_traj.steps
 
     def test_step_ratio_bounded(self, quick_traj, weighted_traj, monkeypatch):
@@ -247,10 +250,13 @@ class TestImplicitIntegrator:
     def test_temporal_order(self, monkeypatch, weight, eq):
         # the sup(u) error at t_end against a run at BDF_TOL = 1e-10 falls
         # like steps^-q over BDF_TOL = 1e-6, 1e-7 and 1e-8.  Measured q =
-        # 4.52 and 4.25 (power-m2: 299, 447 and 676 steps, errors 1.3e-6,
-        # 2.1e-7 and 3.7e-8, reference 1,647 steps), 4.56 and 4.29
-        # (zygmund-plap), 4.11 and 4.31 (power-m-half), 4.45 and 4.33
-        # (power-p-1.8); BDF3 gave 3.08-3.20, a third-order step gives q = 3
+        # 4.52 and 4.26 (power-m2: 299, 447 and 676 steps, errors 1.3e-6,
+        # 2.1e-7 and 3.6e-8, reference 1,601 steps), 4.32 and 4.23
+        # (zygmund-plap), 3.99 and 4.48 (power-m-half), 4.45 and 4.33
+        # (power-p-1.8); BDF3 gave 3.08-3.20, a third-order step gives q = 3.
+        # The reference's Newton stop tightens with its BDF_TOL: stopped at
+        # a fixed 1e-9 mass, Newton noise kept its error estimate above
+        # 1e-10 and its steps underflowed
         def run(tol):
             monkeypatch.setattr(S, "BDF_TOL", tol)
             return S.run(quick_config(t_end=100.0, weight=weight, eq=eq))
@@ -267,9 +273,10 @@ class TestImplicitIntegrator:
         # A' = (m-1) A / ubar overflows as ubar -> 0+ at the front; with the
         # term dropped on those faces Newton converges in about one solve
         # per step, where the full Jacobian failed on almost every step.
-        # Measured: 190, 201 and 156 solves in 183, 194 and 149 steps; each
-        # run's 7 extra solves are spent by the first step, whose four
-        # rejections cut the Gershgorin step 130- to 140-fold
+        # Measured: 190, 200 and 156 solves in 183, 194 and 149 steps; each
+        # run's 6 or 7 extra solves are spent by the first step, whose four
+        # rejections cut the Gershgorin step 130- to 140-fold.  A stop 1e4
+        # times tighter takes 192, 203 and 158 solves, sup(u) within 9.5e-15
         def run():
             return S.run(S.SolverConfig(eq=W.EquationParams(dim_n, p, m),
                                         weight=W.make_power_weight(0.5), r_max=40.0,
@@ -277,8 +284,9 @@ class TestImplicitIntegrator:
         traj = run()
         assert traj.steps <= traj.newton_iterations <= 1.05 * traj.steps
         assert traj.clipped_mass == 0.0
-        monkeypatch.setattr(S, "NEWTON_TOL", 1e-13)
+        monkeypatch.setattr(S, "NEWTON_KAPPA", 5e-7)
         tight = run()
+        assert tight.newton_iterations > traj.newton_iterations
         assert np.abs(traj.sup_u[1:] / tight.sup_u[1:] - 1.0).max() <= 1e-8
 
     def test_window_matches_full_solve(self, tridiagonal):
@@ -314,9 +322,10 @@ class TestImplicitIntegrator:
                                   solve_once(dgtsv, sub, diag, sup, rhs))
 
     def test_residual_bounds_update(self, tridiagonal):
-        # Newton stops on |R|_1 <= NEWTON_TOL mass: for an M-matrix J whose
-        # columns sum to the cell volumes V, |V J^-1 R|_1 <= |R|_1, so the
-        # residual bounds the update that the step would still make
+        # Newton stops on |R|_1 <= NEWTON_KAPPA BDF_TOL mass: for an
+        # M-matrix J whose columns sum to the cell volumes V,
+        # |V J^-1 R|_1 <= |R|_1, so the residual bounds the update that the
+        # step would still make
         def assert_bounded(vols, a, b, rhs):
             diag = vols.copy()
             diag[:-1] -= a
@@ -410,7 +419,7 @@ class TestImplicitIntegrator:
 
     def test_newton_failures_raise(self, monkeypatch):
         # with no solve allowed, Newton fails at every step size and the run
-        # could only crawl on steps whose start already meets NEWTON_TOL
+        # could only crawl on steps whose start already meets the Newton stop
         # (t = 5.4e-9 after 5,000 updates); the failure cap stops it
         monkeypatch.setattr(S, "NEWTON_MAX_ITER", 0)
         cfg = S.SolverConfig(eq=W.EquationParams(4, 3.0, 0.5),
@@ -421,12 +430,13 @@ class TestImplicitIntegrator:
 
     def test_tight_newton_agrees(self, monkeypatch):
         # the residual stop does not change the answer: measured with
-        # NEWTON_TOL = 1e-13, sup(u) within 6.3e-15 at every output in the
-        # same 250 steps, with 255 Newton solves against 253
+        # NEWTON_KAPPA = 5e-7 (1e-13 mass), sup(u) within 8.1e-15 at every
+        # output in the same 250 steps, with 255 Newton solves against 253
         base = S.run(quick_config())
-        monkeypatch.setattr(S, "NEWTON_TOL", 1e-13)
+        monkeypatch.setattr(S, "NEWTON_KAPPA", 5e-7)
         tight = S.run(quick_config())
         assert tight.steps == base.steps
+        assert tight.newton_iterations > base.newton_iterations
         assert np.abs(tight.sup_u[1:] / base.sup_u[1:] - 1.0).max() <= 1e-9
 
     def test_dgtsv_selected_where_bundled(self):
@@ -647,8 +657,10 @@ class TestSemigroup:
     # least 0.37% per output on the ordered data and 1.2e-5 relative on the
     # crossing data; the L1 distance falls from 18.48 to 16.94, 24.50 to
     # 23.03, 50.59 to 49.52 and 18.48 to 16.94, and its largest rise is
-    # 4.8e-15 relative; the mass drift is at most 2.5e-14, but for 1.28e-11
-    # on the height-0.5 datum of power-m2 at t = 0.0178, inside NEWTON_TOL
+    # 5.1e-15 relative; the mass drift is at most 4.7e-14, but for 8.3e-13
+    # on the height-1 crossing datum of power-m2 at t = 0.1: a step whose
+    # start meets the Newton stop keeps its residual's sum, at most
+    # NEWTON_KAPPA BDF_TOL = 1e-9 of the mass
     @pytest.mark.parametrize("weight, eq", [
         (W.make_power_weight(0.5), W.EquationParams(3, 2.0, 2.0)),
         (W.make_zygmund_weight(0.5, 1.0, 2.0), W.EquationParams(3, 2.5, 1.0)),
